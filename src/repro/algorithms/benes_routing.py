@@ -56,7 +56,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend
 from ..backend.shm import attach_cached, read_array, share_arrays
 
 __all__ = [
@@ -179,7 +178,7 @@ def _assert_alternating(pairs2d: np.ndarray, what: str) -> None:
 
 
 def _route_batch(
-    perms: np.ndarray, backend=None, out: Optional[np.ndarray] = None
+    perms: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Settings ``(B, 2n-1, N/2)`` for a validated ``(B, N)`` batch.
 
@@ -189,17 +188,16 @@ def _route_batch(
     """
     B, N = perms.shape
     n = N.bit_length() - 1
-    be = get_backend(backend)
     crossed = out
     if crossed is None:
         crossed = np.zeros((B, num_switch_stages(n), N // 2), dtype=bool)
     step = max(1, _CHUNK_ELEMS // N)
     for lo in range(0, B, step):
-        _route_block(perms[lo : lo + step], crossed[lo : lo + step], be)
+        _route_block(perms[lo : lo + step], crossed[lo : lo + step])
     return crossed
 
 
-def _route_block(perms: np.ndarray, crossed: np.ndarray, be) -> None:
+def _route_block(perms: np.ndarray, crossed: np.ndarray) -> None:
     """Fill ``crossed`` for one cache-sized block of a ``(B, N)`` batch.
 
     One iteration per recursion depth ``d``: every size-``M = N/2**d``
@@ -252,23 +250,23 @@ def _route_block(perms: np.ndarray, crossed: np.ndarray, be) -> None:
         # chain successor step(q) = inv[glob[q] ^ 1] ^ 1 in one gather:
         # pre-shift the scatter so inv2[t] = inv[t ^ 1] ^ 1
         np.bitwise_xor(glob, 1, out=tmp)
-        be.scatter(inv2, tmp, qx)
-        be.take_wrap(inv2, glob, out=hop)
+        inv2[tmp] = qx
+        inv2.take(glob, mode="wrap", out=hop)
 
         # pointer doubling on the packed minima (see docstring)
         np.copyto(r, r0)
         for k in range(max(1, n - d - 1)):
-            be.take_wrap(r, hop, out=tmp)
+            r.take(hop, mode="wrap", out=tmp)
             np.minimum(r, tmp, out=r)
             if k < n - d - 2:  # last round's composition is never read
-                be.take_wrap(hop, hop, out=tmp2)
+                hop.take(hop, mode="wrap", out=tmp2)
                 hop, tmp2 = tmp2, hop
 
         color = color2d.reshape(-1)
         np.bitwise_and(r, 1, out=tmp)
         np.not_equal(tmp, 0, out=color)  # True = bottom sub-network
         out_color = out2d.reshape(-1)
-        be.scatter(out_color, glob, color)
+        out_color[glob] = color
         _assert_alternating(color2d, "input")
         _assert_alternating(out2d, "output")
         crossed[:, d, :] = color2d[:, 0::2]
@@ -284,7 +282,7 @@ def _route_block(perms: np.ndarray, crossed: np.ndarray, be) -> None:
         np.multiply(color, M >> 1, out=tmp2, casting="unsafe")
         np.add(tmp, tmp2, out=tmp)  # tmp = new flat position
         np.right_shift(sub, 1, out=sub)
-        be.scatter(glob, tmp, sub)  # reuse glob as the next level's sub
+        glob[tmp] = sub  # reuse glob as the next level's sub
         sub, glob = glob, sub
 
     sub2d = sub.reshape(B, N)
@@ -295,17 +293,15 @@ def _route_chunk_shm(args) -> None:
     """Pool worker: route rows ``[lo, hi)`` of the shared perms block
     straight into the shared output block.
 
-    The per-job pickle payload is ``(pack, lo, hi, backend)`` — a few
-    hundred bytes however large the batch: inputs arrive as zero-copy
+    The per-job pickle payload is ``(pack, lo, hi)`` — a few hundred
+    bytes however large the batch: inputs arrive as zero-copy
     shared-memory views and the settings land in the parent's shared
     ``crossed`` array, so nothing big crosses the pipe in either
     direction.
     """
-    pack, lo, hi, backend = args
+    pack, lo, hi = args
     views = attach_cached(pack)
-    _route_batch(
-        views["perms"][lo:hi], backend=backend, out=views["crossed"][lo:hi]
-    )
+    _route_batch(views["perms"][lo:hi], out=views["crossed"][lo:hi])
 
 
 def route_permutations(
@@ -313,7 +309,6 @@ def route_permutations(
     *,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
-    backend=None,
 ) -> BenesSettingsBatch:
     """Route a ``(B, N)`` batch of permutations in one vectorized pass.
 
@@ -327,7 +322,6 @@ def route_permutations(
     permutations are routed independently, so the split never changes
     the settings.
     """
-    backend = backend.name if isinstance(backend, ArrayBackend) else backend
     arr = _validate_perm_batch(perms)
     B = arr.shape[0]
     n = arr.shape[1].bit_length() - 1
@@ -340,12 +334,12 @@ def route_permutations(
                 (B, num_switch_stages(n), arr.shape[1] // 2), dtype=bool
             )
             with share_arrays(perms=arr, crossed=crossed) as pack:
-                payloads = [(pack, lo, hi, backend) for lo, hi in spans]
+                payloads = [(pack, lo, hi) for lo, hi in spans]
                 with multiprocessing.get_context().Pool(procs) as pool:
                     pool.map(_route_chunk_shm, payloads)
                 crossed = read_array(pack, "crossed")
             return BenesSettingsBatch(n=n, crossed=crossed)
-    return BenesSettingsBatch(n=n, crossed=_route_batch(arr, backend=backend))
+    return BenesSettingsBatch(n=n, crossed=_route_batch(arr))
 
 
 def route_permutation(perm: Sequence[int]) -> BenesSettings:

@@ -60,7 +60,6 @@ from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend
 from ..backend.shm import attach_cached, share_arrays
 
 __all__ = [
@@ -271,7 +270,6 @@ def _run_batch(
     warmup: int,
     drain: Optional[int],
     trace: bool = False,
-    backend=None,
     injections: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> List[SimResult]:
     """Run ``len(jobs)`` independent ``(rate, seed)`` simulations through
@@ -301,7 +299,6 @@ def _run_batch(
         _validate(n, rate, cycles)
     if drain is None:
         drain = _default_drain(n)
-    be = get_backend(backend)
     R = 1 << n
     B = len(jobs)
     total_cycles = cycles + drain
@@ -411,7 +408,11 @@ def _run_batch(
         cuts: List[int] = []
         act = (head < tail).nonzero()[0]  # method call: skips wrappers
         if act.size:
-            pval = be.ring_advance(buf, head, act, dbits, mask)
+            # slot math runs in the qid dtype: the head/tail cursors are
+            # int16, but queue ids span the whole buffer
+            c = head[act]
+            pval = buf[(act << dbits) | (c & mask)]
+            head[act] = c + 1
             cuts = act.searchsorted(class_bounds).tolist()
             cut = cuts[-1]
             if cut < act.size:  # final-stage pops: deliveries
@@ -432,13 +433,13 @@ def _run_batch(
                     )
                     tin_c = done_tin[counted]
                     jd = (act[cut:] >> n) & jmask
-                    inflight -= be.bincount(jd, minlength=B)
+                    inflight -= np.bincount(jd, minlength=B)
                     if tin_c.size:
                         jdc = jd[counted]
-                        latency += be.bincount(
+                        latency += np.bincount(
                             jdc, weights=t + 1 - tin_c, minlength=B
                         )
-                        bump = be.bincount(jdc, minlength=B)
+                        bump = np.bincount(jdc, minlength=B)
                         if t < cycles:
                             delivered += bump
                         else:
@@ -499,7 +500,9 @@ def _run_batch(
             qc = segs[0] if len(segs) == 1 else np.concatenate(segs)
             vc = vals[0] if len(vals) == 1 else np.concatenate(vals)
             # targets unique within a pass
-            be.ring_advance(buf, tail, qc, dbits, mask, vc)
+            c = tail[qc]
+            buf[(qc << dbits) | (c & mask)] = vc
+            tail[qc] = c + 1
             touched.append(qc)
         if touched:
             # pops precede pushes, so a FIFO's depth peaks at end of
@@ -573,7 +576,6 @@ def simulate_butterfly_queued(
     seed: int = 0,
     drain: Optional[int] = None,
     trace: bool = False,
-    backend=None,
 ) -> SimResult:
     """Simulate Bernoulli(``rate_per_input``) arrivals per input per cycle
     with uniform random destinations — vectorized engine.
@@ -590,7 +592,6 @@ def simulate_butterfly_queued(
     """
     return _run_batch(
         n, [(rate_per_input, seed)], cycles, warmup, drain, trace=trace,
-        backend=backend,
     )[0]
 
 
@@ -706,8 +707,8 @@ def _enqueue(queues, pkt, r: int, s: int, n: int) -> None:
 
 def _sweep_chunk(args: Tuple) -> List[SimResult]:
     """Module-level worker so :func:`sweep_rates` chunks pickle cleanly."""
-    n, jobs, cycles, warmup, drain, backend = args
-    return _run_batch(n, jobs, cycles, warmup, drain, backend=backend)
+    n, jobs, cycles, warmup, drain = args
+    return _run_batch(n, jobs, cycles, warmup, drain)
 
 
 #: Keys of the per-chunk injection arrays inside the sweep's shared block.
@@ -722,12 +723,10 @@ def _sweep_chunk_shm(args: Tuple) -> List[SimResult]:
     has; the big precomputed injection arrays travel once, through the
     shared-memory block the parent packed.
     """
-    pack, ci, n, jobs, cycles, warmup, drain, backend = args
+    pack, ci, n, jobs, cycles, warmup, drain = args
     views = attach_cached(pack)
     injections = tuple(views[f"c{ci}_{k}"] for k in _INJ_KEYS)
-    return _run_batch(
-        n, jobs, cycles, warmup, drain, backend=backend, injections=injections
-    )
+    return _run_batch(n, jobs, cycles, warmup, drain, injections=injections)
 
 
 def sweep_rates(
@@ -740,7 +739,6 @@ def sweep_rates(
     drain: Optional[int] = None,
     workers: Optional[int] = None,
     batch: int = 16,
-    backend=None,
 ) -> List[SimResult]:
     """Run the engine over the ``rates x seeds`` grid.
 
@@ -755,7 +753,6 @@ def sweep_rates(
     arrays per job.  The grouping never changes the numbers: every
     grouping is bit-identical to running each job alone.
     """
-    backend = backend.name if isinstance(backend, ArrayBackend) else backend
     jobs = [(float(rate), int(s)) for rate in rates for s in seeds]
     batch = max(1, batch)
     chunk_jobs = [jobs[i : i + batch] for i in range(0, len(jobs), batch)]
@@ -772,15 +769,14 @@ def sweep_rates(
         with share_arrays(**arrays) as pack:
             del arrays
             payloads = [
-                (pack, ci, n, cj, cycles, warmup, drain, backend)
+                (pack, ci, n, cj, cycles, warmup, drain)
                 for ci, cj in enumerate(chunk_jobs)
             ]
             with multiprocessing.get_context().Pool(procs) as pool:
                 parts = pool.map(_sweep_chunk_shm, payloads)
     else:
         parts = [
-            _sweep_chunk((n, cj, cycles, warmup, drain, backend))
-            for cj in chunk_jobs
+            _sweep_chunk((n, cj, cycles, warmup, drain)) for cj in chunk_jobs
         ]
     return [res for part in parts for res in part]
 

@@ -1,91 +1,22 @@
-"""Pluggable array-ops backends for the five vectorized engines.
+"""Array plumbing shared by the engines' worker pools.
 
-One small facade (:class:`~repro.backend.base.ArrayBackend`: ``gather``,
-``scatter``, ``scatter_add``, ``bincount``, ``cummax``, ``take_wrap``,
-``ring_advance``) sits behind the hot kernels of graph build, the
-queued-routing ring buffer, WireTable build/validate, packaging
-bincounts, and batched Benes cycle-chasing.  Selection, in precedence
-order:
-
-1. an explicit ``backend=`` kwarg on the engine entry point (a name or
-   an :class:`ArrayBackend` instance),
-2. the ``REPRO_BACKEND`` environment variable,
-3. the default, ``"numpy"``.
-
-Registered backends: ``numpy`` (reference), ``python`` (interpreted
-loop kernels, always available, used by the conformance grid), ``numba``
-(the same kernels jit-compiled; optional), and ``cupy`` (stub that
-reports unavailability).  Unavailable backends raise
-:class:`BackendUnavailable` at selection time with a clear message.
-
-Shared-memory (zero-copy) array handoff for multiprocessing workers
-lives in :mod:`repro.backend.shm`.
+Every engine calls numpy directly.  This package holds
+:mod:`repro.backend.shm`, the zero-copy shared-memory array handoff the
+multiprocessing pools use, and :func:`get_backend`, which names the
+array library for report headers.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Type, Union
+from types import SimpleNamespace
 
-from .base import ArrayBackend, BackendUnavailable, NumpyBackend
-from .cupy_backend import CupyBackend
-from .numba_backend import NumbaBackend
-from .python_backend import PythonBackend
 from . import shm
 
-__all__ = [
-    "ArrayBackend",
-    "BackendUnavailable",
-    "NumpyBackend",
-    "PythonBackend",
-    "NumbaBackend",
-    "CupyBackend",
-    "get_backend",
-    "available_backends",
-    "shm",
-]
+__all__ = ["get_backend", "shm"]
 
-BACKENDS: Dict[str, Type[ArrayBackend]] = {
-    "numpy": NumpyBackend,
-    "python": PythonBackend,
-    "numba": NumbaBackend,
-    "cupy": CupyBackend,
-}
-
-_CACHE: Dict[str, ArrayBackend] = {}
+_NUMPY = SimpleNamespace(name="numpy")
 
 
-def get_backend(backend: Union[str, ArrayBackend, None] = None) -> ArrayBackend:
-    """Resolve a backend: kwarg > ``REPRO_BACKEND`` env var > numpy.
-
-    Accepts a registered name, an :class:`ArrayBackend` instance (passed
-    through), or ``None`` to consult the environment.  Raises
-    :class:`BackendUnavailable` if the selected backend's dependency is
-    missing, ``ValueError`` for an unknown name.
-    """
-    if isinstance(backend, ArrayBackend):
-        return backend
-    name = backend
-    if name is None:
-        name = os.environ.get("REPRO_BACKEND", "").strip() or "numpy"
-    key = str(name).lower()
-    if key not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; registered: {sorted(BACKENDS)}"
-        )
-    hit = _CACHE.get(key)
-    if hit is None:
-        hit = _CACHE[key] = BACKENDS[key]()
-    return hit
-
-
-def available_backends() -> List[str]:
-    """Names of registered backends that construct successfully here."""
-    out = []
-    for key in BACKENDS:
-        try:
-            get_backend(key)
-        except BackendUnavailable:
-            continue
-        out.append(key)
-    return out
+def get_backend() -> SimpleNamespace:
+    """The array library every engine runs on; ``.name`` is ``"numpy"``."""
+    return _NUMPY

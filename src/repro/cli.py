@@ -7,8 +7,7 @@ Commands mirror the library's main entry points:
                 vector
 ``layout``      build + validate a wire-level butterfly layout; print
                 area and wire-length statistics, optionally write an
-                SVG; ``--legacy`` uses the object-per-wire engine
-                instead of the columnar WireTable one
+                SVG
 ``dims``        closed-form layout dimensions (works at any ``n``)
 ``collinear``   optimal collinear layout of ``K_N``
 ``board``       the Section 5.2 board calculator
@@ -26,9 +25,8 @@ Commands mirror the library's main entry points:
                 sweeps, per-cycle trace export, saturation search
 ``sort``        run the bitonic sorting network
 ``isn-layout``  stage-column layout of an ISN itself
-``benes``       Benes permutation routing: single perms (``--perm``,
-                ``--legacy`` for the recursive oracle) or a seeded
-                batch in one vectorized pass (``--batch``,
+``benes``       Benes permutation routing: single perms (``--perm``)
+                or a seeded batch in one vectorized pass (``--batch``,
                 ``--workers``); ``--json`` writes the report
 ``fft``         run an FFT over an ISN flow graph, compare with numpy
 ``figures``     print the paper's text figures (1, 2, 4)
@@ -52,6 +50,9 @@ mode, ``benes`` batch mode, ``sim --saturation``) answer through the
 served from the content-addressed cache (``--cache-dir`` overrides the
 location, ``--no-cache`` opts out); a ``[cache hit|miss <key>]`` note
 goes to stderr so stdout stays parseable.
+
+Bad input exits 2 with one ``<command>: <message>`` line on stderr,
+whether argparse, the service layer or an engine rejects it.
 """
 
 from __future__ import annotations
@@ -150,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="forward")
     l.add_argument("--recirculating", action="store_true",
                    help="add the wrap-around feedback channel")
-    l.add_argument("--legacy", action="store_true",
-                   help="use the object-per-wire builder and validator "
-                        "instead of the columnar WireTable engine")
     l.add_argument("--svg", type=str, default=None)
     l.add_argument("--no-validate", action="store_true")
     l.add_argument("--json", type=str, default=None,
@@ -215,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--top", type=int, default=8)
     pk.add_argument("--exact", action="store_true",
                     help="verify every candidate against the columnar count")
-    pk.add_argument("--workers", type=int, default=None,
+    pk.add_argument("--workers", type=_positive_int, default=None,
                     help="multiprocessing workers for --exact sweeps")
     pk.add_argument("--json", type=str, default=None,
                     help="write the report as JSON")
@@ -251,12 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of seeds (sweep mode)")
     si.add_argument("--drain", type=int, default=None,
                     help="drain-phase budget in cycles (default 4*(n+1))")
-    si.add_argument("--workers", type=int, default=None,
+    si.add_argument("--workers", type=_positive_int, default=None,
                     help="multiprocessing workers for sweeps")
-    si.add_argument("--batch", type=int, default=16,
+    si.add_argument("--batch", type=_positive_int, default=16,
                     help="jobs batched per arbitration loop (default 16)")
-    si.add_argument("--legacy", action="store_true",
-                    help="use the pure-Python reference engine (single run)")
     si.add_argument("--trace-csv", type=str, default=None,
                     help="write the per-cycle StatsTrace as CSV (single run)")
     si.add_argument("--trace-json", type=str, default=None,
@@ -273,23 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
     isn.add_argument("--ks", type=_ks, required=True)
     isn.add_argument("--layers", type=int, default=2)
 
-    be = sub.add_parser("benes", help="Benes permutation routing")
-    be.add_argument("-n", type=int, default=None, help="2**n terminals")
-    be.add_argument("--permutations", type=int, default=3,
+    bn = sub.add_parser("benes", help="Benes permutation routing")
+    bn.add_argument("-n", type=int, default=None, help="2**n terminals")
+    bn.add_argument("--permutations", type=int, default=3,
                     help="random permutations to route one by one")
-    be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--perm", type=_int_list, default=None,
+    bn.add_argument("--seed", type=int, default=0)
+    bn.add_argument("--perm", type=_int_list, default=None,
                     help="route this explicit permutation, e.g. 3,1,0,2")
-    be.add_argument("--batch", type=int, default=None,
+    bn.add_argument("--batch", type=_positive_int, default=None,
                     help="batch mode: route this many seeded permutations "
                          "in one vectorized pass")
-    be.add_argument("--legacy", action="store_true",
-                    help="use the recursive reference engine (per-perm mode)")
-    be.add_argument("--workers", type=int, default=None,
+    bn.add_argument("--workers", type=_positive_int, default=None,
                     help="multiprocessing workers for --batch")
-    be.add_argument("--json", type=str, default=None,
+    bn.add_argument("--json", type=str, default=None,
                     help="write the report as JSON")
-    _add_cache_opts(be)
+    _add_cache_opts(bn)
 
     sv = sub.add_parser(
         "serve", help="HTTP design-query service over the artifact cache"
@@ -392,7 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = globals()[f"_cmd_{args.command.replace('-', '_')}"]
-    return handler(args)
+    try:
+        return handler(args)
+    except ValueError as e:
+        # engines reject out-of-range parameters with ValueError; report
+        # it like an argparse error instead of a traceback
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 def _store_for(args):
@@ -446,18 +446,18 @@ def _cmd_layout(args) -> int:
     import time
 
     chunked = args.memory_budget is not None or args.workers is not None
-    if chunked and (args.legacy or args.svg or args.no_validate):
+    if chunked and (args.svg or args.no_validate):
         print(
             "layout: --memory-budget/--workers drive the chunked service "
-            "pipeline and cannot be combined with --legacy/--svg/--no-validate",
+            "pipeline and cannot be combined with --svg/--no-validate",
             file=sys.stderr,
         )
         return 2
 
-    # --legacy / --svg / --no-validate need the layout objects in hand;
-    # those runs bypass the service layer.  The default run is one
-    # cached design query.
-    if not (args.legacy or args.svg or args.no_validate):
+    # --svg / --no-validate need the layout objects in hand; those runs
+    # bypass the service layer.  The default run is one cached design
+    # query.
+    if not (args.svg or args.no_validate):
         params = {
             "ks": list(args.ks),
             "layers": args.layers,
@@ -508,24 +508,20 @@ def _cmd_layout(args) -> int:
 
     from .analysis.wirestats import wire_stats
     from .layout import build_grid_layout, validate_layout
-    from .layout.validate import validate_layout_legacy
     from .viz.svg import save_svg
 
-    engine = "legacy" if args.legacy else "table"
     t0 = time.perf_counter()
     res = build_grid_layout(
         args.ks, W=args.node_side, L=args.layers,
         track_order=args.track_order, recirculating=args.recirculating,
-        engine=engine,
     )
     build_s = time.perf_counter() - t0
     if not args.no_validate:
-        check = validate_layout_legacy if args.legacy else validate_layout
         t0 = time.perf_counter()
-        rep = check(res.layout, res.graph)
+        rep = validate_layout(res.layout, res.graph)
         validate_s = time.perf_counter() - t0
         print(
-            f"validation ({engine}): {'OK' if rep.ok else 'FAILED'}  "
+            f"validation (table): {'OK' if rep.ok else 'FAILED'}  "
             f"[build {build_s:.3f} s, validate {validate_s:.3f} s]"
         )
         if not rep.ok:
@@ -533,7 +529,7 @@ def _cmd_layout(args) -> int:
                 print(f"  {e}")
             return 1
     else:
-        print(f"build ({engine}): {build_s:.3f} s (validation skipped)")
+        print(f"build (table): {build_s:.3f} s (validation skipped)")
     rows = [{"metric": k, "value": v} for k, v in res.layout.summary().items()]
     ws = wire_stats(res.layout)
     rows += [
@@ -545,7 +541,6 @@ def _cmd_layout(args) -> int:
     _write_json(
         {
             "kind": "layout",
-            "engine": engine,
             "metrics": {r["metric"]: r["value"] for r in rows},
         },
         args.json,
@@ -778,7 +773,6 @@ def _cmd_omega(args) -> int:
 def _cmd_sim(args) -> int:
     from .algorithms.queued_routing import (
         simulate_butterfly_queued,
-        simulate_butterfly_queued_legacy,
         sweep_rates,
     )
 
@@ -800,29 +794,18 @@ def _cmd_sim(args) -> int:
     seeds = list(args.seeds) if args.seeds else [args.seed]
     want_trace = bool(args.trace_csv or args.trace_json)
     if len(rates) * len(seeds) == 1:
-        if args.legacy:
-            if want_trace:
-                print("--trace-* requires the vectorized engine", file=sys.stderr)
-                return 2
-            results = [
-                simulate_butterfly_queued_legacy(
-                    args.n, rates[0], cycles=args.cycles, warmup=args.warmup,
-                    seed=seeds[0], drain=args.drain,
-                )
-            ]
-        else:
-            res = simulate_butterfly_queued(
-                args.n, rates[0], cycles=args.cycles, warmup=args.warmup,
-                seed=seeds[0], drain=args.drain, trace=want_trace,
-            )
-            if args.trace_csv:
-                print(f"wrote {res.trace.to_csv(args.trace_csv)}")
-            if args.trace_json:
-                print(f"wrote {res.trace.to_json(args.trace_json)}")
-            results = [res]
+        res = simulate_butterfly_queued(
+            args.n, rates[0], cycles=args.cycles, warmup=args.warmup,
+            seed=seeds[0], drain=args.drain, trace=want_trace,
+        )
+        if args.trace_csv:
+            print(f"wrote {res.trace.to_csv(args.trace_csv)}")
+        if args.trace_json:
+            print(f"wrote {res.trace.to_json(args.trace_json)}")
+        results = [res]
     else:
-        if args.legacy or want_trace:
-            print("--legacy/--trace-* apply to single runs only", file=sys.stderr)
+        if want_trace:
+            print("sim: --trace-* apply to single runs only", file=sys.stderr)
             return 2
         results = sweep_rates(
             args.n, rates, cycles=args.cycles, warmup=args.warmup,
@@ -888,12 +871,7 @@ def _cmd_benes(args) -> int:
     import random
     import time
 
-    from .algorithms.benes_routing import (
-        apply_settings,
-        apply_settings_legacy,
-        route_permutation,
-        route_permutation_legacy,
-    )
+    from .algorithms.benes_routing import apply_settings, route_permutation
 
     if args.perm is not None:
         perm = list(args.perm)
@@ -907,7 +885,7 @@ def _cmd_benes(args) -> int:
     total_switches = (2 * n - 1) * N // 2
     report: dict = {"n": n, "terminals": N, "switches": total_switches}
 
-    if args.batch:
+    if args.batch is not None:
         t0 = time.perf_counter()
         if args.workers:
             # an explicit worker count means "route right here, fanned
@@ -954,8 +932,6 @@ def _cmd_benes(args) -> int:
             query_seconds=query_s, realized_ok=ok, crossed=c,
         )
     else:
-        route = route_permutation_legacy if args.legacy else route_permutation
-        apply_ = apply_settings_legacy if args.legacy else apply_settings
         if args.perm is not None:
             trials = [list(args.perm)]
         else:
@@ -968,8 +944,8 @@ def _cmd_benes(args) -> int:
         ok = True
         perm_rows = []
         for trial, perm in enumerate(trials):
-            settings = route(perm)
-            realized = apply_(settings)
+            settings = route_permutation(perm)
+            realized = apply_settings(settings)
             match = realized == perm
             ok &= match
             crossed = settings.count_crossed()
@@ -982,8 +958,7 @@ def _cmd_benes(args) -> int:
                 {"perm": perm, "crossed": crossed, "realized_ok": match}
             )
         report.update(
-            mode="legacy" if args.legacy else "single",
-            permutations=perm_rows, realized_ok=ok,
+            mode="single", permutations=perm_rows, realized_ok=ok,
         )
     _write_json(report, args.json)
     return 0 if report["realized_ok"] else 1

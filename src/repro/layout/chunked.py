@@ -55,7 +55,6 @@ from typing import (
 
 import numpy as np
 
-from ..backend import get_backend
 from ..topology.graph import Graph
 from ..transform.swap_butterfly import SwapButterfly
 from .collinear import (
@@ -194,7 +193,6 @@ class ChunkedBuild:
         graph: Optional[Graph] = None,
         check_nodes: bool = True,
         check_vias: bool = True,
-        backend=None,
         num_buckets: int = 8,
         spill_dir: Optional[str] = None,
         workers: Optional[int] = None,
@@ -203,12 +201,12 @@ class ChunkedBuild:
             from .chunked_parallel import parallel_validate
             return parallel_validate(
                 self, graph=graph, check_nodes=check_nodes,
-                check_vias=check_vias, backend=backend,
+                check_vias=check_vias,
                 num_buckets=num_buckets, spill_dir=spill_dir, workers=workers,
             )
         return validate_table_chunked(
             self.chunks(), self.nodes, self.model, graph=graph,
-            check_nodes=check_nodes, check_vias=check_vias, backend=backend,
+            check_nodes=check_nodes, check_vias=check_vias,
             num_buckets=num_buckets, spill_dir=spill_dir,
         )
 
@@ -224,7 +222,6 @@ class ChunkedBuild:
         graph: Optional[Graph] = None,
         check_nodes: bool = True,
         check_vias: bool = True,
-        backend=None,
         num_buckets: int = 8,
         spill_dir: Optional[str] = None,
         workers: Optional[int] = None,
@@ -235,14 +232,14 @@ class ChunkedBuild:
             from .chunked_parallel import parallel_validate
             rep, summ = parallel_validate(
                 self, graph=graph, check_nodes=check_nodes,
-                check_vias=check_vias, backend=backend,
+                check_vias=check_vias,
                 num_buckets=num_buckets, spill_dir=spill_dir,
                 workers=workers, want_stats=True,
             )
         else:
             v = ChunkedValidator(
                 self.nodes, self.model, graph=graph, check_nodes=check_nodes,
-                check_vias=check_vias, backend=backend,
+                check_vias=check_vias,
                 num_buckets=num_buckets, spill_dir=spill_dir,
             )
             st = ChunkStats()
@@ -833,7 +830,6 @@ class ChunkedValidator:
         graph: Optional[Graph] = None,
         check_nodes: bool = True,
         check_vias: bool = True,
-        backend=None,
         num_buckets: int = 8,
         spill_dir: Optional[str] = None,
     ) -> None:
@@ -842,7 +838,6 @@ class ChunkedValidator:
         self.graph = graph
         self.check_nodes = check_nodes
         self.check_vias = check_vias
-        self.be = get_backend(backend)
         self.nb = max(1, int(num_buckets))
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         if spill_dir is None:
@@ -1074,7 +1069,7 @@ class ChunkedValidator:
         self._finalized = True
 
         def run_jobs(payloads):
-            return [_sweep_job(p, be=self.be) for p in payloads]
+            return [_sweep_job(p) for p in payloads]
 
         return _reduce_finalize(self, run_jobs)
 
@@ -1084,27 +1079,22 @@ class ChunkedValidator:
             self._tmpdir = None
 
 
-def _sweep_job(payload: Tuple, be=None) -> Tuple[int, List[Tuple[Tuple, str]]]:
+def _sweep_job(payload: Tuple) -> Tuple[int, List[Tuple[Tuple, str]]]:
     """Run one bucket sweep described by a picklable payload:
-    ``(kind, is_h, parts_dict[, backend_name])``.  The job reloads its
-    own spill parts, so a process-pool worker ships only paths; the
-    serial path calls it inline with the validator's backend.  Returns
-    ``(count, keyed_messages)``."""
-    kind, is_h, parts = payload[0], payload[1], payload[2]
-    if be is None:
-        be = get_backend(payload[3] if len(payload) > 3 else None)
+    ``(kind, is_h, parts_dict)``.  The job reloads its own spill parts,
+    so a process-pool worker ships only paths; the serial path calls it
+    inline.  Returns ``(count, keyed_messages)``."""
+    kind, is_h, parts = payload
     if kind == "tracks":
         cols, objs = _load_parts(parts["rows"], 6)
         layer, horiz, track, lo, hi, gw = cols
         return _track_overlap_sweep(
-            layer, horiz, track, lo, hi, gw, lambda r: objs[r], be=be
+            layer, horiz, track, lo, hi, gw, lambda r: objs[r]
         )
     if kind == "viacol":
         cols, objs = _load_parts(parts["rows"], 5)
         cx, cy, zlo, zhi, gcw = cols
-        return _via_col_sweep(
-            cx, cy, zlo, zhi, gcw, lambda r: objs[r], be=be
-        )
+        return _via_col_sweep(cx, cy, zlo, zhi, gcw, lambda r: objs[r])
     if kind == "viaseg":
         s_cols, s_objs = _load_parts(parts["seg"], 5)
         qcols: List[List[np.ndarray]] = []
@@ -1128,7 +1118,7 @@ def _sweep_job(payload: Tuple, be=None) -> Tuple[int, List[Tuple[Tuple, str]]]:
             lambda r: s_objs[r],
             ql, qx, qy, gqw,
             lambda i: qobjs[i],
-            is_h, be=be,
+            is_h,
         )
         return c, [
             ((int(qsec[qi]), int(qpos[qi]), int(qj[qi]), j), m)
@@ -1229,7 +1219,7 @@ def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
         kt = by_kind[("terms", None)]
         _bulk(rep, kt.count, iter(kt.merged()))
     if v.check_nodes:
-        _vt_nodes_disjoint(v.nodes, rep, be=v.be)
+        _vt_nodes_disjoint(v.nodes, rep)
         rep.checks_run.append("wires-avoid-nodes")
         _bulk(rep, v._t_avoid.count, iter(v._t_avoid.msgs))
     if v.graph is not None:
@@ -1264,7 +1254,6 @@ def validate_table_chunked(
     graph: Optional[Graph] = None,
     check_nodes: bool = True,
     check_vias: bool = True,
-    backend=None,
     num_buckets: int = 8,
     spill_dir: Optional[str] = None,
     workers: Optional[int] = None,
@@ -1281,13 +1270,12 @@ def validate_table_chunked(
         from .chunked_parallel import parallel_validate
         return parallel_validate(
             chunks, nodes=nodes, model=model, graph=graph,
-            check_nodes=check_nodes, check_vias=check_vias, backend=backend,
+            check_nodes=check_nodes, check_vias=check_vias,
             num_buckets=num_buckets, spill_dir=spill_dir, workers=workers,
         )
     v = ChunkedValidator(
         nodes, model, graph=graph, check_nodes=check_nodes,
-        check_vias=check_vias, backend=backend, num_buckets=num_buckets,
-        spill_dir=spill_dir,
+        check_vias=check_vias, num_buckets=num_buckets, spill_dir=spill_dir,
     )
     try:
         for t in chunks:

@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backend import BACKENDS
 from ..backend.shm import attach_cached, share_arrays
 from ..topology.graph import Graph
 from .chunked import (
@@ -93,16 +92,6 @@ def _build_from_recipe(recipe: Tuple) -> ChunkedBuild:
     return b
 
 
-def _backend_name(backend) -> Optional[str]:
-    """Picklable stand-in for a backend argument (instances don't ship)."""
-    if backend is None or isinstance(backend, str):
-        return backend
-    for name, cls in BACKENDS.items():
-        if isinstance(backend, cls):
-            return name
-    return None
-
-
 def _stores_of(v: ChunkedValidator) -> Dict[str, object]:
     d = {"tracks": v._tracks}
     if v.check_vias:
@@ -144,7 +133,7 @@ def _feed_span(payload: Tuple) -> Dict:
     and live in a parent-owned directory.
     """
     (widx, span, pack, nodes_model, has_graph, fast_kk, check_nodes,
-     check_vias, backend_name, nb, spill_root, want_stats) = payload
+     check_vias, nb, spill_root, want_stats) = payload
     if span[0] == "recipe":
         build = _build_from_recipe(span[1])
         nodes, model = build.nodes, build.model
@@ -163,7 +152,7 @@ def _feed_span(payload: Tuple) -> Dict:
 
     v = ChunkedValidator(
         nodes, model, graph=None, check_nodes=check_nodes,
-        check_vias=check_vias, backend=backend_name, num_buckets=nb,
+        check_vias=check_vias, num_buckets=nb,
         spill_dir=os.path.join(spill_root, f"w{widx:03d}"),
     )
     if has_graph:
@@ -282,7 +271,6 @@ def parallel_validate(
     graph: Optional[Graph] = None,
     check_nodes: bool = True,
     check_vias: bool = True,
-    backend=None,
     num_buckets: int = 8,
     spill_dir: Optional[str] = None,
     workers: int = 1,
@@ -321,7 +309,7 @@ def parallel_validate(
     if n_items == 0:
         v = ChunkedValidator(
             nodes, model, graph=graph, check_nodes=check_nodes,
-            check_vias=check_vias, backend=backend,
+            check_vias=check_vias,
             num_buckets=num_buckets, spill_dir=spill_dir,
         )
         try:
@@ -336,7 +324,6 @@ def parallel_validate(
     bounds = [0]
     for i in range(w):
         bounds.append(bounds[-1] + base + (1 if i < rem else 0))
-    backend_name = _backend_name(backend)
     fast_tpl = _fast_template(graph) if graph is not None else None
     fast_kk = (fast_tpl["k"], fast_tpl["kk"]) if fast_tpl is not None else None
     if recipe_mode:
@@ -367,7 +354,7 @@ def parallel_validate(
                 widx, span, pack,
                 None if recipe_mode else (nodes, model),
                 graph is not None, fast_kk, check_nodes, check_vias,
-                backend_name, num_buckets, root, want_stats,
+                num_buckets, root, want_stats,
             ))
         ex = None
         if w > 1:
@@ -378,8 +365,7 @@ def parallel_validate(
 
         v = ChunkedValidator(
             nodes, model, graph=graph, check_nodes=check_nodes,
-            check_vias=check_vias, backend=backend,
-            num_buckets=num_buckets,
+            check_vias=check_vias, num_buckets=num_buckets,
             spill_dir=os.path.join(root, "reduce"),
         )
         _merge_results(v, results, graph is not None)
@@ -387,10 +373,8 @@ def parallel_validate(
 
         def run_jobs(sweeps):
             if ex is None:
-                return [_sweep_job(p, be=v.be) for p in sweeps]
-            return _gather([
-                ex.submit(_sweep_job, p + (backend_name,)) for p in sweeps
-            ])
+                return [_sweep_job(p) for p in sweeps]
+            return _gather([ex.submit(_sweep_job, p) for p in sweeps])
 
         rep = _reduce_finalize(v, run_jobs)
         summ = (

@@ -40,7 +40,6 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from ..backend import get_backend
 from ..topology.graph import Graph
 from .geometry import Segment, Wire
 from .model import Layout
@@ -662,8 +661,7 @@ def _vt_contiguity_terminals(t, nodes, rep: ValidationReport) -> None:
 
 
 def _track_overlap_sweep(
-    layer, horiz, track, lo, hi, w, net_at,
-    be=None, msg_cap: int = MAX_ERRORS_KEPT,
+    layer, horiz, track, lo, hi, w, net_at, msg_cap: int = MAX_ERRORS_KEPT,
 ):
     """Banded running-max sweep over per-track intervals.
 
@@ -678,7 +676,6 @@ def _track_overlap_sweep(
     ns = len(layer)
     if ns < 2:
         return 0, []
-    be = get_backend(be)
     order = np.lexsort((w, hi, lo, track, horiz, layer))
     lay_s, hz_s, tr_s = layer[order], horiz[order], track[order]
     lo_s, hi_s, w_s = lo[order], hi[order], w[order]
@@ -692,7 +689,7 @@ def _track_overlap_sweep(
     gid = np.cumsum(new) - 1
     mn = int(lo_s.min())
     band = int(hi_s.max()) - mn + 1
-    cummax = be.cummax((hi_s - mn) + gid * band)
+    cummax = np.maximum.accumulate((hi_s - mn) + gid * band)
     bad = np.zeros(ns, dtype=bool)
     bad[1:] = ((lo_s[1:] - mn) + gid[1:] * band) < cummax[:-1]
     count = int(bad.sum())
@@ -722,7 +719,7 @@ def _track_overlap_sweep(
     return count, keyed
 
 
-def _vt_track_overlaps(t, rep: ValidationReport, be=None) -> None:
+def _vt_track_overlaps(t, rep: ValidationReport) -> None:
     rep.checks_run.append("track-overlap")
     ns = t.num_segments
     if ns < 2:
@@ -734,7 +731,7 @@ def _vt_track_overlaps(t, rep: ValidationReport, be=None) -> None:
     w_of = t.wire_of
     count, keyed = _track_overlap_sweep(
         t.layer, horiz, track, lo, hi, w_of,
-        lambda r: t.nets[int(w_of[r])], be=be,
+        lambda r: t.nets[int(w_of[r])],
     )
     _bulk(rep, count, (m for _k, m in keyed))
 
@@ -778,7 +775,7 @@ def _vt_columns(t):
 
 
 def _via_col_sweep(
-    cx, cy, zlo, zhi, cw, net_at, be=None, msg_cap: int = MAX_ERRORS_KEPT,
+    cx, cy, zlo, zhi, cw, net_at, msg_cap: int = MAX_ERRORS_KEPT,
 ):
     """Pairwise z-range collision sweep over via columns grouped by point.
 
@@ -790,7 +787,6 @@ def _via_col_sweep(
     n = len(cx)
     if n < 2:
         return 0, []
-    be = get_backend(be)
     order = np.lexsort((cw, zhi, zlo, cy, cx))
     X, Y = cx[order], cy[order]
     A, B, W = zlo[order], zhi[order], cw[order]
@@ -800,7 +796,7 @@ def _via_col_sweep(
     gid = np.cumsum(new) - 1
     mn = int(A.min())
     band = int(B.max()) - mn + 1
-    cm = be.cummax((B - mn) + gid * band)
+    cm = np.maximum.accumulate((B - mn) + gid * band)
     cand = np.zeros(n, dtype=bool)
     # z-ranges sorted by zlo: a later column intersects an earlier one iff
     # its zlo does not clear the running max zhi (inclusive)
@@ -833,10 +829,10 @@ def _via_col_sweep(
 
 
 def _vt_via_col_conflicts(
-    t, cx, cy, zlo, zhi, cw, rep: ValidationReport, be=None
+    t, cx, cy, zlo, zhi, cw, rep: ValidationReport
 ) -> None:
     count, keyed = _via_col_sweep(
-        cx, cy, zlo, zhi, cw, lambda r: t.nets[int(cw[r])], be=be
+        cx, cy, zlo, zhi, cw, lambda r: t.nets[int(cw[r])]
     )
     _bulk(rep, count, (m for _k, m in keyed))
 
@@ -855,7 +851,7 @@ def _via_seg_queries(cx, cy, zlo, zhi, cw):
 
 def _via_seg_orientation(
     s_lay, s_fix, s_lo, s_hi, s_w, seg_net_at, ql, qx, qy, qw, q_net_at,
-    is_h, be=None, msg_cap: int = MAX_ERRORS_KEPT,
+    is_h, msg_cap: int = MAX_ERRORS_KEPT,
 ):
     """Single-orientation core of the via-vs-segment conflict sweep.
 
@@ -874,7 +870,6 @@ def _via_seg_orientation(
     keyed = []
     if not len(s_lay) or not len(ql):
         return count, keyed
-    be = get_backend(be)
     q_fix = qy if is_h else qx
     q_var = qx if is_h else qy
     fmin = min(int(s_fix.min()), int(q_fix.min()))
@@ -888,7 +883,7 @@ def _via_seg_orientation(
     gs = np.searchsorted(uniq, enc_ss)
     xmin = min(int(lo_ss.min()), int(q_var.min()))
     xband = max(int(hi_ss.max()), int(q_var.max())) - xmin + 1
-    cm = be.cummax((hi_ss - xmin) + gs * xband)
+    cm = np.maximum.accumulate((hi_ss - xmin) + gs * xband)
     q_gpos = np.searchsorted(uniq, enc_q)
     in_range = q_gpos < len(uniq)
     has_group = in_range.copy()
@@ -924,11 +919,10 @@ def _via_seg_orientation(
 
 
 def _vt_via_seg_conflicts(
-    t, cx, cy, zlo, zhi, cw, rep: ValidationReport, be=None
+    t, cx, cy, zlo, zhi, cw, rep: ValidationReport
 ) -> None:
     if len(cx) == 0 or t.num_segments == 0:
         return
-    be = get_backend(be)
     ql, qx, qy, qw = _via_seg_queries(cx, cy, zlo, zhi, cw)
     count = 0
     messages: List[str] = []
@@ -949,7 +943,7 @@ def _vt_via_seg_conflicts(
             ql, qx, qy, qw,
             lambda q: t.nets[int(qw[q])],
             is_h,
-            be=be, msg_cap=MAX_ERRORS_KEPT - len(messages),
+            msg_cap=MAX_ERRORS_KEPT - len(messages),
         )
         count += c
         messages.extend(m for _k, m in keyed)
@@ -998,12 +992,11 @@ def _vt_terminals_distinct(t, rep: ValidationReport) -> None:
     _bulk(rep, count, msgs())
 
 
-def _vt_nodes_disjoint(nodes, rep: ValidationReport, be=None) -> None:
+def _vt_nodes_disjoint(nodes, rep: ValidationReport) -> None:
     rep.checks_run.append("nodes-disjoint")
     n = len(nodes)
     if n < 2:
         return
-    be = get_backend(be)
     rx = np.fromiter((r.x for r in nodes.values()), np.int64, n)
     ry = np.fromiter((r.y for r in nodes.values()), np.int64, n)
     rx2 = np.fromiter((r.x2 for r in nodes.values()), np.int64, n)
@@ -1016,7 +1009,7 @@ def _vt_nodes_disjoint(nodes, rep: ValidationReport, be=None) -> None:
     gid = np.cumsum(new) - 1
     mn = int(X1.min())
     band = int(X2.max()) - mn + 1
-    cm = be.cummax((X2 - mn) + gid * band)
+    cm = np.maximum.accumulate((X2 - mn) + gid * band)
     flag = np.zeros(n, dtype=bool)
     flag[1:] = ((X1[1:] - mn) + gid[1:] * band) < cm[:-1]
     flag &= Y2 > Y1  # zero-height rects cannot strictly overlap in-band
@@ -1158,23 +1151,21 @@ def validate_table(
     graph: Optional[Graph] = None,
     check_nodes: bool = True,
     check_vias: bool = True,
-    backend=None,
 ) -> ValidationReport:
     """Vectorized rule set over a :class:`WireTable` (same checks, same
     verdicts as :func:`validate_layout_legacy`)."""
-    be = get_backend(backend)
     rep = ValidationReport(ok=True)
     _vt_layer_discipline(table, model, rep)
     _vt_contiguity_terminals(table, nodes, rep)
-    _vt_track_overlaps(table, rep, be=be)
+    _vt_track_overlaps(table, rep)
     if check_vias:
         rep.checks_run.append("via-conflicts")
         cols = _vt_columns(table)
-        _vt_via_col_conflicts(table, *cols, rep, be=be)
-        _vt_via_seg_conflicts(table, *cols, rep, be=be)
+        _vt_via_col_conflicts(table, *cols, rep)
+        _vt_via_seg_conflicts(table, *cols, rep)
         _vt_terminals_distinct(table, rep)
     if check_nodes:
-        _vt_nodes_disjoint(nodes, rep, be=be)
+        _vt_nodes_disjoint(nodes, rep)
         _vt_wires_avoid_nodes(table, nodes, rep)
     if graph is not None:
         _check_realizes_graph(table.nets, set(nodes), graph, rep)
@@ -1186,7 +1177,6 @@ def validate_layout(
     graph: Optional[Graph] = None,
     check_nodes: bool = True,
     check_vias: bool = True,
-    backend=None,
 ) -> ValidationReport:
     """Run the full rule set; returns a report (``.raise_if_failed()`` to
     assert).  Vectorized: operates on the layout's wire table (native for
@@ -1198,5 +1188,4 @@ def validate_layout(
         graph=graph,
         check_nodes=check_nodes,
         check_vias=check_vias,
-        backend=backend,
     )

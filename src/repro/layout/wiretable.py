@@ -27,7 +27,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import get_backend
 from .geometry import LayerPair, Segment, Wire
 
 __all__ = ["WireTable", "WireTableBuilder", "merge_legs"]
@@ -200,10 +199,9 @@ class WireTable:
             layer=np.concatenate([t.layer for t in tables]),
         )
 
-    def permuted(self, order: np.ndarray, backend=None) -> "WireTable":
+    def permuted(self, order: np.ndarray) -> "WireTable":
         """Reorder wires by ``order`` (new position ``i`` takes old wire
         ``order[i]``), gathering each wire's segment block."""
-        be = get_backend(backend)
         order = np.asarray(order, dtype=np.int64)
         counts = np.diff(self.indptr)[order]
         indptr = np.zeros(len(order) + 1, dtype=np.int64)
@@ -216,9 +214,9 @@ class WireTable:
         return WireTable(
             nets=[self.nets[int(o)] for o in order],
             indptr=indptr,
-            x1=be.gather(self.x1, idx), y1=be.gather(self.y1, idx),
-            x2=be.gather(self.x2, idx), y2=be.gather(self.y2, idx),
-            layer=be.gather(self.layer, idx),
+            x1=self.x1[idx], y1=self.y1[idx],
+            x2=self.x2[idx], y2=self.y2[idx],
+            layer=self.layer[idx],
         )
 
     def slice_wires(self, lo: int, hi: int) -> "WireTable":
@@ -366,17 +364,16 @@ class WireTable:
         self._paths = _Paths(px, py, pt_indptr, bad, bad_at)
         return self._paths
 
-    def vias_per_wire(self, backend=None) -> np.ndarray:
+    def vias_per_wire(self) -> np.ndarray:
         """Number of layer-changing bends per wire (contiguous wires)."""
         nw = self.num_wires
         out = np.zeros(nw, dtype=np.int64)
         if self.num_segments <= 1:
             return out
-        be = get_backend(backend)
         w = self.wire_of
         inner = np.flatnonzero(w[:-1] == w[1:])
         change = self.layer[inner] != self.layer[inner + 1]
-        be.scatter_add(out, w[inner[change]], 1)
+        np.add.at(out, w[inner[change]], 1)
         return out
 
     def num_vias(self) -> int:

@@ -30,7 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..backend import ArrayBackend
 from ..backend.shm import attach_cached, share_arrays
 from ..topology.swap import SwapNetworkParams
 from ..transform.swap_butterfly import SwapButterfly
@@ -139,51 +138,41 @@ def _candidates_for(ks: Tuple[int, ...]) -> Iterator[Candidate]:
         )
 
 
-def _exact_pin_maxima_sb(sb: SwapButterfly, backend=None) -> Dict[str, int]:
+def _exact_pin_maxima_sb(sb: SwapButterfly) -> Dict[str, int]:
     """Exact max off-module links per module for both schemes of ``sb``."""
     return {
-        "row": count_off_module_links(
-            RowPartition.natural(sb), backend=backend
-        ).max_per_module,
-        "nucleus": count_off_module_links(
-            NucleusPartition(sb), backend=backend
-        ).max_per_module,
+        "row": count_off_module_links(RowPartition.natural(sb)).max_per_module,
+        "nucleus": count_off_module_links(NucleusPartition(sb)).max_per_module,
     }
 
 
 @lru_cache(maxsize=256)
-def exact_pin_maxima(ks: Tuple[int, ...], backend=None) -> Dict[str, int]:
+def exact_pin_maxima(ks: Tuple[int, ...]) -> Dict[str, int]:
     """Exact max off-module links per module for both schemes of ``ks``.
 
     One swap-butterfly (and one memoized edge array) serves both the row
     and the nucleus partition; results are cached per parameter vector so
     repeated sweeps over overlapping grids never re-count.
     """
-    return _exact_pin_maxima_sb(SwapButterfly.from_ks(ks), backend=backend)
-
-
-def _exact_chunk(args) -> Dict[Tuple[int, ...], Dict[str, int]]:
-    """Module-level worker so multiprocessing chunks pickle cleanly."""
-    ks_batch, backend = args
-    return {ks: exact_pin_maxima(ks, backend) for ks in ks_batch}
+    return _exact_pin_maxima_sb(SwapButterfly.from_ks(ks))
 
 
 def _exact_chunk_shm(args) -> Dict[Tuple[int, ...], Dict[str, int]]:
     """Pool worker that adopts parent-built edge arrays from shared memory.
 
-    Each job pickles only ``(pack, ((ks, key), ...), backend)``: the
+    Each job pickles only ``(pack, ((ks, key), ...))``: the
     worker rebuilds the cheap :class:`SwapButterfly` parameter object per
     vector and adopts the big memoized edge array as a zero-copy view of
     the block the parent packed once — no per-job pickle of the edge
     array in either direction.
     """
-    pack, items, backend = args
+    pack, items = args
     views = attach_cached(pack)
     out = {}
     for ks, key in items:
         sb = SwapButterfly.from_ks(ks)
         sb.adopt_edge_array(views[key])
-        out[ks] = _exact_pin_maxima_sb(sb, backend=backend)
+        out[ks] = _exact_pin_maxima_sb(sb)
     return out
 
 
@@ -195,7 +184,6 @@ def optimize_packaging(
     exact: bool = False,
     workers: Optional[int] = None,
     batch: int = 8,
-    backend=None,
 ) -> List[Candidate]:
     """Feasible candidates for ``B_n``, best first.
 
@@ -207,7 +195,6 @@ def optimize_packaging(
     candidate's closed form is wrong or a nucleus candidate exceeds
     Theorem 2.1's bound.
     """
-    backend = backend.name if isinstance(backend, ArrayBackend) else backend
     vectors = [
         ks for ks in enumerate_parameter_vectors(n, max_l=max_l)
         if len(ks) >= 2  # no partitioning benefit from a single level
@@ -235,11 +222,11 @@ def optimize_packaging(
             procs = min(workers, len(keyed_chunks))
             with share_arrays(**arrays) as pack:
                 del arrays
-                payloads = [(pack, c, backend) for c in keyed_chunks]
+                payloads = [(pack, c) for c in keyed_chunks]
                 with multiprocessing.get_context().Pool(procs) as pool:
                     parts = pool.map(_exact_chunk_shm, payloads)
         else:
-            parts = [_exact_chunk((c, backend)) for c in chunks]
+            parts = [{ks: exact_pin_maxima(ks) for ks in c} for c in chunks]
         for part in parts:
             exact_by_ks.update(part)
 

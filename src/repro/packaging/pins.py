@@ -26,7 +26,6 @@ from typing import Dict, Hashable
 
 import numpy as np
 
-from ..backend import get_backend
 from ..transform.swap_butterfly import SwapButterfly
 from .partition import Partition
 
@@ -69,21 +68,20 @@ class PinReport:
         )
 
 
-def count_off_module_links(partition: Partition, backend=None) -> PinReport:
+def count_off_module_links(partition: Partition) -> PinReport:
     """Columnar pin accounting: one pass over ``edge_array()``.
 
     Both endpoint columns go through the partition's vectorized
     ``module_ids``; crossing endpoints are ``bincount``-ed into per-module
     pin counts and decoded back to the partition's module labels.
     """
-    be = get_backend(backend)
     sb = partition.sb
     ea = sb.cached_edge_array()
     mu = partition.module_ids(ea[:, 0, 0], ea[:, 0, 1])
     mv = partition.module_ids(ea[:, 1, 0], ea[:, 1, 1])
     cross = mu != mv
     labels = partition.module_labels()
-    counts = be.bincount(
+    counts = np.bincount(
         np.concatenate([mu[cross], mv[cross]]), minlength=len(labels)
     )
     return PinReport(

@@ -278,24 +278,20 @@ class Graph:
 
     @staticmethod
     def _aggregate_rows(
-        rows: np.ndarray, weights: np.ndarray, backend=None
+        rows: np.ndarray, weights: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted unique rows of an int64 ``(m, w)`` array plus summed
         weights.  Rows are packed into scalar int64 keys whenever the
         column ranges fit (1-D ``np.unique`` is an order of magnitude
-        faster than the axis=0 row sort); the row sort is the fallback.
-        The weight aggregation runs on the selected array backend."""
-        from ..backend import get_backend
-
-        be = get_backend(backend)
+        faster than the axis=0 row sort); the row sort is the fallback."""
         packed = Graph._pack_rows(rows)
         if packed is not None:
             codes, mins, ranges = packed
             keys, inv = np.unique(codes, return_inverse=True)
-            agg = be.bincount(inv, weights=weights).astype(np.int64)
+            agg = np.bincount(inv, weights=weights).astype(np.int64)
             return Graph._unpack_codes(keys, mins, ranges), agg
         uniq, inv = np.unique(rows, axis=0, return_inverse=True)
-        agg = be.bincount(inv.ravel(), weights=weights).astype(np.int64)
+        agg = np.bincount(inv.ravel(), weights=weights).astype(np.int64)
         return uniq, agg
 
     def _insert_edge_array(self, arr: np.ndarray, counts: np.ndarray) -> None:

@@ -8,27 +8,6 @@ from hypothesis import strategies as st
 from repro.topology.swap import SwapNetworkParams
 
 
-def pytest_collection_modifyitems(config, items):
-    """Skip (not fail) the whole run when ``REPRO_BACKEND`` names a
-    backend this environment cannot construct — the CI backend matrix
-    sets the variable unconditionally and relies on wheel-gap legs
-    degrading to skips."""
-    import os
-
-    name = os.environ.get("REPRO_BACKEND")
-    if not name or name == "numpy":
-        return
-    from repro.backend import available_backends
-
-    if name in available_backends():
-        return
-    marker = pytest.mark.skip(
-        reason=f"REPRO_BACKEND={name} is unavailable in this environment"
-    )
-    for item in items:
-        item.add_marker(marker)
-
-
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_cache_dir(tmp_path_factory):
     """Point the design-service cache at a per-session directory so CLI

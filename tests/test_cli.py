@@ -37,16 +37,6 @@ class TestCommands:
         assert "p99" in out  # wire-length distribution row
         assert svg.exists()
 
-    def test_layout_legacy_engine_matches(self, capsys):
-        assert main(["layout", "--ks", "1,1,1", "--legacy"]) == 0
-        legacy_out = capsys.readouterr().out
-        assert "validation (legacy): OK" in legacy_out
-        assert main(["layout", "--ks", "1,1,1"]) == 0
-        table_out = capsys.readouterr().out
-        # identical metric tables (strip the timing line)
-        strip = lambda s: "\n".join(s.splitlines()[1:])
-        assert strip(legacy_out) == strip(table_out)
-
     def test_layout_chunked_flags_same_table(self, capsys):
         assert main(["layout", "--ks", "2,2,2"]) == 0
         plain = capsys.readouterr()
@@ -70,7 +60,7 @@ class TestCommands:
 
     def test_layout_exec_flags_need_service_path(self, capsys):
         assert main(["layout", "--ks", "2,2,2", "--workers", "2",
-                     "--legacy"]) == 2
+                     "--no-validate"]) == 2
         assert "cannot be combined" in capsys.readouterr().err
 
     def test_campaign_spec_carries_exec_knobs(self):
@@ -176,18 +166,39 @@ class TestCommands:
         data = json.loads(report.read_text())
         assert data["mode"] == "batch" and data["realized_ok"] is True
 
-    def test_benes_explicit_perm_and_legacy(self, capsys):
+    def test_benes_explicit_perm(self, capsys):
         assert main(["benes", "--perm", "3,1,0,2"]) == 0
-        new_out = capsys.readouterr().out
-        assert main(["benes", "--perm", "3,1,0,2", "--legacy"]) == 0
-        legacy_out = capsys.readouterr().out
-        # both engines route the same perm with identical counts
-        assert new_out == legacy_out
-        assert "realized=OK" in new_out
+        out = capsys.readouterr().out
+        assert "perm 0: N=4" in out and "realized=OK" in out
 
     def test_benes_requires_n_or_perm(self, capsys):
         assert main(["benes"]) == 2
         assert "give -n or --perm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "-n", "0"],
+        ["sim", "-n", "3", "--rate", "1.5"],
+        ["sim", "-n", "3", "--workers", "0"],
+        ["sim", "-n", "3", "--batch", "0"],
+        ["benes", "-n", "0"],
+        ["benes", "-n", "3", "--perm", "0,1,2"],
+        ["benes", "-n", "3", "--batch", "0"],
+        ["benes", "-n", "3", "--batch", "4", "--workers", "0"],
+        ["package", "-n", "0"],
+        ["package", "-n", "4", "--exact", "--workers", "0"],
+    ])
+    def test_bad_input_exits_2_without_traceback(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the flag itself
+            code = e.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        # one message line; argparse adds its usage lines before it
+        msgs = [l for l in err.splitlines()
+                if l and not l.startswith(("usage:", " "))]
+        assert len(msgs) == 1 and f"{argv[0]}: " in msgs[0], err
 
     def test_fft(self, capsys):
         assert main(["fft", "--ks", "2,2"]) == 0
@@ -351,14 +362,6 @@ class TestSim:
         assert "throughput/input" in out
         assert "max queue" in out
 
-    def test_legacy_matches_vectorized(self, capsys):
-        argv = ["sim", "-n", "2", "--rate", "0.5", "--cycles", "150"]
-        assert main(argv) == 0
-        vec = capsys.readouterr().out
-        assert main(argv + ["--legacy"]) == 0
-        leg = capsys.readouterr().out
-        assert vec == leg
-
     def test_sweep(self, capsys):
         assert main(
             ["sim", "-n", "3", "--rates", "0.3,0.8", "--cycles", "200",
@@ -382,11 +385,8 @@ class TestSim:
         header = csv_path.read_text().splitlines()[0]
         assert header == "cycle,injected,delivered,in_flight,max_depth"
 
-    def test_trace_rejected_with_legacy(self, tmp_path):
+    def test_sweep_rejects_trace(self, tmp_path):
         assert main(
-            ["sim", "-n", "3", "--legacy", "--trace-csv",
+            ["sim", "-n", "3", "--rates", "0.3,0.8", "--trace-csv",
              str(tmp_path / "t.csv")]
         ) == 2
-
-    def test_sweep_rejects_legacy(self):
-        assert main(["sim", "-n", "3", "--rates", "0.3,0.8", "--legacy"]) == 2

@@ -28,7 +28,24 @@ from repro.algorithms.queued_routing import (
     _sweep_chunk_shm,
     sweep_rates,
 )
-from repro.backend.shm import attach_cached, share_arrays
+from repro.backend.shm import attach, attach_cached, read_array, share_arrays
+
+
+def test_shm_roundtrip_and_views():
+    a = np.arange(100, dtype=np.int64)
+    b = np.random.default_rng(1234).random(33)
+    with share_arrays(a=a, b=b) as pack:
+        assert sorted(pack.keys) == ["a", "b"]
+        assert np.array_equal(read_array(pack, "a"), a)
+        block, views = attach(pack)
+        try:
+            assert np.array_equal(views["a"], a)
+            assert np.array_equal(views["b"], b)
+            # zero-copy: the view aliases the shared buffer, not a pickle
+            assert views["a"].base is not None
+        finally:
+            del views
+            block.close()
 
 
 def test_parallel_sweep_equals_serial():
@@ -48,7 +65,7 @@ def test_worker_payload_excludes_injection_arrays():
     raw_bytes = sum(a.nbytes for a in arrays.values())
 
     with share_arrays(**arrays) as pack:
-        payload = (pack, 0, n, jobs, cycles, warmup, None, None)
+        payload = (pack, 0, n, jobs, cycles, warmup, None)
         wire = len(pickle.dumps(payload))
         # the per-job pickle is a handle, not the data: the injection
         # arrays (hundreds of KiB here) must not ride along
@@ -57,7 +74,7 @@ def test_worker_payload_excludes_injection_arrays():
 
         got = _sweep_chunk_shm(payload)
 
-    want = _sweep_chunk((n, jobs, cycles, warmup, None, None))
+    want = _sweep_chunk((n, jobs, cycles, warmup, None))
     assert got == want
 
 

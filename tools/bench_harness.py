@@ -25,7 +25,6 @@ Usage::
     PYTHONPATH=src python tools/bench_harness.py --layout-smoke  # layout only
     PYTHONPATH=src python tools/bench_harness.py --packaging-smoke  # pins only
     PYTHONPATH=src python tools/bench_harness.py --benes-smoke  # benes only
-    PYTHONPATH=src python tools/bench_harness.py --backend-smoke  # backends only
     PYTHONPATH=src python tools/bench_harness.py --serve-smoke  # service only
     PYTHONPATH=src python tools/bench_harness.py --campaign-smoke  # campaign only
     PYTHONPATH=src python tools/bench_harness.py --max-n 12 --out /tmp/b.json
@@ -524,130 +523,6 @@ def bench_benes(
     return entry
 
 
-def bench_backends(repeats: int = 3) -> Dict:
-    """Array-ops backend matrix: every available backend runs each
-    engine's hot path on identical inputs.
-
-    The NumPy backend is the reference — every other backend that
-    reports itself available must reproduce its results exactly (sim
-    counters, Benes settings, pin counts, layout verdicts, chunked
-    verdicts).  Per (engine, backend) cell: best-of-``repeats`` wall
-    time plus a parity flag.  A dispatch-overhead micro-bench times the
-    facade's ``gather``/``cummax`` against raw :mod:`numpy` calls on a
-    large array — the facade indirection must stay in the noise (the
-    acceptance floor for the NumPy path is no more than a 5% penalty
-    at engine scale, where per-call overhead amortizes to nothing).
-    """
-    from repro.algorithms.benes_routing import route_permutations  # noqa: PLC0415
-    from repro.algorithms.queued_routing import (  # noqa: PLC0415
-        simulate_butterfly_queued,
-    )
-    from repro.backend import available_backends, get_backend  # noqa: PLC0415
-    from repro.layout import (  # noqa: PLC0415
-        chunked_collinear_table,
-        collinear_layout,
-        validate_table,
-        validate_table_chunked,
-    )
-    from repro.packaging.partition import RowPartition  # noqa: PLC0415
-    from repro.packaging.pins import count_off_module_links  # noqa: PLC0415
-    from repro.topology.complete import complete_multigraph  # noqa: PLC0415
-
-    rng = np.random.default_rng(7)
-    perms = np.array([rng.permutation(256) for _ in range(128)])
-    sb = SwapButterfly.from_ks((3, 2, 1))
-    lay = collinear_layout(9, 2).layout
-    table = lay.wire_table()
-    kcg = complete_multigraph(9, 2)
-
-    def _chunked(be):
-        c = chunked_collinear_table(9, 2, memory_budget_bytes=64 * 1024)
-        return validate_table_chunked(
-            c.chunks(), c.nodes, c.model, graph=kcg, backend=be)
-
-    engines = [
-        ("sim", lambda be: simulate_butterfly_queued(
-            6, 0.8, cycles=800, warmup=80, seed=1, backend=be)),
-        ("benes", lambda be: route_permutations(perms, backend=be)),
-        ("packaging", lambda be: count_off_module_links(
-            RowPartition.natural(sb), backend=be)),
-        ("validate", lambda be: validate_table(
-            table, lay.nodes, lay.model, graph=kcg, backend=be)),
-        ("chunked-validate", _chunked),
-    ]
-
-    def _same(name: str, ref, got) -> bool:
-        if name == "benes":
-            return bool(np.array_equal(ref.crossed, got.crossed))
-        return ref == got
-
-    names = available_backends()
-    matrix: Dict[str, Dict[str, Dict]] = {}
-    for ename, run in engines:
-        ref = run("numpy")
-        row: Dict[str, Dict] = {}
-        for bname in names:
-            got = run(bname)  # warm-up (jit compile on numba) + parity
-            cell = {
-                "s": _best_of(lambda: run(bname), repeats),
-                "parity": _same(ename, ref, got),
-            }
-            row[bname] = cell
-        matrix[ename] = row
-        cells = "  ".join(
-            f"{b} {row[b]['s'] * 1e3:8.2f} ms "
-            f"{'OK' if row[b]['parity'] else 'FAILED'}"
-            for b in names
-        )
-        print(f"  backends {ename:16s}: {cells}")
-
-    # facade-dispatch micro-overhead on raw numpy (amortized at 1e6 elems)
-    be = get_backend("numpy")
-    data = rng.integers(0, 1 << 30, size=1_000_000)
-    idx = rng.integers(0, data.size, size=data.size)
-    direct_s = _best_of(lambda: (data[idx],
-                                 np.maximum.accumulate(data)), repeats)
-    facade_s = _best_of(lambda: (be.gather(data, idx),
-                                 be.cummax(data)), repeats)
-    overhead = facade_s / direct_s if direct_s else None
-    print(f"  backends dispatch overhead: facade {facade_s * 1e3:.2f} ms "
-          f"vs direct {direct_s * 1e3:.2f} ms ({overhead:.3f}x)")
-    return {
-        "available": names,
-        "repeats": repeats,
-        "engines": matrix,
-        "dispatch": {
-            "direct_s": direct_s,
-            "facade_s": facade_s,
-            "overhead": overhead,
-        },
-    }
-
-
-def _gate_backends(section: Dict) -> int:
-    """Hard gates for the backend matrix (smoke and full runs)."""
-    bad = [
-        f"{ename}/{bname}"
-        for ename, row in section["engines"].items()
-        for bname, cell in row.items()
-        if not cell["parity"]
-    ]
-    if bad:
-        print(f"ERROR: backend parity failed for {', '.join(bad)}",
-              file=sys.stderr)
-        return 1
-    if "numpy" not in section["available"]:
-        print("ERROR: numpy backend missing from available_backends()",
-              file=sys.stderr)
-        return 1
-    if section["dispatch"]["overhead"] > 1.05:
-        print(f"WARNING: backend facade dispatch overhead "
-              f"{section['dispatch']['overhead']:.3f}x exceeds the 1.05x "
-              f"(5%) NumPy-path floor", file=sys.stderr)
-        return 1
-    return 0
-
-
 def bench_serve(ks: Sequence[int], warm_repeats: int = 5) -> Dict:
     """Cached design-query service: cold compute vs warm cache hit.
 
@@ -1121,10 +996,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     help="Benes routing engine smoke only: bit-for-bit "
                          "settings parity vs the recursion and batched "
                          "speedup at a CI-sized batch")
-    ap.add_argument("--backend-smoke", action="store_true",
-                    help="array-ops backend smoke only: engine x backend "
-                         "parity matrix plus the facade dispatch-overhead "
-                         "floor on the NumPy path")
     ap.add_argument("--serve-smoke", action="store_true",
                     help="cached design-query service smoke only: HTTP "
                          "cold/warm byte-identity, warm >= 2x cold, and "
@@ -1242,23 +1113,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"2x smoke floor", file=sys.stderr)
             return 1
         return 0
-
-    if args.backend_smoke:
-        print("array-ops backend smoke (engine x backend parity matrix):")
-        section = bench_backends(repeats=2)
-        report = {
-            "generated": date,
-            "backend_smoke": True,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-            "backends": section,
-        }
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out_path}")
-        return _gate_backends(section)
 
     if args.serve_smoke:
         print("service smoke (HTTP byte-identity + corruption detection):")
@@ -1388,8 +1242,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         benes = bench_benes(n=10, batch=1000, repeats=max(repeats, 3),
                             legacy_count=25, parity_rows=10)
-    print("array-ops backends (engine x backend matrix):")
-    backends = bench_backends(repeats=repeats if not args.smoke else 2)
     print("cached design-query service (cold compute vs warm hit):")
     serve = bench_serve(max(val_ks, key=sum), warm_repeats=5)
     print("campaign orchestrator (sharding + kill/resume byte-identity):")
@@ -1419,7 +1271,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "queued_routing": queued,
         "packaging": packaging,
         "benes_routing": benes,
-        "backends": backends,
         "serve": serve,
         "campaign": campaign,
         "chunked_parallel": chunked_parallel,
@@ -1485,8 +1336,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"WARNING: warm-hit speedup {serve['speedup']:.0f}x at "
               f"ks={serve['ks']} below the 100x acceptance floor",
               file=sys.stderr)
-        return 1
-    if _gate_backends(backends):
         return 1
     if _gate_campaign(campaign):
         return 1
