@@ -39,10 +39,23 @@ per-bucket sweeps are the *same* core functions the monolithic
 :func:`~repro.layout.validate.validate_table` runs, and their keyed
 messages merge back into the monolithic emission order before the
 global ``MAX_ERRORS_KEPT`` cap is applied.
+
+The spill is columnar.  Each grouped check appends its rows, int64 and
+row-major, to one raw file for the whole stream, sorted by bucket
+within each chunk, so a bucket is a list of ``(path, byte_offset,
+rows)`` extents read back with ``np.fromfile``.  A row names its wire
+by global id rather than carrying the net: each chunk's nets are
+pickled once into a net file indexed by global wire offset, read only
+to format kept messages, to tell same-net from different-net wires
+that share a terminal point, and to rebuild the realizes-graph
+multiset when the array fast path cannot decide.  A pass therefore
+writes a fixed number of files (one per check plus the net file)
+whatever the chunk and bucket counts.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
 import pickle
 import tempfile
@@ -76,6 +89,7 @@ from .validate import (
     _bulk,
     _canon_edge,
     _canon_net_rows,
+    _node_index,
     _realizes_fallback,
     _staged_nodes_placed,
     _track_overlap_sweep,
@@ -660,84 +674,148 @@ def _buckets_of(nb: int, *cols: np.ndarray) -> np.ndarray:
 
 
 class _SpillStore:
-    """Disk-spilled, hash-partitioned rows for one grouped check.
+    """Disk-spilled, hash-partitioned int64 rows for one grouped check.
 
-    ``add`` splits a chunk's rows by bucket and appends one pickle part
-    per touched bucket (int64 column matrix + aligned net objects);
-    ``iter_buckets``/``bucket`` reload one bucket at a time, preserving
-    global arrival order within the bucket (chunks feed in emission
-    order and the per-chunk split is stable).
+    Every row goes to one append-only raw int64 file, ``ncols`` values
+    per row, opened on the first ``add``.  ``add`` sorts a chunk's rows
+    by bucket (stably, so arrival order survives within a bucket) and
+    writes them row-major in one call; each touched bucket gains one
+    ``(path, byte_offset, rows)`` extent in ``parts[k]``.  ``close``
+    closes the append handle and must precede any read of the extents
+    (:func:`_load_parts`), which come back in append order — global
+    arrival order, since chunks feed in emission order.  Rows name their
+    wire by global id; nets live in the validator's :class:`_NetFile`.
     """
 
     def __init__(self, root: str, name: str, num_buckets: int, ncols: int) -> None:
-        self.dir = os.path.join(root, name)
-        os.makedirs(self.dir, exist_ok=True)
+        self.path = os.path.join(root, f"{name}.i64")
         self.nb = num_buckets
         self.ncols = ncols
-        self.parts: List[List[str]] = [[] for _ in range(num_buckets)]
-        self._seq = 0
+        self.parts: List[List[Tuple]] = [[] for _ in range(num_buckets)]
+        self._fh = None
+        self._size = 0
 
-    def add(self, bucket: np.ndarray, cols: List[np.ndarray], objs: List) -> None:
+    def add(self, bucket: np.ndarray, cols: List[np.ndarray]) -> None:
         nr = len(bucket)
         if not nr:
             return
         order = np.argsort(bucket, kind="stable")
-        bs = bucket[order]
-        bounds = np.searchsorted(bs, np.arange(self.nb + 1))
-        mat = np.stack(
-            [np.asarray(c, dtype=np.int64)[order] for c in cols], axis=0
+        bounds = np.searchsorted(bucket[order], np.arange(self.nb + 1))
+        mat = np.stack([c[order] for c in cols], axis=1).astype(
+            np.int64, copy=False
         )
-        olist = [objs[i] for i in order.tolist()]
-        for k in range(self.nb):
+        if self._fh is None:
+            self._fh = open(self.path, "ab" if self._size else "wb")
+        self._fh.write(mat)
+        row = 8 * self.ncols
+        for k in np.flatnonzero(np.diff(bounds)).tolist():
             i0, i1 = int(bounds[k]), int(bounds[k + 1])
-            if i0 == i1:
-                continue
-            path = os.path.join(self.dir, f"{k:05d}_{self._seq:07d}.pkl")
-            with open(path, "wb") as f:
-                pickle.dump(
-                    (mat[:, i0:i1], olist[i0:i1]), f,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            self.parts[k].append(path)
-        self._seq += 1
+            self.parts[k].append((self.path, self._size + i0 * row, i1 - i0))
+        self._size += nr * row
 
-    def bucket(self, k: int) -> Optional[Tuple[List[np.ndarray], List]]:
-        if not self.parts[k]:
-            return None
-        return _load_parts(self.parts[k], self.ncols)
-
-    def iter_buckets(self):
-        for k in range(self.nb):
-            b = self.bucket(k)
-            if b is not None:
-                yield k, b[0], b[1]
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
-def _load_parts(
-    parts: List, ncols: int
-) -> Tuple[List[np.ndarray], List]:
-    """Reload and concatenate spill parts in append order.
+def _load_parts(parts: List[Tuple], ncols: int) -> List[np.ndarray]:
+    """Read spill extents back in append order; one array per column.
 
-    Each entry is either a plain path or ``(path, offsets)`` where
-    ``offsets`` is a per-column additive rebase vector — how the
-    parallel reducer shifts a worker's span-local wire / via-position /
-    terminal-sequence numbering into the global frame without rewriting
-    the spilled bytes.
+    An extent is ``(path, byte_offset, rows)``, or ``(path, byte_offset,
+    rows, rebase)`` where ``rebase`` is a per-column additive vector —
+    how the parallel reducer shifts a worker's span-local wire /
+    via-position / terminal-sequence numbering into the global frame
+    without rewriting the spilled bytes.
     """
-    mats, olists = [], []
-    for p in parts:
-        off = None
-        if isinstance(p, tuple):
-            p, off = p
-        with open(p, "rb") as f:
-            mat, ol = pickle.load(f)
-        if off is not None:
-            mat = mat + np.asarray(off, dtype=np.int64).reshape(-1, 1)
-        mats.append(mat)
-        olists.append(ol)
-    mat = np.concatenate(mats, axis=1)
-    objs = [o for ol in olists for o in ol]
-    return [mat[i] for i in range(ncols)], objs
+    mats = []
+    fh = path = None
+    try:
+        for p, off, rows, *rebase in parts:
+            if p != path:
+                if fh is not None:
+                    fh.close()
+                fh, path = open(p, "rb"), p
+            fh.seek(off)
+            mat = np.fromfile(fh, dtype=np.int64, count=rows * ncols)
+            mat = mat.reshape(rows, ncols)
+            if rebase:
+                mat += np.asarray(rebase[0], dtype=np.int64)
+            mats.append(mat)
+    finally:
+        if fh is not None:
+            fh.close()
+    return list(np.concatenate(mats).T.copy())
+
+
+class _NetFile:
+    """Every fed chunk's ``t.nets``, pickled once into one append-only
+    file; ``index`` holds ``(first_global_wire, path, byte_offset)`` per
+    chunk in wire order.  Spilled rows carry global wire ids instead of
+    nets, so nets are read back (through :class:`_NetReader`) only to
+    format a kept message, to compare the nets of same-point terminals
+    of different wires, and to rebuild the realizes-graph multiset."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.index: List[Tuple[int, str, int]] = []
+        self._fh = None
+
+    def add(self, wire_start: int, nets: List) -> None:
+        if not nets:
+            return
+        if self._fh is None:
+            self._fh = open(self.path, "ab" if self.index else "wb")
+        self.index.append((wire_start, self.path, self._fh.tell()))
+        pickle.dump(nets, self._fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+
+class _NetReader:
+    """Global wire id -> net over a :class:`_NetFile` index, holding one
+    chunk's nets in memory at a time.  The index is plain data, so a
+    bucket sweep in a pool worker resolves nets the same way."""
+
+    def __init__(self, index: List[Tuple[int, str, int]]) -> None:
+        self.index = index
+        self._starts = [e[0] for e in index]
+        self._k = -1
+        self._nets: List = []
+
+    def chunk(self, k: int) -> List:
+        if k != self._k:
+            _start, path, off = self.index[k]
+            with open(path, "rb") as f:
+                f.seek(off)
+                self._nets = pickle.load(f)
+            self._k = k
+        return self._nets
+
+    def __call__(self, gw: int):
+        k = bisect.bisect_right(self._starts, gw) - 1
+        return self.chunk(k)[gw - self._starts[k]]
+
+    def take(self, gws: np.ndarray) -> List:
+        """Nets of many wires, visiting their chunks in wire order."""
+        out: List = [None] * len(gws)
+        for i in np.argsort(gws, kind="stable").tolist():
+            out[i] = self(int(gws[i]))
+        return out
+
+
+def _net_multiset(index: List[Tuple[int, str, int]]) -> Counter:
+    """Canonical edge multiset of every spilled net, in global wire order
+    (the insertion order the realizes fallback's messages follow)."""
+    got: Counter = Counter()
+    reader = _NetReader(index)
+    for k in range(len(index)):
+        for net in reader.chunk(k):
+            got[_canon_edge(net[0], net[1])] += 1
+    return got
 
 
 class _Tally:
@@ -815,12 +893,21 @@ class ChunkedValidator:
     same ``checks_run``, same ``num_errors``, same first-20 ``errors``
     in the same order.
 
-    Peak memory is one chunk plus one spill bucket: grouped checks
-    (track overlap, via conflicts, terminal collisions) spill their rows
-    into ``num_buckets`` disk partitions keyed so comparison groups stay
-    bucket-local, and re-run the monolithic sweep cores per bucket.
-    Pick ``num_buckets >= total_rows_bytes / memory_budget_bytes`` to
-    bound the reload size.
+    Per-wire checks (layer discipline, contiguity and terminals, wires
+    avoiding nodes) run on each chunk as it arrives, against a node
+    index and node band indexes built once here.  Grouped checks (track
+    overlap, via conflicts, terminal collisions) spill int64 rows into
+    ``num_buckets`` hash partitions keyed so comparison groups stay
+    bucket-local — one raw append-only file per check, rows naming their
+    wire by global id — and ``finalize`` re-runs the monolithic sweep
+    cores per bucket.  Each chunk's nets are pickled once into a net
+    file, read back only for kept messages, same-point terminals of
+    different wires, and the realizes-graph multiset when its array fast
+    path is unavailable or disagrees.  Peak memory is one chunk plus one
+    bucket; pick ``num_buckets >= total_rows_bytes / memory_budget_bytes``
+    to bound the reload size.  ``close()`` (which ``finalize`` calls)
+    closes the spill files' handles and removes a temporary spill
+    directory; files under a caller's ``spill_dir`` are left in place.
     """
 
     def __init__(
@@ -844,6 +931,7 @@ class ChunkedValidator:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-chunked-")
             spill_dir = self._tmpdir.name
         root = spill_dir
+        os.makedirs(root, exist_ok=True)
         # rows: layer, horiz, track, lo, hi, global wire
         self._tracks = _SpillStore(root, "tracks", self.nb, 6)
         if check_vias:
@@ -866,6 +954,7 @@ class ChunkedValidator:
             }
             # rows: x, y, global arrival seq, global wire
             self._terms = _SpillStore(root, "terms", self.nb, 4)
+        self._nets = _NetFile(os.path.join(root, "nets.pkl"))
         self._t_layer = _Tally()
         self._t_contig = _Tally()
         self._t_avoid = _Tally()
@@ -873,6 +962,7 @@ class ChunkedValidator:
         self._gw_count = 0
         self._bend_count = 0
         self._term_count = 0
+        self._node_index = _node_index(nodes)
         # wires-avoid-nodes: band indexes over the (fixed) nodes, built once
         self._bi: Dict[bool, Optional[_BandIndex]] = {True: None, False: None}
         if check_nodes and nodes:
@@ -883,24 +973,35 @@ class ChunkedValidator:
                 xbands[(r.x, r.x2)].append((r.y, r.y2))
             self._bi[True] = _BandIndex(ybands)
             self._bi[False] = _BandIndex(xbands)
-        # realizes-graph: exact Counter always; array fast-path while viable
-        self._got: Counter = Counter()
+        # realizes-graph array fast path while viable; the exact multiset
+        # is rebuilt from the net file only if finalize needs it
         self._fast: Optional[Dict] = (
             _fast_template(graph) if graph is not None else None
         )
         self._finalized = False
+
+    def _spill_stores(self) -> Dict[str, _SpillStore]:
+        """Every spill store by name (the names ``_offsets_for`` knows)."""
+        d = {"tracks": self._tracks}
+        if self.check_vias:
+            d["viacol"] = self._cols
+            d["seg_h"] = self._segs[True]
+            d["seg_v"] = self._segs[False]
+            for (is_h, s), store in self._qrys.items():
+                d[f"qry_{'h' if is_h else 'v'}_{s}"] = store
+            d["terms"] = self._terms
+        return d
 
     # -- feeding ---------------------------------------------------------
 
     def feed(self, t: WireTable) -> None:
         if self._finalized:
             raise RuntimeError("validator already finalized")
-        nets = t.nets
         tmp = ValidationReport(ok=True)
         _vt_layer_discipline(t, self.model, tmp)
         self._t_layer.add(tmp.num_errors, tmp.errors)
         tmp = ValidationReport(ok=True)
-        _vt_contiguity_terminals(t, self.nodes, tmp)
+        _vt_contiguity_terminals(t, self.nodes, tmp, self._node_index)
         self._t_contig.add(tmp.num_errors, tmp.errors)
 
         ns = t.num_segments
@@ -910,46 +1011,39 @@ class ChunkedValidator:
             track = np.where(horiz == 1, t.y1, t.x1)
             lo = np.where(horiz == 1, t.x1, t.y1)
             hi = np.where(horiz == 1, t.x2, t.y2)
-            segnets = [nets[i] for i in w_of.tolist()]
             self._tracks.add(
                 _buckets_of(self.nb, t.layer, horiz, track),
                 [t.layer, horiz, track, lo, hi, w_of + self._wire_off],
-                segnets,
             )
         if self.check_vias:
             self._feed_vias(t, w_of)
         if self.check_nodes:
             self._feed_avoid(t, w_of)
-        if self.graph is not None:
-            for net in nets:
-                self._got[_canon_edge(net[0], net[1])] += 1
-            if self._fast is not None and t.num_wires:
-                f = self._fast
-                rows = _canon_net_rows(nets, f["k"], f["kk"])
-                if rows is None:
-                    self._fast = None
-                else:
-                    f["uniq"], f["agg"] = Graph._aggregate_rows(
-                        np.concatenate([f["uniq"], rows]),
-                        np.concatenate([
-                            f["agg"], np.ones(len(rows), dtype=np.int64),
-                        ]),
-                    )
+        self._nets.add(self._wire_off, t.nets)
+        if self._fast is not None and t.num_wires:
+            f = self._fast
+            rows = _canon_net_rows(t.nets, f["k"], f["kk"])
+            if rows is None:
+                self._fast = None
+            else:
+                f["uniq"], f["agg"] = Graph._aggregate_rows(
+                    np.concatenate([f["uniq"], rows]),
+                    np.concatenate([
+                        f["agg"], np.ones(len(rows), dtype=np.int64),
+                    ]),
+                )
         self._wire_off += t.num_wires
 
     def _feed_vias(self, t: WireTable, w_of: np.ndarray) -> None:
-        nets = t.nets
         paths = t.paths()
         n_gw = int((~paths.bad).sum())
         cx, cy, zlo, zhi, cw = _vt_columns(t)
         ncol = len(cx)
         n_bend = ncol - 2 * n_gw
-        colnets = [nets[i] for i in cw.tolist()]
         if ncol:
             self._cols.add(
                 _buckets_of(self.nb, cx, cy),
                 [cx, cy, zlo, zhi, cw + self._wire_off],
-                colnets,
             )
             # section (starts / ends / bends) + global position within the
             # section reproduce the monolithic query order across chunks
@@ -972,7 +1066,6 @@ class ChunkedValidator:
                 qm = np.flatnonzero(qsec == s)
                 if not qm.size:
                     continue
-                qnets = [colnets[i] for i in qc[qm].tolist()]
                 for is_h in (True, False):
                     self._qrys[(is_h, s)].add(
                         _buckets_of(
@@ -982,14 +1075,12 @@ class ChunkedValidator:
                             ql[qm], qx[qm], qy[qm], gqw[qm],
                             qpos[qm], qj[qm],
                         ],
-                        qnets,
                     )
         horiz = t.is_horizontal
         for is_h in (True, False):
             si = np.flatnonzero(horiz if is_h else ~horiz)
             if not si.size:
                 continue
-            sw = w_of[si]
             self._segs[is_h].add(
                 _buckets_of(
                     self.nb, t.layer[si], (t.y1 if is_h else t.x1)[si]
@@ -999,9 +1090,8 @@ class ChunkedValidator:
                     (t.y1 if is_h else t.x1)[si],
                     (t.x1 if is_h else t.y1)[si],
                     (t.x2 if is_h else t.y2)[si],
-                    sw + self._wire_off,
+                    w_of[si] + self._wire_off,
                 ],
-                [nets[i] for i in sw.tolist()],
             )
         # terminals of good wires, interleaved start/end in wire order —
         # the global seq reproduces the monolithic arrival tiebreak
@@ -1016,12 +1106,10 @@ class ChunkedValidator:
             ty = np.empty(2 * n2, dtype=np.int64)
             tx[0::2], tx[1::2] = sx, ex
             ty[0::2], ty[1::2] = sy, ey
-            tw = np.repeat(gw_idx, 2)
             seq = self._term_count + np.arange(2 * n2, dtype=np.int64)
             self._terms.add(
                 _buckets_of(self.nb, tx, ty),
-                [tx, ty, seq, tw + self._wire_off],
-                [nets[i] for i in tw.tolist()],
+                [tx, ty, seq, np.repeat(gw_idx, 2) + self._wire_off],
             )
         self._gw_count += n_gw
         self._bend_count += n_bend
@@ -1073,7 +1161,14 @@ class ChunkedValidator:
 
         return _reduce_finalize(self, run_jobs)
 
+    def _close_spills(self) -> None:
+        """Close every append handle; the spilled extents become readable."""
+        for store in self._spill_stores().values():
+            store.close()
+        self._nets.close()
+
     def close(self) -> None:
+        self._close_spills()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
@@ -1081,43 +1176,42 @@ class ChunkedValidator:
 
 def _sweep_job(payload: Tuple) -> Tuple[int, List[Tuple[Tuple, str]]]:
     """Run one bucket sweep described by a picklable payload:
-    ``(kind, is_h, parts_dict)``.  The job reloads its own spill parts,
-    so a process-pool worker ships only paths; the serial path calls it
-    inline.  Returns ``(count, keyed_messages)``."""
-    kind, is_h, parts = payload
+    ``(kind, is_h, parts_dict, net_index)``.  The job reads its own spill
+    extents and resolves nets through the net-file index, so a
+    process-pool worker ships only paths and offsets; the serial path
+    calls it inline.  Returns ``(count, keyed_messages)``."""
+    kind, is_h, parts, net_index = payload
+    net_of = _NetReader(net_index)
     if kind == "tracks":
-        cols, objs = _load_parts(parts["rows"], 6)
-        layer, horiz, track, lo, hi, gw = cols
+        layer, horiz, track, lo, hi, gw = _load_parts(parts["rows"], 6)
         return _track_overlap_sweep(
-            layer, horiz, track, lo, hi, gw, lambda r: objs[r]
+            layer, horiz, track, lo, hi, gw, lambda r: net_of(int(gw[r]))
         )
     if kind == "viacol":
-        cols, objs = _load_parts(parts["rows"], 5)
-        cx, cy, zlo, zhi, gcw = cols
-        return _via_col_sweep(cx, cy, zlo, zhi, gcw, lambda r: objs[r])
+        cx, cy, zlo, zhi, gcw = _load_parts(parts["rows"], 5)
+        return _via_col_sweep(
+            cx, cy, zlo, zhi, gcw, lambda r: net_of(int(gcw[r]))
+        )
     if kind == "viaseg":
-        s_cols, s_objs = _load_parts(parts["seg"], 5)
+        s_lay, s_fix, s_lo, s_hi, s_gw = _load_parts(parts["seg"], 5)
         qcols: List[List[np.ndarray]] = []
-        qobjs: List = []
         qsecs: List[np.ndarray] = []
         for sect in (0, 1, 2):
             pl = parts[f"q{sect}"]
             if not pl:
                 continue
-            qc, qo = _load_parts(pl, 6)
+            qc = _load_parts(pl, 6)
             qcols.append(qc)
-            qobjs.extend(qo)
             qsecs.append(np.full(len(qc[0]), sect, dtype=np.int64))
         ql, qx, qy, gqw, qpos, qj = (
             np.concatenate([qc[i] for qc in qcols]) for i in range(6)
         )
         qsec = np.concatenate(qsecs)
-        s_lay, s_fix, s_lo, s_hi, s_gw = s_cols
         c, keyed = _via_seg_orientation(
             s_lay, s_fix, s_lo, s_hi, s_gw,
-            lambda r: s_objs[r],
+            lambda r: net_of(int(s_gw[r])),
             ql, qx, qy, gqw,
-            lambda i: qobjs[i],
+            lambda i: net_of(int(gqw[i])),
             is_h,
         )
         return c, [
@@ -1126,44 +1220,45 @@ def _sweep_job(payload: Tuple) -> Tuple[int, List[Tuple[Tuple, str]]]:
         ]
     if kind != "terms":
         raise ValueError(f"unknown sweep kind {kind!r}")
-    cols, objs = _load_parts(parts["rows"], 4)
-    tx, ty, seq, _gtw = cols
+    tx, ty, seq, gtw = _load_parts(parts["rows"], 4)
     order = np.lexsort((seq, ty, tx))
-    X, Y, S_ = tx[order], ty[order], seq[order]
-    onets = [objs[i] for i in order.tolist()]
-    ids: Dict = {}
-    N_ = np.fromiter(
-        (ids.setdefault(o, len(ids)) for o in onets),
-        np.int64, len(onets),
-    )
+    X, Y, S_, W = tx[order], ty[order], seq[order], gtw[order]
     same = (X[1:] == X[:-1]) & (Y[1:] == Y[:-1])
-    err = same & (N_[1:] != N_[:-1])
-    c = int(err.sum())
-    if not c:
+    # one wire has one net, so only same-point neighbours of different
+    # wires need their nets compared (two wires of a net may share one)
+    cand = np.flatnonzero(same & (W[1:] != W[:-1])) + 1
+    if not cand.size:
         return 0, []
+    prev = net_of.take(W[cand - 1])
+    cur = net_of.take(W[cand])
+    err = [
+        (i, a, b) for i, a, b in zip(cand.tolist(), prev, cur) if a != b
+    ]
     keyed = []
-    for i in (np.flatnonzero(err) + 1).tolist():
-        if len(keyed) >= MAX_ERRORS_KEPT:
-            break
+    for i, a, b in err[:MAX_ERRORS_KEPT]:
         p = (int(X[i]), int(Y[i]))
         keyed.append(((p[0], p[1], int(S_[i])), (
-            f"terminal point {p} shared by wires "
-            f"{onets[i - 1]} and {onets[i]}"
+            f"terminal point {p} shared by wires {a} and {b}"
         )))
-    return c, keyed
+    return len(err), keyed
 
 
 def _sweep_payloads(v: "ChunkedValidator") -> List[Tuple]:
     """Every grouped-check bucket sweep of ``v`` as an independent job
     payload, in deterministic (check, orientation, bucket) order."""
+    nets = v._nets.index
     payloads: List[Tuple] = []
     for k in range(v.nb):
         if v._tracks.parts[k]:
-            payloads.append(("tracks", None, {"rows": v._tracks.parts[k]}))
+            payloads.append(
+                ("tracks", None, {"rows": v._tracks.parts[k]}, nets)
+            )
     if v.check_vias:
         for k in range(v.nb):
             if v._cols.parts[k]:
-                payloads.append(("viacol", None, {"rows": v._cols.parts[k]}))
+                payloads.append(
+                    ("viacol", None, {"rows": v._cols.parts[k]}, nets)
+                )
         for is_h in (True, False):
             for k in range(v.nb):
                 seg_parts = v._segs[is_h].parts[k]
@@ -1174,10 +1269,14 @@ def _sweep_payloads(v: "ChunkedValidator") -> List[Tuple]:
                 }
                 if not any(qp.values()):
                     continue
-                payloads.append(("viaseg", is_h, {"seg": seg_parts, **qp}))
+                payloads.append(
+                    ("viaseg", is_h, {"seg": seg_parts, **qp}, nets)
+                )
         for k in range(v.nb):
             if v._terms.parts[k]:
-                payloads.append(("terms", None, {"rows": v._terms.parts[k]}))
+                payloads.append(
+                    ("terms", None, {"rows": v._terms.parts[k]}, nets)
+                )
     return payloads
 
 
@@ -1191,6 +1290,7 @@ def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
     caps) is identical either way, which is what keeps the parallel
     report byte-identical to the serial one.
     """
+    v._close_spills()
     rep = ValidationReport(ok=True)
     rep.checks_run.append("layer-discipline")
     _bulk(rep, v._t_layer.count, iter(v._t_layer.msgs))
@@ -1242,7 +1342,9 @@ def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
                     want_rows, f["k"], f["kk"], placed
                 )
         if not ok:
-            _realizes_fallback(v._got, placed, v.graph, rep)
+            _realizes_fallback(
+                _net_multiset(v._nets.index), placed, v.graph, rep
+            )
     v.close()
     return rep
 

@@ -14,21 +14,25 @@ that stream out over a ``multiprocessing`` pool while keeping the final
   attached zero-copy in each worker;
 * each worker materialises and validates its span with a private
   :class:`ChunkedValidator` in *span-local* numbering (wire offsets,
-  via-section positions, terminal sequence all start at 0) and returns
-  its tallies, spill-part paths and counters;
-* the reducer computes each worker's global offsets by prefix sum and
-  registers the spilled parts with per-column additive rebase vectors
-  (applied at reload, never rewriting bytes), merges the streaming
-  tallies and realizes-graph accumulators in span order, then runs the
-  very same :func:`~repro.layout.chunked._reduce_finalize` the serial
-  path uses — with the bucket sweeps themselves dispatched to the pool.
+  via-section positions, terminal sequence all start at 0), closes its
+  append handles and returns its tallies, spill extents, net-file index
+  and counters;
+* the reducer computes each worker's global offsets by prefix sum,
+  registers the spill extents with per-column additive rebase vectors
+  (applied at reload, never rewriting bytes) and the net-file entries
+  with their wire starts shifted by the span's wire offset, merges the
+  streaming tallies and realizes-graph array accumulators in span order,
+  then runs the very same :func:`~repro.layout.chunked._reduce_finalize`
+  the serial path uses — with the bucket sweeps themselves dispatched
+  to the pool.
 
 Determinism argument, check by check: streaming tallies cap their first
 20 messages and chunks-in-span-order equals chunks-in-emission-order;
 grouped checks sort by globally-unique keys after rebase, so partition
-boundaries are invisible; the realizes counter merges spans in order,
-preserving first-occurrence ordering for the fallback's message
-selection; and the array fast path folds through the associative
+boundaries are invisible; the merged net-file index is in global wire
+order, so a realizes-graph multiset rebuilt from it has the monolithic
+first-occurrence order the fallback's message selection depends on;
+and the array fast path folds through the associative
 ``Graph._aggregate_rows``.
 
 ``workers=1`` runs the same worker functions inline (no pool, no shared
@@ -92,19 +96,6 @@ def _build_from_recipe(recipe: Tuple) -> ChunkedBuild:
     return b
 
 
-def _stores_of(v: ChunkedValidator) -> Dict[str, object]:
-    d = {"tracks": v._tracks}
-    if v.check_vias:
-        d["viacol"] = v._cols
-        d["seg_h"] = v._segs[True]
-        d["seg_v"] = v._segs[False]
-        for is_h in (True, False):
-            for s in (0, 1, 2):
-                d[f"qry_{'h' if is_h else 'v'}_{s}"] = v._qrys[(is_h, s)]
-        d["terms"] = v._terms
-    return d
-
-
 def _offsets_for(
     name: str, w: int, gw: int, bend: int, term: int
 ) -> Tuple[int, ...]:
@@ -126,13 +117,14 @@ def _offsets_for(
 
 def _feed_span(payload: Tuple) -> Dict:
     """Worker: materialise + validate one contiguous descriptor span with
-    span-local numbering; return tallies, spill parts and counters.
+    span-local numbering; return tallies, spill extents, the net-file
+    index and counters.
 
     Runs in a pool process (or inline for ``workers=1``); never calls
-    ``finalize``/``close`` — the spill files are handed to the reducer
-    and live in a parent-owned directory.
+    ``finalize`` — it closes its append handles and hands the spill and
+    net files, which live in a parent-owned directory, to the reducer.
     """
-    (widx, span, pack, nodes_model, has_graph, fast_kk, check_nodes,
+    (widx, span, pack, nodes_model, fast_kk, check_nodes,
      check_vias, nb, spill_root, want_stats) = payload
     if span[0] == "recipe":
         build = _build_from_recipe(span[1])
@@ -155,25 +147,25 @@ def _feed_span(payload: Tuple) -> Dict:
         check_vias=check_vias, num_buckets=nb,
         spill_dir=os.path.join(spill_root, f"w{widx:03d}"),
     )
-    if has_graph:
-        # sentinel: feed() only tests `is not None`; workers never finalize
-        v.graph = True
-        if fast_kk is not None:
-            v._fast = _fast_stub(*fast_kk)
+    if fast_kk is not None:
+        v._fast = _fast_stub(*fast_kk)
     st = ChunkStats() if want_stats else None
     if os.environ.get("REPRO_TEST_CRASH_WORKER") == str(widx):
         os._exit(3)  # test seam: die mid-span without cleanup
-    for t in tables():
-        v.feed(t)
-        if st is not None:
-            st.feed(t)
+    try:
+        for t in tables():
+            v.feed(t)
+            if st is not None:
+                st.feed(t)
+    finally:
+        v.close()
     out = {
         "counts": (v._wire_off, v._gw_count, v._bend_count, v._term_count),
         "layer": (v._t_layer.count, v._t_layer.msgs),
         "contig": (v._t_contig.count, v._t_contig.msgs),
         "avoid": (v._t_avoid.count, v._t_avoid.msgs),
-        "parts": {name: s.parts for name, s in _stores_of(v).items()},
-        "got": v._got if has_graph else None,
+        "parts": {name: s.parts for name, s in v._spill_stores().items()},
+        "nets": v._nets.index,
         "fast": None,
         "stats": None,
     }
@@ -187,20 +179,14 @@ def _feed_span(payload: Tuple) -> Dict:
     return out
 
 
-def _merge_results(
-    v: ChunkedValidator, results: List[Dict], has_graph: bool
-) -> None:
+def _merge_results(v: ChunkedValidator, results: List[Dict]) -> None:
     """Fold worker results into the reducer validator in span order."""
     w_off = gw_off = bend_off = term_off = 0
-    stores = _stores_of(v)
+    stores = v._spill_stores()
     for r in results:
         v._t_layer.add(*r["layer"])
         v._t_contig.add(*r["contig"])
         v._t_avoid.add(*r["avoid"])
-        if has_graph and r["got"] is not None:
-            # span-order update keeps first-occurrence insertion order,
-            # which the realizes fallback's message selection depends on
-            v._got.update(r["got"])
         if v._fast is not None:
             if r["fast"] is None:
                 v._fast = None  # some chunk fell off the array fast path
@@ -211,17 +197,16 @@ def _merge_results(
                         np.concatenate([v._fast["uniq"], uniq]),
                         np.concatenate([v._fast["agg"], agg]),
                     )
+        # span-order extension keeps the net index in global wire order,
+        # which the realizes fallback's message selection depends on
+        v._nets.index.extend(
+            (start + w_off, path, pos) for start, path, pos in r["nets"]
+        )
         for name, parts in r["parts"].items():
-            store = stores[name]
             off = _offsets_for(name, w_off, gw_off, bend_off, term_off)
-            rebase = any(off)
-            for k in range(store.nb):
-                if not parts[k]:
-                    continue
-                if rebase:
-                    store.parts[k].extend((p, off) for p in parts[k])
-                else:
-                    store.parts[k].extend(parts[k])
+            rebase = (off,) if any(off) else ()
+            for k, extents in enumerate(parts):
+                stores[name].parts[k].extend(e + rebase for e in extents)
         cw, cgw, cbend, cterm = r["counts"]
         w_off += cw
         gw_off += cgw
@@ -353,7 +338,7 @@ def parallel_validate(
             payloads.append((
                 widx, span, pack,
                 None if recipe_mode else (nodes, model),
-                graph is not None, fast_kk, check_nodes, check_vias,
+                fast_kk, check_nodes, check_vias,
                 num_buckets, root, want_stats,
             ))
         ex = None
@@ -368,7 +353,7 @@ def parallel_validate(
             check_vias=check_vias, num_buckets=num_buckets,
             spill_dir=os.path.join(root, "reduce"),
         )
-        _merge_results(v, results, graph is not None)
+        _merge_results(v, results)
         v._finalized = True
 
         def run_jobs(sweeps):

@@ -592,7 +592,21 @@ def _vt_layer_discipline(t, model, rep: ValidationReport) -> None:
     _bulk(rep, count, msgs())
 
 
-def _vt_contiguity_terminals(t, nodes, rep: ValidationReport) -> None:
+def _node_index(nodes):
+    """``(nid, rx, ry, rx2, ry2)``: node key -> row number, and the rect
+    columns :func:`_vt_contiguity_terminals` checks terminals against."""
+    nid = {k: i for i, k in enumerate(nodes)}
+    n = len(nid)
+    rx = np.fromiter((r.x for r in nodes.values()), np.int64, n)
+    ry = np.fromiter((r.y for r in nodes.values()), np.int64, n)
+    rx2 = np.fromiter((r.x2 for r in nodes.values()), np.int64, n)
+    ry2 = np.fromiter((r.y2 for r in nodes.values()), np.int64, n)
+    return nid, rx, ry, rx2, ry2
+
+
+def _vt_contiguity_terminals(t, nodes, rep: ValidationReport, index=None) -> None:
+    """``index`` is :func:`_node_index` of ``nodes``, built here when not
+    given (the chunked validator builds it once for all its chunks)."""
     rep.checks_run.append("contiguity-terminals")
     nw = t.num_wires
     if nw == 0:
@@ -602,15 +616,10 @@ def _vt_contiguity_terminals(t, nodes, rep: ValidationReport) -> None:
     sy = paths.py[paths.pt_indptr[:-1]]
     ex = paths.px[paths.pt_indptr[1:] - 1]
     ey = paths.py[paths.pt_indptr[1:] - 1]
-    keys = list(nodes.keys())
-    nid = {k: i for i, k in enumerate(keys)}
+    nid, rx, ry, rx2, ry2 = index if index is not None else _node_index(nodes)
     ui = np.fromiter((nid.get(net[0], -1) for net in t.nets), np.int64, nw)
     vi = np.fromiter((nid.get(net[1], -1) for net in t.nets), np.int64, nw)
-    if keys:
-        rx = np.fromiter((r.x for r in nodes.values()), np.int64, len(keys))
-        ry = np.fromiter((r.y for r in nodes.values()), np.int64, len(keys))
-        rx2 = np.fromiter((r.x2 for r in nodes.values()), np.int64, len(keys))
-        ry2 = np.fromiter((r.y2 for r in nodes.values()), np.int64, len(keys))
+    if nid:
 
         def on_bd(px_, py_, ridx):
             has = ridx >= 0
