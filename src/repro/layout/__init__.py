@@ -4,14 +4,17 @@ Thompson and multilayer 2-D grid models.
 
 The wire-level hot path is columnar: builders emit a :class:`WireTable`
 (int64 segment arrays in CSR layout) directly, and :func:`validate_layout`
-runs sort/cummax sweeps over those columns.  ``engine="legacy"`` on the
-builders and :func:`validate_layout_legacy` keep the original
-object-per-wire paths alive as differential oracles — both engines
-produce identical layouts wire for wire and identical verdicts, pinned
-by ``tests/test_layout_vectorized.py``.  ``Layout`` converts between the
+runs sort/cummax sweeps over those columns — it is the chunked
+validator (:class:`ChunkedValidator`) fed the whole table as one chunk,
+so in-memory and out-of-core layouts go through one rule set.
+``engine="legacy"`` on the builders and :func:`validate_layout_legacy`
+keep the original object-per-wire paths alive as differential oracles —
+both engines produce identical layouts wire for wire, and both
+validators identical verdicts and error counts, pinned by
+``tests/test_layout_vectorized.py``.  ``Layout`` converts between the
 two representations losslessly, so ``viz/`` and other object-level
 consumers are unaffected.  The ``repro layout`` CLI subcommand drives a
-build + validation + wire-statistics run of either engine (``--legacy``)."""
+build + validation + wire-statistics run of the table engine."""
 
 from .blocks import BlockDims, BlockPlan, block_dims, plan_block
 from .collinear_generic import (

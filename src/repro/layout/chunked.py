@@ -32,12 +32,16 @@ Chunk sources exploit each builder's order structure:
   by channel; a first pass computes demands without retaining graphs and
   a second pass streams the dogleg rows.
 
-Validation partitions each grouped check's rows into disk-spilled hash
-buckets keyed by the check's group key (track, via point, channel
-coordinate) so every comparison group lands wholly in one bucket; the
-per-bucket sweeps are the *same* core functions the monolithic
-:func:`~repro.layout.validate.validate_table` runs, and their keyed
-messages merge back into the monolithic emission order before the
+:class:`ChunkedValidator` is the one layout validator:
+:func:`~repro.layout.validate.validate_table` is it fed the whole table
+as one chunk.  Each grouped check (track overlap, via columns,
+via-vs-segment, terminals) has one row producer and one sweep.  A lone
+chunk is held in memory and each check's rows are swept straight from
+it, one check at a time, with no spill.  From the second chunk on, the
+rows are partitioned into disk-spilled hash buckets keyed by the
+check's group key (track, via point, channel coordinate) so every
+comparison group lands wholly in one bucket; the per-bucket sweeps'
+keyed messages merge back into the one-chunk emission order before the
 global ``MAX_ERRORS_KEPT`` cap is applied.
 
 The spill is columnar.  Each grouped check appends its rows, int64 and
@@ -48,9 +52,10 @@ by global id rather than carrying the net: each chunk's nets are
 pickled once into a net file indexed by global wire offset, read only
 to format kept messages, to tell same-net from different-net wires
 that share a terminal point, and to rebuild the realizes-graph
-multiset when the array fast path cannot decide.  A pass therefore
-writes a fixed number of files (one per check plus the net file)
-whatever the chunk and bucket counts.
+multiset when the array fast path cannot decide.  A spilling pass
+therefore writes a fixed number of files (one per check plus the net
+file) whatever the chunk and bucket counts; a one-chunk pass writes
+none.
 """
 
 from __future__ import annotations
@@ -201,28 +206,6 @@ class ChunkedBuild:
     def table(self) -> WireTable:
         """Materialise the monolithic table (for tests / small builds)."""
         return WireTable.concat(list(self.chunks()))
-
-    def validate(
-        self,
-        graph: Optional[Graph] = None,
-        check_nodes: bool = True,
-        check_vias: bool = True,
-        num_buckets: int = 8,
-        spill_dir: Optional[str] = None,
-        workers: Optional[int] = None,
-    ) -> ValidationReport:
-        if workers is not None:
-            from .chunked_parallel import parallel_validate
-            return parallel_validate(
-                self, graph=graph, check_nodes=check_nodes,
-                check_vias=check_vias,
-                num_buckets=num_buckets, spill_dir=spill_dir, workers=workers,
-            )
-        return validate_table_chunked(
-            self.chunks(), self.nodes, self.model, graph=graph,
-            check_nodes=check_nodes, check_vias=check_vias,
-            num_buckets=num_buckets, spill_dir=spill_dir,
-        )
 
     def summary(self) -> Dict[str, int]:
         """``Layout.summary()`` dict; reuses the stats pass of an earlier
@@ -676,26 +659,28 @@ def _buckets_of(nb: int, *cols: np.ndarray) -> np.ndarray:
 class _SpillStore:
     """Disk-spilled, hash-partitioned int64 rows for one grouped check.
 
-    Every row goes to one append-only raw int64 file, ``ncols`` values
-    per row, opened on the first ``add``.  ``add`` sorts a chunk's rows
-    by bucket (stably, so arrival order survives within a bucket) and
-    writes them row-major in one call; each touched bucket gains one
-    ``(path, byte_offset, rows)`` extent in ``parts[k]``.  ``close``
-    closes the append handle and must precede any read of the extents
-    (:func:`_load_parts`), which come back in append order — global
-    arrival order, since chunks feed in emission order.  Rows name their
-    wire by global id; nets live in the validator's :class:`_NetFile`.
+    Every row goes to one append-only raw int64 file ``<name>.i64``,
+    ``ncols`` values per row, opened under the directory the first
+    ``add`` names.  ``add`` sorts a chunk's rows by bucket (stably, so
+    arrival order survives within a bucket) and writes them row-major in
+    one call; each touched bucket gains one ``(path, byte_offset, rows)``
+    extent in ``parts[k]``.  ``close`` closes the append handle and must
+    precede any read of the extents (:func:`_load_parts`), which come
+    back in append order — global arrival order, since chunks feed in
+    emission order.  Rows name their wire by global id; nets live in the
+    validator's :class:`_NetFile`.
     """
 
-    def __init__(self, root: str, name: str, num_buckets: int, ncols: int) -> None:
-        self.path = os.path.join(root, f"{name}.i64")
+    def __init__(self, name: str, num_buckets: int, ncols: int) -> None:
+        self.name = name
+        self.path: Optional[str] = None
         self.nb = num_buckets
         self.ncols = ncols
         self.parts: List[List[Tuple]] = [[] for _ in range(num_buckets)]
         self._fh = None
         self._size = 0
 
-    def add(self, bucket: np.ndarray, cols: List[np.ndarray]) -> None:
+    def add(self, root: str, bucket: np.ndarray, cols: List[np.ndarray]) -> None:
         nr = len(bucket)
         if not nr:
             return
@@ -705,6 +690,7 @@ class _SpillStore:
             np.int64, copy=False
         )
         if self._fh is None:
+            self.path = os.path.join(root, f"{self.name}.i64")
             self._fh = open(self.path, "ab" if self._size else "wb")
         self._fh.write(mat)
         row = 8 * self.ncols
@@ -745,26 +731,30 @@ def _load_parts(parts: List[Tuple], ncols: int) -> List[np.ndarray]:
     finally:
         if fh is not None:
             fh.close()
+    if not mats:
+        return [np.zeros(0, dtype=np.int64) for _ in range(ncols)]
     return list(np.concatenate(mats).T.copy())
 
 
 class _NetFile:
-    """Every fed chunk's ``t.nets``, pickled once into one append-only
-    file; ``index`` holds ``(first_global_wire, path, byte_offset)`` per
+    """Every spilled chunk's ``t.nets``, pickled once into one
+    append-only ``nets.pkl`` under the directory the first ``add``
+    names; ``index`` holds ``(first_global_wire, path, byte_offset)`` per
     chunk in wire order.  Spilled rows carry global wire ids instead of
     nets, so nets are read back (through :class:`_NetReader`) only to
     format a kept message, to compare the nets of same-point terminals
     of different wires, and to rebuild the realizes-graph multiset."""
 
-    def __init__(self, path: str) -> None:
-        self.path = path
+    def __init__(self) -> None:
+        self.path: Optional[str] = None
         self.index: List[Tuple[int, str, int]] = []
         self._fh = None
 
-    def add(self, wire_start: int, nets: List) -> None:
+    def add(self, root: str, wire_start: int, nets: List) -> None:
         if not nets:
             return
         if self._fh is None:
+            self.path = os.path.join(root, "nets.pkl")
             self._fh = open(self.path, "ab" if self.index else "wb")
         self.index.append((wire_start, self.path, self._fh.tell()))
         pickle.dump(nets, self._fh, protocol=pickle.HIGHEST_PROTOCOL)
@@ -785,6 +775,13 @@ class _NetReader:
         self._starts = [e[0] for e in index]
         self._k = -1
         self._nets: List = []
+
+    @classmethod
+    def of_nets(cls, nets: List) -> "_NetReader":
+        """A reader over one in-memory chunk's nets (a held table)."""
+        r = cls([(0, None, 0)])
+        r._k, r._nets = 0, nets
+        return r
 
     def chunk(self, k: int) -> List:
         if k != self._k:
@@ -807,20 +804,20 @@ class _NetReader:
         return out
 
 
-def _net_multiset(index: List[Tuple[int, str, int]]) -> Counter:
-    """Canonical edge multiset of every spilled net, in global wire order
-    (the insertion order the realizes fallback's messages follow)."""
+def _net_multiset(nets: _NetReader) -> Counter:
+    """Canonical edge multiset of every net ``nets`` reads, in global
+    wire order (the insertion order the realizes fallback's messages
+    follow)."""
     got: Counter = Counter()
-    reader = _NetReader(index)
-    for k in range(len(index)):
-        for net in reader.chunk(k):
+    for k in range(len(nets.index)):
+        for net in nets.chunk(k):
             got[_canon_edge(net[0], net[1])] += 1
     return got
 
 
 class _Tally:
     """Count + first-``MAX_ERRORS_KEPT`` messages of a streaming check
-    (chunks arrive in table order, so the prefix is the monolithic one)."""
+    (chunks arrive in table order, so the prefix is the one-chunk one)."""
 
     __slots__ = ("count", "msgs")
 
@@ -838,7 +835,7 @@ class _Tally:
 
 class _KeyedTally:
     """Keyed messages from per-bucket sweeps; ``merged`` re-sorts them
-    into the monolithic emission order (keys are globally unique across
+    into the one-chunk emission order (keys are globally unique across
     buckets, and within a bucket they arrive pre-sorted)."""
 
     __slots__ = ("count", "keyed")
@@ -885,29 +882,99 @@ def _fast_stub(k: int, kk: int) -> Dict:
     }
 
 
-class ChunkedValidator:
-    """Streaming twin of :func:`~repro.layout.validate.validate_table`.
+# -- grouped-check rows -----------------------------------------------------
+#
+# Each grouped check's rows for one chunk, numbered globally: the
+# validator spills them into hash buckets, or sweeps a held chunk's rows
+# directly.  Spill file stems: tracks, viacol, seg_h/seg_v, qry_h_<s> /
+# qry_v_<s> (one per column section s) and terms.
 
-    Feed chunks in emission order, then ``finalize()``.  The report is
-    byte-identical to the monolithic one on the concatenated table:
-    same ``checks_run``, same ``num_errors``, same first-20 ``errors``
-    in the same order.
+
+def _track_rows(t: WireTable, w_of: np.ndarray, w_off: int) -> List[np.ndarray]:
+    """Track-overlap rows: layer, horiz, track, lo, hi, global wire."""
+    h = t.is_horizontal
+    return [
+        t.layer, h.astype(np.int64), np.where(h, t.y1, t.x1),
+        np.where(h, t.x1, t.y1), np.where(h, t.x2, t.y2), w_of + w_off,
+    ]
+
+
+def _seg_rows(
+    t: WireTable, w_of: np.ndarray, is_h: bool, w_off: int
+) -> List[np.ndarray]:
+    """Via-vs-segment segment rows of one orientation: layer, fix, lo,
+    hi, global wire."""
+    si = np.flatnonzero(t.is_horizontal if is_h else ~t.is_horizontal)
+    return [
+        t.layer[si], (t.y1 if is_h else t.x1)[si],
+        (t.x1 if is_h else t.y1)[si], (t.x2 if is_h else t.y2)[si],
+        w_of[si] + w_off,
+    ]
+
+
+def _query_rows(cols, n_gw: int, w_off: int, gw_off: int, bend_off: int):
+    """Via-vs-segment query rows — ql, qx, qy, global wire, global
+    section position, layer ordinal — and ``bounds``, where section ``s``
+    (0 starts, 1 ends, 2 bends of :func:`_vt_columns`) is rows
+    ``bounds[s]:bounds[s + 1]``.  Section and position reproduce the
+    one-chunk query order across chunks."""
+    ql, qx, qy, qw, qc = _via_seg_queries(*cols)
+    pos = np.arange(len(cols[0]), dtype=np.int64)
+    pos[n_gw:2 * n_gw] -= n_gw
+    pos[:2 * n_gw] += gw_off
+    pos[2 * n_gw:] += bend_off - 2 * n_gw
+    bounds = np.concatenate([
+        [0], np.searchsorted(qc, (n_gw, 2 * n_gw)), [len(qc)],
+    ])
+    return [ql, qx, qy, qw + w_off, pos[qc], ql - cols[2][qc]], bounds
+
+
+def _term_rows(paths, w_off: int, term_off: int) -> List[np.ndarray]:
+    """Terminals of good wires, interleaved start/end in wire order: x,
+    y, global arrival seq (the one-chunk tiebreak), global wire."""
+    gw_idx = np.flatnonzero(~paths.bad)
+    n = gw_idx.size
+    tx = np.empty(2 * n, dtype=np.int64)
+    ty = np.empty(2 * n, dtype=np.int64)
+    tx[0::2] = paths.px[paths.pt_indptr[:-1]][gw_idx]
+    tx[1::2] = paths.px[paths.pt_indptr[1:] - 1][gw_idx]
+    ty[0::2] = paths.py[paths.pt_indptr[:-1]][gw_idx]
+    ty[1::2] = paths.py[paths.pt_indptr[1:] - 1][gw_idx]
+    seq = term_off + np.arange(2 * n, dtype=np.int64)
+    return [tx, ty, seq, np.repeat(gw_idx, 2) + w_off]
+
+
+class ChunkedValidator:
+    """The layout validator over a stream of :class:`WireTable` chunks.
+
+    Feed chunks in emission order, then ``finalize()``.  The report does
+    not depend on the chunking — same ``checks_run``, same
+    ``num_errors``, same first-20 ``errors`` in the same order — and
+    :func:`~repro.layout.validate.validate_table` is this validator fed
+    the whole table as one chunk.
 
     Per-wire checks (layer discipline, contiguity and terminals, wires
     avoiding nodes) run on each chunk as it arrives, against a node
     index and node band indexes built once here.  Grouped checks (track
-    overlap, via conflicts, terminal collisions) spill int64 rows into
-    ``num_buckets`` hash partitions keyed so comparison groups stay
-    bucket-local — one raw append-only file per check, rows naming their
-    wire by global id — and ``finalize`` re-runs the monolithic sweep
-    cores per bucket.  Each chunk's nets are pickled once into a net
-    file, read back only for kept messages, same-point terminals of
-    different wires, and the realizes-graph multiset when its array fast
-    path is unavailable or disagrees.  Peak memory is one chunk plus one
-    bucket; pick ``num_buckets >= total_rows_bytes / memory_budget_bytes``
-    to bound the reload size.  ``close()`` (which ``finalize`` calls)
-    closes the spill files' handles and removes a temporary spill
-    directory; files under a caller's ``spill_dir`` are left in place.
+    overlap, via conflicts, terminal collisions) take each chunk's rows
+    from one row producer (``_rows``) and run one sweep per check
+    (:func:`_sweep`).  The first chunk is held in memory: if it stays
+    the only one, ``finalize`` derives each check's rows from it and
+    sweeps them one check at a time, creating no directory and no file.
+    A second ``feed`` spills the held chunk and then every chunk: int64
+    rows go into ``num_buckets`` hash partitions keyed so comparison
+    groups stay bucket-local — one raw append-only file per check, rows
+    naming their wire by global id — and ``finalize`` sweeps each
+    bucket.  Each spilled chunk's nets are pickled once into a net file,
+    read back only for kept messages, same-point terminals of different
+    wires, and the realizes-graph multiset when its array fast path is
+    unavailable or disagrees.  Streaming peak memory is one chunk plus
+    one bucket; pick ``num_buckets >= total_rows_bytes /
+    memory_budget_bytes`` to bound the reload size.  The spill directory
+    (a temporary one unless ``spill_dir`` is given) is created at the
+    first spill.  ``close()`` (which ``finalize`` calls) closes the spill
+    files' handles and removes a temporary spill directory; files under
+    a caller's ``spill_dir`` are left in place.
     """
 
     def __init__(
@@ -926,35 +993,22 @@ class ChunkedValidator:
         self.check_nodes = check_nodes
         self.check_vias = check_vias
         self.nb = max(1, int(num_buckets))
+        self._spill_dir = spill_dir
+        self._dir: Optional[str] = None
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        if spill_dir is None:
-            self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-chunked-")
-            spill_dir = self._tmpdir.name
-        root = spill_dir
-        os.makedirs(root, exist_ok=True)
-        # rows: layer, horiz, track, lo, hi, global wire
-        self._tracks = _SpillStore(root, "tracks", self.nb, 6)
+        # spill stores by file stem, with their columns per row
+        ncols = {"tracks": 6}
         if check_vias:
-            # rows: x, y, zlo, zhi, global wire
-            self._cols = _SpillStore(root, "viacol", self.nb, 5)
-            # rows: layer, fix, lo, hi, global wire (per orientation)
-            self._segs = {
-                True: _SpillStore(root, "seg_h", self.nb, 5),
-                False: _SpillStore(root, "seg_v", self.nb, 5),
-            }
-            # rows: ql, qx, qy, global wire, global section pos, layer
-            # ordinal — one store per (orientation, column section) so a
-            # reloaded bucket concatenates to the monolithic query order
-            # ([all starts][all ends][all bends]) restricted to the bucket
-            self._qrys = {
-                (is_h, sec): _SpillStore(
-                    root, f"qry_{'h' if is_h else 'v'}_{sec}", self.nb, 6
-                )
-                for is_h in (True, False) for sec in (0, 1, 2)
-            }
-            # rows: x, y, global arrival seq, global wire
-            self._terms = _SpillStore(root, "terms", self.nb, 4)
-        self._nets = _NetFile(os.path.join(root, "nets.pkl"))
+            ncols.update(viacol=5, seg_h=5, seg_v=5, terms=4)
+            ncols.update(
+                (f"qry_{o}_{s}", 6) for o in "hv" for s in (0, 1, 2)
+            )
+        self._stores = {
+            name: _SpillStore(name, self.nb, n) for name, n in ncols.items()
+        }
+        self._nets = _NetFile()
+        self._held: Optional[WireTable] = None
+        self._chunks = 0
         self._t_layer = _Tally()
         self._t_contig = _Tally()
         self._t_avoid = _Tally()
@@ -974,23 +1028,11 @@ class ChunkedValidator:
             self._bi[True] = _BandIndex(ybands)
             self._bi[False] = _BandIndex(xbands)
         # realizes-graph array fast path while viable; the exact multiset
-        # is rebuilt from the net file only if finalize needs it
+        # is rebuilt from the nets only if finalize needs it
         self._fast: Optional[Dict] = (
             _fast_template(graph) if graph is not None else None
         )
         self._finalized = False
-
-    def _spill_stores(self) -> Dict[str, _SpillStore]:
-        """Every spill store by name (the names ``_offsets_for`` knows)."""
-        d = {"tracks": self._tracks}
-        if self.check_vias:
-            d["viacol"] = self._cols
-            d["seg_h"] = self._segs[True]
-            d["seg_v"] = self._segs[False]
-            for (is_h, s), store in self._qrys.items():
-                d[f"qry_{'h' if is_h else 'v'}_{s}"] = store
-            d["terms"] = self._terms
-        return d
 
     # -- feeding ---------------------------------------------------------
 
@@ -1001,25 +1043,10 @@ class ChunkedValidator:
         _vt_layer_discipline(t, self.model, tmp)
         self._t_layer.add(tmp.num_errors, tmp.errors)
         tmp = ValidationReport(ok=True)
-        _vt_contiguity_terminals(t, self.nodes, tmp, self._node_index)
+        _vt_contiguity_terminals(t, self.nodes, self._node_index, tmp)
         self._t_contig.add(tmp.num_errors, tmp.errors)
-
-        ns = t.num_segments
-        w_of = t.wire_of if ns else np.zeros(0, dtype=np.int64)
-        if ns:
-            horiz = t.is_horizontal.astype(np.int64)
-            track = np.where(horiz == 1, t.y1, t.x1)
-            lo = np.where(horiz == 1, t.x1, t.y1)
-            hi = np.where(horiz == 1, t.x2, t.y2)
-            self._tracks.add(
-                _buckets_of(self.nb, t.layer, horiz, track),
-                [t.layer, horiz, track, lo, hi, w_of + self._wire_off],
-            )
-        if self.check_vias:
-            self._feed_vias(t, w_of)
         if self.check_nodes:
-            self._feed_avoid(t, w_of)
-        self._nets.add(self._wire_off, t.nets)
+            self._feed_avoid(t)
         if self._fast is not None and t.num_wires:
             f = self._fast
             rows = _canon_net_rows(t.nets, f["k"], f["kk"])
@@ -1032,91 +1059,86 @@ class ChunkedValidator:
                         f["agg"], np.ones(len(rows), dtype=np.int64),
                     ]),
                 )
+        if self._chunks:
+            self._spill_held()
+            self._spill(t, self._wire_off)
+        else:
+            self._held = t
+        self._chunks += 1
         self._wire_off += t.num_wires
 
-    def _feed_vias(self, t: WireTable, w_of: np.ndarray) -> None:
+    def _rows(self, t: WireTable, w_off: int) -> Iterator[Tuple]:
+        """The row producer: chunk ``t``'s rows for each grouped check as
+        ``(kind, is_h, rows)``, one check at a time so a consumer can
+        drop each check's rows before the next is built.  ``w_off`` is
+        the chunk's first global wire id; deriving the via columns
+        advances the via-section and terminal counters past the chunk.
+        A ``viaseg`` item's rows are ``(segment rows, query rows,
+        bounds)``, the query rows shared by both orientations."""
+        w_of = t.wire_of
+        yield "tracks", None, _track_rows(t, w_of, w_off)
+        if not self.check_vias:
+            return
         paths = t.paths()
         n_gw = int((~paths.bad).sum())
-        cx, cy, zlo, zhi, cw = _vt_columns(t)
-        ncol = len(cx)
-        n_bend = ncol - 2 * n_gw
-        if ncol:
-            self._cols.add(
-                _buckets_of(self.nb, cx, cy),
-                [cx, cy, zlo, zhi, cw + self._wire_off],
-            )
-            # section (starts / ends / bends) + global position within the
-            # section reproduce the monolithic query order across chunks
-            sec = np.empty(ncol, dtype=np.int64)
-            pos = np.empty(ncol, dtype=np.int64)
-            sec[:n_gw] = 0
-            sec[n_gw:2 * n_gw] = 1
-            sec[2 * n_gw:] = 2
-            pos[:n_gw] = self._gw_count + np.arange(n_gw)
-            pos[n_gw:2 * n_gw] = self._gw_count + np.arange(n_gw)
-            pos[2 * n_gw:] = self._bend_count + np.arange(n_bend)
-            ql, qx, qy, qw = _via_seg_queries(cx, cy, zlo, zhi, cw)
-            reps = zhi - zlo + 1
-            qc = np.repeat(np.arange(ncol, dtype=np.int64), reps)
-            qj = ql - zlo[qc]
-            qsec = sec[qc]
-            qpos = pos[qc]
-            gqw = qw + self._wire_off
-            for s in (0, 1, 2):
-                qm = np.flatnonzero(qsec == s)
-                if not qm.size:
-                    continue
-                for is_h in (True, False):
-                    self._qrys[(is_h, s)].add(
-                        _buckets_of(
-                            self.nb, ql[qm], (qy if is_h else qx)[qm]
-                        ),
-                        [
-                            ql[qm], qx[qm], qy[qm], gqw[qm],
-                            qpos[qm], qj[qm],
-                        ],
-                    )
-        horiz = t.is_horizontal
-        for is_h in (True, False):
-            si = np.flatnonzero(horiz if is_h else ~horiz)
-            if not si.size:
-                continue
-            self._segs[is_h].add(
-                _buckets_of(
-                    self.nb, t.layer[si], (t.y1 if is_h else t.x1)[si]
-                ),
-                [
-                    t.layer[si],
-                    (t.y1 if is_h else t.x1)[si],
-                    (t.x1 if is_h else t.y1)[si],
-                    (t.x2 if is_h else t.y2)[si],
-                    w_of[si] + self._wire_off,
-                ],
-            )
-        # terminals of good wires, interleaved start/end in wire order —
-        # the global seq reproduces the monolithic arrival tiebreak
-        gw_idx = np.flatnonzero(~paths.bad)
-        if gw_idx.size:
-            n2 = gw_idx.size
-            sx = paths.px[paths.pt_indptr[:-1]][gw_idx]
-            sy = paths.py[paths.pt_indptr[:-1]][gw_idx]
-            ex = paths.px[paths.pt_indptr[1:] - 1][gw_idx]
-            ey = paths.py[paths.pt_indptr[1:] - 1][gw_idx]
-            tx = np.empty(2 * n2, dtype=np.int64)
-            ty = np.empty(2 * n2, dtype=np.int64)
-            tx[0::2], tx[1::2] = sx, ex
-            ty[0::2], ty[1::2] = sy, ey
-            seq = self._term_count + np.arange(2 * n2, dtype=np.int64)
-            self._terms.add(
-                _buckets_of(self.nb, tx, ty),
-                [tx, ty, seq, np.repeat(gw_idx, 2) + self._wire_off],
-            )
+        cols = _vt_columns(t)
+        gw_off, bend_off, term_off = (
+            self._gw_count, self._bend_count, self._term_count
+        )
         self._gw_count += n_gw
-        self._bend_count += n_bend
+        self._bend_count += len(cols[0]) - 2 * n_gw
         self._term_count += 2 * n_gw
+        cx, cy, zlo, zhi, cw = cols
+        yield "viacol", None, [cx, cy, zlo, zhi, cw + w_off]
+        q, bounds = _query_rows(cols, n_gw, w_off, gw_off, bend_off)
+        # only the query rows stay alive through both orientations
+        del cols, cx, cy, zlo, zhi, cw
+        for is_h in (True, False):
+            yield "viaseg", is_h, (_seg_rows(t, w_of, is_h, w_off), q, bounds)
+        del q
+        yield "terms", None, _term_rows(paths, w_off, term_off)
 
-    def _feed_avoid(self, t: WireTable, w_of: np.ndarray) -> None:
-        # per-chunk half of _vt_wires_avoid_nodes against prebuilt indexes
+    def _root(self) -> str:
+        """The spill directory, created at the first spill."""
+        if self._dir is None:
+            if self._spill_dir is None:
+                self._tmpdir = tempfile.TemporaryDirectory(
+                    prefix="repro-chunked-"
+                )
+                self._dir = self._tmpdir.name
+            else:
+                os.makedirs(self._spill_dir, exist_ok=True)
+                self._dir = self._spill_dir
+        return self._dir
+
+    def _spill(self, t: WireTable, w_off: int) -> None:
+        """Append chunk ``t``'s grouped-check rows to the spill stores,
+        bucketed by each check's group key, and its nets to the net file."""
+        root = self._root()
+        stores = self._stores
+
+        def add(name, rows, *key):
+            stores[name].add(root, _buckets_of(self.nb, *key), rows)
+
+        for kind, is_h, rows in self._rows(t, w_off):
+            if kind != "viaseg":
+                add(kind, rows, *rows[:3 if kind == "tracks" else 2])
+                continue
+            o = "h" if is_h else "v"
+            seg, q, bounds = rows
+            add(f"seg_{o}", seg, seg[0], seg[1])
+            for s in (0, 1, 2):
+                sec = [c[bounds[s]:bounds[s + 1]] for c in q]
+                add(f"qry_{o}_{s}", sec, sec[0], sec[2 if is_h else 1])
+        self._nets.add(root, w_off, t.nets)
+
+    def _spill_held(self) -> None:
+        """Spill the held first chunk (global wire ids from 0), if any."""
+        if self._held is not None:
+            held, self._held = self._held, None
+            self._spill(held, 0)
+
+    def _feed_avoid(self, t: WireTable) -> None:
         if not self.nodes or t.num_segments == 0:
             return
         horiz = t.is_horizontal
@@ -1134,6 +1156,7 @@ class ChunkedValidator:
             return
 
         def msgs():
+            w_of = t.wire_of
             for i in np.flatnonzero(hit).tolist():
                 net = t.nets[int(w_of[i])]
                 if horiz[i]:
@@ -1163,50 +1186,36 @@ class ChunkedValidator:
 
     def _close_spills(self) -> None:
         """Close every append handle; the spilled extents become readable."""
-        for store in self._spill_stores().values():
+        for store in self._stores.values():
             store.close()
         self._nets.close()
 
     def close(self) -> None:
+        self._held = None
         self._close_spills()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
 
 
-def _sweep_job(payload: Tuple) -> Tuple[int, List[Tuple[Tuple, str]]]:
-    """Run one bucket sweep described by a picklable payload:
-    ``(kind, is_h, parts_dict, net_index)``.  The job reads its own spill
-    extents and resolves nets through the net-file index, so a
-    process-pool worker ships only paths and offsets; the serial path
-    calls it inline.  Returns ``(count, keyed_messages)``."""
-    kind, is_h, parts, net_index = payload
-    net_of = _NetReader(net_index)
+def _sweep(kind: str, is_h: Optional[bool], rows, net_of: _NetReader):
+    """The sweep of grouped check ``kind`` over its rows — a held chunk's
+    rows in memory, or one spill bucket's reloaded.  ``net_of`` resolves
+    a global wire id to its net.  Returns ``(count, keyed_messages)``
+    with keys that sort in the one-chunk emission order."""
     if kind == "tracks":
-        layer, horiz, track, lo, hi, gw = _load_parts(parts["rows"], 6)
+        layer, horiz, track, lo, hi, gw = rows
         return _track_overlap_sweep(
             layer, horiz, track, lo, hi, gw, lambda r: net_of(int(gw[r]))
         )
     if kind == "viacol":
-        cx, cy, zlo, zhi, gcw = _load_parts(parts["rows"], 5)
+        cx, cy, zlo, zhi, gcw = rows
         return _via_col_sweep(
             cx, cy, zlo, zhi, gcw, lambda r: net_of(int(gcw[r]))
         )
     if kind == "viaseg":
-        s_lay, s_fix, s_lo, s_hi, s_gw = _load_parts(parts["seg"], 5)
-        qcols: List[List[np.ndarray]] = []
-        qsecs: List[np.ndarray] = []
-        for sect in (0, 1, 2):
-            pl = parts[f"q{sect}"]
-            if not pl:
-                continue
-            qc = _load_parts(pl, 6)
-            qcols.append(qc)
-            qsecs.append(np.full(len(qc[0]), sect, dtype=np.int64))
-        ql, qx, qy, gqw, qpos, qj = (
-            np.concatenate([qc[i] for qc in qcols]) for i in range(6)
-        )
-        qsec = np.concatenate(qsecs)
+        (s_lay, s_fix, s_lo, s_hi, s_gw), q, bounds = rows
+        ql, qx, qy, gqw, qpos, qj = q
         c, keyed = _via_seg_orientation(
             s_lay, s_fix, s_lo, s_hi, s_gw,
             lambda r: net_of(int(s_gw[r])),
@@ -1214,13 +1223,14 @@ def _sweep_job(payload: Tuple) -> Tuple[int, List[Tuple[Tuple, str]]]:
             lambda i: net_of(int(gqw[i])),
             is_h,
         )
+        sec = np.searchsorted(bounds, [qi for (qi, _j), _m in keyed], "right")
         return c, [
-            ((int(qsec[qi]), int(qpos[qi]), int(qj[qi]), j), m)
-            for (qi, j), m in keyed
+            ((int(s) - 1, int(qpos[qi]), int(qj[qi]), j), m)
+            for s, ((qi, j), m) in zip(sec, keyed)
         ]
     if kind != "terms":
         raise ValueError(f"unknown sweep kind {kind!r}")
-    tx, ty, seq, gtw = _load_parts(parts["rows"], 4)
+    tx, ty, seq, gtw = rows
     order = np.lexsort((seq, ty, tx))
     X, Y, S_, W = tx[order], ty[order], seq[order], gtw[order]
     same = (X[1:] == X[:-1]) & (Y[1:] == Y[:-1])
@@ -1243,52 +1253,70 @@ def _sweep_job(payload: Tuple) -> Tuple[int, List[Tuple[Tuple, str]]]:
     return len(err), keyed
 
 
+_ROW_COLS = {"tracks": 6, "viacol": 5, "terms": 4}
+
+
+def _sweep_job(payload: Tuple) -> Tuple[int, List[Tuple[Tuple, str]]]:
+    """Run one bucket sweep described by a picklable payload:
+    ``(kind, is_h, parts_dict, net_index)``.  The job reads its own spill
+    extents and resolves nets through the net-file index, so a
+    process-pool worker ships only paths and offsets; the serial path
+    calls it inline.  Returns ``(count, keyed_messages)``."""
+    kind, is_h, parts, net_index = payload
+    if kind == "viaseg":
+        secs = [_load_parts(parts[f"q{s}"], 6) for s in (0, 1, 2)]
+        bounds = np.cumsum([0] + [len(qc[0]) for qc in secs])
+        q = [np.concatenate([qc[i] for qc in secs]) for i in range(6)]
+        rows = (_load_parts(parts["seg"], 5), q, bounds)
+    elif kind in _ROW_COLS:
+        rows = _load_parts(parts["rows"], _ROW_COLS[kind])
+    else:
+        raise ValueError(f"unknown sweep kind {kind!r}")
+    return _sweep(kind, is_h, rows, _NetReader(net_index))
+
+
 def _sweep_payloads(v: "ChunkedValidator") -> List[Tuple]:
     """Every grouped-check bucket sweep of ``v`` as an independent job
     payload, in deterministic (check, orientation, bucket) order."""
     nets = v._nets.index
+    stores = v._stores
     payloads: List[Tuple] = []
-    for k in range(v.nb):
-        if v._tracks.parts[k]:
-            payloads.append(
-                ("tracks", None, {"rows": v._tracks.parts[k]}, nets)
-            )
+
+    def row_jobs(kind: str) -> None:
+        for k, parts in enumerate(stores[kind].parts):
+            if parts:
+                payloads.append((kind, None, {"rows": parts}, nets))
+
+    row_jobs("tracks")
     if v.check_vias:
-        for k in range(v.nb):
-            if v._cols.parts[k]:
-                payloads.append(
-                    ("viacol", None, {"rows": v._cols.parts[k]}, nets)
-                )
+        row_jobs("viacol")
         for is_h in (True, False):
-            for k in range(v.nb):
-                seg_parts = v._segs[is_h].parts[k]
+            o = "h" if is_h else "v"
+            for k, seg_parts in enumerate(stores[f"seg_{o}"].parts):
                 if not seg_parts:
                     continue
                 qp = {
-                    f"q{s}": v._qrys[(is_h, s)].parts[k] for s in (0, 1, 2)
+                    f"q{s}": stores[f"qry_{o}_{s}"].parts[k] for s in (0, 1, 2)
                 }
                 if not any(qp.values()):
                     continue
                 payloads.append(
                     ("viaseg", is_h, {"seg": seg_parts, **qp}, nets)
                 )
-        for k in range(v.nb):
-            if v._terms.parts[k]:
-                payloads.append(
-                    ("terms", None, {"rows": v._terms.parts[k]}, nets)
-                )
+        row_jobs("terms")
     return payloads
 
 
 def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
     """Assemble the final report from ``v``'s accumulated state.
 
-    ``run_jobs(payloads)`` executes the bucket-sweep payloads and returns
-    their ``(count, keyed)`` results in payload order — inline for the
-    serial path, on a process pool for the parallel one.  The assembly
-    (check order, keyed-message re-sort, per-orientation and global
-    caps) is identical either way, which is what keeps the parallel
-    report byte-identical to the serial one.
+    A held chunk (``v`` was fed exactly one) is swept in memory, one
+    check at a time.  Otherwise ``run_jobs(payloads)`` executes the
+    bucket-sweep payloads and returns their ``(count, keyed)`` results
+    in payload order — inline for the serial path, on a process pool for
+    the parallel one.  The assembly (check order, keyed-message re-sort,
+    per-orientation and global caps) is identical either way, which is
+    what keeps every path's report byte-identical.
     """
     v._close_spills()
     rep = ValidationReport(ok=True)
@@ -1296,11 +1324,17 @@ def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
     _bulk(rep, v._t_layer.count, iter(v._t_layer.msgs))
     rep.checks_run.append("contiguity-terminals")
     _bulk(rep, v._t_contig.count, iter(v._t_contig.msgs))
-    payloads = _sweep_payloads(v)
-    results = run_jobs(payloads)
     by_kind: Dict[Tuple, _KeyedTally] = defaultdict(_KeyedTally)
-    for p, res in zip(payloads, results):
-        by_kind[(p[0], p[1])].add(*res)
+    if v._held is not None:
+        nets = _NetReader.of_nets(v._held.nets)
+        for kind, is_h, rows in v._rows(v._held, 0):
+            by_kind[(kind, is_h)].add(*_sweep(kind, is_h, rows, nets))
+            del rows  # free this check's rows before the next is built
+    else:
+        nets = _NetReader(v._nets.index)
+        payloads = _sweep_payloads(v)
+        for p, res in zip(payloads, run_jobs(payloads)):
+            by_kind[(p[0], p[1])].add(*res)
     rep.checks_run.append("track-overlap")
     kt = by_kind[("tracks", None)]
     _bulk(rep, kt.count, iter(kt.merged()))
@@ -1327,8 +1361,8 @@ def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
         placed = set(v.nodes)
         ok = False
         f = v._fast
-        # zero wires fed: monolithic _canon_net_rows([]) returns None
-        # and falls back — mirror that
+        # zero wires fed: decide by the exact fallback, as the legacy
+        # checker does (its _canon_net_rows([]) is None)
         if v._wire_off == 0:
             f = None
         if f is not None:
@@ -1342,9 +1376,7 @@ def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
                     want_rows, f["k"], f["kk"], placed
                 )
         if not ok:
-            _realizes_fallback(
-                _net_multiset(v._nets.index), placed, v.graph, rep
-            )
+            _realizes_fallback(_net_multiset(nets), placed, v.graph, rep)
     v.close()
     return rep
 
@@ -1362,6 +1394,7 @@ def validate_table_chunked(
 ) -> ValidationReport:
     """Validate a chunk stream; byte-identical report to running
     :func:`~repro.layout.validate.validate_table` on the concatenation.
+    A stream of one chunk is swept in memory and writes no file.
 
     ``workers`` (``None`` = serial) fans the feed and the bucket sweeps
     out over a process pool — a :class:`ChunkedBuild` with a recipe

@@ -14,9 +14,9 @@ that stream out over a ``multiprocessing`` pool while keeping the final
   attached zero-copy in each worker;
 * each worker materialises and validates its span with a private
   :class:`ChunkedValidator` in *span-local* numbering (wire offsets,
-  via-section positions, terminal sequence all start at 0), closes its
-  append handles and returns its tallies, spill extents, net-file index
-  and counters;
+  via-section positions, terminal sequence all start at 0), spills the
+  first chunk the validator holds in memory, closes its append handles
+  and returns its tallies, spill extents, net-file index and counters;
 * the reducer computes each worker's global offsets by prefix sum,
   registers the spill extents with per-column additive rebase vectors
   (applied at reload, never rewriting bytes) and the net-file entries
@@ -121,8 +121,9 @@ def _feed_span(payload: Tuple) -> Dict:
     index and counters.
 
     Runs in a pool process (or inline for ``workers=1``); never calls
-    ``finalize`` — it closes its append handles and hands the spill and
-    net files, which live in a parent-owned directory, to the reducer.
+    ``finalize`` — it spills the chunk its validator holds, closes its
+    append handles and hands the spill and net files, which live in a
+    parent-owned directory, to the reducer.
     """
     (widx, span, pack, nodes_model, fast_kk, check_nodes,
      check_vias, nb, spill_root, want_stats) = payload
@@ -157,6 +158,7 @@ def _feed_span(payload: Tuple) -> Dict:
             v.feed(t)
             if st is not None:
                 st.feed(t)
+        v._spill_held()
     finally:
         v.close()
     out = {
@@ -164,7 +166,7 @@ def _feed_span(payload: Tuple) -> Dict:
         "layer": (v._t_layer.count, v._t_layer.msgs),
         "contig": (v._t_contig.count, v._t_contig.msgs),
         "avoid": (v._t_avoid.count, v._t_avoid.msgs),
-        "parts": {name: s.parts for name, s in v._spill_stores().items()},
+        "parts": {name: s.parts for name, s in v._stores.items()},
         "nets": v._nets.index,
         "fast": None,
         "stats": None,
@@ -182,7 +184,7 @@ def _feed_span(payload: Tuple) -> Dict:
 def _merge_results(v: ChunkedValidator, results: List[Dict]) -> None:
     """Fold worker results into the reducer validator in span order."""
     w_off = gw_off = bend_off = term_off = 0
-    stores = v._spill_stores()
+    stores = v._stores
     for r in results:
         v._t_layer.add(*r["layer"])
         v._t_contig.add(*r["contig"])
@@ -351,7 +353,6 @@ def parallel_validate(
         v = ChunkedValidator(
             nodes, model, graph=graph, check_nodes=check_nodes,
             check_vias=check_vias, num_buckets=num_buckets,
-            spill_dir=os.path.join(root, "reduce"),
         )
         _merge_results(v, results)
         v._finalized = True

@@ -19,16 +19,21 @@ Sections 3.1 and 4.1 of the paper:
 All checks are exact but use sorted-interval indexes so that layouts with
 hundreds of thousands of segments validate in seconds.
 
-Two implementations of the same rule set live here:
+There is one validator and one oracle:
 
-* :func:`validate_layout` — the default — runs every pass as numpy
-  sort + running-maximum sweeps over the layout's
+* :func:`validate_layout` / :func:`validate_table` run the rule set as
+  numpy sort + running-maximum sweeps over the layout's
   :class:`~repro.layout.wiretable.WireTable`, falling back to exact
   Python enumeration only on the (normally empty) violating groups.
+  They are :class:`~repro.layout.chunked.ChunkedValidator` fed the whole
+  table as one chunk, which it sweeps in memory without spilling; the
+  per-wire checks and the grouped sweep cores it calls are defined here.
 * :func:`validate_layout_legacy` — the original object-per-wire checker,
   kept verbatim as the differential-testing oracle
-  (``tests/test_layout_vectorized.py`` pins the two to identical
-  verdicts on both valid and mutated layouts).
+  (``tests/test_layout_vectorized.py`` and
+  ``tests/test_validator_mutations.py`` pin the two to identical
+  verdicts, error counts and error-message sets on valid and mutated
+  layouts; message order differs, the sweeps emit in sorted order).
 """
 
 from __future__ import annotations
@@ -538,12 +543,14 @@ def validate_layout_legacy(
 # vectorized checks over a WireTable
 # ---------------------------------------------------------------------------
 #
-# Every `_vt_*` function below enforces the same rule as its object-level
-# counterpart above, as a numpy sweep.  The shared pattern: sort segments
-# (or via columns) into groups, shift each group's coordinates into a
-# disjoint numeric band, and one running maximum finds every element that
-# undercuts an earlier extent in its group.  Exact Python enumeration runs
-# only over the flagged groups, so valid layouts never leave numpy.
+# Each function below enforces the same rule as its object-level
+# counterpart above, as a numpy sweep; the chunked validator calls the
+# per-wire checks on every chunk and the grouped sweep cores on each
+# check's rows.  The shared pattern: sort segments (or via columns) into
+# groups, shift each group's coordinates into a disjoint numeric band,
+# and one running maximum finds every element that undercuts an earlier
+# extent in its group.  Exact Python enumeration runs only over the
+# flagged groups, so valid layouts never leave numpy.
 
 
 def _bulk(rep: ValidationReport, count: int, messages) -> None:
@@ -604,9 +611,9 @@ def _node_index(nodes):
     return nid, rx, ry, rx2, ry2
 
 
-def _vt_contiguity_terminals(t, nodes, rep: ValidationReport, index=None) -> None:
-    """``index`` is :func:`_node_index` of ``nodes``, built here when not
-    given (the chunked validator builds it once for all its chunks)."""
+def _vt_contiguity_terminals(t, nodes, index, rep: ValidationReport) -> None:
+    """``index`` is :func:`_node_index` of ``nodes`` (the chunked
+    validator builds it once for all its chunks)."""
     rep.checks_run.append("contiguity-terminals")
     nw = t.num_wires
     if nw == 0:
@@ -616,7 +623,7 @@ def _vt_contiguity_terminals(t, nodes, rep: ValidationReport, index=None) -> Non
     sy = paths.py[paths.pt_indptr[:-1]]
     ex = paths.px[paths.pt_indptr[1:] - 1]
     ey = paths.py[paths.pt_indptr[1:] - 1]
-    nid, rx, ry, rx2, ry2 = index if index is not None else _node_index(nodes)
+    nid, rx, ry, rx2, ry2 = index
     ui = np.fromiter((nid.get(net[0], -1) for net in t.nets), np.int64, nw)
     vi = np.fromiter((nid.get(net[1], -1) for net in t.nets), np.int64, nw)
     if nid:
@@ -670,17 +677,17 @@ def _vt_contiguity_terminals(t, nodes, rep: ValidationReport, index=None) -> Non
 
 
 def _track_overlap_sweep(
-    layer, horiz, track, lo, hi, w, net_at, msg_cap: int = MAX_ERRORS_KEPT,
+    layer, horiz, track, lo, hi, w, net_at,
 ):
     """Banded running-max sweep over per-track intervals.
 
     Rows describe segments (layer, orientation flag, track, extent
     ``[lo, hi]``, owning wire); ``net_at(i)`` resolves row ``i``'s net
     lazily for message formatting.  Returns ``(count, keyed)`` where
-    ``keyed`` holds at most ``msg_cap`` ``(sort_key, message)`` pairs in
-    sweep order — the key is the flagged row's global sort tuple, which
-    lets the chunked validator merge per-bucket results back into the
-    monolithic emission order.
+    ``keyed`` holds at most ``MAX_ERRORS_KEPT`` ``(sort_key, message)``
+    pairs in sweep order — the key is the flagged row's global sort
+    tuple, which lets the chunked validator merge per-bucket results
+    back into the one-chunk emission order.
     """
     ns = len(layer)
     if ns < 2:
@@ -707,7 +714,7 @@ def _track_overlap_sweep(
     starts = np.flatnonzero(new)
     keyed = []
     for i in np.flatnonzero(bad).tolist():
-        if len(keyed) >= msg_cap:
+        if len(keyed) >= MAX_ERRORS_KEPT:
             break
         g0 = int(starts[int(gid[i])])
         # recover the running-max interval the scalar scan pairs with
@@ -726,23 +733,6 @@ def _track_overlap_sweep(
             f"[{int(lo_s[i])},{int(hi_s[i])}] (wire {net_at(int(order[i]))}) overlap"
         )))
     return count, keyed
-
-
-def _vt_track_overlaps(t, rep: ValidationReport) -> None:
-    rep.checks_run.append("track-overlap")
-    ns = t.num_segments
-    if ns < 2:
-        return
-    horiz = t.is_horizontal.astype(np.int64)
-    track = np.where(horiz == 1, t.y1, t.x1)
-    lo = np.where(horiz == 1, t.x1, t.y1)
-    hi = np.where(horiz == 1, t.x2, t.y2)
-    w_of = t.wire_of
-    count, keyed = _track_overlap_sweep(
-        t.layer, horiz, track, lo, hi, w_of,
-        lambda r: t.nets[int(w_of[r])],
-    )
-    _bulk(rep, count, (m for _k, m in keyed))
 
 
 def _vt_columns(t):
@@ -783,15 +773,14 @@ def _vt_columns(t):
     return cx, cy, zlo, zhi, cw
 
 
-def _via_col_sweep(
-    cx, cy, zlo, zhi, cw, net_at, msg_cap: int = MAX_ERRORS_KEPT,
-):
+def _via_col_sweep(cx, cy, zlo, zhi, cw, net_at):
     """Pairwise z-range collision sweep over via columns grouped by point.
 
     ``net_at(i)`` resolves column row ``i``'s net lazily.  Returns
-    ``(count, keyed)`` — at most ``msg_cap`` ``((x, y, i, j), message)``
-    pairs in point-then-pair order, the key sorting identically to the
-    monolithic emission order so spill buckets merge exactly.
+    ``(count, keyed)`` — at most ``MAX_ERRORS_KEPT`` ``((x, y, i, j),
+    message)`` pairs in point-then-pair order, the key sorting
+    identically to the one-chunk emission order so spill buckets merge
+    exactly.
     """
     n = len(cx)
     if n < 2:
@@ -828,7 +817,7 @@ def _via_col_sweep(
                 (alo, ahi, wa, ra), (blo, bhi, wb, rb) = lst[i], lst[j]
                 if wa != wb and alo <= bhi and blo <= ahi:
                     count += 1
-                    if len(keyed) < msg_cap:
+                    if len(keyed) < MAX_ERRORS_KEPT:
                         keyed.append(((x_, y_, i, j), (
                             f"via columns of wires {net_at(ra)} and "
                             f"{net_at(rb)} collide at ({x_},{y_}) "
@@ -837,30 +826,21 @@ def _via_col_sweep(
     return count, keyed
 
 
-def _vt_via_col_conflicts(
-    t, cx, cy, zlo, zhi, cw, rep: ValidationReport
-) -> None:
-    count, keyed = _via_col_sweep(
-        cx, cy, zlo, zhi, cw, lambda r: t.nets[int(cw[r])]
-    )
-    _bulk(rep, count, (m for _k, m in keyed))
-
-
 def _via_seg_queries(cx, cy, zlo, zhi, cw):
     """Expand via columns into one point query per (column, spanned layer):
-    returns ``(ql, qx, qy, qw)`` layer/point/wire arrays."""
+    returns ``(ql, qx, qy, qw, qc)`` layer/point/wire arrays and each
+    query's column."""
     reps = zhi - zlo + 1
-    nq = int(reps.sum())
+    qc = np.repeat(np.arange(len(cx), dtype=np.int64), reps)
     offs = np.zeros(len(cx), dtype=np.int64)
     np.cumsum(reps[:-1], out=offs[1:])
-    ql = (np.arange(nq, dtype=np.int64) - np.repeat(offs, reps)) + np.repeat(zlo, reps)
-    qc = np.repeat(np.arange(len(cx), dtype=np.int64), reps)
-    return ql, cx[qc], cy[qc], cw[qc]
+    ql = (np.arange(len(qc), dtype=np.int64) - offs[qc]) + zlo[qc]
+    return ql, cx[qc], cy[qc], cw[qc], qc
 
 
 def _via_seg_orientation(
     s_lay, s_fix, s_lo, s_hi, s_w, seg_net_at, ql, qx, qy, qw, q_net_at,
-    is_h, msg_cap: int = MAX_ERRORS_KEPT,
+    is_h,
 ):
     """Single-orientation core of the via-vs-segment conflict sweep.
 
@@ -870,10 +850,9 @@ def _via_seg_orientation(
     strictly covering the query point on the query layer.
     ``seg_net_at(i)`` / ``q_net_at(i)`` resolve nets lazily from original
     segment/query row indices.  Returns ``(count, keyed)`` with at most
-    ``msg_cap`` ``((q, j), message)`` pairs in the monolithic sweep's
-    emission order, keyed by (query row, per-query hit ordinal) so the
-    chunked validator can remap ``q`` to a global query key and merge
-    spill buckets exactly.
+    ``MAX_ERRORS_KEPT`` ``((q, j), message)`` pairs in query order, keyed
+    by (query row, per-query hit ordinal) so the chunked validator can
+    remap ``q`` to a global query key and merge spill buckets exactly.
     """
     count = 0
     keyed = []
@@ -918,87 +897,13 @@ def _via_seg_orientation(
         mseg = (lo_ss[sl] < xv) & (hi_ss[sl] > xv) & (w_ss[sl] != wi)
         for j, k in enumerate(np.flatnonzero(mseg).tolist()):
             count += 1
-            if len(keyed) < msg_cap:
+            if len(keyed) < MAX_ERRORS_KEPT:
                 keyed.append(((q, j), (
                     f"wire {seg_net_at(int(order[g0 + k]))} passes through "
                     f"via of wire {q_net_at(q)} at "
                     f"({int(qx[q])},{int(qy[q])}) layer {int(ql[q])}"
                 )))
     return count, keyed
-
-
-def _vt_via_seg_conflicts(
-    t, cx, cy, zlo, zhi, cw, rep: ValidationReport
-) -> None:
-    if len(cx) == 0 or t.num_segments == 0:
-        return
-    ql, qx, qy, qw = _via_seg_queries(cx, cy, zlo, zhi, cw)
-    count = 0
-    messages: List[str] = []
-    horiz = t.is_horizontal
-    w_of = t.wire_of
-    for is_h in (True, False):
-        si = np.flatnonzero(horiz if is_h else ~horiz)
-        if not si.size:
-            continue
-        sw = w_of[si]
-        c, keyed = _via_seg_orientation(
-            t.layer[si],
-            (t.y1 if is_h else t.x1)[si],
-            (t.x1 if is_h else t.y1)[si],
-            (t.x2 if is_h else t.y2)[si],
-            sw,
-            lambda r, sw=sw: t.nets[int(sw[r])],
-            ql, qx, qy, qw,
-            lambda q: t.nets[int(qw[q])],
-            is_h,
-            msg_cap=MAX_ERRORS_KEPT - len(messages),
-        )
-        count += c
-        messages.extend(m for _k, m in keyed)
-    _bulk(rep, count, iter(messages))
-
-
-def _vt_terminals_distinct(t, rep: ValidationReport) -> None:
-    rep.checks_run.append("terminals-distinct")
-    paths = t.paths()
-    gw = np.flatnonzero(~paths.bad)
-    n = gw.size
-    if n < 2:
-        return
-    sx = paths.px[paths.pt_indptr[:-1]][gw]
-    sy = paths.py[paths.pt_indptr[:-1]][gw]
-    ex = paths.px[paths.pt_indptr[1:] - 1][gw]
-    ey = paths.py[paths.pt_indptr[1:] - 1][gw]
-    tx = np.empty(2 * n, dtype=np.int64)
-    ty = np.empty(2 * n, dtype=np.int64)
-    tx[0::2], tx[1::2] = sx, ex
-    ty[0::2], ty[1::2] = sy, ey
-    tw = np.repeat(gw, 2)
-    net_id: Dict = {}
-    nid_w = np.empty(t.num_wires, dtype=np.int64)
-    for i, net in enumerate(t.nets):
-        nid_w[i] = net_id.setdefault(net, len(net_id))
-    tn = nid_w[tw]
-    # stable sort by point, preserving (wire order, start-then-end) within
-    # a point group — exactly the legacy dict's last-seen semantics
-    order = np.lexsort((np.arange(2 * n), ty, tx))
-    X, Y, N_, W = tx[order], ty[order], tn[order], tw[order]
-    same = (X[1:] == X[:-1]) & (Y[1:] == Y[:-1])
-    err = same & (N_[1:] != N_[:-1])
-    count = int(err.sum())
-    if not count:
-        return
-
-    def msgs():
-        for i in (np.flatnonzero(err) + 1).tolist():
-            p = (int(X[i]), int(Y[i]))
-            yield (
-                f"terminal point {p} shared by wires "
-                f"{t.nets[int(W[i - 1])]} and {t.nets[int(W[i])]}"
-            )
-
-    _bulk(rep, count, msgs())
 
 
 def _vt_nodes_disjoint(nodes, rep: ValidationReport) -> None:
@@ -1112,47 +1017,6 @@ class _BandIndex:
         return out
 
 
-def _vt_wires_avoid_nodes(t, nodes, rep: ValidationReport) -> None:
-    rep.checks_run.append("wires-avoid-nodes")
-    if not nodes or t.num_segments == 0:
-        return
-    ybands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
-    xbands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
-    for r in nodes.values():
-        ybands[(r.y, r.y2)].append((r.x, r.x2))
-        xbands[(r.x, r.x2)].append((r.y, r.y2))
-    horiz = t.is_horizontal
-    hit = np.zeros(t.num_segments, dtype=bool)
-    for is_h, bands in ((True, ybands), (False, xbands)):
-        si = np.flatnonzero(horiz if is_h else ~horiz)
-        if not si.size:
-            continue
-        fix = (t.y1 if is_h else t.x1)[si]
-        lo = (t.x1 if is_h else t.y1)[si]
-        hi = (t.x2 if is_h else t.y2)[si]
-        hit[si] = _BandIndex(bands).hits(fix, lo, hi)
-    count = int(hit.sum())
-    if not count:
-        return
-    w_of = t.wire_of
-
-    def msgs():
-        for i in np.flatnonzero(hit).tolist():
-            net = t.nets[int(w_of[i])]
-            if horiz[i]:
-                yield (
-                    f"wire {net}: H segment y={int(t.y1[i])} "
-                    f"x[{int(t.x1[i])},{int(t.x2[i])}] crosses a node interior"
-                )
-            else:
-                yield (
-                    f"wire {net}: V segment x={int(t.x1[i])} "
-                    f"y[{int(t.y1[i])},{int(t.y2[i])}] crosses a node interior"
-                )
-
-    _bulk(rep, count, msgs())
-
-
 def validate_table(
     table,
     nodes,
@@ -1162,23 +1026,19 @@ def validate_table(
     check_vias: bool = True,
 ) -> ValidationReport:
     """Vectorized rule set over a :class:`WireTable` (same checks, same
-    verdicts as :func:`validate_layout_legacy`)."""
-    rep = ValidationReport(ok=True)
-    _vt_layer_discipline(table, model, rep)
-    _vt_contiguity_terminals(table, nodes, rep)
-    _vt_track_overlaps(table, rep)
-    if check_vias:
-        rep.checks_run.append("via-conflicts")
-        cols = _vt_columns(table)
-        _vt_via_col_conflicts(table, *cols, rep)
-        _vt_via_seg_conflicts(table, *cols, rep)
-        _vt_terminals_distinct(table, rep)
-    if check_nodes:
-        _vt_nodes_disjoint(nodes, rep)
-        _vt_wires_avoid_nodes(table, nodes, rep)
-    if graph is not None:
-        _check_realizes_graph(table.nets, set(nodes), graph, rep)
-    return rep
+    verdicts, error counts and error-message sets as
+    :func:`validate_layout_legacy`).
+
+    This is the chunked validator fed ``table`` as its only chunk: it
+    holds the table, sweeps each grouped check's rows in memory one
+    check at a time, and writes no file.
+    """
+    from .chunked import validate_table_chunked
+
+    return validate_table_chunked(
+        [table], nodes, model, graph=graph,
+        check_nodes=check_nodes, check_vias=check_vias,
+    )
 
 
 def validate_layout(

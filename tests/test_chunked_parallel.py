@@ -144,7 +144,7 @@ def test_workers_must_be_positive():
     with pytest.raises(ValueError, match="workers"):
         parallel_validate(build, workers=0)
     with pytest.raises(ValueError, match="workers"):
-        build.validate(workers=-2)
+        build.validate_and_summarize(workers=-2)
 
 
 def test_generic_source_requires_nodes_and_model():
@@ -181,7 +181,7 @@ def test_build_methods_dispatch_to_parallel():
     # the consumed-stats pass is reused: summary() must not restream
     assert build.summary() == lay.summary()
     b2 = chunked_collinear_table(6, 1, memory_budget_bytes=4096)
-    assert b2.validate(graph=graph, workers=2).ok
+    assert b2.validate_and_summarize(graph=graph, workers=2)[0].ok
 
 
 def test_validate_table_chunked_workers_kwarg():

@@ -3,6 +3,10 @@
 * **footprint** — the spill directory holds one raw int64 file per
   grouped check plus one net file, whatever the chunk count, and each
   column file is exactly ``8 * ncols * rows`` bytes (no pickled rows);
+* **one chunk, no disk** — a validator fed exactly one chunk (which is
+  what ``validate_table`` and ``validate_layout`` are) sweeps it in
+  memory: no file even under a given ``spill_dir``, and no temporary
+  directory, which a second chunk is the first to need;
 * **cleanup** — a chunk source that raises mid-stream leaves no
   temporary spill directory and no open file handle behind, serial, at
   ``workers=2`` and through a bare :class:`ChunkedValidator`;
@@ -23,10 +27,12 @@ import pytest
 from repro.layout import (
     ChunkedValidator,
     Rect,
+    build_grid_layout,
     chunked_grid_table,
     collinear_layout,
     grid_graph,
     thompson_model,
+    validate_layout,
     validate_table,
     validate_table_chunked,
 )
@@ -96,6 +102,52 @@ def test_spill_files_do_not_grow_with_chunks(tmp_path):
             size = os.path.getsize(d / f"{stem}.i64")
             assert size == 8 * ncols * want_rows[stem], stem
     assert chunk_counts[0] < chunk_counts[1]
+
+
+# ---------------------------------------------------------------------------
+# a one-chunk pass touches no disk
+# ---------------------------------------------------------------------------
+
+
+class _TempDirRequested(RuntimeError):
+    pass
+
+
+def _no_temp_dir(*args, **kwargs):
+    raise _TempDirRequested("a temporary spill directory was requested")
+
+
+def _grid_333():
+    res = build_grid_layout((3, 3, 3))
+    return res.layout, res.graph
+
+
+def test_one_chunk_writes_no_file_under_spill_dir(tmp_path):
+    lay, graph = _grid_333()
+    d = tmp_path / "spill"
+    d.mkdir()
+    rep = validate_table_chunked([lay.wire_table()], lay.nodes, lay.model,
+                                 graph=graph, spill_dir=str(d))
+    assert rep.ok
+    assert os.listdir(d) == []
+
+
+def test_validate_layout_needs_no_temp_dir(monkeypatch):
+    lay, graph = _grid_333()
+    want = validate_layout(lay, graph)
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", _no_temp_dir)
+    assert_reports_identical(validate_layout(lay, graph), want)
+    assert want.ok
+
+
+def test_second_chunk_starts_the_spill(monkeypatch):
+    lay, graph = _grid_333()
+    t = lay.wire_table()
+    half = t.num_wires // 2
+    chunks = [t.slice_wires(0, half), t.slice_wires(half, t.num_wires)]
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", _no_temp_dir)
+    with pytest.raises(_TempDirRequested):
+        validate_table_chunked(chunks, lay.nodes, lay.model, graph=graph)
 
 
 # ---------------------------------------------------------------------------

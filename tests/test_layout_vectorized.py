@@ -25,7 +25,11 @@ from repro.layout.collinear import (
 from repro.layout.geometry import Rect, Segment, THOMPSON_LAYERS, Wire
 from repro.layout.grid2d import build_grid2d_layout
 from repro.layout.grid_scheme import build_grid_layout
-from repro.layout.validate import validate_layout, validate_layout_legacy
+from repro.layout.validate import (
+    MAX_ERRORS_KEPT,
+    validate_layout,
+    validate_layout_legacy,
+)
 from repro.layout.wiretable import WireTable
 from repro.topology.complete import complete_multigraph
 
@@ -314,6 +318,14 @@ _RANDOM_MUTATIONS = [
 ]
 
 
+def _assert_same_errors(rep_v, rep_l):
+    """Same error count and, when none were dropped, the same messages;
+    their order differs by design (the sweeps emit in sorted order)."""
+    assert rep_v.num_errors == rep_l.num_errors
+    if rep_v.num_errors <= MAX_ERRORS_KEPT:
+        assert sorted(rep_v.errors) == sorted(rep_l.errors)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 10**9), st.integers(1, 3))
 def test_random_mutation_verdict_parity(seed, n_mut):
@@ -326,6 +338,7 @@ def test_random_mutation_verdict_parity(seed, n_mut):
     rep_l = validate_layout_legacy(layout, graph)
     assert rep_v.ok == rep_l.ok
     assert rep_v.checks_run == rep_l.checks_run
+    _assert_same_errors(rep_v, rep_l)
 
 
 @settings(deadline=None, max_examples=15)
@@ -338,6 +351,7 @@ def test_random_mutation_verdict_parity_grid(seed):
     rep_v = validate_layout(layout, graph)
     rep_l = validate_layout_legacy(layout, graph)
     assert rep_v.ok == rep_l.ok
+    _assert_same_errors(rep_v, rep_l)
 
 
 # ---------------------------------------------------------------------------

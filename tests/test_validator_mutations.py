@@ -11,7 +11,11 @@ from hypothesis import given, settings, strategies as st
 from repro.layout.collinear import collinear_layout
 from repro.layout.geometry import Segment, Wire
 from repro.layout.grid_scheme import build_grid_layout
-from repro.layout.validate import validate_layout, validate_layout_legacy
+from repro.layout.validate import (
+    MAX_ERRORS_KEPT,
+    validate_layout,
+    validate_layout_legacy,
+)
 
 
 def fresh_collinear():
@@ -137,6 +141,10 @@ def test_mutation_verdict_parity(factory, mutation):
     rep_l = validate_layout_legacy(layout, graph)
     assert not rep_v.ok and not rep_l.ok
     assert rep_v.checks_run == rep_l.checks_run
+    assert rep_v.num_errors == rep_l.num_errors
+    # same messages; order differs by design (the sweeps emit sorted)
+    if rep_v.num_errors <= MAX_ERRORS_KEPT:
+        assert sorted(rep_v.errors) == sorted(rep_l.errors)
 
 
 @pytest.mark.parametrize("factory", FACTORIES, ids=["collinear", "grid"])

@@ -243,7 +243,7 @@ def test_chunked_build_surface():
     lay = collinear_layout(6, 1).layout
     assert summary == lay.summary()
     assert c.summary() == lay.summary()
-    assert c.validate().ok
+    assert c.validate_and_summarize()[0].ok
 
 
 def test_summary_reuses_consumed_stats_pass():

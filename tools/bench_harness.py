@@ -843,7 +843,9 @@ def bench_chunked_parallel(
         mono_rep = validate_layout(res.layout, res.graph)
         mono_parity = (
             rep_ref.ok == mono_rep.ok
+            and rep_ref.num_errors == mono_rep.num_errors
             and list(rep_ref.errors) == list(mono_rep.errors)
+            and list(rep_ref.checks_run) == list(mono_rep.checks_run)
             and summ_ref == res.layout.summary()
         )
         del res, t, mono_rep
