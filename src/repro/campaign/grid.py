@@ -64,15 +64,14 @@ CONFIG_DEFAULTS: Dict[str, object] = {
     "threshold": 0.95,
     "seed": 0,
     "layout_memory_budget": None,
-    "layout_workers": None,
 }
 
-#: Execution knobs: they change *how* the layout stage computes (chunked
-#: out-of-core build, parallel workers), never *what* it computes — the
-#: stage output bytes are identical with or without them.  They are
-#: therefore stripped from :func:`spec_digest`, so run ids, derived
-#: seeds and proofs from runs predating these knobs stay valid.
-EXEC_CONFIG_KEYS = ("layout_memory_budget", "layout_workers")
+#: Execution knobs: they change *how* the layout stage computes (a
+#: chunked out-of-core build), never *what* it computes — the stage
+#: output bytes are identical with or without them.  They are therefore
+#: stripped from :func:`spec_digest`, so run ids, derived seeds and
+#: proofs from runs predating these knobs stay valid.
+EXEC_CONFIG_KEYS = ("layout_memory_budget",)
 
 _AXES = ("ks", "layers", "pin_limit", "rate")
 
@@ -160,6 +159,11 @@ def normalize_grid(spec: Dict[str, object]) -> Dict[str, object]:
     raw_cfg = spec.get("config", {})
     if not isinstance(raw_cfg, dict):
         raise GridError("grid 'config' must be an object")
+    # ``layout_workers`` was an execution knob of the deleted parallel
+    # layout validator.  Older run trees store it (usually null) in
+    # campaign.json, which load_run re-normalizes, and it never entered
+    # spec_digest: drop it so those runs still load under their run id.
+    raw_cfg = {k: v for k, v in raw_cfg.items() if k != "layout_workers"}
     unknown = set(raw_cfg) - set(CONFIG_DEFAULTS)
     if unknown:
         raise GridError(f"unknown config key(s): {sorted(unknown)}")
@@ -236,8 +240,8 @@ def spec_digest(grid: Dict[str, object]) -> str:
     """Short content digest of a normalized grid (run-id material).
 
     Execution knobs (:data:`EXEC_CONFIG_KEYS`) are excluded: the same
-    design grid digests the same whether it runs monolithic, chunked or
-    parallel, so resumes may change them freely mid-campaign.
+    design grid digests the same whether it runs monolithic or chunked,
+    so resumes may change them freely mid-campaign.
     """
     g = dict(grid)
     cfg = g.get("config")

@@ -89,16 +89,12 @@ def stage_argv(
 
 
 def _exec_params(config: Dict[str, object]) -> Optional[Dict[str, object]]:
-    """The layout stage's execution knobs from campaign config, or
-    ``None`` when both are unset (the monolithic path).  These never
-    enter cache keys, proofs or argv — they change how the answer is
-    computed, not the answer."""
-    ex = {}
-    if config.get("layout_memory_budget") is not None:
-        ex["memory_budget_bytes"] = config["layout_memory_budget"]
-    if config.get("layout_workers") is not None:
-        ex["workers"] = config["layout_workers"]
-    return ex or None
+    """The layout stage's execution knob from campaign config, or
+    ``None`` when it is unset (the monolithic path).  It never enters
+    cache keys, proofs or argv — it changes how the answer is computed,
+    not the answer."""
+    budget = config.get("layout_memory_budget")
+    return None if budget is None else {"memory_budget_bytes": budget}
 
 
 def _query_with_proof(

@@ -7,7 +7,8 @@ Commands mirror the library's main entry points:
                 vector
 ``layout``      build + validate a wire-level butterfly layout; print
                 area and wire-length statistics, optionally write an
-                SVG
+                SVG; ``--memory-budget`` streams the build and its
+                validation out-of-core in one serial chunked pass
 ``dims``        closed-form layout dimensions (works at any ``n``)
 ``collinear``   optimal collinear layout of ``K_N``
 ``board``       the Section 5.2 board calculator
@@ -160,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build + validate out-of-core in chunks sized to "
                         "this working-set byte budget (answer bytes are "
                         "identical; the cache key is unchanged)")
-    l.add_argument("--workers", type=_positive_int, default=None,
-                   help="parallel worker processes for the chunked "
-                        "build+validate pipeline (implies chunked mode)")
     _add_cache_opts(l)
 
     d = sub.add_parser("dims", help="closed-form layout dimensions")
@@ -330,16 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run directory name (default c<spec digest>)")
     cr.add_argument("--runs-dir", type=str, default="runs",
                     help="parent directory for run trees (default runs/)")
-    cr.add_argument("--workers", type=int, default=None,
+    cr.add_argument("--workers", type=_positive_int, default=None,
                     help="multiprocessing workers sharding the points")
     cr.add_argument("--memory-budget", type=_positive_int, default=None,
                     metavar="BYTES",
                     help="run the layout stage out-of-core in chunks "
                          "sized to this working-set byte budget")
-    cr.add_argument("--layout-workers", type=_positive_int, default=None,
-                    help="parallel worker processes inside each chunked "
-                         "layout build+validate (distinct from --workers, "
-                         "which shards grid points)")
     cr.add_argument("--json", type=str, default=None,
                     help="write the run summary as JSON")
     cr.add_argument("--cache-dir", type=str, default=None,
@@ -359,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", type=str, default=None,
                         help="write the report as JSON")
         if name == "resume":
-            sp.add_argument("--workers", type=int, default=None)
+            sp.add_argument("--workers", type=_positive_int, default=None)
             sp.add_argument("--cache-dir", type=str, default=None)
             sp.add_argument("--no-cache", action="store_true")
 
@@ -445,11 +439,11 @@ def _cmd_verify(args) -> int:
 def _cmd_layout(args) -> int:
     import time
 
-    chunked = args.memory_budget is not None or args.workers is not None
+    chunked = args.memory_budget is not None
     if chunked and (args.svg or args.no_validate):
         print(
-            "layout: --memory-budget/--workers drive the chunked service "
-            "pipeline and cannot be combined with --svg/--no-validate",
+            "layout: --memory-budget drives the chunked service pipeline "
+            "and cannot be combined with --svg/--no-validate",
             file=sys.stderr,
         )
         return 2
@@ -477,13 +471,10 @@ def _cmd_layout(args) -> int:
                 f"[chunked {est['chunks']} chunks x "
                 f"{est['wires_per_chunk']} wires, "
                 f"~{est['est_peak_bytes'] / (1 << 20):.1f} MiB peak "
-                f"working set, workers={args.workers or 1}]",
+                "working set]",
                 file=sys.stderr,
             )
-            if args.memory_budget is not None:
-                params["memory_budget_bytes"] = args.memory_budget
-            if args.workers is not None:
-                params["workers"] = args.workers
+            params["memory_budget_bytes"] = args.memory_budget
         t0 = time.perf_counter()
         result = _service_query("layout", params, args)
         query_s = time.perf_counter() - t0
@@ -1023,7 +1014,6 @@ def _campaign_spec(args) -> dict:
             ("sat_max_n", args.sat_max_n),
             ("seed", args.seed),
             ("layout_memory_budget", args.memory_budget),
-            ("layout_workers", args.layout_workers),
         )
         if v is not None
     }

@@ -6,7 +6,10 @@ The wire-level hot path is columnar: builders emit a :class:`WireTable`
 (int64 segment arrays in CSR layout) directly, and :func:`validate_layout`
 runs sort/cummax sweeps over those columns — it is the chunked
 validator (:class:`ChunkedValidator`) fed the whole table as one chunk,
-so in-memory and out-of-core layouts go through one rule set.
+so in-memory and out-of-core layouts go through one rule set.  The
+out-of-core builders (``chunked_*_table``) stream a layout as chunks
+sized to a ``memory_budget_bytes`` and validate it in one serial pass,
+spilling grouped-check rows to disk from the second chunk on.
 ``engine="legacy"`` on the builders and :func:`validate_layout_legacy`
 keep the original object-per-wire paths alive as differential oracles —
 both engines produce identical layouts wire for wire, and both
@@ -81,7 +84,6 @@ from .chunked import (
     validate_table_chunked,
     wires_per_chunk,
 )
-from .chunked_parallel import parallel_validate
 
 __all__ = [
     "Rect",
@@ -106,7 +108,6 @@ __all__ = [
     "chunked_grid2d_table",
     "chunked_grid_table",
     "grid_chunk_estimate",
-    "parallel_validate",
     "summarize_chunks",
     "validate_table_chunked",
     "wires_per_chunk",

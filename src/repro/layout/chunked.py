@@ -15,7 +15,9 @@ segment arrays.  This module streams the same layouts as a sequence of
   ``num_errors``, ``errors``, ``checks_run``) and ``Layout.summary()``
   dicts without ever holding the whole table.
 
-Chunk sources exploit each builder's order structure:
+Each chunk source is a generator closure over the build's O(network)
+inputs, so :meth:`ChunkedBuild.chunks` restarts the stream on every
+call; the sources exploit each builder's order structure:
 
 * collinear (:func:`chunked_collinear_table`) — the table is strictly
   per-wire, so any wire range ``[lo, hi)`` regenerates independently
@@ -158,11 +160,13 @@ def wires_per_chunk(memory_budget_bytes: Optional[int]) -> int:
 class ChunkedBuild:
     """A layout whose wires exist only as a restartable chunk stream.
 
-    ``chunks()`` returns a fresh iterator of :class:`WireTable` chunks in
-    monolithic emission order each time it is called (builds are
-    deterministic, so the stream is restartable).  ``nodes`` and
-    ``model`` are materialised eagerly — they are O(network size), not
-    O(wires) — which is exactly what the chunked validator needs.
+    ``chunks()`` returns a fresh iterator of non-empty :class:`WireTable`
+    chunks in monolithic emission order each time it is called: each
+    source hands over a ``_chunks`` closure that regenerates the stream
+    from its O(network) inputs (builds are deterministic, so the stream
+    is restartable).  ``nodes`` and ``model`` are materialised eagerly —
+    they are O(network size), not O(wires) — which is exactly what the
+    chunked validator needs.
     """
 
     name: str
@@ -174,33 +178,9 @@ class ChunkedBuild:
     _chunks: Callable[[], Iterator[WireTable]] = field(
         default=None, repr=False
     )
-    # parallel-pipeline surface: a picklable ``recipe`` rebuilds this
-    # ChunkedBuild in a worker process, ``descriptors`` lists every chunk
-    # as a small picklable tuple in emission order, ``_materialize(desc,
-    # views)`` turns one descriptor into its WireTable (``views`` lets
-    # workers pass shared-memory copies of the ``_bulk()`` arrays), and
-    # ``_bulk()`` returns the O(network) arrays every chunk needs, to be
-    # published once via ``repro.backend.shm``.  Sources without this
-    # surface (custom models, grid2d) still parallelise through the
-    # generic buffered fallback.
-    recipe: Optional[Tuple] = field(default=None, repr=False)
-    descriptors: Optional[List[Tuple]] = field(default=None, repr=False)
-    _materialize: Optional[Callable[..., WireTable]] = field(
-        default=None, repr=False
-    )
-    _bulk: Optional[Callable[[], Dict[str, np.ndarray]]] = field(
-        default=None, repr=False
-    )
     _summary_cache: Optional[Dict[str, int]] = field(default=None, repr=False)
 
     def chunks(self) -> Iterator[WireTable]:
-        if self.descriptors is not None and self._materialize is not None:
-            def gen() -> Iterator[WireTable]:
-                for d in self.descriptors:
-                    t = self._materialize(d)
-                    if t.num_wires:
-                        yield t
-            return gen()
         return self._chunks()
 
     def table(self) -> WireTable:
@@ -221,33 +201,23 @@ class ChunkedBuild:
         check_vias: bool = True,
         num_buckets: int = 8,
         spill_dir: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> Tuple[ValidationReport, Dict[str, int]]:
         """One pass over the chunk stream feeding both the validator and
         the stats accumulator."""
-        if workers is not None:
-            from .chunked_parallel import parallel_validate
-            rep, summ = parallel_validate(
-                self, graph=graph, check_nodes=check_nodes,
-                check_vias=check_vias,
-                num_buckets=num_buckets, spill_dir=spill_dir,
-                workers=workers, want_stats=True,
-            )
-        else:
-            v = ChunkedValidator(
-                self.nodes, self.model, graph=graph, check_nodes=check_nodes,
-                check_vias=check_vias,
-                num_buckets=num_buckets, spill_dir=spill_dir,
-            )
-            st = ChunkStats()
-            try:
-                for t in self.chunks():
-                    v.feed(t)
-                    st.feed(t)
-                rep = v.finalize()
-            finally:
-                v.close()
-            summ = st.summary(self.nodes, self.model)
+        v = ChunkedValidator(
+            self.nodes, self.model, graph=graph, check_nodes=check_nodes,
+            check_vias=check_vias,
+            num_buckets=num_buckets, spill_dir=spill_dir,
+        )
+        st = ChunkStats()
+        try:
+            for t in self.chunks():
+                v.feed(t)
+                st.feed(t)
+            rep = v.finalize()
+        finally:
+            v.close()
+        summ = st.summary(self.nodes, self.model)
         self._summary_cache = dict(summ)
         return rep, summ
 
@@ -286,60 +256,41 @@ def chunked_collinear_table(
     vl = np.int64(layers.vertical)
     hl = np.int64(layers.horizontal)
 
-    _bulk_cache: Dict[str, np.ndarray] = {}
+    def chunks() -> Iterator[WireTable]:
+        if not nw:
+            return
+        a0, b0, t0 = track_assignment_arrays(n, "forward")
+        for lo in range(0, nw, wpc):
+            idx = np.arange(lo, min(lo + wpc, nw), dtype=np.int64)
+            li = idx // m
+            copy = idx % m
+            a, b = a0[li], b0[li]
+            t = t0[li] * m + copy
+            if order == "reversed":
+                t = tracks_total - 1 - t
+            y = top + 1 + t
+            xa = a * pitch + (b - 1) * m + copy
+            xb = b * pitch + a * m + copy
+            cn = len(idx)
+            rows = np.empty((cn, 3, 5), dtype=np.int64)
+            topv = np.full(cn, top, dtype=np.int64)
+            rows[:, 0] = np.stack(
+                [xa, topv, xa, y, np.full(cn, vl)], axis=1
+            )
+            rows[:, 1] = np.stack(
+                [xa, y, xb, y, np.full(cn, hl)], axis=1
+            )
+            rows[:, 2] = np.stack(
+                [xb, topv, xb, y, np.full(cn, vl)], axis=1
+            )
+            flat = rows.reshape(cn * 3, 5)
+            nets = list(zip(a.tolist(), b.tolist(), copy.tolist()))
+            yield WireTable.from_segment_arrays(
+                nets,
+                np.arange(cn + 1, dtype=np.int64) * 3,
+                flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
+            )
 
-    def bulk() -> Dict[str, np.ndarray]:
-        if not _bulk_cache:
-            a0, b0, t0 = track_assignment_arrays(n, "forward")
-            _bulk_cache.update(a0=a0, b0=b0, t0=t0)
-        return dict(_bulk_cache)
-
-    def materialize(desc, views=None) -> WireTable:
-        arrs = views if views is not None else bulk()
-        a0, b0, t0 = arrs["a0"], arrs["b0"], arrs["t0"]
-        _, lo, hi = desc
-        idx = np.arange(lo, hi, dtype=np.int64)
-        li = idx // m
-        copy = idx % m
-        a, b = a0[li], b0[li]
-        t = t0[li] * m + copy
-        if order == "reversed":
-            t = tracks_total - 1 - t
-        y = top + 1 + t
-        xa = a * pitch + (b - 1) * m + copy
-        xb = b * pitch + a * m + copy
-        cn = hi - lo
-        rows = np.empty((cn, 3, 5), dtype=np.int64)
-        topv = np.full(cn, top, dtype=np.int64)
-        rows[:, 0] = np.stack(
-            [xa, topv, xa, y, np.full(cn, vl)], axis=1
-        )
-        rows[:, 1] = np.stack(
-            [xa, y, xb, y, np.full(cn, hl)], axis=1
-        )
-        rows[:, 2] = np.stack(
-            [xb, topv, xb, y, np.full(cn, vl)], axis=1
-        )
-        flat = rows.reshape(cn * 3, 5)
-        nets = list(zip(a.tolist(), b.tolist(), copy.tolist()))
-        return WireTable.from_segment_arrays(
-            nets,
-            np.arange(cn + 1, dtype=np.int64) * 3,
-            flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
-        )
-
-    descriptors = [
-        ("rng", lo, min(lo + wpc, nw)) for lo in range(0, nw, wpc)
-    ]
-    # a recipe must rebuild this exact source from primitives alone, so
-    # custom models / layer pairs fall back to the buffered parallel path
-    recipe = None
-    if model is None and layers is THOMPSON_LAYERS:
-        recipe = (
-            "collinear", int(n), int(multiplicity),
-            None if node_side is None else int(node_side),
-            order, memory_budget_bytes,
-        )
     nodes = {a: Rect(a * pitch, 0, side, side) for a in range(n)}
     return ChunkedBuild(
         name=f"collinear-K{n}x{multiplicity}",
@@ -348,10 +299,7 @@ def chunked_collinear_table(
         chunk_wires=wpc,
         memory_budget_bytes=memory_budget_bytes,
         num_wires=nw,
-        recipe=recipe,
-        descriptors=descriptors,
-        _materialize=materialize,
-        _bulk=bulk,
+        _chunks=chunks,
     )
 
 
@@ -380,7 +328,8 @@ def grid_chunk_estimate(
     memory_budget_bytes: Optional[int] = None,
 ) -> Dict[str, int]:
     """Planning numbers for a chunked grid build without building wires:
-    descriptor count, chunk-size target, and a peak working-set estimate
+    chunk count (an upper bound: a phase group with no wires yields no
+    chunk), chunk-size target, and a peak working-set estimate
     (the chunk-size target or the one-block granularity floor, whichever
     dominates, times the per-wire working-set constant)."""
     dims = grid_dims(ks, W, L, recirculating=recirculating)
@@ -426,50 +375,30 @@ def chunked_grid_table(
         dims, sb.n, recirculating, memory_budget_bytes
     )
 
-    def sub(bids: np.ndarray, phase: str) -> WireTable:
-        return _cats_table(_grid_cats(
+    def sub(bids: np.ndarray, phase: str) -> Iterator[WireTable]:
+        t = _cats_table(_grid_cats(
             sb, dims, track_order, recirculating, bids, frozenset({phase})
         ))
+        if t.num_wires:
+            yield t
 
-    _bulk_cache: Dict[str, np.ndarray] = {}
+    def chunks() -> Iterator[WireTable]:
+        all_b = np.arange(NB, dtype=np.int64)
+        bcol, brow = all_b & (gc - 1), all_b >> k2
+        for lo in range(0, NB, bpc):
+            yield from sub(all_b[lo:lo + bpc], "intra")
+        for c0 in range(0, gc, cpc):
+            yield from sub(all_b[(bcol >= c0) & (bcol < c0 + cpc)], "inter-col")
+        for g0 in range(0, gr, rpc):
+            yield from sub(all_b[(brow >= g0) & (brow < g0 + rpc)], "inter-row")
 
-    def bulk() -> Dict[str, np.ndarray]:
-        if not _bulk_cache:
-            all_b = np.arange(NB, dtype=np.int64)
-            _bulk_cache.update(
-                all_b=all_b, bcol=all_b & (gc - 1), brow=all_b >> k2
-            )
-        return dict(_bulk_cache)
-
-    def materialize(desc, views=None) -> WireTable:
-        arrs = views if views is not None else bulk()
-        kind, lo, hi = desc
-        if kind == "intra":
-            return sub(arrs["all_b"][lo:hi], "intra")
-        if kind == "inter-col":
-            bcol = arrs["bcol"]
-            return sub(arrs["all_b"][(bcol >= lo) & (bcol < hi)], "inter-col")
-        brow = arrs["brow"]
-        return sub(arrs["all_b"][(brow >= lo) & (brow < hi)], "inter-row")
-
-    descriptors = (
-        [("intra", lo, min(lo + bpc, NB)) for lo in range(0, NB, bpc)]
-        + [("inter-col", c0, c0 + cpc) for c0 in range(0, gc, cpc)]
-        + [("inter-row", g0, g0 + rpc) for g0 in range(0, gr, rpc)]
-    )
     return ChunkedBuild(
         name=f"grid-B{dims.n}-L{L}",
         model=model,
         nodes=build_grid_nodes(sb, dims),
         chunk_wires=wpc,
         memory_budget_bytes=memory_budget_bytes,
-        recipe=(
-            "grid", tuple(int(k) for k in ks), int(W), int(L),
-            track_order, bool(recirculating), memory_budget_bytes,
-        ),
-        descriptors=descriptors,
-        _materialize=materialize,
-        _bulk=bulk,
+        _chunks=chunks,
     )
 
 
@@ -706,34 +635,34 @@ class _SpillStore:
 
 
 def _load_parts(parts: List[Tuple], ncols: int) -> List[np.ndarray]:
-    """Read spill extents back in append order; one array per column.
-
-    An extent is ``(path, byte_offset, rows)``, or ``(path, byte_offset,
-    rows, rebase)`` where ``rebase`` is a per-column additive vector —
-    how the parallel reducer shifts a worker's span-local wire /
-    via-position / terminal-sequence numbering into the global frame
-    without rewriting the spilled bytes.
-    """
+    """Read spill extents — ``(path, byte_offset, rows)`` each — back in
+    append order; one array per column."""
     mats = []
     fh = path = None
     try:
-        for p, off, rows, *rebase in parts:
+        for p, off, rows in parts:
             if p != path:
                 if fh is not None:
                     fh.close()
                 fh, path = open(p, "rb"), p
             fh.seek(off)
             mat = np.fromfile(fh, dtype=np.int64, count=rows * ncols)
-            mat = mat.reshape(rows, ncols)
-            if rebase:
-                mat += np.asarray(rebase[0], dtype=np.int64)
-            mats.append(mat)
+            mats.append(mat.reshape(rows, ncols))
     finally:
         if fh is not None:
             fh.close()
     if not mats:
         return [np.zeros(0, dtype=np.int64) for _ in range(ncols)]
     return list(np.concatenate(mats).T.copy())
+
+
+def _load_queries(qparts: List[List[Tuple]]):
+    """One via-vs-segment bucket's query rows: sections 0-2 reloaded
+    and concatenated, and ``bounds`` where section ``s`` is rows
+    ``bounds[s]:bounds[s + 1]``."""
+    secs = [_load_parts(p, 6) for p in qparts]
+    bounds = np.cumsum([0] + [len(sec[0]) for sec in secs])
+    return [np.concatenate([sec[i] for sec in secs]) for i in range(6)], bounds
 
 
 class _NetFile:
@@ -767,8 +696,8 @@ class _NetFile:
 
 class _NetReader:
     """Global wire id -> net over a :class:`_NetFile` index, holding one
-    chunk's nets in memory at a time.  The index is plain data, so a
-    bucket sweep in a pool worker resolves nets the same way."""
+    chunk's nets in memory at a time (or, via :meth:`of_nets`, over the
+    one chunk a validator holds in memory)."""
 
     def __init__(self, index: List[Tuple[int, str, int]]) -> None:
         self.index = index
@@ -854,9 +783,9 @@ class _KeyedTally:
 
 def _fast_template(graph: Graph) -> Optional[Dict]:
     """Accumulator template for the realizes-graph array fast path, or
-    ``None`` when the graph has no staged arrays.  ``_fast_stub(k, kk)``
-    builds the worker-side half (no ``want_rows``/``counts`` — workers
-    only accumulate, the reducer compares)."""
+    ``None`` when the graph has no staged arrays: the graph's canonical
+    edge rows and counts, and the empty ``uniq``/``agg`` accumulators
+    ``feed`` folds each chunk's nets into."""
     if graph._staged_arrays() is None:
         return None
     try:
@@ -865,18 +794,11 @@ def _fast_template(graph: Graph) -> Optional[Dict]:
         return None
     k = edges.shape[2] if edges.ndim == 3 else 0
     kk = k if k else 1
-    tpl = _fast_stub(k, kk)
-    tpl["want_rows"] = edges.reshape(len(counts), 2 * kk)
-    tpl["counts"] = counts
-    return tpl
-
-
-def _fast_stub(k: int, kk: int) -> Dict:
     return {
         "k": k,
         "kk": kk,
-        "want_rows": None,
-        "counts": None,
+        "want_rows": edges.reshape(len(counts), 2 * kk),
+        "counts": counts,
         "uniq": np.zeros((0, 2 * kk), dtype=np.int64),
         "agg": np.zeros(0, dtype=np.int64),
     }
@@ -964,17 +886,17 @@ class ChunkedValidator:
     A second ``feed`` spills the held chunk and then every chunk: int64
     rows go into ``num_buckets`` hash partitions keyed so comparison
     groups stay bucket-local — one raw append-only file per check, rows
-    naming their wire by global id — and ``finalize`` sweeps each
-    bucket.  Each spilled chunk's nets are pickled once into a net file,
-    read back only for kept messages, same-point terminals of different
-    wires, and the realizes-graph multiset when its array fast path is
-    unavailable or disagrees.  Streaming peak memory is one chunk plus
-    one bucket; pick ``num_buckets >= total_rows_bytes /
-    memory_budget_bytes`` to bound the reload size.  The spill directory
-    (a temporary one unless ``spill_dir`` is given) is created at the
-    first spill.  ``close()`` (which ``finalize`` calls) closes the spill
-    files' handles and removes a temporary spill directory; files under
-    a caller's ``spill_dir`` are left in place.
+    naming their wire by global id — and ``finalize`` reloads and sweeps
+    one bucket at a time.  Each spilled chunk's nets are pickled once
+    into a net file, read back only for kept messages, same-point
+    terminals of different wires, and the realizes-graph multiset when
+    its array fast path is unavailable or disagrees.  Streaming peak
+    memory is one chunk plus one bucket; pick ``num_buckets >=
+    total_rows_bytes / memory_budget_bytes`` to bound the reload size.
+    The spill directory (a temporary one unless ``spill_dir`` is given)
+    is created at the first spill.  ``close()`` (which ``finalize``
+    calls) closes the spill files' handles and removes a temporary spill
+    directory; files under a caller's ``spill_dir`` are left in place.
     """
 
     def __init__(
@@ -1059,11 +981,14 @@ class ChunkedValidator:
                         f["agg"], np.ones(len(rows), dtype=np.int64),
                     ]),
                 )
-        if self._chunks:
-            self._spill_held()
-            self._spill(t, self._wire_off)
-        else:
+        if not self._chunks:
             self._held = t
+        else:
+            if self._held is not None:
+                # the held first chunk spills first, with wire ids from 0
+                held, self._held = self._held, None
+                self._spill(held, 0)
+            self._spill(t, self._wire_off)
         self._chunks += 1
         self._wire_off += t.num_wires
 
@@ -1132,12 +1057,6 @@ class ChunkedValidator:
                 add(f"qry_{o}_{s}", sec, sec[0], sec[2 if is_h else 1])
         self._nets.add(root, w_off, t.nets)
 
-    def _spill_held(self) -> None:
-        """Spill the held first chunk (global wire ids from 0), if any."""
-        if self._held is not None:
-            held, self._held = self._held, None
-            self._spill(held, 0)
-
     def _feed_avoid(self, t: WireTable) -> None:
         if not self.nodes or t.num_segments == 0:
             return
@@ -1174,15 +1093,104 @@ class ChunkedValidator:
 
     # -- finalization ----------------------------------------------------
 
+    def _bucket_rows(self) -> Iterator[Tuple]:
+        """Each spill bucket's rows, reloaded one bucket at a time, as
+        ``(kind, is_h, rows)`` in :meth:`_rows`'s shape, in (check,
+        orientation, bucket) order; buckets no row reached are skipped.
+        A ``viaseg`` bucket's query sections are concatenated, with
+        ``bounds`` marking where each starts."""
+        stores = self._stores
+
+        def plain(kind: str) -> Iterator[Tuple]:
+            for parts in stores[kind].parts:
+                if parts:
+                    yield kind, None, _load_parts(parts, stores[kind].ncols)
+
+        yield from plain("tracks")
+        if not self.check_vias:
+            return
+        yield from plain("viacol")
+        for is_h in (True, False):
+            o = "h" if is_h else "v"
+            for k, seg_parts in enumerate(stores[f"seg_{o}"].parts):
+                qparts = [stores[f"qry_{o}_{s}"].parts[k] for s in (0, 1, 2)]
+                if seg_parts and any(qparts):
+                    yield "viaseg", is_h, (
+                        _load_parts(seg_parts, 5), *_load_queries(qparts)
+                    )
+        yield from plain("terms")
+
     def finalize(self) -> ValidationReport:
+        """The report.  A held chunk (exactly one was fed) is swept in
+        memory one check at a time; otherwise each spill bucket is
+        reloaded and swept (:meth:`_bucket_rows`).  Either way each
+        check's keyed messages re-sort into the one-chunk emission order
+        before the per-orientation and global caps apply."""
         if self._finalized:
             raise RuntimeError("validator already finalized")
         self._finalized = True
-
-        def run_jobs(payloads):
-            return [_sweep_job(p) for p in payloads]
-
-        return _reduce_finalize(self, run_jobs)
+        self._close_spills()
+        rep = ValidationReport(ok=True)
+        rep.checks_run.append("layer-discipline")
+        _bulk(rep, self._t_layer.count, iter(self._t_layer.msgs))
+        rep.checks_run.append("contiguity-terminals")
+        _bulk(rep, self._t_contig.count, iter(self._t_contig.msgs))
+        by_kind: Dict[Tuple, _KeyedTally] = defaultdict(_KeyedTally)
+        if self._held is not None:
+            nets = _NetReader.of_nets(self._held.nets)
+            groups = self._rows(self._held, 0)
+        else:
+            nets = _NetReader(self._nets.index)
+            groups = self._bucket_rows()
+        for kind, is_h, rows in groups:
+            by_kind[(kind, is_h)].add(*_sweep(kind, is_h, rows, nets))
+            del rows  # free these rows before the next group is built
+        rep.checks_run.append("track-overlap")
+        kt = by_kind[("tracks", None)]
+        _bulk(rep, kt.count, iter(kt.merged()))
+        if self.check_vias:
+            rep.checks_run.append("via-conflicts")
+            kt = by_kind[("viacol", None)]
+            _bulk(rep, kt.count, iter(kt.merged()))
+            seg_count = 0
+            seg_msgs: List[str] = []
+            for is_h in (True, False):
+                kt = by_kind[("viaseg", is_h)]
+                seg_count += kt.count
+                seg_msgs.extend(kt.merged()[:MAX_ERRORS_KEPT])
+            _bulk(rep, seg_count, iter(seg_msgs))
+            rep.checks_run.append("terminals-distinct")
+            kt = by_kind[("terms", None)]
+            _bulk(rep, kt.count, iter(kt.merged()))
+        if self.check_nodes:
+            _vt_nodes_disjoint(self.nodes, rep)
+            rep.checks_run.append("wires-avoid-nodes")
+            _bulk(rep, self._t_avoid.count, iter(self._t_avoid.msgs))
+        if self.graph is not None:
+            rep.checks_run.append("realizes-graph")
+            placed = set(self.nodes)
+            ok = False
+            f = self._fast
+            # zero wires fed: decide by the exact fallback, as the legacy
+            # checker does (its _canon_net_rows([]) is None)
+            if self._wire_off == 0:
+                f = None
+            if f is not None:
+                want_rows = f["want_rows"]
+                if (
+                    f["uniq"].shape == want_rows.shape
+                    and np.array_equal(f["uniq"], want_rows)
+                    and np.array_equal(f["agg"], f["counts"])
+                ):
+                    ok = _staged_nodes_placed(
+                        want_rows, f["k"], f["kk"], placed
+                    )
+            if not ok:
+                _realizes_fallback(
+                    _net_multiset(nets), placed, self.graph, rep
+                )
+        self.close()
+        return rep
 
     def _close_spills(self) -> None:
         """Close every append handle; the spilled extents become readable."""
@@ -1253,134 +1261,6 @@ def _sweep(kind: str, is_h: Optional[bool], rows, net_of: _NetReader):
     return len(err), keyed
 
 
-_ROW_COLS = {"tracks": 6, "viacol": 5, "terms": 4}
-
-
-def _sweep_job(payload: Tuple) -> Tuple[int, List[Tuple[Tuple, str]]]:
-    """Run one bucket sweep described by a picklable payload:
-    ``(kind, is_h, parts_dict, net_index)``.  The job reads its own spill
-    extents and resolves nets through the net-file index, so a
-    process-pool worker ships only paths and offsets; the serial path
-    calls it inline.  Returns ``(count, keyed_messages)``."""
-    kind, is_h, parts, net_index = payload
-    if kind == "viaseg":
-        secs = [_load_parts(parts[f"q{s}"], 6) for s in (0, 1, 2)]
-        bounds = np.cumsum([0] + [len(qc[0]) for qc in secs])
-        q = [np.concatenate([qc[i] for qc in secs]) for i in range(6)]
-        rows = (_load_parts(parts["seg"], 5), q, bounds)
-    elif kind in _ROW_COLS:
-        rows = _load_parts(parts["rows"], _ROW_COLS[kind])
-    else:
-        raise ValueError(f"unknown sweep kind {kind!r}")
-    return _sweep(kind, is_h, rows, _NetReader(net_index))
-
-
-def _sweep_payloads(v: "ChunkedValidator") -> List[Tuple]:
-    """Every grouped-check bucket sweep of ``v`` as an independent job
-    payload, in deterministic (check, orientation, bucket) order."""
-    nets = v._nets.index
-    stores = v._stores
-    payloads: List[Tuple] = []
-
-    def row_jobs(kind: str) -> None:
-        for k, parts in enumerate(stores[kind].parts):
-            if parts:
-                payloads.append((kind, None, {"rows": parts}, nets))
-
-    row_jobs("tracks")
-    if v.check_vias:
-        row_jobs("viacol")
-        for is_h in (True, False):
-            o = "h" if is_h else "v"
-            for k, seg_parts in enumerate(stores[f"seg_{o}"].parts):
-                if not seg_parts:
-                    continue
-                qp = {
-                    f"q{s}": stores[f"qry_{o}_{s}"].parts[k] for s in (0, 1, 2)
-                }
-                if not any(qp.values()):
-                    continue
-                payloads.append(
-                    ("viaseg", is_h, {"seg": seg_parts, **qp}, nets)
-                )
-        row_jobs("terms")
-    return payloads
-
-
-def _reduce_finalize(v: "ChunkedValidator", run_jobs) -> ValidationReport:
-    """Assemble the final report from ``v``'s accumulated state.
-
-    A held chunk (``v`` was fed exactly one) is swept in memory, one
-    check at a time.  Otherwise ``run_jobs(payloads)`` executes the
-    bucket-sweep payloads and returns their ``(count, keyed)`` results
-    in payload order — inline for the serial path, on a process pool for
-    the parallel one.  The assembly (check order, keyed-message re-sort,
-    per-orientation and global caps) is identical either way, which is
-    what keeps every path's report byte-identical.
-    """
-    v._close_spills()
-    rep = ValidationReport(ok=True)
-    rep.checks_run.append("layer-discipline")
-    _bulk(rep, v._t_layer.count, iter(v._t_layer.msgs))
-    rep.checks_run.append("contiguity-terminals")
-    _bulk(rep, v._t_contig.count, iter(v._t_contig.msgs))
-    by_kind: Dict[Tuple, _KeyedTally] = defaultdict(_KeyedTally)
-    if v._held is not None:
-        nets = _NetReader.of_nets(v._held.nets)
-        for kind, is_h, rows in v._rows(v._held, 0):
-            by_kind[(kind, is_h)].add(*_sweep(kind, is_h, rows, nets))
-            del rows  # free this check's rows before the next is built
-    else:
-        nets = _NetReader(v._nets.index)
-        payloads = _sweep_payloads(v)
-        for p, res in zip(payloads, run_jobs(payloads)):
-            by_kind[(p[0], p[1])].add(*res)
-    rep.checks_run.append("track-overlap")
-    kt = by_kind[("tracks", None)]
-    _bulk(rep, kt.count, iter(kt.merged()))
-    if v.check_vias:
-        rep.checks_run.append("via-conflicts")
-        kt = by_kind[("viacol", None)]
-        _bulk(rep, kt.count, iter(kt.merged()))
-        seg_count = 0
-        seg_msgs: List[str] = []
-        for is_h in (True, False):
-            kt = by_kind[("viaseg", is_h)]
-            seg_count += kt.count
-            seg_msgs.extend(kt.merged()[:MAX_ERRORS_KEPT])
-        _bulk(rep, seg_count, iter(seg_msgs))
-        rep.checks_run.append("terminals-distinct")
-        kt = by_kind[("terms", None)]
-        _bulk(rep, kt.count, iter(kt.merged()))
-    if v.check_nodes:
-        _vt_nodes_disjoint(v.nodes, rep)
-        rep.checks_run.append("wires-avoid-nodes")
-        _bulk(rep, v._t_avoid.count, iter(v._t_avoid.msgs))
-    if v.graph is not None:
-        rep.checks_run.append("realizes-graph")
-        placed = set(v.nodes)
-        ok = False
-        f = v._fast
-        # zero wires fed: decide by the exact fallback, as the legacy
-        # checker does (its _canon_net_rows([]) is None)
-        if v._wire_off == 0:
-            f = None
-        if f is not None:
-            want_rows = f["want_rows"]
-            if (
-                f["uniq"].shape == want_rows.shape
-                and np.array_equal(f["uniq"], want_rows)
-                and np.array_equal(f["agg"], f["counts"])
-            ):
-                ok = _staged_nodes_placed(
-                    want_rows, f["k"], f["kk"], placed
-                )
-        if not ok:
-            _realizes_fallback(_net_multiset(nets), placed, v.graph, rep)
-    v.close()
-    return rep
-
-
 def validate_table_chunked(
     chunks: Iterable[WireTable],
     nodes,
@@ -1390,24 +1270,10 @@ def validate_table_chunked(
     check_vias: bool = True,
     num_buckets: int = 8,
     spill_dir: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> ValidationReport:
     """Validate a chunk stream; byte-identical report to running
     :func:`~repro.layout.validate.validate_table` on the concatenation.
-    A stream of one chunk is swept in memory and writes no file.
-
-    ``workers`` (``None`` = serial) fans the feed and the bucket sweeps
-    out over a process pool — a :class:`ChunkedBuild` with a recipe
-    streams descriptors, anything else falls back to buffering the
-    chunks — with a report still byte-identical to the serial one.
-    """
-    if workers is not None:
-        from .chunked_parallel import parallel_validate
-        return parallel_validate(
-            chunks, nodes=nodes, model=model, graph=graph,
-            check_nodes=check_nodes, check_vias=check_vias,
-            num_buckets=num_buckets, spill_dir=spill_dir, workers=workers,
-        )
+    A stream of one chunk is swept in memory and writes no file."""
     v = ChunkedValidator(
         nodes, model, graph=graph, check_nodes=check_nodes,
         check_vias=check_vias, num_buckets=num_buckets, spill_dir=spill_dir,

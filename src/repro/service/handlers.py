@@ -182,13 +182,10 @@ QUERY_KINDS = tuple(PARAM_SPECS)
 #: Execution knobs: how to compute, never what to compute.  They are
 #: split off *before* normalization, excluded from the cache key and
 #: from ``result["params"]`` — same design, same artifact, so a warm
-#: cache serves identical bytes whatever budget/worker count produced
-#: them (the chunked pipeline is byte-identical to the monolithic one).
+#: cache serves identical bytes whatever budget produced them (the
+#: chunked pipeline is byte-identical to the monolithic one).
 EXEC_PARAM_SPECS: Dict[str, Dict[str, Callable]] = {
-    "layout": {
-        "memory_budget_bytes": _optional(_positive_int),
-        "workers": _optional(_positive_int),
-    },
+    "layout": {"memory_budget_bytes": _optional(_positive_int)},
 }
 
 
@@ -271,10 +268,8 @@ def _layout_result(p: Dict, rep, summary: Dict, ws) -> Dict:
 def _compute_layout(
     p: Dict[str, object], ex: Optional[Dict[str, object]] = None
 ) -> Tuple[Dict, Arrays]:
-    ex = ex or {}
-    budget = ex.get("memory_budget_bytes")
-    workers = ex.get("workers")
-    if budget is None and workers is None:
+    budget = (ex or {}).get("memory_budget_bytes")
+    if budget is None:
         from ..analysis.wirestats import wire_stats
         from ..layout import build_grid_layout, validate_layout
 
@@ -288,10 +283,10 @@ def _compute_layout(
         t = res.layout.wire_table()
         return _layout_result(p, rep, summary, ws), _layout_payload(t)
 
-    # chunked route: stream the build under the byte budget, validate
-    # with the (optionally parallel) streaming pipeline — result and
-    # payload are byte-identical to the monolithic route above, which is
-    # why neither knob may enter the cache key
+    # chunked route: stream the build under the byte budget and validate
+    # it in one streaming pass — result and payload are byte-identical to
+    # the monolithic route above, which is why the budget may not enter
+    # the cache key
     from ..analysis.wirestats import wire_stats_from_lengths
     from ..layout import chunked_grid_table, grid_graph
     from ..layout.wiretable import WireTable
@@ -305,9 +300,9 @@ def _compute_layout(
     graph = grid_graph(
         SwapButterfly.from_ks(tuple(p["ks"])), p["recirculating"]
     )
-    rep, summary = build.validate_and_summarize(graph=graph, workers=workers)
-    # the array payload is O(wires) by definition; a second (serial)
-    # enumeration assembles it and the wire-length stats
+    rep, summary = build.validate_and_summarize(graph=graph)
+    # the array payload is O(wires) by definition; a second enumeration
+    # assembles it and the wire-length stats
     parts = list(build.chunks())
     ws = wire_stats_from_lengths(
         np.concatenate([t.wire_lengths() for t in parts])
@@ -524,12 +519,13 @@ def query(
     identical queries compute once.  ``info`` (if given) receives
     ``cache`` (``"hit"`` / ``"miss"`` / ``"off"``) and ``key``.
 
-    Execution knobs (``memory_budget_bytes``, ``workers`` for
-    ``layout``) may ride along inside ``params`` — the HTTP layer passes
-    query strings through verbatim — or arrive via ``exec_params``.
-    Either way they are validated, stripped before normalization, and
-    excluded from the cache key: they choose the compute strategy, not
-    the artifact.
+    Execution knobs (``memory_budget_bytes`` for ``layout``) may ride
+    along inside ``params`` — the HTTP layer passes query strings
+    through verbatim — or arrive via ``exec_params``.  Either way they
+    are validated, stripped before normalization, and excluded from the
+    cache key: they choose the compute strategy, not the artifact.  A
+    key that is neither a design parameter nor an execution knob, such
+    as ``workers``, is a :class:`QueryError`.
     """
     params, ex = split_exec_params(kind, params)
     if exec_params:

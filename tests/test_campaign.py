@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from repro.campaign import (
     build_manifest,
     derive_seed,
     expand_points,
+    load_run,
     normalize_grid,
     pareto_frontier,
     render_frontier,
@@ -112,23 +114,20 @@ class TestGrid:
 
     def test_exec_config_validated(self):
         g = normalize_grid(
-            {"ks": [[1, 1, 1]],
-             "config": {"layout_memory_budget": 4096, "layout_workers": 2}}
+            {"ks": [[1, 1, 1]], "config": {"layout_memory_budget": 4096}}
         )
         assert g["config"]["layout_memory_budget"] == 4096
-        assert g["config"]["layout_workers"] == 2
         for bad in (0, -1, "two", 1.5):
             with pytest.raises(GridError):
                 normalize_grid(
-                    {"ks": [[1, 1, 1]], "config": {"layout_workers": bad}}
+                    {"ks": [[1, 1, 1]],
+                     "config": {"layout_memory_budget": bad}}
                 )
 
     def test_spec_digest_ignores_exec_config(self):
         plain = normalize_grid({"ks": [[1, 1, 1]]})
         chunked = normalize_grid(
-            {"ks": [[1, 1, 1]],
-             "config": {"layout_memory_budget": 1 << 20,
-                        "layout_workers": 4}}
+            {"ks": [[1, 1, 1]], "config": {"layout_memory_budget": 1 << 20}}
         )
         # same design grid -> same run id, however it executes
         assert spec_digest(plain) == spec_digest(chunked)
@@ -183,8 +182,7 @@ class TestStages:
         plain = run_stage("layout", p, dict(CONFIG_DEFAULTS), store=None)
         chunked = run_stage(
             "layout", p,
-            dict(CONFIG_DEFAULTS, layout_memory_budget=4096,
-                 layout_workers=2),
+            dict(CONFIG_DEFAULTS, layout_memory_budget=4096),
             store=None,
         )
         # exec knobs never reach the record: proof argv, cache key,
@@ -348,6 +346,64 @@ class TestOrchestrator:
         write_json_atomic(os.path.join(run_dir, "campaign.json"), doc)
         with pytest.raises(CampaignError, match="digest"):
             resume_run(run_dir)
+
+
+class TestOlderRunTrees:
+    """Run trees written while ``layout_workers`` was a config key (the
+    knob of the deleted parallel layout validator) keep loading:
+    ``normalize_grid`` drops the key, and the spec digest is unchanged
+    because execution knobs never entered it."""
+
+    #: ``spec_digest(normalize_grid(SPEC))`` as the older code wrote it
+    SPEC_DIGEST = "1927a5cfd68f"
+
+    def _older_campaign_json(self, layout_workers) -> dict:
+        return {
+            "run_schema": 1,
+            "run_id": "base",
+            "spec_digest": self.SPEC_DIGEST,
+            "grid": {
+                "ks": [[1, 1, 1], [2, 1, 1]], "layers": [2],
+                "pin_limit": [None], "rate": [0.7],
+                "config": {
+                    "node_side": 4, "track_order": "forward",
+                    "cycles": 120, "warmup": 20, "benes_batch": 2,
+                    "sat_max_n": 3, "threshold": 0.95, "seed": 0,
+                    "layout_memory_budget": None,
+                    "layout_workers": layout_workers,
+                },
+            },
+        }
+
+    def test_spec_digest_is_pinned(self):
+        assert spec_digest(normalize_grid(SPEC)) == self.SPEC_DIGEST
+
+    def test_layout_workers_key_is_dropped(self):
+        for val in (None, 2, 0, "two"):
+            g = normalize_grid(
+                {"ks": [[1, 1, 1]], "config": {"layout_workers": val}}
+            )
+            assert g == normalize_grid({"ks": [[1, 1, 1]]})
+
+    @pytest.mark.parametrize("layout_workers", [None, 2])
+    def test_load_status_and_resume_keep_run_id(self, baseline, tmp_path,
+                                                layout_workers):
+        run_dir = str(tmp_path / "base")
+        shutil.copytree(baseline["run_dir"], run_dir)
+        write_json_atomic(os.path.join(run_dir, "campaign.json"),
+                          self._older_campaign_json(layout_workers))
+        os.unlink(os.path.join(run_dir, "points", "p0001", "stages",
+                               "benes.json"))
+        grid, run_id = load_run(run_dir)
+        assert run_id == "base"
+        assert grid == normalize_grid(SPEC)
+        status = run_status(run_dir)
+        assert status["run_id"] == "base"
+        assert status["spec_digest"] == self.SPEC_DIGEST
+        assert status["counts"]["complete"] == 1
+        summary = resume_run(run_dir)
+        assert summary["run_id"] == "base" and summary["stages_run"] == 1
+        assert _outputs(run_dir) == _outputs(baseline["run_dir"])
 
 
 class TestKillAndResume:

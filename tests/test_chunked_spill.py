@@ -8,12 +8,13 @@
   memory: no file even under a given ``spill_dir``, and no temporary
   directory, which a second chunk is the first to need;
 * **cleanup** — a chunk source that raises mid-stream leaves no
-  temporary spill directory and no open file handle behind, serial, at
-  ``workers=2`` and through a bare :class:`ChunkedValidator`;
+  temporary spill directory and no open file handle behind, through
+  :func:`validate_table_chunked` and through a bare
+  :class:`ChunkedValidator`;
 * **cross-chunk nets** — spilled rows carry global wire ids instead of
   nets, so two wires of one net sharing a terminal point (not an error)
   and two wires of different nets sharing one (an error) must stay
-  distinguishable when each pair straddles a chunk or worker boundary,
+  distinguishable when each pair straddles a chunk boundary,
   and the realizes-graph multiset rebuilt from the net file must list
   its mismatches in the monolithic order.
 """
@@ -171,15 +172,12 @@ def _fd_count() -> int:
 
 
 def _leftover_spill_dirs(root) -> list:
-    return [
-        p for p in os.listdir(root)
-        if p.startswith(("repro-chunked-", "repro-parallel-"))
-    ]
+    return [p for p in os.listdir(root) if p.startswith("repro-chunked-")]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd to count open files")
-@pytest.mark.parametrize("how", ["serial", "workers2", "validator"])
+@pytest.mark.parametrize("how", ["serial", "validator"])
 def test_source_error_leaves_no_spill_dir_or_handle(tmp_path, monkeypatch,
                                                      how):
     monkeypatch.setenv("TMPDIR", str(tmp_path))
@@ -197,16 +195,13 @@ def test_source_error_leaves_no_spill_dir_or_handle(tmp_path, monkeypatch,
             finally:
                 v.close()
         else:
-            validate_table_chunked(
-                chunks, lay.nodes, lay.model, graph=graph,
-                workers=2 if how == "workers2" else None,
-            )
+            validate_table_chunked(chunks, lay.nodes, lay.model, graph=graph)
     assert _leftover_spill_dirs(tmp_path) == []
     assert _fd_count() == before
 
 
 # ---------------------------------------------------------------------------
-# terminals and realizes-graph across chunk and worker boundaries
+# terminals and realizes-graph across chunk boundaries
 # ---------------------------------------------------------------------------
 
 
@@ -247,10 +242,7 @@ def _graph_missing_one_edge(staged: bool) -> Graph:
 
 @pytest.mark.parametrize("staged", [True, False])
 @pytest.mark.parametrize("chunk", [1, 2])
-@pytest.mark.parametrize("workers", [None, 2])
-def test_shared_terminals_and_realizes_fallback_across_chunks(
-    staged, chunk, workers,
-):
+def test_shared_terminals_and_realizes_fallback_across_chunks(staged, chunk):
     table, nodes = _shared_terminal_table()
     model = thompson_model()
     graph = _graph_missing_one_edge(staged)
@@ -262,6 +254,5 @@ def test_shared_terminals_and_realizes_fallback_across_chunks(
     assert "wire (2, 3) x1 has no graph edge" in want.errors
     chunks = [table.slice_wires(lo, lo + chunk)
               for lo in range(0, table.num_wires, chunk)]
-    got = validate_table_chunked(chunks, nodes, model, graph=graph,
-                                 workers=workers)
+    got = validate_table_chunked(chunks, nodes, model, graph=graph)
     assert_reports_identical(got, want)

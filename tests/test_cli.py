@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -40,26 +42,25 @@ class TestCommands:
     def test_layout_chunked_flags_same_table(self, capsys):
         assert main(["layout", "--ks", "2,2,2"]) == 0
         plain = capsys.readouterr()
-        assert main(["layout", "--ks", "2,2,2", "--memory-budget", "4096",
-                     "--workers", "2"]) == 0
+        assert main(["layout", "--ks", "2,2,2", "--memory-budget", "4096"]) == 0
         chunked = capsys.readouterr()
         # the chunk-estimate note rides on stderr next to the cache note
-        assert "[chunked " in chunked.err and "workers=2" in chunked.err
+        assert "[chunked " in chunked.err
         assert "[cache " in chunked.err
         # stdout metrics are byte-identical (strip the timing line)
         strip = lambda s: "\n".join(s.splitlines()[1:])
         assert strip(chunked.out) == strip(plain.out)
 
     def test_layout_flag_validation_exits_2(self, capsys):
-        for flags in (["--memory-budget", "0"], ["--workers", "-1"],
-                      ["--workers", "two"]):
+        for flags in (["--memory-budget", "0"], ["--memory-budget", "-1"],
+                      ["--memory-budget", "two"]):
             with pytest.raises(SystemExit) as exc:
                 main(["layout", "--ks", "2,2,2", *flags])
             assert exc.value.code == 2
             assert "expected a positive integer" in capsys.readouterr().err
 
     def test_layout_exec_flags_need_service_path(self, capsys):
-        assert main(["layout", "--ks", "2,2,2", "--workers", "2",
+        assert main(["layout", "--ks", "2,2,2", "--memory-budget", "4096",
                      "--no-validate"]) == 2
         assert "cannot be combined" in capsys.readouterr().err
 
@@ -68,11 +69,9 @@ class TestCommands:
 
         p = build_parser()
         args = p.parse_args(["campaign", "run", "--ks", "1,1,1",
-                             "--memory-budget", "8192",
-                             "--layout-workers", "2"])
+                             "--memory-budget", "8192"])
         spec = _campaign_spec(args)
         assert spec["config"]["layout_memory_budget"] == 8192
-        assert spec["config"]["layout_workers"] == 2
         args2 = p.parse_args(["campaign", "run", "--ks", "1,1,1"])
         assert "config" not in _campaign_spec(args2)
 
@@ -186,6 +185,11 @@ class TestCommands:
         ["benes", "-n", "3", "--batch", "4", "--workers", "0"],
         ["package", "-n", "0"],
         ["package", "-n", "4", "--exact", "--workers", "0"],
+        # a run dir that cannot be created: accepting the flag writes nothing
+        ["campaign", "run", "--ks", "1,1,1", "--workers", "0",
+         "--runs-dir", os.path.join(os.devnull, "runs")],
+        ["campaign", "resume", os.path.join(os.devnull, "runs", "c0"),
+         "--workers", "-3"],
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, capsys):
         try:
@@ -195,10 +199,12 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err
-        # one message line; argparse adds its usage lines before it
+        # one message line; argparse adds its usage lines before it, and
+        # names a campaign action's parser "campaign <action>"
+        cmd = " ".join(argv[:2] if argv[0] == "campaign" else argv[:1])
         msgs = [l for l in err.splitlines()
                 if l and not l.startswith(("usage:", " "))]
-        assert len(msgs) == 1 and f"{argv[0]}: " in msgs[0], err
+        assert len(msgs) == 1 and f"{cmd}: " in msgs[0], err
 
     def test_fft(self, capsys):
         assert main(["fft", "--ks", "2,2"]) == 0

@@ -356,8 +356,9 @@ class TestExecParams:
             "layout", {"ks": [2, 2], "workers": 2,
                        "memory_budget_bytes": 4096, "bogus": 1},
         )
-        assert rest == {"ks": [2, 2], "bogus": 1}  # unknown keys stay
-        assert ex == {"workers": 2, "memory_budget_bytes": 4096}
+        # unknown keys stay, ``workers`` included: it is no exec knob
+        assert rest == {"ks": [2, 2], "workers": 2, "bogus": 1}
+        assert ex == {"memory_budget_bytes": 4096}
         rest2, ex2 = split_exec_params("dims", {"ks": [2, 2], "workers": 2})
         assert rest2 == {"ks": [2, 2], "workers": 2} and ex2 == {}
 
@@ -367,12 +368,11 @@ class TestExecParams:
         mono = query("layout", dict(params), store=None, info=info_mono)
         chunk = query(
             "layout",
-            dict(params, memory_budget_bytes=8192, workers=2),
+            dict(params, memory_budget_bytes=8192),
             store=store, info=info_chunk,
         )
         assert info_mono["key"] == info_chunk["key"]
         assert canonical_json(mono) == canonical_json(chunk)
-        assert "workers" not in chunk["params"]
         assert "memory_budget_bytes" not in chunk["params"]
         # the arrays payload is the same table the monolithic path stores
         arrays = store.load_arrays(
@@ -388,26 +388,34 @@ class TestExecParams:
 
     def test_exec_kwarg_equivalent_to_inline(self, store):
         params = {"ks": [2, 2, 2]}
-        r1 = query("layout", dict(params, workers=1), store=None)
+        r1 = query("layout", dict(params, memory_budget_bytes=8192),
+                   store=None)
         r2 = query("layout", dict(params), store=None,
-                   exec_params={"workers": 1})
+                   exec_params={"memory_budget_bytes": 8192})
         assert canonical_json(r1) == canonical_json(r2)
 
     def test_exec_values_validated(self):
         for bad in (0, -3, "x", 1.5, True):
             with pytest.raises(QueryError):
-                query("layout", {"ks": [2, 2], "workers": bad}, store=None)
+                query("layout", {"ks": [2, 2], "memory_budget_bytes": bad},
+                      store=None)
         with pytest.raises(QueryError):
             query("layout", {"ks": [2, 2]}, store=None,
                   exec_params={"memory_budget_bytes": 0})
         with pytest.raises(QueryError):
             query("layout", {"ks": [2, 2]}, store=None,
                   exec_params={"bogus": 1})
+        # ``workers`` is no layout knob: an unknown parameter either way
+        for val in (1, 2, "2"):
+            with pytest.raises(QueryError, match="unknown parameter"):
+                query("layout", {"ks": [2, 2], "workers": val}, store=None)
+            with pytest.raises(QueryError, match="unknown exec parameter"):
+                query("layout", {"ks": [2, 2]}, store=None,
+                      exec_params={"workers": val})
 
     def test_exec_strings_coerce_like_http(self):
         r = query("layout",
-                  {"ks": [2, 2, 2], "workers": "2",
-                   "memory_budget_bytes": "8192"},
+                  {"ks": [2, 2, 2], "memory_budget_bytes": "8192"},
                   store=None)
         assert r["valid"]
 
@@ -457,6 +465,9 @@ class TestHTTPServer:
         status, body, _h = _get(f"{base}/v1/dims?ks=0,2")
         assert status == 400
         assert "ks" in json.loads(body)["error"]
+        status, body, _h = _get(f"{base}/v1/layout?ks=2,2&workers=2")
+        assert status == 400
+        assert "unknown parameter" in json.loads(body)["error"]
 
     def test_unknown_kind_400(self, http_server):
         base, _store = http_server

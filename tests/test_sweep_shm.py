@@ -1,23 +1,15 @@
-"""Shared-memory plumbing of the parallel rate sweep and the parallel
-chunked layout pipeline.
+"""Shared-memory plumbing of the parallel rate sweep.
 
 Pins the two promises of the ``workers > 1`` path of
 :func:`repro.algorithms.sweep_rates`: the pool produces results equal to
 the serial path, and each worker's pickled payload is a constant-size
 handle — the precomputed injection arrays travel through one shared
 block and are *attached* as zero-copy views, never re-pickled per job.
-
-The failure-path tests pin the lifecycle promise of
-:func:`repro.layout.parallel_validate`: a worker process dying mid-span
-must neither hang the pool nor leak the shared block — the caller gets
-a clean ``RuntimeError`` and the block is unlinked on the way out.
 """
 
 import pickle
-from multiprocessing import shared_memory
 
 import numpy as np
-import pytest
 
 from repro.algorithms.queued_routing import (
     _INJ_KEYS,
@@ -97,66 +89,3 @@ def test_workers_attach_zero_copy_views():
         for key in arrays:
             assert again[key] is views[key]
 
-
-# ---------------------------------------------------------------------------
-# shm lifecycle of the parallel chunked layout pipeline under failure
-# ---------------------------------------------------------------------------
-
-
-def _capture_packs(monkeypatch):
-    """Wrap the pipeline's ``share_arrays`` so the test can probe the
-    block after the run tears down."""
-    from repro.layout import chunked_parallel as cp
-
-    packs = []
-    real = cp.share_arrays
-
-    def spy(**arrays):
-        cm = real(**arrays)
-
-        class _Spy:
-            def __enter__(self):
-                pack = cm.__enter__()
-                packs.append(pack)
-                return pack
-
-            def __exit__(self, *exc):
-                return cm.__exit__(*exc)
-
-        return _Spy()
-
-    monkeypatch.setattr(cp, "share_arrays", spy)
-    return packs
-
-
-def _block_is_unlinked(name: str) -> bool:
-    try:
-        shm = shared_memory.SharedMemory(name=name, create=False)
-    except FileNotFoundError:
-        return True
-    shm.close()
-    return False
-
-
-def test_crashed_worker_raises_and_unlinks_shm(monkeypatch):
-    from repro.layout import chunked_collinear_table, parallel_validate
-    from repro.topology.complete import complete_multigraph
-
-    build = chunked_collinear_table(8, 2, memory_budget_bytes=4096)
-    packs = _capture_packs(monkeypatch)
-    monkeypatch.setenv("REPRO_TEST_CRASH_WORKER", "1")
-    with pytest.raises(RuntimeError, match="worker process died"):
-        parallel_validate(build, graph=complete_multigraph(8, 2), workers=2)
-    assert packs, "recipe run at workers=2 should publish bulk arrays"
-    assert all(_block_is_unlinked(p.block) for p in packs)
-
-
-def test_clean_run_unlinks_shm(monkeypatch):
-    from repro.layout import chunked_collinear_table, parallel_validate
-    from repro.topology.complete import complete_multigraph
-
-    build = chunked_collinear_table(8, 2, memory_budget_bytes=4096)
-    packs = _capture_packs(monkeypatch)
-    rep = parallel_validate(build, graph=complete_multigraph(8, 2), workers=2)
-    assert rep.ok
-    assert packs and all(_block_is_unlinked(p.block) for p in packs)

@@ -248,15 +248,15 @@ def test_chunked_build_surface():
 
 def test_summary_reuses_consumed_stats_pass():
     # validate_and_summarize already streamed every chunk once; a later
-    # summary() must serve the cached stats, not re-materialize chunks
+    # summary() must serve the cached stats, not restream the chunks
     c = chunked_collinear_table(6, 2, memory_budget_bytes=4096)
     want = collinear_layout(6, 2).layout.summary()
     _rep, summ = c.validate_and_summarize(graph=complete_multigraph(6, 2))
     assert summ == want
     calls = []
-    real = c._materialize
+    real = c._chunks
     object.__setattr__(
-        c, "_materialize",
+        c, "_chunks",
         lambda *a, **kw: calls.append(1) or real(*a, **kw),
     )
     assert c.summary() == want

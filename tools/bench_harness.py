@@ -787,163 +787,6 @@ def _gate_campaign(entry: Dict) -> int:
     return 0
 
 
-def bench_chunked_parallel(
-    ks: Sequence[int] = (5, 5, 4),
-    memory_budget: int = 24 << 20,
-    workers_list: Sequence[int] = (1, 2, 4),
-    check_monolithic: bool = True,
-) -> Dict:
-    """Parallel streaming layout pipeline: chunked grid build+validate
-    under a fixed memory budget, serial reducer vs worker pools.
-
-    Parity is byte-level: verdicts, capped error-message lists and
-    summary stats must be identical at every worker count — and to the
-    monolithic validator when ``check_monolithic`` — so the parallel
-    path is a pure execution knob.  Every validate pass (serial
-    reference included, so timings stay comparable) runs under
-    tracemalloc; spreading the feed across workers must not inflate the
-    parent's peak beyond the serial reducer's (the monolithic table's
-    footprint is recorded alongside for context).
-    """
-    import tracemalloc  # noqa: PLC0415
-
-    from repro.layout import (  # noqa: PLC0415
-        chunked_grid_table,
-        grid_chunk_estimate,
-        grid_graph,
-    )
-
-    ks = tuple(ks)
-    graph = grid_graph(SwapButterfly.from_ks(ks))
-    est = grid_chunk_estimate(ks, memory_budget_bytes=memory_budget)
-
-    def timed_validate(workers):
-        gc.collect()
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        t0 = time.perf_counter()
-        build = chunked_grid_table(ks, memory_budget_bytes=memory_budget)
-        rep, summ = build.validate_and_summarize(graph=graph, workers=workers)
-        dt = time.perf_counter() - t0
-        _cur, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        return rep, summ, dt, int(peak)
-
-    rep_ref, summ_ref, serial_s, serial_peak = timed_validate(None)
-
-    mono_parity = None
-    mono_bytes = None
-    if check_monolithic:
-        res = build_grid_layout(ks)
-        t = res.layout.wire_table()
-        mono_bytes = int(
-            t.indptr.nbytes + t.x1.nbytes + t.y1.nbytes
-            + t.x2.nbytes + t.y2.nbytes + t.layer.nbytes
-        )
-        mono_rep = validate_layout(res.layout, res.graph)
-        mono_parity = (
-            rep_ref.ok == mono_rep.ok
-            and rep_ref.num_errors == mono_rep.num_errors
-            and list(rep_ref.errors) == list(mono_rep.errors)
-            and list(rep_ref.checks_run) == list(mono_rep.checks_run)
-            and summ_ref == res.layout.summary()
-        )
-        del res, t, mono_rep
-        gc.collect()
-
-    runs: List[Dict] = []
-    for w in workers_list:
-        rep, summ, dt, peak = timed_validate(int(w))
-        runs.append(
-            {
-                "workers": int(w),
-                "s": dt,
-                "speedup": serial_s / dt if dt else None,
-                "parity": (
-                    rep.ok == rep_ref.ok
-                    and list(rep.errors) == list(rep_ref.errors)
-                    and summ == summ_ref
-                ),
-                "parent_peak_bytes": peak,
-            }
-        )
-        r = runs[-1]
-        print(
-            f"  chunked-parallel ks={ks} w={w}: {dt:6.2f} s "
-            f"({r['speedup']:.2f}x vs serial {serial_s:.2f} s)  parity "
-            f"{'OK' if r['parity'] else 'FAILED'}  parent peak "
-            f"{peak / (1 << 20):6.1f} MiB"
-        )
-    if check_monolithic:
-        print(
-            f"  chunked-parallel monolithic table {mono_bytes / (1 << 20):.1f}"
-            f" MiB, verdict/summary parity {'OK' if mono_parity else 'FAILED'}"
-        )
-    return {
-        "ks": list(ks),
-        "wires": int(summ_ref["wires"]),
-        "memory_budget_bytes": int(memory_budget),
-        "chunks": int(est["chunks"]),
-        "wires_per_chunk": int(est["wires_per_chunk"]),
-        "serial_s": serial_s,
-        "serial_parent_peak_bytes": serial_peak,
-        "monolithic_table_bytes": mono_bytes,
-        "monolithic_parity": mono_parity,
-        "runs": runs,
-    }
-
-
-def _gate_chunked_parallel(section: Dict, smoke: bool) -> int:
-    """Hard gates for the parallel chunked pipeline section.
-
-    Parity and the parent-memory ceiling (serial reducer's peak + 25%)
-    always gate.  The speedup floor is cpu-scaled like the campaign
-    gate: the recorded >= 2.5x target at 4 workers only applies on
-    runners with >= 4 cores and outside smoke runs; single-core runners
-    gate on bounded overhead instead.
-    """
-    bad = [r["workers"] for r in section["runs"] if not r["parity"]]
-    if bad or section["monolithic_parity"] is False:
-        who = ", ".join(f"workers={w}" for w in bad) or "monolithic"
-        print(f"ERROR: parallel chunked validate diverged from the serial "
-              f"reducer ({who})", file=sys.stderr)
-        return 1
-    ceiling = int(section["serial_parent_peak_bytes"] * 1.25)
-    over = [
-        r["workers"] for r in section["runs"]
-        if r["workers"] > 1 and r["parent_peak_bytes"] >= ceiling
-    ]
-    if over:
-        print(f"ERROR: parent peak exceeded the serial reducer's "
-              f"{section['serial_parent_peak_bytes']} bytes (+25%) at "
-              f"workers {over}", file=sys.stderr)
-        return 1
-    cpus = os.cpu_count() or 1
-    multi = [r for r in section["runs"] if r["workers"] > 1]
-    if not multi:
-        return 0
-    best = max(r["speedup"] for r in multi)
-    if cpus >= 4:
-        floor = 1.3 if smoke else 2.5
-        if best < floor:
-            print(f"WARNING: parallel chunked speedup {best:.1f}x below "
-                  f"the {floor}x floor ({cpus} cpus)", file=sys.stderr)
-            return 1
-    elif cpus >= 2:
-        if best < 1.1:
-            print(f"WARNING: parallel chunked speedup {best:.1f}x below "
-                  f"the 1.1x floor ({cpus} cpus)", file=sys.stderr)
-            return 1
-    else:
-        slowest = max(r["s"] for r in multi)
-        if slowest > section["serial_s"] * 3.0:
-            print(f"WARNING: parallel chunked overhead {slowest:.2f} s vs "
-                  f"{section['serial_s']:.2f} s serial on a single-core "
-                  f"runner", file=sys.stderr)
-            return 1
-    return 0
-
-
 def run_curated_benches(benches: Sequence[str]) -> Optional[List[Dict]]:
     """Run the curated pytest-benchmark subset; fold in its stats."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -1006,12 +849,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     help="campaign orchestrator smoke only: serial vs "
                          "sharded byte-identity, damaged-run resume, "
                          "verify-gate proofs and a sharding speedup floor")
-    ap.add_argument("--scale-smoke", action="store_true",
-                    help="parallel chunked pipeline smoke only: B_10 under "
-                         "a 4 MiB budget at 2 workers, gating byte-identity "
-                         "vs the serial reducer and the monolithic "
-                         "validator plus a parent-memory ceiling and a "
-                         "cpu-scaled speedup floor")
     ap.add_argument("--max-n", type=int, default=16,
                     help="largest butterfly dimension to construct (default 16)")
     ap.add_argument("--repeats", type=int, default=3,
@@ -1167,27 +1004,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"wrote {out_path}")
         return _gate_campaign(entry)
 
-    if args.scale_smoke:
-        print("parallel chunked pipeline smoke (byte-identity + memory "
-              "ceiling + cpu-scaled speedup):")
-        section = bench_chunked_parallel(
-            ks=(4, 3, 3), memory_budget=4 << 20, workers_list=(2,),
-        )
-        report = {
-            "generated": date,
-            "scale_smoke": True,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-            "cpus": os.cpu_count(),
-            "chunked_parallel": section,
-        }
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out_path}")
-        return _gate_chunked_parallel(section, smoke=True)
-
     if args.sim_smoke:
         print("queued-routing smoke (parity + speedup + trace export):")
         entry = bench_queued_routing(
@@ -1248,13 +1064,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve = bench_serve(max(val_ks, key=sum), warm_repeats=5)
     print("campaign orchestrator (sharding + kill/resume byte-identity):")
     campaign = bench_campaign(workers=3)
-    print("parallel chunked layout pipeline (serial reducer vs worker pools):")
-    if args.smoke:
-        chunked_parallel = bench_chunked_parallel(
-            ks=(4, 3, 3), memory_budget=4 << 20, workers_list=(2,))
-    else:
-        chunked_parallel = bench_chunked_parallel(
-            ks=(5, 5, 4), memory_budget=24 << 20, workers_list=(1, 2, 4))
     curated = None
     if not args.smoke:
         print("curated benchmark subset:")
@@ -1275,7 +1084,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "benes_routing": benes,
         "serve": serve,
         "campaign": campaign,
-        "chunked_parallel": chunked_parallel,
         "curated_benchmarks": curated,
     }
     with open(out_path, "w") as fh:
@@ -1339,11 +1147,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"ks={serve['ks']} below the 100x acceptance floor",
               file=sys.stderr)
         return 1
-    if _gate_campaign(campaign):
-        return 1
-    if _gate_chunked_parallel(chunked_parallel, smoke=args.smoke):
-        return 1
-    return 0
+    return _gate_campaign(campaign)
 
 
 if __name__ == "__main__":
