@@ -6,10 +6,8 @@ from .benes_routing import (
     BenesSettingsBatch,
     apply_settings,
     apply_settings_batch,
-    apply_settings_legacy,
     num_switch_stages,
     route_permutation,
-    route_permutation_legacy,
     route_permutations,
 )
 from .fft import dit_combine, fft_via_butterfly, fft_via_isn
@@ -18,7 +16,6 @@ from .queued_routing import (
     StatsTrace,
     saturation_per_node_rate,
     simulate_butterfly_queued,
-    simulate_butterfly_queued_legacy,
     sweep_rates,
 )
 from .routing import RoutingDemand, measure_offmodule_traffic, path_rows
@@ -29,10 +26,8 @@ __all__ = [
     "BenesSettingsBatch",
     "route_permutation",
     "route_permutations",
-    "route_permutation_legacy",
     "apply_settings",
     "apply_settings_batch",
-    "apply_settings_legacy",
     "num_switch_stages",
     "run_on_butterfly",
     "run_on_isn",
@@ -45,7 +40,6 @@ __all__ = [
     "SimResult",
     "StatsTrace",
     "simulate_butterfly_queued",
-    "simulate_butterfly_queued_legacy",
     "sweep_rates",
     "saturation_per_node_rate",
 ]

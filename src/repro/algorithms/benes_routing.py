@@ -7,22 +7,19 @@ the constraint chains (two inputs sharing a switch must enter different
 sub-networks; likewise two outputs sharing a switch), then recurses on
 the two half-size Benes networks.
 
-Two engines implement the algorithm:
-
-* the **batched iterative engine** (:func:`route_permutations`,
-  :func:`apply_settings_batch`) replaces the recursion with one array
-  pass per recursion *level*: all ``2**d`` sub-Benes blocks of depth
-  ``d`` — across a whole ``(B, N)`` batch of permutations — are
-  2-colored at once by vectorized cycle-chasing (pointer doubling over
-  the constraint-chain successor map) and split into their half-size
-  sub-permutations with a single scatter.  ``workers`` fans large
-  batches out over a multiprocessing pool, mirroring
-  :func:`repro.algorithms.queued_routing.sweep_rates`; chunking never
-  changes the settings — every permutation is routed independently.
-* the **legacy recursion** (:func:`route_permutation_legacy`,
-  :func:`apply_settings_legacy`) is the original pure-Python
-  implementation, kept as a differential oracle: the batched engine's
-  settings are bit-for-bit identical, column by column.
+The **batched iterative engine** (:func:`route_permutations`,
+:func:`apply_settings_batch`) replaces the recursion with one array pass
+per recursion *level*: all ``2**d`` sub-Benes blocks of depth ``d`` —
+across a whole ``(B, N)`` batch of permutations — are 2-colored at once
+by vectorized cycle-chasing (pointer doubling over the constraint-chain
+successor map) and split into their half-size sub-permutations with a
+single scatter.  ``workers`` fans large batches out over a
+multiprocessing pool, mirroring
+:func:`repro.algorithms.queued_routing.sweep_rates`; chunking never
+changes the settings — every permutation is routed independently.  The
+original pure-Python recursion is the differential oracle in
+``tests/oracles/benes_routing.py``: the batched engine's settings are
+bit-for-bit identical to it, column by column.
 
 :func:`route_permutation` / :func:`apply_settings` keep their historic
 signatures but now run on the batched kernels (batch size 1).
@@ -63,10 +60,8 @@ __all__ = [
     "BenesSettingsBatch",
     "route_permutation",
     "route_permutations",
-    "route_permutation_legacy",
     "apply_settings",
     "apply_settings_batch",
-    "apply_settings_legacy",
     "num_switch_stages",
 ]
 
@@ -204,8 +199,8 @@ def _route_block(perms: np.ndarray, crossed: np.ndarray) -> None:
     sub-Benes block of every batch element is processed in the same
     array pass.  ``sub`` holds, at flat position ``q = b*N + f*M + i``,
     the block-local target of block ``f``'s input ``i`` of batch row
-    ``b`` — exactly the ``perm`` argument of every ``_route_legacy``
-    call of that depth, laid side by side.  All index arithmetic runs on
+    ``b`` — exactly the ``perm`` argument of every recursive call of
+    that depth, laid side by side.  All index arithmetic runs on
     flat 1-D buffers (int32 while indices fit) reused across levels:
     blocks are aligned, so a flat index's block-local part is just its
     low ``log2 M`` bits and gathers never cross batch rows.  Gather
@@ -314,7 +309,7 @@ def route_permutations(
 
     Row ``b`` of the result carries the settings realizing ``perms[b]``
     (input ``i`` delivered to output ``perms[b][i]``), bit-for-bit
-    identical to ``route_permutation_legacy(perms[b])``.  With
+    identical to the recursive looping algorithm on ``perms[b]``.  With
     ``workers > 1`` the batch is split into ``chunk``-row chunks
     (default: one chunk per worker) farmed out to a multiprocessing
     pool through one shared-memory block — workers read their
@@ -346,8 +341,7 @@ def route_permutation(perm: Sequence[int]) -> BenesSettings:
     """Compute switch settings realizing ``perm`` (input ``i`` is
     delivered to output ``perm[i]``).
 
-    Runs on the batched engine with batch size 1; the result is
-    bit-for-bit identical to :func:`route_permutation_legacy`.
+    Runs on the batched engine with batch size 1.
     """
     n = _validate_perm(perm)
     crossed = _route_batch(np.asarray(perm, dtype=np.int64)[np.newaxis, :])
@@ -416,132 +410,6 @@ def apply_settings(settings: BenesSettings) -> List[int]:
     """Simulate the switched network; returns the realized permutation
     (token injected at input ``i`` appears at output ``result[i]``).
 
-    Runs on the batched engine; identical to
-    :func:`apply_settings_legacy`.
+    Runs on the batched engine.
     """
     return _apply_batch(_settings_to_crossed(settings))[0].tolist()
-
-
-# -- the legacy recursion (kept as a differential oracle) ----------------
-
-
-def route_permutation_legacy(perm: Sequence[int]) -> BenesSettings:
-    """The original recursive looping algorithm — the oracle the batched
-    engine is checked against, bit for bit."""
-    n = _validate_perm(perm)
-    N = 1 << n
-    settings = BenesSettings(
-        n=n, stages=[[False] * (N // 2) for _ in range(num_switch_stages(n))]
-    )
-    _route_legacy(list(perm), stage0=0, settings=settings, offset=0)
-    return settings
-
-
-def _two_color(perm: List[int]) -> List[int]:
-    """Assign each input a sub-network (0 = top, 1 = bottom) such that
-    switch partners (inputs 2j, 2j+1 and outputs 2j, 2j+1) get different
-    colors and ``color(output) = color(input)`` along ``perm``."""
-    N = len(perm)
-    inv = [0] * N
-    for i, p in enumerate(perm):
-        inv[p] = i
-    color: List[Optional[int]] = [None] * N
-    for start in range(N):
-        if color[start] is not None:
-            continue
-        i, c = start, 0
-        while True:
-            color[i] = c
-            partner_out = perm[i] ^ 1  # shares the output switch
-            j = inv[partner_out]  # must take the other network
-            color[j] = 1 - c
-            nxt = j ^ 1  # shares j's input switch
-            if color[nxt] is not None:
-                break  # chain closed into a cycle
-            i, c = nxt, c  # nxt must take the opposite of j = same as c
-    return color  # type: ignore[return-value]
-
-
-def _route_legacy(
-    perm: List[int], stage0: int, settings: BenesSettings, offset: int
-) -> None:
-    N = len(perm)
-    half = N // 2
-    if N == 2:
-        settings.stages[stage0][offset] = perm[0] == 1
-        return
-    n_sub = N.bit_length() - 1
-    last = stage0 + 2 * n_sub - 2
-
-    in_color = _two_color(perm)
-    out_color = [0] * N
-    for i, p in enumerate(perm):
-        out_color[p] = in_color[i]
-
-    for j in range(half):
-        assert in_color[2 * j] != in_color[2 * j + 1], "input coloring failed"
-        assert out_color[2 * j] != out_color[2 * j + 1], "output coloring failed"
-        settings.stages[stage0][offset + j] = in_color[2 * j] == 1
-        settings.stages[last][offset + j] = out_color[2 * j] == 1
-
-    # sub-permutations on half-size terminal spaces: input i reaches its
-    # sub-network's terminal i//2 and must exit at sub-terminal perm[i]//2
-    top = [0] * half
-    bottom = [0] * half
-    for i, p in enumerate(perm):
-        (top if in_color[i] == 0 else bottom)[i // 2] = p // 2
-    _route_legacy(top, stage0 + 1, settings, offset)
-    _route_legacy(bottom, stage0 + 1, settings, offset + half // 2)
-
-
-def apply_settings_legacy(settings: BenesSettings) -> List[int]:
-    """The original recursive simulator — oracle for
-    :func:`apply_settings` / :func:`apply_settings_batch`."""
-    N = settings.num_terminals
-    result = [0] * N
-    _apply_legacy(list(range(N)), 0, settings, 0, list(range(N)), result)
-    return result
-
-
-def _apply_legacy(
-    tokens: List[int],
-    stage0: int,
-    settings: BenesSettings,
-    offset: int,
-    out_ids: List[int],
-    result: List[int],
-) -> None:
-    """Push ``tokens`` through the sub-network whose outputs are the
-    global outputs ``out_ids``; record arrivals in ``result``."""
-    N = len(tokens)
-    if N == 2:
-        a, b = tokens
-        if settings.stages[stage0][offset]:
-            a, b = b, a
-        result[a] = out_ids[0]
-        result[b] = out_ids[1]
-        return
-    half = N // 2
-    n_sub = N.bit_length() - 1
-    last = stage0 + 2 * n_sub - 2
-
-    top_in: List[int] = []
-    bot_in: List[int] = []
-    for j in range(half):
-        a, b = tokens[2 * j], tokens[2 * j + 1]
-        if settings.stages[stage0][offset + j]:
-            a, b = b, a
-        top_in.append(a)
-        bot_in.append(b)
-
-    top_out: List[int] = []
-    bot_out: List[int] = []
-    for j in range(half):
-        pa, pb = out_ids[2 * j], out_ids[2 * j + 1]
-        if settings.stages[last][offset + j]:
-            pa, pb = pb, pa
-        top_out.append(pa)
-        bot_out.append(pb)
-
-    _apply_legacy(top_in, stage0 + 1, settings, offset, top_out, result)
-    _apply_legacy(bot_in, stage0 + 1, settings, offset + half // 2, bot_out, result)

@@ -23,20 +23,18 @@ The model (under which the paper's counting argument is exact):
   lets packets already in flight complete, so short runs do not
   under-report acceptance.
 
-Two interchangeable implementations are provided.
-:func:`simulate_butterfly_queued` is the production engine: every FIFO
-is a ring-buffer row of one flat NumPy array, each cycle pops every
-nonempty queue at once, and a two-pass collision-free scatter moves the
-popped packets to their next-stage queues — there is no Python-level
-loop over nodes, and :func:`sweep_rates` batches many independent
-(rate, seed) runs through the *same* arbitration loop.
-:func:`simulate_butterfly_queued_legacy` is the original pure-Python
-triple loop, kept as the reference for differential tests: with the
-same seed both produce *identical* offered / delivered / drained counts
-and latency totals (the legacy enqueue order — cycle ascending, then
-source row ascending — is exactly the scatter-pass order, because the
-two packets that can collide on one queue always differ in bit
-``stage`` of the source row).
+:func:`simulate_butterfly_queued` is the engine: every FIFO is a
+ring-buffer row of one flat NumPy array, each cycle pops every nonempty
+queue at once, and a two-pass collision-free scatter moves the popped
+packets to their next-stage queues — there is no Python-level loop over
+nodes, and :func:`sweep_rates` batches many independent (rate, seed)
+runs through the *same* arbitration loop.  The original pure-Python
+triple loop is the reference for differential tests
+(``tests/oracles/queued_routing.py``): with the same seed both produce
+*identical* offered / delivered / drained counts and latency totals (the
+loop's enqueue order — cycle ascending, then source row ascending — is
+exactly the scatter-pass order, because the two packets that can collide
+on one queue always differ in bit ``stage`` of the source row).
 
 Metric definitions (see :class:`SimResult`):
 
@@ -54,9 +52,8 @@ from __future__ import annotations
 import csv
 import json
 import multiprocessing
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +63,6 @@ __all__ = [
     "SimResult",
     "StatsTrace",
     "simulate_butterfly_queued",
-    "simulate_butterfly_queued_legacy",
     "sweep_rates",
     "saturation_per_node_rate",
 ]
@@ -583,8 +579,8 @@ def simulate_butterfly_queued(
     Every FIFO is a ring-buffer row of one flat NumPy array; each cycle
     pops every nonempty queue at once and a two-pass collision-free
     scatter moves the packets on (reproducing the reference enqueue
-    order — cycle, then source row — exactly, so results match
-    :func:`simulate_butterfly_queued_legacy` packet-for-packet).  After
+    order — cycle, then source row — exactly, so results match the
+    pure-Python reference loop packet-for-packet).  After
     the measured window, up to ``drain`` extra cycles (default
     ``4 * (n + 1)``) run without injections so in-flight packets are not
     misread as losses.  With ``trace=True`` the result carries a
@@ -593,116 +589,6 @@ def simulate_butterfly_queued(
     return _run_batch(
         n, [(rate_per_input, seed)], cycles, warmup, drain, trace=trace,
     )[0]
-
-
-def simulate_butterfly_queued_legacy(
-    n: int,
-    rate_per_input: float,
-    cycles: int = 2000,
-    warmup: int = 200,
-    seed: int = 0,
-    drain: Optional[int] = None,
-) -> SimResult:
-    """Reference pure-Python simulator (the pre-vectorization triple
-    loop), kept for differential testing: same seed gives identical
-    offered / delivered / drained counts and latency totals as
-    :func:`simulate_butterfly_queued`.  Its ``max_queue`` is still the
-    historical coarse sample (every 64 cycles), a lower bound on the
-    engine's exact peak.
-    """
-    _validate(n, rate_per_input, cycles)
-    if drain is None:
-        drain = _default_drain(n)
-    R = 1 << n
-    rng = np.random.default_rng(seed)
-    # queues[s][r][o]: packets at node (r, s) waiting on output o
-    # (0 = straight, 1 = cross); a packet is (dest_row, inject_cycle)
-    queues: List[List[Tuple[Deque, Deque]]] = [
-        [(deque(), deque()) for _ in range(R)] for _ in range(n)
-    ]
-    offered = delivered = drained = 0
-    latency_total = 0
-    max_queue = 0
-    drain_cycles = 0
-    in_flight = 0
-
-    inject = rng.random((cycles, R)) < rate_per_input
-    dests = rng.integers(0, R, size=(cycles, R))
-
-    for t in range(cycles + drain):
-        if t >= cycles:
-            if in_flight == 0:
-                break
-            drain_cycles += 1
-        # advance stages back-to-front so a packet moves one hop per cycle
-        for s in range(n - 1, -1, -1):
-            bit = 1 << s
-            for r in range(R):
-                straight, cross = queues[s][r]
-                # straight link (r,s)->(r,s+1)
-                if straight:
-                    pkt = straight.popleft()
-                    if s + 1 == n:
-                        in_flight -= 1
-                        if pkt[1] >= warmup:
-                            if t < cycles:
-                                delivered += 1
-                            else:
-                                drained += 1
-                            latency_total += t + 1 - pkt[1]
-                    else:
-                        _enqueue(queues, pkt, r, s + 1, n)
-                # cross link (r,s)->(r^bit,s+1)
-                if cross:
-                    pkt = cross.popleft()
-                    if s + 1 == n:
-                        in_flight -= 1
-                        if pkt[1] >= warmup:
-                            if t < cycles:
-                                delivered += 1
-                            else:
-                                drained += 1
-                            latency_total += t + 1 - pkt[1]
-                    else:
-                        _enqueue(queues, pkt, r ^ bit, s + 1, n)
-        # injections at stage 0
-        if t < cycles:
-            for r in np.nonzero(inject[t])[0]:
-                pkt = (int(dests[t, r]), t)
-                if t >= warmup:
-                    offered += 1
-                in_flight += 1
-                _enqueue(queues, pkt, int(r), 0, n)
-        if t % 64 == 0:
-            backlog = max(
-                len(q)
-                for stage in queues
-                for node in stage
-                for q in node
-            )
-            max_queue = max(max_queue, backlog)
-
-    completed = delivered + drained
-    avg_latency = latency_total / completed if completed else float("inf")
-    return SimResult(
-        n=n,
-        rate_per_input=rate_per_input,
-        cycles=cycles,
-        offered=offered,
-        delivered=delivered,
-        avg_latency=avg_latency,
-        max_queue=max_queue,
-        warmup=warmup,
-        drained=drained,
-        drain_cycles=drain_cycles,
-        in_flight=in_flight,
-    )
-
-
-def _enqueue(queues, pkt, r: int, s: int, n: int) -> None:
-    dest = pkt[0]
-    out = 1 if ((r ^ dest) >> s) & 1 else 0
-    queues[s][r][out].append(pkt)
 
 
 def _sweep_chunk(args: Tuple) -> List[SimResult]:

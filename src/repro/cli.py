@@ -14,10 +14,9 @@ Commands mirror the library's main entry points:
 ``board``       the Section 5.2 board calculator
 ``optimize``    packaging parameter search under pin/size limits
 ``package``     exact vs closed-form pin accounting for one parameter
-                vector (row / nucleus / naive schemes) or a batched
-                optimizer sweep (``--exact`` verifies every candidate
-                against the columnar link count, ``--workers`` fans the
-                verification out); ``--json`` writes the report
+                vector (row / nucleus / naive schemes) or an optimizer
+                sweep (``--exact`` verifies every candidate against the
+                columnar link count); ``--json`` writes the report
 ``multilevel``  per-level pins of a nested packaging hierarchy
 ``hypercube``   2-D hypercube layout (companion-claim extension)
 ``ccc``         cube-connected-cycles layout (extension)
@@ -211,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--top", type=int, default=8)
     pk.add_argument("--exact", action="store_true",
                     help="verify every candidate against the columnar count")
-    pk.add_argument("--workers", type=_positive_int, default=None,
-                    help="multiprocessing workers for --exact sweeps")
     pk.add_argument("--json", type=str, default=None,
                     help="write the report as JSON")
     _add_cache_opts(pk)
@@ -650,7 +647,6 @@ def _cmd_package(args) -> int:
             max_pins_per_module=args.max_pins,
             max_l=args.max_l,
             exact=args.exact,
-            workers=args.workers,
         )
         rows = [
             {

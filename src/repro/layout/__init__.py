@@ -9,17 +9,16 @@ validator (:class:`ChunkedValidator`) fed the whole table as one chunk,
 so in-memory and out-of-core layouts go through one rule set.  The
 out-of-core builders (``chunked_*_table``) stream a layout as chunks
 sized to a ``memory_budget_bytes`` and validate it in one serial pass,
-spilling grouped-check rows to disk from the second chunk on.
-``engine="legacy"`` on the builders and :func:`validate_layout_legacy`
-keep the original object-per-wire paths alive as differential oracles —
-both engines produce identical layouts wire for wire, and both
-validators identical verdicts and error counts, pinned by
-``tests/test_layout_vectorized.py``.  ``Layout`` converts between the
-two representations losslessly, so ``viz/`` and other object-level
-consumers are unaffected.  The ``repro layout`` CLI subcommand drives a
-build + validation + wire-statistics run of the table engine."""
+spilling grouped-check rows to disk from the second chunk on.  The
+original object-per-wire builders and checker live in ``tests/oracles``
+as differential oracles: ``tests/test_layout_vectorized.py`` pins the
+columnar builders to identical layouts wire for wire, and the validator
+to identical verdicts and error counts.  ``Layout`` converts between
+table and :class:`Wire` objects losslessly, so ``viz/`` and other
+object-level consumers are unaffected.  The ``repro layout`` CLI
+subcommand drives a build + validation + wire-statistics run."""
 
-from .blocks import BlockDims, BlockPlan, block_dims, plan_block
+from .blocks import BlockDims, block_dims
 from .collinear_generic import (
     GenericCollinearLayout,
     cut_congestion,
@@ -68,7 +67,6 @@ from .tracks import TrackGrouping, base_layer_pair
 from .validate import (
     ValidationReport,
     validate_layout,
-    validate_layout_legacy,
     validate_table,
 )
 from .wiretable import WireTable, WireTableBuilder
@@ -97,7 +95,6 @@ __all__ = [
     "multilayer_model",
     "ValidationReport",
     "validate_layout",
-    "validate_layout_legacy",
     "validate_table",
     "WireTable",
     "WireTableBuilder",
@@ -120,9 +117,7 @@ __all__ = [
     "TrackGrouping",
     "base_layer_pair",
     "BlockDims",
-    "BlockPlan",
     "block_dims",
-    "plan_block",
     "GridDims",
     "GridLayoutResult",
     "grid_dims",

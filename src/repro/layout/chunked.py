@@ -238,7 +238,7 @@ def chunked_collinear_table(
 ) -> ChunkedBuild:
     """Stream :func:`~repro.layout.collinear.collinear_layout`'s table in
     wire-range chunks; concatenated chunks are byte-identical to the
-    monolithic ``engine="table"`` build."""
+    monolithic build."""
     if multiplicity < 1:
         raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
     degree = multiplicity * (n - 1)

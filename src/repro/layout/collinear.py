@@ -28,7 +28,7 @@ import numpy as np
 
 from ..topology.complete import complete_multigraph
 from ..topology.graph import Graph
-from .geometry import LayerPair, Rect, THOMPSON_LAYERS, Wire
+from .geometry import LayerPair, Rect, THOMPSON_LAYERS
 from .model import Layout, LayoutModel, thompson_model
 from .wiretable import WireTable
 
@@ -159,7 +159,6 @@ def collinear_layout(
     order: TrackOrder = "forward",
     layers: LayerPair = THOMPSON_LAYERS,
     model: Optional[LayoutModel] = None,
-    engine: Literal["table", "legacy"] = "table",
 ) -> CollinearLayout:
     """Construct the wire-level collinear layout of ``K_n`` (x ``multiplicity``).
 
@@ -168,15 +167,10 @@ def collinear_layout(
     guarantees that chained same-track links only meet end-to-end, never
     overlapping (the interval argument in the module docstring).
 
-    ``engine="table"`` (default) assembles the wires as columnar numpy
-    arrays directly; ``engine="legacy"`` is the original object-per-wire
-    builder, kept as the differential-testing oracle.  Both produce
-    identical layouts wire for wire.
+    The wires are assembled as columnar numpy arrays directly.
     """
     if multiplicity < 1:
         raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
-    if engine not in ("table", "legacy"):
-        raise ValueError(f"unknown engine {engine!r}")
     degree = multiplicity * (n - 1)
     side = node_side if node_side is not None else max(degree, 1)
     if side < degree:
@@ -188,76 +182,45 @@ def collinear_layout(
     pitch = side + 1
     top = side  # nodes sit on y in [0, side]
 
-    def terminal_x(a: int, b: int, copy: int) -> int:
-        """x of node ``a``'s terminal for its ``copy``-th wire to ``b``.
-
-        Unit spacing per terminal, ordered by (neighbor, copy); the check
-        above guarantees ``side >= degree`` so all ranks fit on the edge.
-        """
-        rank = (b if b < a else b - 1) * multiplicity + copy
-        return a * pitch + rank
-
-    track_of: Dict[Tuple[int, int, int], int] = {}
-    if engine == "table":
-        m = multiplicity
-        a0, b0, t0 = track_assignment_arrays(n, "forward")
-        nl = len(a0)
-        a = np.repeat(a0, m)
-        b = np.repeat(b0, m)
-        copy = np.tile(np.arange(m, dtype=np.int64), nl)
-        t = np.repeat(t0, m) * m + copy
-        if order == "reversed":
-            t = tracks_total - 1 - t
-        y = top + 1 + t
-        # a < b throughout, so node a ranks its terminal by (b - 1, copy)
-        # and node b by (a, copy)
-        xa = a * pitch + (b - 1) * m + copy
-        xb = b * pitch + a * m + copy
-        nw = nl * m
-        rows = np.empty((nw, 3, 5), dtype=np.int64)
-        topv = np.full(nw, top, dtype=np.int64)
-        rows[:, 0] = np.stack(
-            [xa, topv, xa, y, np.full(nw, layers.vertical, dtype=np.int64)], axis=1
-        )
-        rows[:, 1] = np.stack(
-            [xa, y, xb, y, np.full(nw, layers.horizontal, dtype=np.int64)], axis=1
-        )
-        rows[:, 2] = np.stack(
-            [xb, topv, xb, y, np.full(nw, layers.vertical, dtype=np.int64)], axis=1
-        )
-        flat = rows.reshape(nw * 3, 5)
-        nets = list(zip(a.tolist(), b.tolist(), copy.tolist()))
-        table = WireTable.from_segment_arrays(
-            nets,
-            np.arange(nw + 1, dtype=np.int64) * 3,
-            flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
-        )
-        lay = Layout(
-            model=model or thompson_model(),
-            name=f"collinear-K{n}x{multiplicity}",
-            table=table,
-        )
-        track_of = dict(zip(nets, t.tolist()))
-    else:
-        lay = Layout(
-            model=model or thompson_model(),
-            name=f"collinear-K{n}x{multiplicity}",
-        )
-        base_assign = track_assignment(n, "forward")
-        for (a, b), t0 in sorted(base_assign.items()):
-            for copy in range(multiplicity):
-                t = t0 * multiplicity + copy
-                if order == "reversed":
-                    t = tracks_total - 1 - t
-                y = top + 1 + t
-                xa, xb = terminal_x(a, b, copy), terminal_x(b, a, copy)
-                wire = Wire.from_path(
-                    (a, b, copy),
-                    [(xa, top), (xa, y), (xb, y), (xb, top)],
-                    layers=layers,
-                )
-                lay.add_wire(wire)
-                track_of[(a, b, copy)] = t
+    m = multiplicity
+    a0, b0, t0 = track_assignment_arrays(n, "forward")
+    nl = len(a0)
+    a = np.repeat(a0, m)
+    b = np.repeat(b0, m)
+    copy = np.tile(np.arange(m, dtype=np.int64), nl)
+    t = np.repeat(t0, m) * m + copy
+    if order == "reversed":
+        t = tracks_total - 1 - t
+    y = top + 1 + t
+    # a < b throughout, so node a ranks its terminal by (b - 1, copy)
+    # and node b by (a, copy)
+    xa = a * pitch + (b - 1) * m + copy
+    xb = b * pitch + a * m + copy
+    nw = nl * m
+    rows = np.empty((nw, 3, 5), dtype=np.int64)
+    topv = np.full(nw, top, dtype=np.int64)
+    rows[:, 0] = np.stack(
+        [xa, topv, xa, y, np.full(nw, layers.vertical, dtype=np.int64)], axis=1
+    )
+    rows[:, 1] = np.stack(
+        [xa, y, xb, y, np.full(nw, layers.horizontal, dtype=np.int64)], axis=1
+    )
+    rows[:, 2] = np.stack(
+        [xb, topv, xb, y, np.full(nw, layers.vertical, dtype=np.int64)], axis=1
+    )
+    flat = rows.reshape(nw * 3, 5)
+    nets = list(zip(a.tolist(), b.tolist(), copy.tolist()))
+    table = WireTable.from_segment_arrays(
+        nets,
+        np.arange(nw + 1, dtype=np.int64) * 3,
+        flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
+    )
+    lay = Layout(
+        model=model or thompson_model(),
+        name=f"collinear-K{n}x{multiplicity}",
+        table=table,
+    )
+    track_of = dict(zip(nets, t.tolist()))
 
     for a in range(n):
         lay.add_node(a, Rect(a * pitch, 0, side, side))

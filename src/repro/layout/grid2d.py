@@ -27,13 +27,13 @@ receive the row/column index so inhomogeneous products are possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Literal, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..topology.graph import Graph
 from .collinear_generic import left_edge_tracks, max_congestion
-from .geometry import Rect, Wire
+from .geometry import Rect
 from .model import Layout, multilayer_model, thompson_model
 from .tracks import TrackGrouping, base_layer_pair
 from .wiretable import WireTable
@@ -210,7 +210,6 @@ def build_grid2d_layout(
     L: int = 2,
     name: str = "grid2d",
     split_channels: bool = False,
-    engine: Literal["table", "legacy"] = "table",
 ) -> Grid2DResult:
     """Lay out a network of ``rows x cols`` nodes with per-row/column links.
 
@@ -219,18 +218,13 @@ def build_grid2d_layout(
     Node side defaults to the maximum terminal demand (with
     ``split_channels`` each node edge carries only its half).
 
-    ``engine="table"`` (default) accumulates the channel wires as columnar
-    arrays and backs the layout with a
-    :class:`~repro.layout.wiretable.WireTable`; ``engine="legacy"`` builds
-    one :class:`Wire` object per link.  Both produce identical layouts
-    wire for wire, in the same order.
+    The channel wires are accumulated as columnar arrays and back the
+    layout with a :class:`~repro.layout.wiretable.WireTable`.
     """
     if rows < 1 or cols < 1:
         raise ValueError("need at least a 1x1 grid")
     if L < 2:
         raise ValueError(f"need at least 2 layers, got {L}")
-    if engine not in ("table", "legacy"):
-        raise ValueError(f"unknown engine {engine!r}")
     rgs = [row_graph(r) for r in range(rows)]
     cgs = [col_graph(c) for c in range(cols)]
     for r, g in enumerate(rgs):
@@ -277,9 +271,8 @@ def build_grid2d_layout(
             net.add_node((r, c))
 
     # wire emitter: every channel wire is the same 4-point dogleg, so the
-    # table engine just records (net, path, layer pair) rows and builds
-    # the columns in one shot at the end
-    wire_objs: List[Wire] = []
+    # builder just records (net, path, layer pair) rows and builds the
+    # columns in one shot at the end
     nets_out: List[Tuple] = []
     paths_out: List[Tuple[int, ...]] = []
     pairs_out: List[Tuple[int, int]] = []
@@ -292,20 +285,13 @@ def build_grid2d_layout(
     )
     for u, v, wnet, p8, pair in stream:
         net.add_edge(u, v)
-        if engine == "table":
-            nets_out.append(wnet)
-            paths_out.append(p8)
-            pairs_out.append((pair.vertical, pair.horizontal))
-        else:
-            path = [(p8[2 * i], p8[2 * i + 1]) for i in range(4)]
-            wire_objs.append(Wire.from_legs(wnet, [(path, pair)]))
+        nets_out.append(wnet)
+        paths_out.append(p8)
+        pairs_out.append((pair.vertical, pair.horizontal))
 
     lname = f"{name}-{rows}x{cols}-L{L}"
-    if engine == "table":
-        table = _doglegs_to_table(nets_out, paths_out, pairs_out)
-        lay = Layout(model=model, name=lname, nodes=nodes, table=table)
-    else:
-        lay = Layout(model=model, name=lname, nodes=nodes, wires=wire_objs)
+    table = _doglegs_to_table(nets_out, paths_out, pairs_out)
+    lay = Layout(model=model, name=lname, nodes=nodes, table=table)
     return Grid2DResult(layout=lay, graph=net, dims=dims)
 
 

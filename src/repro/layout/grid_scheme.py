@@ -19,25 +19,21 @@ larger than can be materialised, with the two cross-checked in tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from ..topology.bits import flip_bit
 from ..topology.graph import Graph
 from ..topology.swap import SwapNetworkParams
 from ..transform.swap_butterfly import SwapButterfly
-from .blocks import BlockDims, block_dims, plan_block
-from .collinear import TrackOrder, optimal_track_count, track_assignment
-from .collinear_generic import left_edge_tracks, max_congestion
-from .geometry import Rect, Wire
+from .blocks import BlockDims, block_dims
+from .collinear import TrackOrder, optimal_track_count
+from .collinear_generic import max_congestion
 from .model import Layout, multilayer_model, thompson_model
-from .tracks import TrackGrouping, base_layer_pair
+from .tracks import TrackGrouping
 
 __all__ = [
     "GridDims", "GridLayoutResult", "grid_dims", "grid_graph",
     "build_grid_layout", "max_wire_bounds",
 ]
-
-Point = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -233,7 +229,6 @@ def build_grid_layout(
     L: int = 2,
     track_order: TrackOrder = "forward",
     recirculating: bool = False,
-    engine: Literal["table", "legacy"] = "table",
 ) -> GridLayoutResult:
     """Construct the full wire-level layout of the ``sum(ks)``-dimensional
     butterfly (as a swap-butterfly) under the ``L``-layer grid model.
@@ -245,143 +240,20 @@ def build_grid_layout(
     labels this matching is the ``phi_n``-twisted wrap; the *standard*
     wrapped butterfly's wrap is a different, block-crossing matching.)
 
-    ``engine="table"`` (default) plans all blocks and channels as numpy
-    arrays and backs the layout with a columnar
-    :class:`~repro.layout.wiretable.WireTable`;  ``engine="legacy"`` is
-    the original object-per-wire builder, kept as the differential-
-    testing oracle.  Both produce identical layouts wire for wire, in
-    the same order."""
-    if engine not in ("table", "legacy"):
-        raise ValueError(f"unknown engine {engine!r}")
+    All blocks and channels are planned as numpy arrays
+    (:mod:`repro.layout.grid_table`), and the layout is backed by a
+    columnar :class:`~repro.layout.wiretable.WireTable`."""
+    from .grid_table import build_grid_nodes, build_grid_table
+
     dims = grid_dims(ks, W, L, recirculating=recirculating)
-    k1, k2 = dims.ks[0], dims.ks[1]
     sb = SwapButterfly.from_ks(dims.ks)
     model = thompson_model() if L == 2 else multilayer_model(L)
-    if engine == "table":
-        from .grid_table import build_grid_nodes, build_grid_table
-
-        lay = Layout(
-            model=model,
-            name=f"grid-B{dims.n}-L{L}",
-            nodes=build_grid_nodes(sb, dims),
-            table=build_grid_table(sb, dims, track_order, recirculating),
-        )
-        return GridLayoutResult(
-            layout=lay, sb=sb, dims=dims, track_order=track_order,
-            recirculating=recirculating,
-        )
-    base_pair = base_layer_pair(L)
-    lay = Layout(model=model, name=f"grid-B{dims.n}-L{L}")
-
-    gc, gr = dims.grid_cols, dims.grid_rows
-
-    def origin(bid: int) -> Point:
-        c, g = bid & (gc - 1), bid >> k2
-        return (c * dims.cell_w, g * dims.cell_h)
-
-    def shift(pts: Sequence[Point], o: Point) -> List[Point]:
-        return [(x + o[0], y + o[1]) for x, y in pts]
-
-    # --- blocks ---------------------------------------------------------
-    out_stubs: Dict[Tuple, Tuple[int, "object"]] = {}
-    in_stubs: Dict[Tuple, Tuple[int, "object"]] = {}
-    for bid in range(gr * gc):
-        plan = plan_block(sb, bid, dims.block)
-        ox, oy = origin(bid)
-        for node, r in plan.nodes:
-            lay.add_node(node, Rect(r.x + ox, r.y + oy, r.w, r.h))
-        for net, pts in plan.intra_paths:
-            lay.add_wire(Wire.from_path(net, shift(pts, (ox, oy)), base_pair))
-        for link, stub in plan.out_stubs.items():
-            out_stubs[link] = (bid, stub)
-        for link, stub in plan.in_stubs.items():
-            in_stubs[link] = (bid, stub)
-    if set(out_stubs) != set(in_stubs):  # pragma: no cover - construction bug
-        raise AssertionError("mismatched inter-block stubs")
-
-    # --- inter-block wires ----------------------------------------------
-    assign_row = track_assignment(gc, track_order) if gc >= 2 else {}
-    l3 = len(dims.ks) == 3
-    if l3:
-        assign_col = track_assignment(gr, track_order) if gr >= 2 else {}
-        union = None
-    else:
-        union = _column_union_graph(dims.ks)
-        assign_col_generic = left_edge_tracks(union, range(gr))
-    gh = TrackGrouping(L=L, horizontal=True, total_tracks=dims.tracks_row)
-    gv = TrackGrouping(L=L, horizontal=False, total_tracks=dims.tracks_col)
-
-    # group links per (grid row, block-column pair) / (grid col, row pair)
-    groups: Dict[Tuple, List[Tuple]] = {}
-    for link, (src_bid, stub) in out_stubs.items():
-        dst_bid = stub.other_block
-        if stub.level == 2:
-            g = src_bid >> k2
-            ca, cb = src_bid & (gc - 1), dst_bid & (gc - 1)
-            key = ("row", g, min(ca, cb), max(ca, cb))
-        else:
-            c = src_bid & (gc - 1)
-            ra, rb = src_bid >> k2, dst_bid >> k2
-            key = ("col", c, min(ra, rb), max(ra, rb))
-        groups.setdefault(key, []).append(link)
-
-    for key in sorted(groups):
-        links = sorted(groups[key])
-        kind_row = key[0] == "row"
-        if kind_row:
-            mult = dims.mult_row
-        elif l3:
-            mult = dims.mult_col
-        else:
-            mult = union.multiplicity(key[2], key[3])
-        if len(links) != mult:  # pragma: no cover - construction bug
-            raise AssertionError(f"pair {key}: {len(links)} links, expected {mult}")
-        if kind_row:
-            base = assign_row[(key[2], key[3])]
-        elif l3:
-            base = assign_col[(key[2], key[3])]
-        for copy, link in enumerate(links):
-            if kind_row or l3:
-                track = base * mult + copy
-            else:
-                track = assign_col_generic[(key[2], key[3], copy)]
-            src_bid, ostub = out_stubs[link]
-            dst_bid, istub = in_stubs[link]
-            so, do = origin(src_bid), origin(dst_bid)
-            opts, ipts = shift(ostub.points, so), shift(istub.points, do)
-            u, s, kind = link
-            vrow = sb.params.sigma(ostub.level, u)
-            if kind == "sc":
-                vrow = flip_bit(vrow, 0)
-            net = ((u, s), (vrow, s + 1), kind)
-            if kind_row:
-                grouping = gh
-                track_y = (
-                    (src_bid >> k2) * dims.cell_h
-                    + dims.block.height
-                    + 1
-                    + grouping.offset_of(track)
-                )
-                p1, p2 = opts[-1], ipts[0]
-                mid = [p1, (p1[0], track_y), (p2[0], track_y), p2]
-            else:
-                grouping = gv
-                track_x = (
-                    (src_bid & (gc - 1)) * dims.cell_w
-                    + dims.block.width
-                    + 1
-                    + grouping.offset_of(track)
-                )
-                p1, p2 = opts[-1], ipts[0]
-                mid = [p1, (track_x, p1[1]), (track_x, p2[1]), p2]
-            pair = grouping.layer_pair(track)
-            lay.add_wire(
-                Wire.from_legs(
-                    net,
-                    [(opts, base_pair), (mid, pair), (ipts, base_pair)],
-                )
-            )
-
+    lay = Layout(
+        model=model,
+        name=f"grid-B{dims.n}-L{L}",
+        nodes=build_grid_nodes(sb, dims),
+        table=build_grid_table(sb, dims, track_order, recirculating),
+    )
     return GridLayoutResult(
         layout=lay, sb=sb, dims=dims, track_order=track_order,
         recirculating=recirculating,

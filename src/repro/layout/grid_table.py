@@ -1,8 +1,9 @@
 """Vectorized (columnar) planner for the recursive grid layout scheme.
 
-Produces the exact same wire-level embedding as the object-per-wire path
-in :mod:`repro.layout.grid_scheme` — wire for wire, in the same order —
-but assembles the geometry as numpy arrays and emits a
+Produces the exact same wire-level embedding as the original
+object-per-wire builder (kept as the differential oracle in
+``tests/oracles/builders.py``) — wire for wire, in the same order — but
+assembles the geometry as numpy arrays and emits a
 :class:`~repro.layout.wiretable.WireTable` directly.
 
 The construction mirrors the legacy builder category by category:

@@ -16,43 +16,36 @@ Sections 3.1 and 4.1 of the paper:
   between the footprints of its net's endpoints, and the multiset of nets
   equals the graph's edge multiset.
 
-All checks are exact but use sorted-interval indexes so that layouts with
-hundreds of thousands of segments validate in seconds.
+All checks are exact, yet layouts with hundreds of thousands of segments
+validate in seconds: :func:`validate_layout` / :func:`validate_table`
+run the rule set as numpy sort + running-maximum sweeps over the layout's
+:class:`~repro.layout.wiretable.WireTable`, falling back to exact Python
+enumeration only on the (normally empty) violating groups.  They are
+:class:`~repro.layout.chunked.ChunkedValidator` fed the whole table as
+one chunk, which it sweeps in memory without spilling; the per-wire
+checks and the grouped sweep cores it calls are defined here.
 
-There is one validator and one oracle:
-
-* :func:`validate_layout` / :func:`validate_table` run the rule set as
-  numpy sort + running-maximum sweeps over the layout's
-  :class:`~repro.layout.wiretable.WireTable`, falling back to exact
-  Python enumeration only on the (normally empty) violating groups.
-  They are :class:`~repro.layout.chunked.ChunkedValidator` fed the whole
-  table as one chunk, which it sweeps in memory without spilling; the
-  per-wire checks and the grouped sweep cores it calls are defined here.
-* :func:`validate_layout_legacy` — the original object-per-wire checker,
-  kept verbatim as the differential-testing oracle
-  (``tests/test_layout_vectorized.py`` and
-  ``tests/test_validator_mutations.py`` pin the two to identical
-  verdicts, error counts and error-message sets on valid and mutated
-  layouts; message order differs, the sweeps emit in sorted order).
+The original object-per-wire checker lives in ``tests/oracles`` as the
+differential-testing oracle: ``tests/test_layout_vectorized.py`` and
+``tests/test_validator_mutations.py`` pin the two to identical verdicts,
+error counts and error-message sets on valid and mutated layouts
+(message order differs, the sweeps emit in sorted order).
 """
 
 from __future__ import annotations
 
-import bisect
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from ..topology.graph import Graph
-from .geometry import Segment, Wire
 from .model import Layout
 
 __all__ = [
     "ValidationReport",
     "validate_layout",
-    "validate_layout_legacy",
     "validate_table",
 ]
 
@@ -81,166 +74,8 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# interval index helpers
+# exact helpers shared with the chunked validator
 # ---------------------------------------------------------------------------
-
-
-class _TrackIndex:
-    """Per-(layer, track) sorted interval lists for overlap / point queries."""
-
-    def __init__(self) -> None:
-        # (layer, horizontal?, track) -> sorted list of (lo, hi, wire_idx)
-        self._tracks: Dict[Tuple[int, bool, int], List[Tuple[int, int, int]]] = (
-            defaultdict(list)
-        )
-
-    def add(self, seg: Segment, wire_idx: int) -> None:
-        key = (seg.layer, seg.is_horizontal, seg.track)
-        self._tracks[key].append((seg.lo, seg.hi, wire_idx))
-
-    def finalize(self) -> None:
-        for lst in self._tracks.values():
-            lst.sort()
-
-    def overlaps(self) -> List[Tuple[Tuple[int, bool, int], Tuple, Tuple]]:
-        """Pairs of intervals sharing a unit grid edge on the same track.
-
-        Same-wire touching is permitted (a path revisiting a track), but
-        strict overlap is flagged even within one wire: it always indicates
-        a construction bug.
-
-        All tracks are scanned in one vectorized sweep: the sorted
-        per-track interval lists are flattened, each track's coordinates
-        are shifted into a disjoint numeric band, and a single running
-        maximum over the shifted ``hi`` values finds every interval whose
-        ``lo`` undercuts an earlier ``hi`` on the same track.  The Python
-        fallback only runs to reconstruct the offending pairs, i.e. on
-        (normally zero) violations.
-        """
-        bad: List[Tuple[Tuple[int, bool, int], Tuple, Tuple]] = []
-        multi = [(key, lst) for key, lst in self._tracks.items() if len(lst) > 1]
-        if not multi:
-            return bad
-        arrs = [np.asarray(lst, dtype=np.int64) for _key, lst in multi]
-        flat = np.concatenate(arrs)
-        lens = np.array([len(a) for a in arrs])
-        gid = np.repeat(np.arange(len(arrs)), lens)
-        lo, hi = flat[:, 0], flat[:, 1]
-        band = int(hi.max() - lo.min()) + 1
-        lo_adj = lo + gid * band
-        cummax = np.maximum.accumulate(hi + gid * band)
-        bad_idx = np.flatnonzero(lo_adj[1:] < cummax[:-1]) + 1
-        if not len(bad_idx):
-            return bad
-        starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        for i in bad_idx.tolist():
-            g = int(np.searchsorted(starts, i, side="right")) - 1
-            key, lst = multi[g]
-            j = i - int(starts[g])
-            # recover the running-max interval the scalar scan would have
-            # paired this one with
-            max_hi: Optional[int] = None
-            max_item: Optional[Tuple[int, int, int]] = None
-            for item in lst[:j]:
-                if max_hi is None or item[1] > max_hi:
-                    max_hi, max_item = item[1], item
-            bad.append((key, max_item, lst[j]))
-        return bad
-
-    def nets_covering(
-        self, layer: int, point: Tuple[int, int]
-    ) -> List[int]:
-        """Wire indexes whose segments on ``layer`` cover ``point``
-        (including endpoints)."""
-        x, y = point
-        out: List[int] = []
-        for horizontal, track, coord in ((True, y, x), (False, x, y)):
-            lst = self._tracks.get((layer, horizontal, track))
-            if not lst:
-                continue
-            i = bisect.bisect_right(lst, (coord, float("inf"), float("inf")))
-            # scan left while intervals may cover coord
-            j = i - 1
-            while j >= 0:
-                lo, hi, w = lst[j]
-                if hi < coord:
-                    # sorted by lo; earlier intervals can still span, keep
-                    # scanning only while plausible: track lists are short
-                    j -= 1
-                    continue
-                if lo <= coord <= hi:
-                    out.append(w)
-                j -= 1
-        return out
-
-
-# ---------------------------------------------------------------------------
-# individual checks
-# ---------------------------------------------------------------------------
-
-
-def _check_layer_discipline(layout: Layout, rep: ValidationReport) -> None:
-    rep.checks_run.append("layer-discipline")
-    L = layout.model.num_layers
-    v_ok, h_ok = set(layout.model.v_layers), set(layout.model.h_layers)
-    for wi, w in enumerate(layout.wires):
-        for s in w.segments:
-            if s.layer > L:
-                rep._add(f"wire {w.net}: segment on layer {s.layer} > L={L}")
-            allowed = h_ok if s.is_horizontal else v_ok
-            if s.layer not in allowed:
-                rep._add(
-                    f"wire {w.net}: {'H' if s.is_horizontal else 'V'} segment on "
-                    f"layer {s.layer} not permitted by model {layout.model.name}"
-                )
-
-
-def _check_contiguity_and_terminals(layout: Layout, rep: ValidationReport) -> None:
-    rep.checks_run.append("contiguity-terminals")
-    for w in layout.wires:
-        try:
-            pts = w.path_points()
-        except ValueError as e:
-            rep._add(str(e))
-            continue
-        u, v = w.net[0], w.net[1]
-        for node, point, which in ((u, pts[0], "start"), (v, pts[-1], "end")):
-            r = layout.nodes.get(node)
-            if r is None:
-                rep._add(f"wire {w.net}: {which} node {node!r} not placed")
-            elif not r.on_boundary(point):
-                rep._add(
-                    f"wire {w.net}: {which} point {point} not on boundary of "
-                    f"node {node!r} at ({r.x},{r.y},{r.w},{r.h})"
-                )
-
-
-def _realizes_graph_fast(nets, placed, graph: Graph) -> bool:
-    """Vectorized edge-multiset comparison for purely array-staged graphs
-    with uniform int-tuple (or plain int) nodes.  Returns True only when
-    the layout provably realizes the graph — any mismatch, unsupported
-    net shape, or partially materialised graph falls back to the exact
-    object-level path (which regenerates the legacy messages)."""
-    if graph._staged_arrays() is None:
-        return False
-    try:
-        edges, counts = graph.to_edge_array()
-    except ValueError:
-        return False
-    k = edges.shape[2] if edges.ndim == 3 else 0
-    kk = k if k else 1
-    rows = _canon_net_rows(nets, k, kk)
-    if rows is None:
-        return False
-    uniq, agg = Graph._aggregate_rows(
-        rows, np.ones(len(rows), dtype=np.int64)
-    )
-    want_rows = edges.reshape(len(counts), 2 * kk)
-    if uniq.shape != want_rows.shape or not (
-        np.array_equal(uniq, want_rows) and np.array_equal(agg, counts)
-    ):
-        return False
-    return _staged_nodes_placed(want_rows, k, kk, placed)
 
 
 def _canon_net_rows(nets, k, kk):
@@ -277,18 +112,6 @@ def _staged_nodes_placed(want_rows, k, kk, placed) -> bool:
     return all(x in placed for x in gnodes[:, 0].tolist())
 
 
-def _check_realizes_graph(nets, placed, graph: Graph, rep: ValidationReport) -> None:
-    rep.checks_run.append("realizes-graph")
-    if _realizes_graph_fast(nets, placed, graph):
-        return
-    got: Counter = Counter()
-    for net in nets:
-        u, v = net[0], net[1]
-        # canonicalise like Graph does
-        got[_canon_edge(u, v)] += 1
-    _realizes_fallback(got, placed, graph, rep)
-
-
 def _realizes_fallback(got: Counter, placed, graph: Graph, rep: ValidationReport) -> None:
     """Exact object-level edge-multiset diff shared with the chunked
     validator, which accumulates ``got`` across chunks before calling."""
@@ -315,97 +138,9 @@ def _canon_edge(u, v):
     return (u, v) if key(u) <= key(v) else (v, u)
 
 
-def _check_track_overlaps(idx: _TrackIndex, layout: Layout, rep: ValidationReport) -> None:
-    rep.checks_run.append("track-overlap")
-    for key, a, b in idx.overlaps():
-        layer, horiz, track = key
-        rep._add(
-            f"layer {layer} {'H' if horiz else 'V'} track {track}: intervals "
-            f"[{a[0]},{a[1]}] (wire {layout.wires[a[2]].net}) and "
-            f"[{b[0]},{b[1]}] (wire {layout.wires[b[2]].net}) overlap"
-        )
-
-
-def _columns(layout: Layout) -> List[Tuple[int, int, int, int, int]]:
-    """Via/terminal columns ``(x, y, z_lo, z_hi, wire_idx)``.
-
-    Bends span between their two segment layers.  Terminals drop to the
-    active layer (layer 1) where the node sits; in the two-layer Thompson
-    case this makes a terminal of an H-segment occupy layers 1..2 at the
-    attachment point, which is exactly the model's contact.
-    """
-    cols: List[Tuple[int, int, int, int, int]] = []
-    for wi, w in enumerate(layout.wires):
-        try:
-            pts = w.path_points()
-        except ValueError:
-            continue  # discontiguous wires are reported by the path check
-        segs = w.segments
-        first, last = segs[0], segs[-1]
-        cols.append((pts[0][0], pts[0][1], 1, first.layer, wi))
-        cols.append((pts[-1][0], pts[-1][1], 1, last.layer, wi))
-        for i in range(len(segs) - 1):
-            la, lb = segs[i].layer, segs[i + 1].layer
-            if la != lb:
-                x, y = pts[i + 1]
-                cols.append((x, y, min(la, lb), max(la, lb), wi))
-    return cols
-
-
-def _check_via_conflicts(
-    idx: _TrackIndex, layout: Layout, rep: ValidationReport
-) -> None:
-    rep.checks_run.append("via-conflicts")
-    cols = _columns(layout)
-    by_point: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = defaultdict(list)
-    for x, y, zlo, zhi, wi in cols:
-        by_point[(x, y)].append((zlo, zhi, wi))
-    # column-vs-column: overlapping z-ranges of different nets at one point
-    for (x, y), lst in by_point.items():
-        if len(lst) > 1:
-            lst.sort()
-            for i in range(len(lst)):
-                for j in range(i + 1, len(lst)):
-                    (alo, ahi, wa), (blo, bhi, wb) = lst[i], lst[j]
-                    if wa != wb and alo <= bhi and blo <= ahi:
-                        rep._add(
-                            f"via columns of wires {layout.wires[wa].net} and "
-                            f"{layout.wires[wb].net} collide at ({x},{y}) "
-                            f"layers [{alo},{ahi}]&[{blo},{bhi}]"
-                        )
-    # column-vs-segment: another net's segment covering the column point on a
-    # spanned layer.  Endpoint touches are columns themselves (handled above)
-    # so only strict-interior coverage is an undetected conflict; we query
-    # inclusive and filter own-wire and endpoint hits via the by_point map.
-    for x, y, zlo, zhi, wi in cols:
-        for layer in range(zlo, zhi + 1):
-            for other in idx.nets_covering(layer, (x, y)):
-                if other == wi:
-                    continue
-                # Endpoint touching at this exact point by `other` would mean
-                # `other` has a column here too; that pair is already flagged
-                # (or safely z-disjoint).  Check strict interior only:
-                if _covers_strict_interior(layout.wires[other], layer, (x, y)):
-                    rep._add(
-                        f"wire {layout.wires[other].net} passes through via of "
-                        f"wire {layout.wires[wi].net} at ({x},{y}) layer {layer}"
-                    )
-
-
-def _covers_strict_interior(w: Wire, layer: int, point: Tuple[int, int]) -> bool:
-    x, y = point
-    for s in w.segments:
-        if s.layer != layer or not s.covers_point(point):
-            continue
-        if s.is_horizontal and s.x1 < x < s.x2:
-            return True
-        if s.is_vertical and s.y1 < y < s.y2:
-            return True
-    return False
-
-
 def _nodes_disjoint_sweep(nodes, rep: ValidationReport) -> None:
-    """Exact pairwise node-overlap sweep (shared by both validators)."""
+    """Exact pairwise node-overlap sweep (the reference checker in
+    ``tests/oracles`` calls it too)."""
     items = sorted(nodes.items(), key=lambda kv: (kv[1].x, kv[1].y))
     active: List[Tuple[Hashable, object]] = []
     for node, r in items:
@@ -420,137 +155,18 @@ def _nodes_disjoint_sweep(nodes, rep: ValidationReport) -> None:
         active.append((node, r))
 
 
-def _check_nodes_disjoint(layout: Layout, rep: ValidationReport) -> None:
-    rep.checks_run.append("nodes-disjoint")
-    _nodes_disjoint_sweep(layout.nodes, rep)
-
-
-class _NodeBands:
-    """Spatial index over node rects: bands of identical y-interval (for H
-    segment queries) and of identical x-interval (for V queries)."""
-
-    def __init__(self, layout: Layout) -> None:
-        ybands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
-        xbands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
-        for r in layout.nodes.values():
-            ybands[(r.y, r.y2)].append((r.x, r.x2))
-            xbands[(r.x, r.x2)].append((r.y, r.y2))
-        self.ybands = {k: sorted(v) for k, v in ybands.items()}
-        self.xbands = {k: sorted(v) for k, v in xbands.items()}
-
-    @staticmethod
-    def _hits(intervals: List[Tuple[int, int]], lo: int, hi: int) -> bool:
-        """Any stored open interval strictly overlapping open ``(lo, hi)``?"""
-        i = bisect.bisect_left(intervals, (hi, hi))
-        # candidates end before index i; check the few whose end exceeds lo
-        j = i - 1
-        while j >= 0:
-            a, b = intervals[j]
-            if b <= lo:
-                # intervals sorted by start; earlier ones could still be long
-                j -= 1
-                continue
-            if a < hi and b > lo:
-                return True
-            j -= 1
-        return False
-
-    def h_segment_hits_interior(self, y: int, lo: int, hi: int) -> bool:
-        for (by, by2), xs in self.ybands.items():
-            if by < y < by2 and self._hits(xs, lo, hi):
-                return True
-        return False
-
-    def v_segment_hits_interior(self, x: int, lo: int, hi: int) -> bool:
-        for (bx, bx2), ys in self.xbands.items():
-            if bx < x < bx2 and self._hits(ys, lo, hi):
-                return True
-        return False
-
-
-def _check_wires_avoid_nodes(layout: Layout, rep: ValidationReport) -> None:
-    rep.checks_run.append("wires-avoid-nodes")
-    bands = _NodeBands(layout)
-    for w in layout.wires:
-        for s in w.segments:
-            if s.is_horizontal:
-                if bands.h_segment_hits_interior(s.y1, s.x1, s.x2):
-                    rep._add(
-                        f"wire {w.net}: H segment y={s.y1} x[{s.x1},{s.x2}] "
-                        f"crosses a node interior"
-                    )
-            else:
-                if bands.v_segment_hits_interior(s.x1, s.y1, s.y2):
-                    rep._add(
-                        f"wire {w.net}: V segment x={s.x1} y[{s.y1},{s.y2}] "
-                        f"crosses a node interior"
-                    )
-
-
-def _check_terminals_distinct(layout: Layout, rep: ValidationReport) -> None:
-    rep.checks_run.append("terminals-distinct")
-    seen: Dict[Tuple[int, int], Tuple] = {}
-    for w in layout.wires:
-        try:
-            pts = w.path_points()
-        except ValueError:
-            continue
-        for p in (pts[0], pts[-1]):
-            if p in seen and seen[p] != w.net:
-                rep._add(
-                    f"terminal point {p} shared by wires {seen[p]} and {w.net}"
-                )
-            seen[p] = w.net
-
-
-# ---------------------------------------------------------------------------
-# entry points
-# ---------------------------------------------------------------------------
-
-
-def validate_layout_legacy(
-    layout: Layout,
-    graph: Optional[Graph] = None,
-    check_nodes: bool = True,
-    check_vias: bool = True,
-) -> ValidationReport:
-    """The original object-per-wire checker, kept as the differential
-    oracle for :func:`validate_layout`."""
-    rep = ValidationReport(ok=True)
-    _check_layer_discipline(layout, rep)
-    _check_contiguity_and_terminals(layout, rep)
-
-    idx = _TrackIndex()
-    for wi, w in enumerate(layout.wires):
-        for s in w.segments:
-            idx.add(s, wi)
-    idx.finalize()
-    _check_track_overlaps(idx, layout, rep)
-    if check_vias:
-        _check_via_conflicts(idx, layout, rep)
-        _check_terminals_distinct(layout, rep)
-    if check_nodes:
-        _check_nodes_disjoint(layout, rep)
-        _check_wires_avoid_nodes(layout, rep)
-    if graph is not None:
-        _check_realizes_graph(
-            [w.net for w in layout.wires], set(layout.nodes), graph, rep
-        )
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # vectorized checks over a WireTable
 # ---------------------------------------------------------------------------
 #
-# Each function below enforces the same rule as its object-level
-# counterpart above, as a numpy sweep; the chunked validator calls the
-# per-wire checks on every chunk and the grouped sweep cores on each
-# check's rows.  The shared pattern: sort segments (or via columns) into
-# groups, shift each group's coordinates into a disjoint numeric band,
-# and one running maximum finds every element that undercuts an earlier
-# extent in its group.  Exact Python enumeration runs only over the
-# flagged groups, so valid layouts never leave numpy.
+# Each function below enforces one layout-model rule as a numpy sweep;
+# the chunked validator calls the per-wire checks on every chunk and the
+# grouped sweep cores on each check's rows.  The shared pattern: sort
+# segments (or via columns) into groups, shift each group's coordinates
+# into a disjoint numeric band, and one running maximum finds every
+# element that undercuts an earlier extent in its group.  Exact Python
+# enumeration runs only over the flagged groups, so valid layouts never
+# leave numpy.
 
 
 def _bulk(rep: ValidationReport, count: int, messages) -> None:
@@ -1025,9 +641,7 @@ def validate_table(
     check_nodes: bool = True,
     check_vias: bool = True,
 ) -> ValidationReport:
-    """Vectorized rule set over a :class:`WireTable` (same checks, same
-    verdicts, error counts and error-message sets as
-    :func:`validate_layout_legacy`).
+    """Vectorized rule set over a :class:`WireTable`.
 
     This is the chunked validator fed ``table`` as its only chunk: it
     holds the table, sweeps each grouped check's rows in memory one

@@ -22,7 +22,6 @@ from .partition import NucleusPartition, Partition, RowPartition
 from .pins import (
     PinReport,
     count_off_module_links,
-    count_off_module_links_legacy,
     nucleus_partition_module_bound,
     row_partition_avg_bound,
     row_partition_avg_per_node,
@@ -35,7 +34,6 @@ __all__ = [
     "NucleusPartition",
     "PinReport",
     "count_off_module_links",
-    "count_off_module_links_legacy",
     "row_partition_offmodule_per_module",
     "row_partition_avg_per_node",
     "row_partition_avg_bound",

@@ -15,8 +15,8 @@ links of ``B_n`` are one flip-bit table ``rows ^ 2**s`` (built once per
 dimension and reused across *all* candidate module sizes by
 :func:`max_rows_within_pin_limit`, which previously re-enumerated
 ``O(n 2**n)`` links per candidate); crossing endpoints are
-``bincount``-ed per module.  The per-link Python loop survives as
-:meth:`NaiveRowPartition.exact_pin_counts_legacy`.
+``bincount``-ed per module.  The per-link Python loop is the
+differential oracle in ``tests/oracles/packaging.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..topology.bits import flip_bit
 from ..topology.butterfly import Butterfly
 
 __all__ = [
@@ -102,20 +101,6 @@ class NaiveRowPartition:
         """Off-module link endpoints per module, by the columnar kernel."""
         counts = _naive_pin_counts(self.bfly.n, self.rows_per_module)
         return {m: int(c) for m, c in enumerate(counts)}
-
-    def exact_pin_counts_legacy(self) -> Dict[int, int]:
-        """The original per-link loop; kept as a differential oracle."""
-        pins = {m: 0 for m in range(self.num_modules)}
-        b = self.bfly
-        for s in range(b.n):
-            for r in range(b.rows):
-                v = flip_bit(r, s)
-                mu = r // self.rows_per_module
-                mv = v // self.rows_per_module
-                if mu != mv:
-                    pins[mu] += 1
-                    pins[mv] += 1
-        return pins
 
     @property
     def max_pins(self) -> int:

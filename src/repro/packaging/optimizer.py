@@ -15,22 +15,19 @@ variant) can beat the row partition for practically sized networks.
 candidate's closed-form pin count against the columnar
 :func:`~repro.packaging.pins.count_off_module_links` kernel: both schemes
 of one parameter vector share a single memoized swap-butterfly edge
-array, vectors are batched, and ``workers > 1`` fans the batches out to
-a :mod:`multiprocessing` pool (mirroring ``sweep_rates`` from the
-queued-routing engine).  A row candidate whose exact count diverges from
-the closed form raises; a nucleus candidate must respect Theorem 2.1's
+array, and the vectors are counted one at a time, so only one edge array
+is alive at once.  A row candidate whose exact count diverges from the
+closed form raises; a nucleus candidate must respect Theorem 2.1's
 ``2**(k1+2)`` bound.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..backend.shm import attach_cached, share_arrays
 from ..topology.swap import SwapNetworkParams
 from ..transform.swap_butterfly import SwapButterfly
 from .partition import NucleusPartition, RowPartition
@@ -138,14 +135,6 @@ def _candidates_for(ks: Tuple[int, ...]) -> Iterator[Candidate]:
         )
 
 
-def _exact_pin_maxima_sb(sb: SwapButterfly) -> Dict[str, int]:
-    """Exact max off-module links per module for both schemes of ``sb``."""
-    return {
-        "row": count_off_module_links(RowPartition.natural(sb)).max_per_module,
-        "nucleus": count_off_module_links(NucleusPartition(sb)).max_per_module,
-    }
-
-
 @lru_cache(maxsize=256)
 def exact_pin_maxima(ks: Tuple[int, ...]) -> Dict[str, int]:
     """Exact max off-module links per module for both schemes of ``ks``.
@@ -154,26 +143,11 @@ def exact_pin_maxima(ks: Tuple[int, ...]) -> Dict[str, int]:
     and the nucleus partition; results are cached per parameter vector so
     repeated sweeps over overlapping grids never re-count.
     """
-    return _exact_pin_maxima_sb(SwapButterfly.from_ks(ks))
-
-
-def _exact_chunk_shm(args) -> Dict[Tuple[int, ...], Dict[str, int]]:
-    """Pool worker that adopts parent-built edge arrays from shared memory.
-
-    Each job pickles only ``(pack, ((ks, key), ...))``: the
-    worker rebuilds the cheap :class:`SwapButterfly` parameter object per
-    vector and adopts the big memoized edge array as a zero-copy view of
-    the block the parent packed once — no per-job pickle of the edge
-    array in either direction.
-    """
-    pack, items = args
-    views = attach_cached(pack)
-    out = {}
-    for ks, key in items:
-        sb = SwapButterfly.from_ks(ks)
-        sb.adopt_edge_array(views[key])
-        out[ks] = _exact_pin_maxima_sb(sb)
-    return out
+    sb = SwapButterfly.from_ks(ks)
+    return {
+        "row": count_off_module_links(RowPartition.natural(sb)).max_per_module,
+        "nucleus": count_off_module_links(NucleusPartition(sb)).max_per_module,
+    }
 
 
 def optimize_packaging(
@@ -182,8 +156,6 @@ def optimize_packaging(
     max_pins_per_module: Optional[int] = None,
     max_l: int = 4,
     exact: bool = False,
-    workers: Optional[int] = None,
-    batch: int = 8,
 ) -> List[Candidate]:
     """Feasible candidates for ``B_n``, best first.
 
@@ -199,36 +171,9 @@ def optimize_packaging(
         ks for ks in enumerate_parameter_vectors(n, max_l=max_l)
         if len(ks) >= 2  # no partitioning benefit from a single level
     ]
-    exact_by_ks: Dict[Tuple[int, ...], Dict[str, int]] = {}
-    if exact:
-        batch = max(1, batch)
-        chunks = [
-            tuple(vectors[i : i + batch])
-            for i in range(0, len(vectors), batch)
-        ]
-        if workers and workers > 1 and len(chunks) > 1:
-            # build each vector's edge array once, publish all of them
-            # through one shared block; workers adopt zero-copy views
-            arrays = {}
-            keyed = []
-            for i, ks in enumerate(vectors):
-                key = f"ea{i}"
-                arrays[key] = SwapButterfly.from_ks(ks).cached_edge_array()
-                keyed.append((ks, key))
-            keyed_chunks = [
-                tuple(keyed[i : i + batch])
-                for i in range(0, len(keyed), batch)
-            ]
-            procs = min(workers, len(keyed_chunks))
-            with share_arrays(**arrays) as pack:
-                del arrays
-                payloads = [(pack, c) for c in keyed_chunks]
-                with multiprocessing.get_context().Pool(procs) as pool:
-                    parts = pool.map(_exact_chunk_shm, payloads)
-        else:
-            parts = [{ks: exact_pin_maxima(ks) for ks in c} for c in chunks]
-        for part in parts:
-            exact_by_ks.update(part)
+    exact_by_ks: Dict[Tuple[int, ...], Dict[str, int]] = (
+        {ks: exact_pin_maxima(ks) for ks in vectors} if exact else {}
+    )
 
     out: List[Candidate] = []
     for ks in vectors:

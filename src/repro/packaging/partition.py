@@ -90,15 +90,6 @@ class Partition:
         )
         return {m: int(c) for m, c in zip(labels, counts)}
 
-    def module_sizes_legacy(self) -> Dict[Hashable, int]:
-        """The original per-node loop; kept as a differential oracle."""
-        sizes: Dict[Hashable, int] = {}
-        for s in range(self.sb.stages):
-            for u in range(self.sb.rows):
-                m = self.module_of((u, s))
-                sizes[m] = sizes.get(m, 0) + 1
-        return sizes
-
     @property
     def num_modules(self) -> int:
         return len(self.module_labels())

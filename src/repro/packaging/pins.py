@@ -12,10 +12,10 @@ Exact counts are one columnar pass over the swap-butterfly's
 ``edge_array()``: map both endpoint columns through the partition's
 vectorized ``module_ids``, compare, and ``np.bincount`` the crossing
 endpoints into per-module pin counts.  The original per-link Python loop
-survives as :func:`count_off_module_links_legacy`, the differential
-oracle the tests hold the kernel to (same totals *and* the same
-per-module dicts); the closed forms are provided independently so tests
-can confirm all three agree.
+is the differential oracle the tests hold the kernel to
+(``tests/oracles/packaging.py``: same totals *and* the same per-module
+dicts); the closed forms are provided independently so tests can confirm
+all three agree.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .partition import Partition
 __all__ = [
     "PinReport",
     "count_off_module_links",
-    "count_off_module_links_legacy",
     "row_partition_offmodule_per_module",
     "row_partition_avg_per_node",
     "row_partition_avg_bound",
@@ -90,31 +89,6 @@ def count_off_module_links(partition: Partition) -> PinReport:
         off_module_links=int(np.count_nonzero(cross)),
         per_module={m: int(c) for m, c in zip(labels, counts)},
         nodes_per_module=partition.module_sizes(),
-    )
-
-
-def count_off_module_links_legacy(partition: Partition) -> PinReport:
-    """The original per-link enumeration; kept as a differential oracle."""
-    sb = partition.sb
-    per_module: Dict[Hashable, int] = {}
-    sizes = partition.module_sizes_legacy()
-    for m in sizes:
-        per_module[m] = 0
-    off = 0
-    total = 0
-    for u, v, _kind in sb.links():
-        total += 1
-        mu, mv = partition.module_of(u), partition.module_of(v)
-        if mu != mv:
-            off += 1
-            per_module[mu] += 1
-            per_module[mv] += 1
-    return PinReport(
-        num_modules=len(sizes),
-        total_links=total,
-        off_module_links=off,
-        per_module=per_module,
-        nodes_per_module=sizes,
     )
 
 

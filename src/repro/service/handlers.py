@@ -60,7 +60,7 @@ def _as_int(v: object, name: str) -> int:
         raise QueryError(f"{name} must be an integer, got {v!r}")
     try:
         i = int(v)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # int(inf)
         raise QueryError(f"{name} must be an integer, got {v!r}") from e
     if isinstance(v, float) and v != i:
         raise QueryError(f"{name} must be an integer, got {v!r}")
@@ -71,7 +71,7 @@ def _as_float(v: object, name: str) -> float:
         raise QueryError(f"{name} must be a number, got {v!r}")
     try:
         f = float(v)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # float(10**400)
         raise QueryError(f"{name} must be a number, got {v!r}") from e
     if not math.isfinite(f):
         raise QueryError(f"{name} must be finite, got {v!r}")

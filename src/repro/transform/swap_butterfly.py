@@ -221,27 +221,6 @@ class SwapButterfly:
             self._edge_array_cache = ea
         return ea
 
-    def adopt_edge_array(self, ea: np.ndarray) -> None:
-        """Install a precomputed :meth:`edge_array` as the memoized cache.
-
-        Lets a pool worker reuse an edge array the parent already built
-        and published through shared memory — the worker rebuilds the
-        cheap parameter object with :meth:`from_ks` and adopts the big
-        array as a zero-copy view instead of recomputing (or unpickling)
-        it.  The array must have the exact shape/dtype
-        :meth:`edge_array` would produce.
-        """
-        expect = (self.num_edges, 2, 2)
-        if ea.shape != expect or ea.dtype != np.int64:
-            raise ValueError(
-                f"edge array must have shape {expect} int64, "
-                f"got {ea.shape} {ea.dtype}"
-            )
-        if ea.flags.writeable:
-            ea = ea.view()
-            ea.setflags(write=False)
-        self._edge_array_cache = ea
-
     def graph(self) -> Graph:
         # Every (row, stage) node is an endpoint of some boundary link
         # (n >= 1), so the bulk insert alone yields the full node set.

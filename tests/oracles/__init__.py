@@ -1,0 +1,19 @@
+"""Reference oracles for the differential test suites.
+
+Each module holds the original implementation of one behaviour that the
+shipped package now computes with a vectorized engine, moved here
+verbatim so the tests can compare the two on the same inputs:
+
+* :mod:`tests.oracles.validate` — the object-per-wire layout checker;
+* :mod:`tests.oracles.builders` — the object-per-wire collinear, grid and
+  grid2d layout builders, with :mod:`tests.oracles.blocks`, the per-block
+  planner the grid builder assembles;
+* :mod:`tests.oracles.benes_routing` — the recursive Benes looping
+  algorithm and its recursive simulator;
+* :mod:`tests.oracles.queued_routing` — the triple-loop queued-routing
+  simulator;
+* :mod:`tests.oracles.packaging` — the per-link pin counters and the
+  per-node module-size loop.
+
+None of this is imported by ``repro``; it is test code.
+"""

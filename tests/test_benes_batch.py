@@ -1,7 +1,7 @@
 """Differential tests: batched Benes engine vs the legacy recursion.
 
 The batched engine must be *bit-for-bit* identical to the legacy
-oracles — same switch settings column by column, same realized
+oracles in ``tests/oracles`` — same switch settings column by column, same realized
 permutations, same crossed-switch counts — across exhaustive small
 grids, random large batches, and hypothesis-driven cases up to N=1024.
 """
@@ -16,11 +16,14 @@ from repro.algorithms.benes_routing import (
     BenesSettingsBatch,
     apply_settings,
     apply_settings_batch,
-    apply_settings_legacy,
     num_switch_stages,
     route_permutation,
-    route_permutation_legacy,
     route_permutations,
+)
+
+from tests.oracles.benes_routing import (
+    apply_settings_legacy,
+    route_permutation_legacy,
 )
 
 

@@ -184,7 +184,6 @@ class TestCommands:
         ["benes", "-n", "3", "--batch", "0"],
         ["benes", "-n", "3", "--batch", "4", "--workers", "0"],
         ["package", "-n", "0"],
-        ["package", "-n", "4", "--exact", "--workers", "0"],
         # a run dir that cannot be created: accepting the flag writes nothing
         ["campaign", "run", "--ks", "1,1,1", "--workers", "0",
          "--runs-dir", os.path.join(os.devnull, "runs")],

@@ -1,11 +1,12 @@
 """Differential and property tests pinning the vectorized layout engine
 to the legacy object geometry.
 
-The columnar builders (``engine="table"``) and the vectorized validator
-must be *indistinguishable* from the object-per-wire originals: same
-wires in the same order, same track assignments, same verdicts on valid
-and corrupted layouts.  The legacy paths are kept exactly for this
-purpose, so every test here is an oracle comparison, not a golden file.
+The columnar builders and the vectorized validator must be
+*indistinguishable* from the object-per-wire originals in
+``tests/oracles``: same wires in the same order, same track assignments,
+same verdicts on valid and corrupted layouts.  The oracles are kept
+exactly for this purpose, so every test here is an oracle comparison,
+not a golden file.
 """
 
 import random
@@ -25,13 +26,16 @@ from repro.layout.collinear import (
 from repro.layout.geometry import Rect, Segment, THOMPSON_LAYERS, Wire
 from repro.layout.grid2d import build_grid2d_layout
 from repro.layout.grid_scheme import build_grid_layout
-from repro.layout.validate import (
-    MAX_ERRORS_KEPT,
-    validate_layout,
-    validate_layout_legacy,
-)
+from repro.layout.validate import MAX_ERRORS_KEPT, validate_layout
 from repro.layout.wiretable import WireTable
 from repro.topology.complete import complete_multigraph
+
+from tests.oracles.builders import (
+    build_grid2d_layout_legacy,
+    build_grid_layout_legacy,
+    collinear_layout_legacy,
+)
+from tests.oracles.validate import validate_layout_legacy
 
 
 def assert_same_layout(tab, leg):
@@ -53,8 +57,8 @@ def assert_same_layout(tab, leg):
 @pytest.mark.parametrize("mult", [1, 3])
 @pytest.mark.parametrize("order", ["forward", "reversed"])
 def test_collinear_table_matches_legacy(n, mult, order):
-    t = collinear_layout(n, multiplicity=mult, order=order, engine="table")
-    l = collinear_layout(n, multiplicity=mult, order=order, engine="legacy")
+    t = collinear_layout(n, multiplicity=mult, order=order)
+    l = collinear_layout_legacy(n, multiplicity=mult, order=order)
     assert t.layout.has_native_table
     assert t.track_of == l.track_of
     assert t.tracks_total == l.tracks_total
@@ -74,18 +78,13 @@ def test_track_assignment_arrays_match_dict(n, order):
 
 
 def test_collinear_engine_validates_both_ways():
-    cl = collinear_layout(6, multiplicity=2, engine="table")
+    cl = collinear_layout(6, multiplicity=2)
     g = cl.graph
     rep_v = validate_layout(cl.layout, g)
     rep_l = validate_layout_legacy(cl.layout, g)
     assert rep_v.ok and rep_l.ok
     assert rep_v.num_errors == rep_l.num_errors == 0
     assert rep_v.checks_run == rep_l.checks_run
-
-
-def test_collinear_rejects_unknown_engine():
-    with pytest.raises(ValueError, match="engine"):
-        collinear_layout(4, engine="numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -105,26 +104,20 @@ GRID_CASES = [
 
 @pytest.mark.parametrize("ks,L,order,rec", GRID_CASES)
 def test_grid_table_matches_legacy(ks, L, order, rec):
-    t = build_grid_layout(ks, L=L, track_order=order, recirculating=rec,
-                          engine="table")
-    l = build_grid_layout(ks, L=L, track_order=order, recirculating=rec,
-                          engine="legacy")
+    t = build_grid_layout(ks, L=L, track_order=order, recirculating=rec)
+    l = build_grid_layout_legacy(ks, L=L, track_order=order,
+                                 recirculating=rec)
     assert t.layout.has_native_table
     assert_same_layout(t.layout, l.layout)
 
 
 def test_grid_table_validates_like_legacy():
-    res = build_grid_layout((2, 2, 1), engine="table")
+    res = build_grid_layout((2, 2, 1))
     g = res.graph
     rep_v = validate_layout(res.layout, g)
     rep_l = validate_layout_legacy(res.layout, g)
     assert rep_v.ok and rep_l.ok
     assert rep_v.checks_run == rep_l.checks_run
-
-
-def test_grid_rejects_unknown_engine():
-    with pytest.raises(ValueError, match="engine"):
-        build_grid_layout((1, 1, 1), engine="objects")
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +134,9 @@ def _complete_rows(n, mult=1):
 def test_grid2d_table_matches_legacy(rows, cols, split):
     kw = dict(split_channels=split)
     t = build_grid2d_layout(rows, cols, _complete_rows(cols),
-                            _complete_rows(rows), engine="table", **kw)
-    l = build_grid2d_layout(rows, cols, _complete_rows(cols),
-                            _complete_rows(rows), engine="legacy", **kw)
+                            _complete_rows(rows), **kw)
+    l = build_grid2d_layout_legacy(rows, cols, _complete_rows(cols),
+                                   _complete_rows(rows), **kw)
     assert t.layout.has_native_table
     assert_same_layout(t.layout, l.layout)
     rep = validate_layout(t.layout, t.graph)
@@ -156,7 +149,7 @@ def test_grid2d_table_matches_legacy(rows, cols, split):
 
 
 def test_wiretable_roundtrip_grid():
-    res = build_grid_layout((2, 1, 1), engine="table")
+    res = build_grid_layout((2, 1, 1))
     t = res.layout.wire_table()
     wires = t.to_wires()
     t2 = WireTable.from_wires(wires)
@@ -169,7 +162,7 @@ def test_wiretable_roundtrip_grid():
 
 
 def test_wiretable_measurements_match_objects():
-    res = build_grid_layout((2, 2, 1), L=3, engine="table")
+    res = build_grid_layout((2, 2, 1), L=3)
     t = res.layout.wire_table()
     wires = res.layout.wires  # materializes (drops the table)
     assert t.total_wire_length() == sum(w.length for w in wires)
@@ -185,7 +178,7 @@ def test_wiretable_measurements_match_objects():
 
 
 def test_wiretable_paths_match_objects():
-    res = build_grid_layout((1, 1, 1), recirculating=True, engine="table")
+    res = build_grid_layout((1, 1, 1), recirculating=True)
     t = res.layout.wire_table()
     p = t.paths()
     assert not p.bad.any()
@@ -208,7 +201,7 @@ def test_wiretable_rejects_bad_segments():
 
 
 def test_layout_lazy_materialization_drops_table():
-    res = build_grid_layout((1, 1, 1), engine="table")
+    res = build_grid_layout((1, 1, 1))
     lay = res.layout
     assert lay.has_native_table
     n = lay.num_wires()

@@ -1,7 +1,7 @@
 """Differential and property tests for the columnar packaging engine.
 
 The columnar :func:`count_off_module_links` must be wire-for-wire
-identical to the legacy per-link enumerator — same totals *and* the same
+identical to the legacy per-link enumerator in ``tests/oracles`` — same totals *and* the same
 per-module dicts (content and insertion order) — across row, nucleus and
 naive partitions, including non-power-of-two naive module sizes.  The
 closed forms of Section 2.3 / Theorem 2.1 pin the counts independently,
@@ -32,7 +32,6 @@ from repro.packaging.partition import (
 )
 from repro.packaging.pins import (
     count_off_module_links,
-    count_off_module_links_legacy,
     nucleus_partition_module_bound,
     row_partition_avg_per_node,
     row_partition_offmodule_per_module,
@@ -42,6 +41,11 @@ from repro.topology.swap import SwapNetworkParams
 from repro.transform.swap_butterfly import SwapButterfly
 
 from tests.conftest import param_vector_strategy
+from tests.oracles.packaging import (
+    count_off_module_links_legacy,
+    exact_pin_counts_legacy,
+    module_sizes_legacy,
+)
 
 GRID = [(2, 2), (3, 2), (2, 2, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3), (2, 2, 2, 2), (4, 3, 2)]
 
@@ -97,8 +101,8 @@ class TestColumnarParity:
     def test_module_sizes_legacy_oracle(self, ks):
         sb = SwapButterfly.from_ks(ks)
         for part in _partitions(sb):
-            assert part.module_sizes() == part.module_sizes_legacy()
-            assert part.modules() == list(part.module_sizes_legacy())
+            assert part.module_sizes() == module_sizes_legacy(part)
+            assert part.modules() == list(module_sizes_legacy(part))
 
     def test_module_ids_match_module_of(self):
         sb = SwapButterfly.from_ks((3, 2, 2))
@@ -126,11 +130,11 @@ class TestNaiveColumnar:
         if m > b.rows:
             pytest.skip("module larger than the network")
         part = NaiveRowPartition(b, m)
-        assert part.exact_pin_counts() == part.exact_pin_counts_legacy()
+        assert part.exact_pin_counts() == exact_pin_counts_legacy(part)
 
     def test_max_pins_and_avg_agree_with_legacy(self):
         part = NaiveRowPartition(Butterfly(6), 3)
-        legacy = part.exact_pin_counts_legacy()
+        legacy = exact_pin_counts_legacy(part)
         assert part.max_pins == max(legacy.values())
         assert part.avg_per_node() == Fraction(
             sum(legacy.values()), part.bfly.num_nodes
@@ -142,7 +146,7 @@ class TestNaiveColumnar:
         b = Butterfly(n)
         best = 0
         for m in range(1, b.rows + 1):
-            pins = NaiveRowPartition(b, m).exact_pin_counts_legacy()
+            pins = exact_pin_counts_legacy(NaiveRowPartition(b, m))
             if max(pins.values(), default=0) <= limit:
                 best = m
             elif best:
@@ -228,11 +232,6 @@ class TestExactOptimizer:
         assert all(
             c.exact_pins is None for c in optimize_packaging(8)
         )
-
-    def test_workers_match_serial(self):
-        serial = optimize_packaging(8, exact=True)
-        parallel = optimize_packaging(8, exact=True, workers=2, batch=2)
-        assert serial == parallel
 
     def test_exact_pin_maxima_memoized(self):
         exact_pin_maxima.cache_clear()

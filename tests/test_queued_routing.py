@@ -1,8 +1,8 @@
 """Tests for the vectorized queued-routing engine and its fixed metrics.
 
-The legacy triple-loop simulator stays in the tree purely as a reference
-implementation; the differential tests here pin the vectorized engine to
-it packet-for-packet under fixed seeds.
+The legacy triple-loop simulator stays in ``tests/oracles`` purely as a
+reference implementation; the differential tests here pin the vectorized
+engine to it packet-for-packet under fixed seeds.
 """
 
 import csv
@@ -16,9 +16,10 @@ from repro.algorithms.queued_routing import (
     _default_drain,
     saturation_per_node_rate,
     simulate_butterfly_queued,
-    simulate_butterfly_queued_legacy,
     sweep_rates,
 )
+
+from tests.oracles.queued_routing import simulate_butterfly_queued_legacy
 
 
 class TestDifferential:

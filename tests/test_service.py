@@ -249,6 +249,11 @@ class TestHandlers:
             normalize_params("dims", {"ks": [13, 13]})  # sum cap
         with pytest.raises(QueryError):
             normalize_params("benes", {"n": 99})
+        # int(inf) and float(10**400) raise OverflowError, not ValueError
+        with pytest.raises(QueryError):
+            normalize_params("benes", {"n": float("inf")})
+        with pytest.raises(QueryError):
+            normalize_params("sim", {"n": 4, "rate": 10**400})
         with pytest.raises(QueryError):
             normalize_params("layout", {"ks": [2, 2], "recirculating": "maybe"})
         with pytest.raises(QueryError):
@@ -395,7 +400,7 @@ class TestExecParams:
         assert canonical_json(r1) == canonical_json(r2)
 
     def test_exec_values_validated(self):
-        for bad in (0, -3, "x", 1.5, True):
+        for bad in (0, -3, "x", 1.5, True, float("inf")):
             with pytest.raises(QueryError):
                 query("layout", {"ks": [2, 2], "memory_budget_bytes": bad},
                       store=None)
@@ -448,9 +453,13 @@ class TestHTTPServer:
         assert doc["schema_version"] == SCHEMA_VERSION
         assert "layout" in doc["kinds"]
 
-    def test_query_miss_then_hit(self, http_server):
+    @pytest.mark.parametrize("route", [
+        "/v1/dims?ks=2,2,2&layers=4",
+        "/v1/layout?ks=2,2,2&layers=4",  # carries an array payload
+    ], ids=["dims", "layout"])
+    def test_query_miss_then_hit(self, http_server, route):
         base, _store = http_server
-        url = f"{base}/v1/dims?ks=2,2,2&layers=4"
+        url = f"{base}{route}"
         s1, b1, h1 = _get(url)
         s2, b2, h2 = _get(url)
         assert s1 == s2 == 200
@@ -509,6 +518,20 @@ class TestHTTPServer:
         base, _store = http_server
         req = urllib.request.Request(
             f"{base}/v1/query", data=b"[1, 2, 3]",
+        )
+        try:
+            urllib.request.urlopen(req)
+            status = 200
+        except urllib.error.HTTPError as e:
+            status = e.code
+        assert status == 400
+
+    def test_post_infinite_param_400(self, http_server):
+        # json.loads accepts Infinity; int(inf) raises OverflowError
+        base, _store = http_server
+        req = urllib.request.Request(
+            f"{base}/v1/query",
+            data=b'{"kind": "benes", "params": {"n": Infinity}}',
         )
         try:
             urllib.request.urlopen(req)

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.layout.blocks import BlockDims, block_dims, plan_block
+from repro.layout.blocks import BlockDims, block_dims
 from repro.layout.tracks import TrackGrouping, base_layer_pair
 from repro.transform.swap_butterfly import SwapButterfly
+
+from tests.oracles.blocks import plan_block
 
 
 class TestTrackGrouping:

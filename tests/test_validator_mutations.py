@@ -11,11 +11,9 @@ from hypothesis import given, settings, strategies as st
 from repro.layout.collinear import collinear_layout
 from repro.layout.geometry import Segment, Wire
 from repro.layout.grid_scheme import build_grid_layout
-from repro.layout.validate import (
-    MAX_ERRORS_KEPT,
-    validate_layout,
-    validate_layout_legacy,
-)
+from repro.layout.validate import MAX_ERRORS_KEPT, validate_layout
+
+from tests.oracles.validate import validate_layout_legacy
 
 
 def fresh_collinear():
