@@ -23,12 +23,15 @@ The model (under which the paper's counting argument is exact):
   lets packets already in flight complete, so short runs do not
   under-report acceptance.
 
-:func:`simulate_butterfly_queued` is the engine: every FIFO is a
-ring-buffer row of one flat NumPy array, each cycle pops every nonempty
-queue at once, and a two-pass collision-free scatter moves the popped
-packets to their next-stage queues — there is no Python-level loop over
-nodes, and :func:`sweep_rates` batches many independent (rate, seed)
-runs through the *same* arbitration loop.  The original pure-Python
+:func:`simulate_butterfly_queued` is the engine.  It keeps no queues:
+a FIFO served once per cycle obeys the Lindley recurrence, so a packet's
+pop cycle is fixed when it is enqueued (``p = max(t + 1, nf[q])``, then
+``nf[q] = p + 1``).  A *pop-time calendar* — one row per upcoming cycle,
+one slot per FIFO — files each packet under its pop cycle; each cycle
+pops its row at once, and a two-pass collision-free scatter files the
+popped packets under their next-stage queues.  There is no Python-level
+loop over nodes, and :func:`sweep_rates` batches many independent
+(rate, seed) runs through the *same* loop.  The original pure-Python
 triple loop is the reference for differential tests
 (``tests/oracles/queued_routing.py``): with the same seed both produce
 *identical* offered / delivered / drained counts and latency totals (the
@@ -43,8 +46,9 @@ Metric definitions (see :class:`SimResult`):
 * ``accepted_fraction`` — ``(delivered + drained) / offered``: the
   fraction of offered packets the network delivered once in-flight
   packets were given the bounded drain to land;
-* ``max_queue`` — the exact peak backlog of any single FIFO (tracked on
-  every enqueue, not sampled).
+* ``max_queue`` — the exact peak backlog of any single FIFO (read off
+  every enqueue, not sampled: right after a push at cycle ``t`` the
+  backlog is ``p - t``).
 """
 
 from __future__ import annotations
@@ -80,14 +84,18 @@ def _default_drain(n: int) -> int:
 def _qid_layout(n: int, B: int) -> Tuple[int, int, int, int]:
     """Global queue-id layout for a ``B``-job batch on ``B_n``.
 
-    Returns ``(jb, jmask, sshift, num_q)`` for the id packing ``stage |
-    classbit | job | row-rest | out`` shared by the engine, the
-    injection precompute, and the shared-memory sweep workers.
+    Returns ``(jmask, sshift, cstride, num_q)`` for the id packing
+    ``class | stage | job | row-rest | out`` shared by the engine and
+    the injection precompute.  ``class`` is bit ``stage`` of the
+    queue's row, the scatter pass its packets leave in.  It is the top
+    *digit*, worth ``cstride = n << sshift``, not a bit: each class is
+    then one id run sorted by stage, and a one-job batch numbers its
+    ``2 n R`` FIFOs ``0 .. num_q - 1`` with no gap.
     """
-    jb = max((B - 1).bit_length(), 0)
-    jmask = (1 << jb) - 1
-    sshift = jb + n + 1
-    return jb, jmask, sshift, n << sshift
+    jb = (B - 1).bit_length()
+    sshift = jb + n
+    cstride = n << sshift
+    return (1 << jb) - 1, sshift, cstride, 2 * cstride
 
 
 def _packet_dtype(n: int, cycles: int, drain: int):
@@ -112,29 +120,31 @@ def _prepare_injections(
     """
     R = 1 << n
     B = len(jobs)
-    _jb, _jmask, sshift, _num_q = _qid_layout(n, B)
+    _jmask, _sshift, cstride, _num_q = _qid_layout(n, B)
     offered = np.zeros(B, np.int64)
     inj_percycle = np.zeros((cycles, B), np.int64)
     parts_t, parts_val, parts_qid = [], [], []
+    rows = np.arange(R)
+    # stage-0 queue id of each input row, less the route bit: class = row
+    # bit 0, row-rest = the other row bits
+    row_qid = (rows & 1) * cstride | (rows & (R - 2))
     for j, (rate, seed) in enumerate(jobs):
         rng = np.random.default_rng(seed)
         inj = rng.random((cycles, R)) < rate
         dests = rng.integers(0, R, size=(cycles, R))
-        t_idx, r_idx = np.nonzero(inj)
-        t_idx = t_idx.astype(np.int64)
-        r_idx = r_idx.astype(np.int64)
-        d = dests[t_idx, r_idx].astype(np.int64)
+        # flat = (cycle << n) | row, row-major: grouped by cycle, then row;
+        # dest < R, so flat ^ dest is the packed (cycle << n) | (row ^ dest)
+        flat = np.flatnonzero(inj)
+        t_idx = flat >> n
+        val = flat ^ dests.ravel()[flat]
+        qid = row_qid[flat & (R - 1)]
+        qid |= (j << n) | (val & 1)
         parts_t.append(t_idx)
-        parts_val.append((t_idx << n) | (r_idx ^ d))
-        parts_qid.append(
-            ((r_idx & 1) << (sshift - 1))  # stage 0: class bit = row bit 0
-            | (np.int64(j) << n)
-            | ((r_idx >> 1) << 1)
-            | ((r_idx ^ d) & 1)
-        )
-        offered[j] = np.count_nonzero(t_idx >= warmup)
-        inj_percycle[:, j] = np.bincount(t_idx, minlength=cycles)
-    if B == 1:  # np.nonzero is row-major: already grouped by cycle
+        parts_val.append(val)
+        parts_qid.append(qid)
+        offered[j] = t_idx.size - np.searchsorted(t_idx, warmup)
+        inj_percycle[:, j] = np.count_nonzero(inj, axis=1)
+    if B == 1:  # already grouped by cycle
         ival = parts_val[0].astype(pdtype)
         iqid = parts_qid[0]
         itin = parts_t[0]
@@ -271,25 +281,38 @@ def _run_batch(
     """Run ``len(jobs)`` independent ``(rate, seed)`` simulations through
     one shared per-link FIFO arbitration loop.
 
-    Every FIFO of every job gets a global queue id ``stage | classbit |
-    job | row-rest | out`` (``classbit`` = bit ``stage`` of the queue's
-    row, ``row-rest`` = the remaining row bits) and lives as a
-    ring-buffer row of one flat array with monotone head/tail counters.
-    A packet is one packed integer ``(inject_cycle << n) | (source_row ^
-    dest)``: bits of ``row ^ dest`` above the current stage are
-    invariant along the route, so the routing bit at stage ``s`` is just
-    bit ``s`` of the stored value.  Each cycle pops every nonempty
-    queue's head at once — with stage in the top id bits the sorted
-    active-queue list splits into movers and final-stage deliveries with
-    a single ``searchsorted`` — and scatters the movers to their target
-    queues in two passes split on ``classbit``: the two packets that can
-    collide on one target queue always differ in that bit of the source
-    row, and the bit-0 source is the lower row, so the two passes
-    reproduce the reference FIFO arrival order (cycle, then source row)
-    exactly, with no per-cycle sort.  The cycle's injections ride in the
-    first pass (stage-0 targets are disjoint from mover targets).  Jobs
-    never share queues, so batched results are bit-identical to running
-    each job alone.  ``trace`` is honoured for single-job batches only.
+    A FIFO served once per cycle obeys the Lindley recurrence: a packet
+    pushed onto queue ``q`` at cycle ``t`` pops at ``p = max(t + 1,
+    nf[q])``, after which ``nf[q] = p + 1``.  So each packet's pop cycle
+    is fixed when it is enqueued, and the engine keeps no queues at all:
+    ``nf`` holds every FIFO's next free pop cycle, and a *calendar* of
+    ``W`` rows with one slot per FIFO holds in row ``p % W`` the packets
+    that pop at cycle ``p`` (``-1`` marks an empty slot).  A cycle's pops
+    are one ``nonzero`` over its row; a push is a gather of ``nf``, a
+    ``maximum``, a scatter back and one scatter into the calendar.  The
+    backlog right after a push is exactly ``p - t``, so the exact peak
+    depth needs no queue state, and a FIFO's backlog at the end of cycle
+    ``t`` is ``max(nf[q] - t - 1, 0)``.
+
+    Every FIFO of every job gets a global queue id ``class | stage | job
+    | row-rest | out`` (``class`` = bit ``stage`` of the queue's row,
+    ``row-rest`` = the remaining row bits; see :func:`_qid_layout`).  A
+    packet is one packed integer ``(inject_cycle << n) | (source_row ^
+    dest)``: bits of ``row ^ dest`` above the current stage are invariant
+    along the route, so the routing bit at stage ``s`` is just bit ``s``
+    of the stored value.  With class and stage on top, one
+    ``searchsorted`` splits a cycle's sorted pops into the class-0
+    movers, the class-0 deliveries, the class-1 movers and the class-1
+    deliveries.  The movers go on in two scatter passes split on
+    ``class``: the two packets that can collide on one target queue
+    always differ in that bit of the source row, and the bit-0 source is
+    the lower row, so the two passes reproduce the reference FIFO arrival
+    order (cycle, then source row) exactly, with no per-cycle sort.
+    Stage-0 targets are disjoint from mover targets, and an input FIFO
+    sees at most one injection per cycle, so the cycle's injections are a
+    pass of their own.  Jobs never share queues, so batched results are
+    bit-identical to running each job alone.  ``trace`` is honoured for
+    single-job batches only.
     """
     for rate, _seed in jobs:
         _validate(n, rate, cycles)
@@ -298,44 +321,31 @@ def _run_batch(
     R = 1 << n
     B = len(jobs)
     total_cycles = cycles + drain
-    # stage | classbit | job | row-rest | out
-    jb, jmask, sshift, num_q = _qid_layout(n, B)
-    final_floor = (n - 1) << sshift
-    # one packed int per packet: (inject_cycle << n) | (source_row ^ dest).
-    # row ^ dest above bit s is invariant along the route (bits below s are
-    # already corrected), so the routing decision at stage s+1 is just bit
-    # s+1 of the stored value — no current-row lookup needed.
+    jmask, sshift, cstride, num_q = _qid_layout(n, B)
+    # one packed int per packet: (inject_cycle << n) | (source_row ^ dest)
     pdtype = _packet_dtype(n, cycles, drain)
 
-    # -- per-queue lookup tables (qid -> movement precomputation) --------
-    # queue id layout: stage s on top, then bit s of the queue's row (the
-    # scatter-pass class, making each pass a run of sorted id ranges),
-    # then job, then the remaining row bits, then the output link.
-    ids = np.arange(num_q, dtype=np.int64)
-    s_t = ids >> sshift
-    sb_t = (ids >> (sshift - 1)) & 1
-    j_t = (ids >> n) & jmask
-    rr_t = (ids >> 1) & ((R >> 1) - 1)
-    o_t = ids & 1
-    row_t = (rr_t & ((1 << s_t) - 1)) | (sb_t << s_t) | ((rr_t >> s_t) << (s_t + 1))
-    nrow_t = row_t ^ (o_t << s_t)
+    # -- per-queue lookup tables (qid -> next hop) -----------------------
+    c_t, rest = np.divmod(np.arange(num_q, dtype=np.int64), cstride)
+    s_t = rest >> sshift
+    j_t = (rest >> n) & jmask
+    rr_t = (rest >> 1) & ((R >> 1) - 1)
+    row_t = (rr_t & ((1 << s_t) - 1)) | (c_t << s_t) | ((rr_t >> s_t) << (s_t + 1))
+    nrow_t = row_t ^ ((rest & 1) << s_t)
     s2 = s_t + 1
-    nsb_t = (nrow_t >> s2) & 1
     nrest_t = (nrow_t & ((1 << s2) - 1)) | ((nrow_t >> (s2 + 1)) << s2)
-    q_nbase = (s2 << sshift) | (nsb_t << (sshift - 1)) | (j_t << n) | (nrest_t << 1)
-    # movers of stage s split into scatter passes at these sorted-id cuts;
-    # the final entry is the first final-stage id, so one searchsorted
-    # over ``act`` yields the class cuts *and* the delivery cut
-    half = 1 << (sshift - 1)
-    class_bounds = np.array(
-        [(s << sshift) + k * half for s in range(n - 1) for k in (1, 2)]
-        + [final_floor],
-        dtype=np.int64,
+    # the class digit is added, not or-ed: cstride shares bits with the
+    # stage field unless n is a power of two.  A final-stage id gets a
+    # meaningless entry; its pops are deliveries
+    q_nbase = (((nrow_t >> s2) & 1) * cstride + (s2 << sshift)) | (
+        (j_t << n) | (nrest_t << 1)
     )
-    # routing-bit position per queue (bit s+1 of the packed value); a
-    # single gathered variable-shift beats the per-stage scalar-slice
-    # loop once there are more than a few stages
-    q_nshift = s2.astype(np.int32) if n > 4 else None
+    q_nshift = s2.astype(pdtype)  # routing bit of the next stage
+    # sorted pops split at: first class-0 final-stage id, first class-1
+    # id, first class-1 final-stage id
+    bounds = np.array(
+        [(n - 1) << sshift, cstride, cstride + ((n - 1) << sshift)], np.int64
+    )
 
     # -- every injection of every job, grouped by cycle ------------------
     # either prepared here, or attached as shared-memory views by a
@@ -346,20 +356,15 @@ def _run_batch(
     offered = offered.copy()  # result field; never mutate a shared view
     inj_off = np.searchsorted(itin, np.arange(cycles + 1))
 
-    # -- ring buffers: one row per FIFO, head/tail monotone counters -----
-    depth_cap = 16
-    buf = np.zeros(num_q * depth_cap, pdtype)  # flat (num_q, depth_cap)
-    # head/tail/qpeak count pops/arrivals per queue: <= 2 per cycle, so
-    # int16 is safe below 2**14 cycles and keeps the hot arrays L2-sized
-    cdtype = (
-        np.int16 if total_cycles < 2**14
-        else np.int32 if total_cycles < 2**30 else np.int64
-    )
-    head = np.zeros(num_q, cdtype)
-    tail = np.zeros(num_q, cdtype)
+    # -- pop-time calendar: W rows of num_q slots, row p % W pops at p ---
+    # W starts small and doubles as backlogs grow (they stay near 10 under
+    # uniform traffic), so every run takes the growth path early
+    W = 4
+    cal = np.full(W * num_q, -1, pdtype)  # flat (W, num_q)
+    nf = np.zeros(num_q, np.int64)  # next free pop cycle per FIFO
     solo = B == 1 and not trace  # scalar accounting fast path
-    qpeak = None if solo else np.zeros(num_q, cdtype)  # per-FIFO backlog peak
-    peak_seen = 0  # running global peak, drives capacity growth
+    qpeak = None if solo else np.zeros(num_q, np.int64)  # per-FIFO peak
+    peak_seen = 0  # running global peak, drives calendar growth
 
     inflight = np.zeros(B, np.int64)
     total_inflight = 0
@@ -371,64 +376,73 @@ def _run_batch(
     do_trace = trace and B == 1
     tr_rows: List[Tuple[int, int, int, int, int]] = []
     hist = np.zeros(1, np.int64)
-    # solo fast path: final-stage pops are stashed per cycle and settled
-    # in one vectorized pass after the loop (fin_t holds each chunk's t)
+    # solo fast path: deliveries are stashed per cycle and settled in one
+    # vectorized pass after the loop (fin_t holds each chunk's t)
     fin_vals: List[np.ndarray] = []
     fin_t: List[int] = []
 
     def grow() -> None:
-        nonlocal depth_cap, buf
-        new_cap = depth_cap * 2
-        nb = np.zeros(num_q * new_cap, pdtype)
-        depth = tail - head
-        q_rep = np.repeat(np.arange(num_q), depth)
-        ofs = np.arange(int(depth.sum())) - np.repeat(
-            np.cumsum(depth) - depth, depth
-        )
-        nb[q_rep * new_cap + ((head[q_rep] + ofs) & (new_cap - 1))] = buf[
-            q_rep * depth_cap + ((head[q_rep] + ofs) & (depth_cap - 1))
-        ]
-        buf, depth_cap = nb, new_cap
+        # the W pending rows are cycles t .. t + W - 1: re-file each at
+        # its row of a calendar twice as long
+        nonlocal W, cal
+        pend = t + np.arange(W)
+        big = np.full((2 * W, num_q), -1, pdtype)
+        big[pend & (2 * W - 1)] = cal.reshape(W, num_q)[pend & (W - 1)]
+        cal, W = big.reshape(-1), 2 * W
+
+    def push(qc: np.ndarray, vc: np.ndarray) -> None:
+        # targets are unique within one call
+        nonlocal peak_seen
+        p = nf[qc]
+        np.maximum(p, t + 1, out=p)
+        nf[qc] = p + 1
+        # the backlog right after the push is p - t
+        pk = int(p.max()) - t
+        if pk > peak_seen:
+            peak_seen = pk
+        if qpeak is not None:
+            qpeak[qc] = np.maximum(qpeak[qc], p - t)
+        p &= W - 1
+        p *= num_q
+        p += qc
+        cal[p] = vc
 
     for t in range(total_cycles):
         if t >= cycles:
             if total_inflight == 0:
                 break
             drain_cycles += inflight > 0
-        if peak_seen + 2 >= depth_cap:  # <= 2 arrivals per queue per cycle
+        if peak_seen + 2 >= W:  # a push lands at most peak + 2 rows ahead
             grow()
-        mask = depth_cap - 1
-        dbits = mask.bit_length()
+        r0 = (t & (W - 1)) * num_q
+        row = cal[r0 : r0 + num_q]
+        act = (row >= 0).nonzero()[0]  # method call: skips wrappers
         cyc_delivered = 0
-        cut = 0
-        cuts: List[int] = []
-        act = (head < tail).nonzero()[0]  # method call: skips wrappers
         if act.size:
-            # slot math runs in the qid dtype: the head/tail cursors are
-            # int16, but queue ids span the whole buffer
-            c = head[act]
-            pval = buf[(act << dbits) | (c & mask)]
-            head[act] = c + 1
-            cuts = act.searchsorted(class_bounds).tolist()
-            cut = cuts[-1]
-            if cut < act.size:  # final-stage pops: deliveries
-                cyc_delivered = act.size - cut
+            pval = row[act]
+            row.fill(-1)
+            # [0, ea) class-0 movers, [ea, eb) class-0 deliveries,
+            # [eb, ec) class-1 movers, [ec, :) class-1 deliveries
+            ea, eb, ec = act.searchsorted(bounds).tolist()
+            cyc_delivered = eb - ea + act.size - ec
+            if cyc_delivered:
                 total_inflight -= cyc_delivered
+                dval = np.concatenate((pval[ea:eb], pval[ec:]))
                 if solo:
                     # defer the latency/warmup arithmetic: stash the
                     # popped values and settle everything in one
                     # vectorized pass after the loop
                     inflight[0] -= cyc_delivered
-                    fin_vals.append(pval[cut:])
+                    fin_vals.append(dval)
                     fin_t.append(t)
                 else:
-                    done_tin = pval[cut:] >> n
+                    done_tin = dval >> n
                     counted = (
                         slice(None) if int(done_tin.min()) >= warmup
                         else done_tin >= warmup
                     )
                     tin_c = done_tin[counted]
-                    jd = (act[cut:] >> n) & jmask
+                    jd = (np.concatenate((act[ea:eb], act[ec:])) >> n) & jmask
                     inflight -= np.bincount(jd, minlength=B)
                     if tin_c.size:
                         jdc = jd[counted]
@@ -440,78 +454,27 @@ def _run_batch(
                             delivered += bump
                         else:
                             drained += bump
-        # arrivals: movers split into the two collision-free scatter
-        # passes along the precomputed sorted-id runs; this cycle's
-        # injections ride in the first pass (stage-0 targets are disjoint
-        # from mover targets, and input FIFOs see <= 1 injection/cycle)
-        segs_a: List[np.ndarray] = []
-        vals_a: List[np.ndarray] = []
-        segs_b: List[np.ndarray] = []
-        vals_b: List[np.ndarray] = []
-        if cut:
-            mq = act[:cut]
-            mval = pval[:cut]
-            if q_nshift is not None:
-                nout = mval >> q_nshift[mq]
-            else:
-                # act is stage-sorted, so the routing-bit index (stage+1)
-                # is constant on each stage run: scalar shifts beat the
-                # gather when there are only a few stages
-                nout = np.empty_like(mval)
-                lo = 0
-                for s in range(n - 1):
-                    hi = cuts[2 * s + 1]
-                    if hi > lo:
-                        np.right_shift(mval[lo:hi], s + 1, out=nout[lo:hi])
-                    lo = hi
-            nout &= 1
-            nqid = q_nbase[mq]
-            nqid |= nout
-            prev = 0
-            for i in range(0, len(cuts) - 1, 2):
-                ca, cb = cuts[i], cuts[i + 1]
-                if ca > prev:
-                    segs_a.append(nqid[prev:ca])
-                    vals_a.append(mval[prev:ca])
-                if cb > ca:
-                    segs_b.append(nqid[ca:cb])
-                    vals_b.append(mval[ca:cb])
-                prev = cb
+            if ea or ec > eb:
+                nq = q_nbase[act]
+                nq |= (pval >> q_nshift[act]) & 1
+                if ea:
+                    push(nq[:ea], pval[:ea])
+                if ec > eb:
+                    push(nq[eb:ec], pval[eb:ec])
         cyc_injected = 0
         if t < cycles:
             a, b = int(inj_off[t]), int(inj_off[t + 1])
             if b > a:
                 cyc_injected = b - a
                 total_inflight += cyc_injected
-                segs_a.append(iqid[a:b])
-                vals_a.append(ival[a:b])
+                push(iqid[a:b], ival[a:b])
                 if solo:
                     inflight[0] += cyc_injected
                 else:
                     inflight += inj_percycle[t]
-        touched: List[np.ndarray] = []
-        for segs, vals in ((segs_a, vals_a), (segs_b, vals_b)):
-            if not segs:
-                continue
-            qc = segs[0] if len(segs) == 1 else np.concatenate(segs)
-            vc = vals[0] if len(vals) == 1 else np.concatenate(vals)
-            # targets unique within a pass
-            c = tail[qc]
-            buf[(qc << dbits) | (c & mask)] = vc
-            tail[qc] = c + 1
-            touched.append(qc)
-        if touched:
-            # pops precede pushes, so a FIFO's depth peaks at end of
-            # cycle: sampling the touched queues once here is exact
-            qt = touched[0] if len(touched) == 1 else np.concatenate(touched)
-            dep = tail[qt] - head[qt]
-            if not solo:
-                qpeak[qt] = np.maximum(qpeak[qt], dep)
-            pk = int(dep.max())
-            if pk > peak_seen:
-                peak_seen = pk
         if do_trace:
-            depth_all = tail - head
+            depth_all = nf - (t + 1)
+            np.maximum(depth_all, 0, out=depth_all)
             tr_rows.append(
                 (t, cyc_injected, cyc_delivered, total_inflight,
                  int(depth_all.max()))
@@ -534,7 +497,7 @@ def _run_batch(
             drained[0] = int(np.count_nonzero(post)) - int(delivered[0])
             latency[0] = float(((t_arr + 1) - tins)[post].sum())
     else:
-        maxq = qpeak.reshape(n, 2, 1 << jb, R).max(axis=(0, 1, 3))[:B]
+        maxq = qpeak.reshape(2 * n, jmask + 1, R).max(axis=(0, 2))[:B]
 
     results = []
     for j, (rate, _seed) in enumerate(jobs):
@@ -576,11 +539,13 @@ def simulate_butterfly_queued(
     """Simulate Bernoulli(``rate_per_input``) arrivals per input per cycle
     with uniform random destinations — vectorized engine.
 
-    Every FIFO is a ring-buffer row of one flat NumPy array; each cycle
-    pops every nonempty queue at once and a two-pass collision-free
-    scatter moves the packets on (reproducing the reference enqueue
-    order — cycle, then source row — exactly, so results match the
-    pure-Python reference loop packet-for-packet).  After
+    Each packet's pop cycle is fixed when it is enqueued (a FIFO served
+    once per cycle obeys the Lindley recurrence), so the engine files
+    packets in a pop-time calendar instead of keeping queues: each cycle
+    pops one calendar row at once and a two-pass collision-free scatter
+    files the packets under their next hop (reproducing the reference
+    enqueue order — cycle, then source row — exactly, so results match
+    the pure-Python reference loop packet-for-packet).  After
     the measured window, up to ``drain`` extra cycles (default
     ``4 * (n + 1)``) run without injections so in-flight packets are not
     misread as losses.  With ``trace=True`` the result carries a
@@ -684,12 +649,17 @@ def saturation_per_node_rate(
     stays unsaturated at full injection, the answer is the full rate
     ``1.0 / (n + 1)`` itself — bisecting would converge to ~0.986 of it
     and misreport an arbitrary bracket edge as a saturation point.
+
+    Every probe warms up for 200 cycles, or for ``cycles // 10`` when
+    ``cycles <= 200``: a warmup of the whole run would offer no measured
+    packet, so every probe would read as saturated.
     """
     lo, hi = 0.1, 1.0
+    warmup = cycles // 10 if cycles <= 200 else 200
 
     def accepted(rate: float) -> float:
         return simulate_butterfly_queued(
-            n, rate, cycles=cycles, seed=seed, drain=drain
+            n, rate, cycles=cycles, warmup=warmup, seed=seed, drain=drain
         ).accepted_fraction
 
     if accepted(lo) < threshold:

@@ -173,6 +173,11 @@ def normalize_grid(spec: Dict[str, object]) -> Dict[str, object]:
         raise GridError(f"bad track_order {cfg['track_order']!r}")
     for k in ("node_side", "cycles", "warmup", "benes_batch", "sat_max_n", "seed"):
         cfg[k] = _as_int(cfg[k], f"config.{k}")
+    if cfg["warmup"] >= cfg["cycles"]:
+        raise GridError(
+            f"config.warmup must be below config.cycles (a measured sim "
+            f"window), got warmup={cfg['warmup']}, cycles={cfg['cycles']}"
+        )
     cfg["threshold"] = float(cfg["threshold"])
     for k in EXEC_CONFIG_KEYS:
         if cfg[k] is not None:

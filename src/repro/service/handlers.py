@@ -165,7 +165,7 @@ PARAM_SPECS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
         "cycles": (_bounded_int(1, 1_000_000), 1500),
         "threshold": (_as_float, 0.95),
         "seed": (_bounded_int(0, 2**31 - 1), 0),
-        "drain": (_optional(_bounded_int(1, 1_000_000)), None),
+        "drain": (_optional(_bounded_int(0, 1_000_000)), None),
     },
     "sim": {
         "n": (_bounded_int(1, 12), ...),
@@ -173,7 +173,7 @@ PARAM_SPECS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
         "cycles": (_bounded_int(1, 1_000_000), 600),
         "warmup": (_bounded_int(0, 1_000_000), 100),
         "seed": (_bounded_int(0, 2**31 - 1), 0),
-        "drain": (_optional(_bounded_int(1, 1_000_000)), None),
+        "drain": (_optional(_bounded_int(0, 1_000_000)), None),
     },
 }
 
@@ -212,7 +212,9 @@ def normalize_params(kind: str, params: Dict[str, object]) -> Dict[str, object]:
     """Validated params with defaults filled — the dict that gets keyed.
 
     Raises :class:`QueryError` on unknown kind, unknown or missing
-    parameters, or values outside the service's bounds.
+    parameters, or values outside the service's bounds — including a
+    ``sim`` whose ``warmup`` leaves no measured window (``warmup >=
+    cycles``), which would answer an acceptance of 0.0.
     """
     if kind not in PARAM_SPECS:
         raise QueryError(
@@ -232,6 +234,11 @@ def normalize_params(kind: str, params: Dict[str, object]) -> Dict[str, object]:
             raise QueryError(f"missing required parameter {name!r} for {kind}")
         else:
             out[name] = default
+    if kind == "sim" and out["warmup"] >= out["cycles"]:
+        raise QueryError(
+            f"sim needs warmup < cycles (a measured window), got "
+            f"warmup={out['warmup']}, cycles={out['cycles']}"
+        )
     return out
 
 

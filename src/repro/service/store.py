@@ -60,7 +60,10 @@ __all__ = [
 #: matching instead of being served with a stale shape.  v2: the
 #: ``saturation`` bisection now probes the 1.0 bracket ceiling (old
 #: entries carried the ~0.986 artifact) and the ``sim`` kind exists.
-SCHEMA_VERSION = 2
+#: v3: ``saturation`` probes with ``cycles <= 200`` warm up for
+#: ``cycles // 10`` (old entries carried 0.0 from probes that measured
+#: no packet).
+SCHEMA_VERSION = 3
 
 _MANIFEST = "manifest.json"
 _PAYLOAD = "payload.npz"

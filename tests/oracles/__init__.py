@@ -11,7 +11,8 @@ verbatim so the tests can compare the two on the same inputs:
 * :mod:`tests.oracles.benes_routing` — the recursive Benes looping
   algorithm and its recursive simulator;
 * :mod:`tests.oracles.queued_routing` — the triple-loop queued-routing
-  simulator;
+  simulator, and :mod:`tests.oracles.queued_ring` — the ring-buffer
+  engine that the pop-time calendar replaced;
 * :mod:`tests.oracles.packaging` — the per-link pin counters and the
   per-node module-size loop.
 

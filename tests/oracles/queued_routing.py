@@ -1,11 +1,13 @@
 """The original pure-Python queued-routing simulator.
 
 :func:`simulate_butterfly_queued_legacy` is the triple loop over
-cycles, stages and rows that the ring-buffer engine in
+cycles, stages and rows that the vectorized engine in
 :mod:`repro.algorithms.queued_routing` replaced.  With the same seed both
 give identical offered / delivered / drained counts and latency totals:
 the legacy enqueue order (cycle ascending, then source row ascending) is
-the engine's scatter-pass order.
+the engine's scatter-pass order.  The loop samples ``max_queue`` every
+64 cycles and keeps no trace; :mod:`tests.oracles.queued_ring` is the
+exact reference for those and for batched runs.
 """
 
 from __future__ import annotations

@@ -87,6 +87,8 @@ class TestGrid:
             {"ks": [[1, 1, 1]], "pin_limit": [0]},
             {"ks": [[1, 1, 1]], "config": {"bogus": 1}},
             {"ks": [[1, 1, 1]], "config": {"track_order": "sideways"}},
+            # no measured sim window: acceptance and throughput would be 0
+            {"ks": [[1, 1, 1]], "config": {"cycles": 100, "warmup": 100}},
         ):
             with pytest.raises(GridError):
                 normalize_grid(bad)
@@ -258,6 +260,16 @@ class TestOrchestrator:
             assert p0["stages"][stage]["status"] in ("ok", "skipped")
             for q in p0["stages"][stage]["queries"]:
                 assert q["verified"]
+
+    def test_short_run_saturation_is_measured(self, baseline):
+        """SPEC's 120-cycle saturation probes used to warm up for 200
+        cycles and seal 0.0 for the n = 3 point beside its own sim's
+        ``accepted_fraction: 1.0``."""
+        path = os.path.join(baseline["run_dir"], "points", "p0000",
+                            "stages", "saturation.json")
+        summary = _load_stage_record(path)["summary"]
+        assert summary["accepted_fraction"] == 1.0
+        assert summary["saturation_rate"] == 0.25
 
     def test_noop_resume_is_byte_identical(self, baseline):
         run_dir = baseline["run_dir"]

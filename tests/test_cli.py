@@ -379,6 +379,15 @@ class TestSim:
         assert main(["sim", "-n", "3", "--cycles", "300", "--saturation"]) == 0
         assert "1/(n+1) wall" in capsys.readouterr().out
 
+    def test_saturation_short_run_without_drain(self, capsys):
+        """``--drain 0`` used to exit 2 at the service bound, and a
+        150-cycle search used to print 0.0000."""
+        assert main(
+            ["sim", "-n", "4", "--saturation", "--cycles", "150",
+             "--drain", "0"]
+        ) == 0
+        assert "n=4: 0.2000 " in capsys.readouterr().out
+
     def test_trace_export(self, capsys, tmp_path):
         csv_path = tmp_path / "t.csv"
         json_path = tmp_path / "t.json"

@@ -1,8 +1,10 @@
 """Tests for the vectorized queued-routing engine and its fixed metrics.
 
-The legacy triple-loop simulator stays in ``tests/oracles`` purely as a
-reference implementation; the differential tests here pin the vectorized
-engine to it packet-for-packet under fixed seeds.
+Two reference engines stay in ``tests/oracles``.  The legacy triple-loop
+simulator pins the engine packet-for-packet under fixed seeds.  The
+ring-buffer engine the pop-time calendar replaced is the exact reference
+for what the triple loop does not model: the exact ``max_queue``, the
+per-cycle :class:`StatsTrace` and batched runs.
 """
 
 import csv
@@ -10,16 +12,49 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.queued_routing import (
     SimResult,
     _default_drain,
+    _run_batch,
     saturation_per_node_rate,
     simulate_butterfly_queued,
     sweep_rates,
 )
 
+from tests.oracles import queued_ring
 from tests.oracles.queued_routing import simulate_butterfly_queued_legacy
+
+_TRACE_ARRAYS = (
+    "cycle", "injected", "delivered", "in_flight", "max_depth", "depth_hist",
+)
+
+_rates = st.floats(0.0, 1.0, exclude_min=True)
+_seeds = st.integers(0, 2**31 - 1)
+
+
+@st.composite
+def _runs(draw):
+    """``(n, cycles, warmup, drain)`` of one engine call."""
+    n = draw(st.integers(1, 7))
+    cycles = draw(st.integers(1, 400))
+    warmup = draw(st.integers(0, cycles - 1))
+    drain = draw(st.one_of(st.none(), st.integers(0, 8)))
+    return n, cycles, warmup, drain
+
+
+def _assert_same_runs(got, want):
+    assert got == want  # every SimResult field; the dataclass skips trace
+    for g, w in zip(got, want):
+        assert (g.trace is None) == (w.trace is None)
+        if g.trace is not None:
+            for name in _TRACE_ARRAYS:
+                np.testing.assert_array_equal(
+                    getattr(g.trace, name), getattr(w.trace, name), name
+                )
+            assert g.trace.measured_cycles == w.trace.measured_cycles
 
 
 class TestDifferential:
@@ -58,6 +93,48 @@ class TestDifferential:
     def test_max_queue_agrees_with_trace(self):
         r = simulate_butterfly_queued(4, 0.9, cycles=400, seed=2, trace=True)
         assert r.max_queue == int(r.trace.max_depth.max())
+
+
+class TestCalendarMatchesRing:
+    """The pop-time calendar vs. the ring-buffer engine it replaced:
+    every result field, every trace array and every sweep grouping."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        run=_runs(),
+        jobs=st.lists(st.tuples(_rates, _seeds), min_size=1, max_size=5),
+        trace=st.booleans(),
+    )
+    # full-rate runs: backlogs of 6-8 make the calendar grow twice
+    @example(run=(6, 400, 50, None), jobs=[(1.0, 1), (0.97, 2)], trace=False)
+    @example(run=(5, 400, 0, 8), jobs=[(1.0, 3)], trace=True)
+    def test_batches_and_traces(self, run, jobs, trace):
+        n, cycles, warmup, drain = run
+        _assert_same_runs(
+            _run_batch(n, jobs, cycles, warmup, drain, trace=trace),
+            queued_ring._run_batch(n, jobs, cycles, warmup, drain, trace=trace),
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        run=_runs(),
+        rates=st.lists(_rates, min_size=1, max_size=3),
+        seeds=st.lists(_seeds, min_size=1, max_size=2),
+    )
+    def test_sweep_groupings(self, run, rates, seeds):
+        n, cycles, warmup, drain = run
+        want = [
+            queued_ring._run_batch(n, [(r, s)], cycles, warmup, drain)[0]
+            for r in rates
+            for s in seeds
+        ]
+        for batch in (1, 3, 16):
+            for workers in (None, 2):
+                got = sweep_rates(
+                    n, rates, cycles=cycles, warmup=warmup, seeds=seeds,
+                    drain=drain, workers=workers, batch=batch,
+                )
+                assert got == want, (batch, workers)
 
 
 class TestMetrics:
@@ -105,6 +182,15 @@ class TestSaturation:
         """Satellite 2: if even the 0.1 bracket floor fails the
         acceptance threshold, report 0.0 instead of the floor itself."""
         assert saturation_per_node_rate(3, cycles=300, threshold=1.5) == 0.0
+
+    def test_short_runs_measure_a_window(self):
+        """Every probe used to warm up for 200 cycles whatever ``cycles``
+        was, so a run of <= 200 cycles offered no measured packet and
+        read as saturated (0.0) at the 0.1 floor."""
+        assert saturation_per_node_rate(3, cycles=120) == 0.25
+        assert saturation_per_node_rate(3, cycles=120) == (
+            saturation_per_node_rate(3, cycles=300)
+        )
 
     def test_normal_threshold_finds_positive_rate(self):
         assert saturation_per_node_rate(3, cycles=400) > 0.0

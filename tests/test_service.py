@@ -258,6 +258,11 @@ class TestHandlers:
             normalize_params("layout", {"ks": [2, 2], "recirculating": "maybe"})
         with pytest.raises(QueryError):
             normalize_params("package", {"ks": [2, 2], "scheme": "hexagon"})
+        # warmup == cycles leaves no measured window: acceptance would be 0
+        with pytest.raises(QueryError):
+            normalize_params(
+                "sim", {"n": 4, "rate": 0.5, "cycles": 100, "warmup": 100}
+            )
 
     def test_engine_valueerror_becomes_queryerror(self):
         # k_2 > k_1 passes _as_ks but the construction rejects it
@@ -311,6 +316,27 @@ class TestHandlers:
         r = query("saturation", {"n": 3, "cycles": 300}, store=None)
         assert 0.0 < r["rate_per_node"] <= 1.0
         assert r["paper_wall"] == pytest.approx(1 / 4)
+
+    def test_saturation_short_run_measures(self):
+        """Probes of <= 200 cycles used to warm up for all of them and
+        answer 0.0; they warm up for cycles // 10 now."""
+        r = query("saturation", {"n": 3, "cycles": 120}, store=None)
+        assert r["rate_per_node"] == 0.25
+
+    def test_drain_zero_accepted(self):
+        """The engine and ``repro sim --drain 0`` run without a drain;
+        the service bound used to start at 1."""
+        r = query("saturation", {"n": 3, "cycles": 300, "drain": 0},
+                  store=None)
+        assert 0.0 <= r["rate_per_node"] <= r["paper_wall"]
+        p = normalize_params("sim", {"n": 3, "rate": 0.5, "drain": 0})
+        assert p["drain"] == 0
+
+    def test_sim_without_window_never_cached(self, store):
+        params = {"n": 4, "rate": 0.5, "cycles": 100, "warmup": 100}
+        with pytest.raises(QueryError):
+            query("sim", params, store=store)
+        assert store.stats()["entries"] == 0
 
     def test_sim_normalize_defaults_and_bounds(self):
         p = normalize_params("sim", {"n": 2, "rate": 0.5})
