@@ -1,10 +1,11 @@
 """Checkpointed design-space campaigns over the butterfly layout stack.
 
 ``repro campaign`` expands a declared parameter grid into staged jobs
-(layout -> validate -> package -> benes -> saturation), shards them
-across workers, checkpoints every stage under ``runs/<run_id>/`` and
-emits a Pareto frontier (area / wire length / pins / layers).  Resuming
-an interrupted run reproduces the manifest and frontier byte-for-byte.
+(layout -> package -> benes -> saturation), shards them across workers,
+checkpoints every stage under ``runs/<run_id>/`` and emits a Pareto
+frontier (area / wire length / pins / layers).  The layout stage's proof
+re-checks its cache entry, payload SHA-256 included.  Resuming an
+interrupted run reproduces the manifest and frontier byte-for-byte.
 """
 
 from .frontier import OBJECTIVES, pareto_frontier, render_frontier

@@ -35,6 +35,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..service.handlers import PARAM_SPECS, QueryError
 from ..service.store import canonical_json
 
 __all__ = [
@@ -74,6 +75,17 @@ CONFIG_DEFAULTS: Dict[str, object] = {
 EXEC_CONFIG_KEYS = ("layout_memory_budget",)
 
 _AXES = ("ks", "layers", "pin_limit", "rate")
+
+#: Config keys that feed a service parameter: ``key -> (kind, param)``.
+#: Each value must pass that parameter's :data:`PARAM_SPECS` converter,
+#: so a grid the service would reject fails before any point runs.
+_SERVICE_PARAMS = {
+    "node_side": ("layout", "node_side"),
+    "cycles": ("sim", "cycles"),
+    "warmup": ("sim", "warmup"),
+    "benes_batch": ("benes", "batch"),
+    "threshold": ("saturation", "threshold"),
+}
 
 
 def _as_int(v: object, what: str) -> int:
@@ -173,12 +185,16 @@ def normalize_grid(spec: Dict[str, object]) -> Dict[str, object]:
         raise GridError(f"bad track_order {cfg['track_order']!r}")
     for k in ("node_side", "cycles", "warmup", "benes_batch", "sat_max_n", "seed"):
         cfg[k] = _as_int(cfg[k], f"config.{k}")
+    for k, (kind, param) in _SERVICE_PARAMS.items():
+        try:
+            cfg[k] = PARAM_SPECS[kind][param][0](cfg[k], f"config.{k}")
+        except QueryError as e:
+            raise GridError(str(e)) from None
     if cfg["warmup"] >= cfg["cycles"]:
         raise GridError(
             f"config.warmup must be below config.cycles (a measured sim "
             f"window), got warmup={cfg['warmup']}, cycles={cfg['cycles']}"
         )
-    cfg["threshold"] = float(cfg["threshold"])
     for k in EXEC_CONFIG_KEYS:
         if cfg[k] is not None:
             v = _as_int(cfg[k], f"config.{k}")

@@ -159,16 +159,14 @@ def _run_point(args: Tuple) -> Tuple[str, int, Dict[str, str]]:
         write_json_atomic(point_json, point.params())
     executed = 0
     statuses: Dict[str, str] = {}
-    prior: Dict[str, Dict] = {}
     for stage in STAGES:
         path = _stage_path(run_dir, point.point_id, stage)
         rec = _load_stage_record(path)
         if rec is None:
             rec = _seal(run_stage(stage, point, config, store=store,
-                                  use_cache=use_cache, prior=prior))
+                                  use_cache=use_cache))
             write_json_atomic(path, rec)
             executed += 1
-        prior[stage] = rec
         statuses[stage] = rec["status"]
     return point.point_id, executed, statuses
 

@@ -1,4 +1,4 @@
-"""Per-point stage pipeline: layout -> validate -> package -> benes -> saturation.
+"""Per-point stage pipeline: layout -> package -> benes -> saturation.
 
 Each stage answers through the :mod:`repro.service` handler layer, so a
 campaign's artifacts *are* cache entries — rerunning a grid whose points
@@ -19,7 +19,9 @@ Every stage emits one JSON-native *stage record* carrying:
     the verify-gate record — the CLI-equivalent ``argv``, the stage's
     ``rc``, and one entry per service query with its cache key and the
     validated ``result_sha256`` (re-read from the artifact store and
-    re-digested, so the proof attests what is actually on disk).
+    re-digested, so the proof attests what is actually on disk).  The
+    layout entry's re-read also checks the payload's SHA-256, and the
+    layout stage fails unless the layout is valid and that check holds.
 
 Records contain **no timestamps, paths or cache dispositions** — a
 resumed run must reproduce them byte-for-byte.
@@ -36,13 +38,14 @@ from .grid import CampaignPoint, derive_seed
 
 __all__ = ["STAGES", "STAGE_SCHEMA_VERSION", "run_stage", "stage_argv"]
 
-#: Stage order; later stages may read earlier records (``validate``
-#: gates on ``layout``) but never mutate them.
-STAGES: Tuple[str, ...] = ("layout", "validate", "package", "benes", "saturation")
+#: Stage order.  A stage's record depends only on the point and the
+#: config, never on another stage's record.
+STAGES: Tuple[str, ...] = ("layout", "package", "benes", "saturation")
 
 #: Bump when the stage-record layout changes; resumed runs discard
-#: records from other versions and recompute.
-STAGE_SCHEMA_VERSION = 1
+#: records from other versions and recompute.  v2: the ``validate``
+#: stage is folded into the layout stage's proof.
+STAGE_SCHEMA_VERSION = 2
 
 
 def _digest(result: Dict) -> str:
@@ -63,7 +66,7 @@ def stage_argv(
 ) -> List[str]:
     """The CLI invocation that reproduces the stage's primary query."""
     ks = ",".join(str(k) for k in point.ks)
-    if stage in ("layout", "validate"):
+    if stage == "layout":
         return [
             "repro", "layout", "--ks", ks,
             "--layers", str(point.layers),
@@ -103,11 +106,13 @@ def _query_with_proof(
     store: Optional[ArtifactStore],
     use_cache: bool,
     exec_params: Optional[Dict[str, object]] = None,
+    payload: bool = False,
 ) -> Tuple[Dict, Dict]:
     """Run one service query and attest it: the returned proof entry
     records the cache key and the digest of the result, with
     ``verified`` true only when re-reading the artifact store yields the
-    same bytes (the verify-gate's "validated result digest")."""
+    same bytes (the verify-gate's "validated result digest") and, with
+    ``payload``, an array payload whose SHA-256 matches."""
     result = query(kind, params, store=store, use_cache=use_cache,
                    exec_params=exec_params)
     digest = _digest(result)
@@ -117,7 +122,8 @@ def _query_with_proof(
         "result_sha256": digest,
     }
     if store is not None and use_cache:
-        again = store.get(kind, normalize_params(kind, params))
+        again = store.get(kind, normalize_params(kind, params),
+                          payload=payload)
         entry["verified"] = again is not None and _digest(again) == digest
     else:
         entry["verified"] = True  # nothing on disk to cross-check
@@ -158,22 +164,19 @@ def run_stage(
     config: Dict[str, object],
     store: Optional[ArtifactStore] = None,
     use_cache: bool = True,
-    prior: Optional[Dict[str, Dict]] = None,
 ) -> Dict:
     """Execute one stage for one point and return its stage record.
 
-    ``prior`` maps already-completed stage names to their records
-    (``validate`` reads ``layout``'s).  Engine rejections surface as
-    ``status: failed`` records with the error text — deterministic, so
-    failed points checkpoint and resume like successful ones.
+    Engine rejections surface as ``status: failed`` records with the
+    error text — deterministic, so failed points checkpoint and resume
+    like successful ones.
     """
-    prior = prior or {}
     argv = stage_argv(stage, point, config)
     try:
         if stage == "layout":
             result, q = _query_with_proof(
                 "layout", _layout_params(point, config), store, use_cache,
-                exec_params=_exec_params(config),
+                exec_params=_exec_params(config), payload=True,
             )
             s = result["summary"]
             summary = {
@@ -184,40 +187,16 @@ def run_stage(
                 "wires": s["wires"],
                 "vias": s["vias"],
             }
-            return _record(stage, point, argv, status="ok", rc=0,
-                           summary=summary, result=result, queries=[q])
-
-        if stage == "validate":
-            lrec = prior.get("layout")
-            if lrec is None or lrec["status"] != "ok":
-                return _record(stage, point, argv, status="skipped", rc=0,
-                               error="layout stage did not complete")
-            valid = bool(lrec["summary"]["valid"])
-            lparams = normalize_params(
-                "layout", _layout_params(point, config)
-            )
-            if store is not None and use_cache:
-                again = store.get("layout", lparams)
-                artifact_ok = (
-                    again is not None
-                    and _digest(again)
-                    == lrec["proof"]["queries"][0]["result_sha256"]
-                    and store.load_arrays("layout", lparams) is not None
-                )
-            else:
-                artifact_ok = True  # nothing persisted to re-verify
-            rc = 0 if valid and artifact_ok else 1
-            q = {
-                "kind": "layout",
-                "key": normalize_key("layout", lparams),
-                "result_sha256": lrec["proof"]["queries"][0]["result_sha256"],
-                "verified": artifact_ok,
-            }
+            error = None
+            if not summary["valid"]:
+                error = "layout failed validation"
+            elif not q["verified"]:
+                error = "layout artifact failed its store check"
             return _record(
                 stage, point, argv,
-                status="ok" if rc == 0 else "failed", rc=rc,
-                summary={"valid": valid, "artifact_verified": artifact_ok},
-                queries=[q],
+                status="ok" if error is None else "failed",
+                rc=0 if error is None else 1,
+                summary=summary, result=result, queries=[q], error=error,
             )
 
         if stage == "package":

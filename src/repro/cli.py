@@ -35,11 +35,13 @@ Commands mirror the library's main entry points:
                 :mod:`repro.service.server` for the routes)
 ``campaign``    checkpointed design-space sweeps: ``run`` expands a
                 JSON/flag-declared grid into staged jobs (layout ->
-                validate -> package -> benes -> saturation) sharded
-                across ``--workers``, checkpointing every stage under
-                ``runs/<run_id>/``; ``resume`` re-runs only the
-                missing/damaged checkpoints (byte-identical outputs);
-                ``status`` and ``frontier`` inspect a run tree
+                package -> benes -> saturation; the layout proof
+                re-checks the cached layout and its payload SHA-256)
+                sharded across ``--workers``, checkpointing every
+                stage under ``runs/<run_id>/``; ``resume`` re-runs
+                only the missing/damaged checkpoints (byte-identical
+                outputs); ``status`` and ``frontier`` inspect a run
+                tree
 ``cache``       artifact-cache admin: ``ls`` entries, ``verify``
                 (re-hash everything, quarantine corruption), ``gc``
 ==============  ========================================================

@@ -220,14 +220,17 @@ class Layout:
 
     def summary(self) -> Dict[str, int]:
         """One-stop metrics dict used by benches and EXPERIMENTS.md."""
+        # one bounding-box pass; the properties would take one each
+        x1, y1, x2, y2 = self.bounding_box()
+        width, height = x2 - x1, y2 - y1
         return {
             "nodes": len(self.nodes),
             "wires": self.num_wires(),
             "segments": self.segment_count(),
-            "width": self.width,
-            "height": self.height,
-            "area": self.area,
-            "volume": self.volume,
+            "width": width,
+            "height": height,
+            "area": width * height,
+            "volume": width * height * self.model.num_layers,
             "layers": self.model.num_layers,
             "max_wire_length": self.max_wire_length(),
             "total_wire_length": self.total_wire_length(),

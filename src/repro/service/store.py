@@ -19,10 +19,11 @@ Directory layout under the cache root::
 Integrity: :meth:`ArtifactStore.get` re-derives the key from the
 manifest's ``kind``/``params`` and checks the result digest on every
 read (cheap — the manifest is small); the payload's SHA-256 is checked
-whenever the arrays are loaded (:meth:`load_arrays`) and by
-:meth:`verify`, which sweeps the whole store.  Anything that fails a
-check is *quarantined* — moved out of ``objects/`` so it can never be
-served again — and the read reports a miss, letting the caller recompute.
+whenever the arrays are loaded (:meth:`load_arrays`), on a
+``get(..., payload=True)`` read, and by :meth:`verify`, which sweeps
+the whole store.  Anything that fails a check is *quarantined* — moved
+out of ``objects/`` so it can never be served again — and the read
+reports a miss, letting the caller recompute.
 
 Concurrency: writes are atomic (staged in a temp directory, then
 ``os.replace``-d into place), and :meth:`single_flight` hands one
@@ -163,20 +164,24 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
-    def get(self, kind: str, params: Dict[str, object]) -> Optional[Dict]:
+    def get(
+        self, kind: str, params: Dict[str, object], *, payload: bool = False
+    ) -> Optional[Dict]:
         """The cached result dict, or ``None`` on miss.
 
         Verifies the manifest on every read: the key must re-derive from
         the stored ``kind``/``params``, the result digest must match, and
         a declared payload file must exist with the declared size.  Any
         failure quarantines the entry and reports a miss.
+
+        ``payload=True`` also requires a declared payload whose SHA-256
+        matches — the check for a caller that vouches for the arrays
+        without loading them.  An entry that declares none reads as a
+        miss; a mismatch is quarantined like any other failure.
         """
         key = cache_key(kind, params)
-        manifest = self._read_manifest(key)
-        if manifest is None:
-            return None
-        if not self._manifest_ok(key, manifest):
-            self.quarantine(key)
+        manifest = self._checked(key, payload)
+        if manifest is None or (payload and manifest.get("payload") is None):
             return None
         self._touch(key)
         return manifest["result"]
@@ -190,20 +195,32 @@ class ArtifactStore:
         quarantined on the spot).
         """
         key = cache_key(kind, params)
-        manifest = self._read_manifest(key)
-        if manifest is None:
-            return None
-        if not self._manifest_ok(key, manifest) or not self._payload_ok(
-            key, manifest
-        ):
-            self.quarantine(key)
-            return None
-        if manifest.get("payload") is None:
+        manifest = self._checked(key, payload=True)
+        if manifest is None or manifest.get("payload") is None:
             return None
         self._touch(key)
         path = os.path.join(self.entry_dir(key), manifest["payload"]["file"])
         with np.load(path, allow_pickle=False) as npz:
             return {name: npz[name] for name in npz.files}
+
+    def _checked(self, key: str, payload: bool) -> Optional[Dict]:
+        """The entry's manifest if it passes its checks, else ``None``.
+
+        The one per-entry check behind :meth:`get`, :meth:`load_arrays`
+        and :meth:`verify`: the manifest must parse and pass
+        :meth:`_manifest_ok`, and with ``payload`` a declared payload
+        must also pass :meth:`_payload_ok`.  A failing entry is
+        quarantined.
+        """
+        manifest = self._read_manifest(key)
+        if manifest is None:
+            return None
+        if not self._manifest_ok(key, manifest) or (
+            payload and not self._payload_ok(key, manifest)
+        ):
+            self.quarantine(key)
+            return None
+        return manifest
 
     def _touch(self, key: str) -> None:
         """Bump the manifest mtime — the entry's last-access stamp, which
@@ -420,12 +437,7 @@ class ArtifactStore:
         checked, ok, corrupt = 0, 0, []
         for key in self._keys():
             checked += 1
-            manifest = self._read_manifest(key)
-            if (
-                manifest is not None
-                and self._manifest_ok(key, manifest)
-                and self._payload_ok(key, manifest)
-            ):
+            if self._checked(key, payload=True) is not None:
                 ok += 1
                 continue
             if os.path.isdir(self.entry_dir(key)):

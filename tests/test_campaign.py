@@ -36,8 +36,13 @@ from repro.campaign import (
     stage_argv,
     start_run,
 )
-from repro.campaign.orchestrator import _load_stage_record, write_json_atomic
+from repro.campaign.orchestrator import (
+    _load_stage_record,
+    _seal,
+    write_json_atomic,
+)
 from repro.cli import main
+from repro.service import ArtifactStore, handlers
 
 #: Two valid points (the layout engine needs >= 3 levels and k_i <= k1),
 #: sized so the whole pipeline runs in seconds.
@@ -89,6 +94,17 @@ class TestGrid:
             {"ks": [[1, 1, 1]], "config": {"track_order": "sideways"}},
             # no measured sim window: acceptance and throughput would be 0
             {"ks": [[1, 1, 1]], "config": {"cycles": 100, "warmup": 100}},
+            # outside the bound of the service parameter each one feeds
+            {"ks": [[1, 1, 1]], "config": {"threshold": None}},
+            {"ks": [[1, 1, 1]], "config": {"threshold": [1]}},
+            {"ks": [[1, 1, 1]], "config": {"threshold": True}},
+            {"ks": [[1, 1, 1]], "config": {"threshold": "nan"}},
+            {"ks": [[1, 1, 1]], "config": {"threshold": float("inf")}},
+            {"ks": [[1, 1, 1]], "config": {"node_side": 0}},
+            {"ks": [[1, 1, 1]], "config": {"node_side": 65}},
+            {"ks": [[1, 1, 1]], "config": {"benes_batch": 0}},
+            {"ks": [[1, 1, 1]], "config": {"warmup": -1}},
+            {"ks": [[1, 1, 1]], "config": {"cycles": 2_000_000}},
         ):
             with pytest.raises(GridError):
                 normalize_grid(bad)
@@ -191,12 +207,6 @@ class TestStages:
         # result digest and summary all match the monolithic stage
         assert chunked == plain
 
-    def test_validate_skips_without_layout(self):
-        p = CampaignPoint(index=0, ks=(1, 1, 1), layers=2, pin_limit=None,
-                          rate=0.7)
-        rec = run_stage("validate", p, dict(CONFIG_DEFAULTS), prior={})
-        assert rec["status"] == "skipped" and rec["summary"] is None
-
 
 class TestFrontier:
     @staticmethod
@@ -248,7 +258,7 @@ class TestOrchestrator:
     def test_cold_run_completes_and_checkpoints(self, baseline):
         run_dir = baseline["run_dir"]
         assert baseline["points"] == 2
-        assert baseline["stages_run"] == 10
+        assert baseline["stages_run"] == 8
         assert baseline["counts"]["failed"] == 0
         status = run_status(run_dir)
         assert status["counts"]["complete"] == 2
@@ -331,7 +341,6 @@ class TestOrchestrator:
                                                  "manifest.json")))
         bad = manifest["points"][1]
         assert bad["stages"]["layout"]["status"] == "failed"
-        assert bad["stages"]["validate"]["status"] == "skipped"
         before = _outputs(s1["run_dir"])
         summary = resume_run(s1["run_dir"])
         assert summary["stages_run"] == 0  # failures checkpoint too
@@ -416,6 +425,149 @@ class TestOlderRunTrees:
         summary = resume_run(run_dir)
         assert summary["run_id"] == "base" and summary["stages_run"] == 1
         assert _outputs(run_dir) == _outputs(baseline["run_dir"])
+
+    def test_schema_1_records_and_validate_json_recompute(self, baseline,
+                                                          tmp_path):
+        """Records written while ``validate`` was a stage of its own carry
+        ``"schema": 1``.  Sealed as they are, they fail the schema check
+        and recompute; their ``stages/validate.json`` is ignored."""
+        run_dir = str(tmp_path / "base")
+        shutil.copytree(baseline["run_dir"], run_dir)
+        for pid in ("p0000", "p0001"):
+            stages = os.path.join(run_dir, "points", pid, "stages")
+            for name in os.listdir(stages):
+                path = os.path.join(stages, name)
+                rec = json.loads(_read(path))
+                write_json_atomic(path, _seal(dict(rec, schema=1)))
+            layout = json.loads(_read(os.path.join(stages, "layout.json")))
+            write_json_atomic(os.path.join(stages, "validate.json"),
+                              _seal(dict(layout, stage="validate")))
+        status = run_status(run_dir)
+        assert status["counts"]["complete"] == 0
+        assert status["stage_counts"]["layout"]["pending"] == 2
+        assert "validate" not in status["stage_counts"]
+        summary = resume_run(run_dir)
+        assert summary["stages_run"] == 8
+        assert _outputs(run_dir) == _outputs(baseline["run_dir"])
+
+
+class TestLayoutProof:
+    """The layout stage's proof re-reads its cache entry and checks the
+    payload's SHA-256 without loading the arrays."""
+
+    def test_flipped_payload_fails_point_then_recomputes(self, baseline,
+                                                         tmp_path):
+        cache = str(tmp_path / "cache")
+        shutil.copytree(os.path.join(baseline["run_dir"], "cache"), cache)
+        manifest = json.loads(
+            _read(os.path.join(baseline["run_dir"], "manifest.json"))
+        )
+        key = manifest["points"][0]["stages"]["layout"]["queries"][0]["key"]
+        store = ArtifactStore(cache)
+        payload = os.path.join(store.entry_dir(key), "payload.npz")
+        with open(payload, "r+b") as fh:
+            fh.seek(os.path.getsize(payload) // 2)
+            byte = fh.read(1)[0]
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte ^ 0x01]))  # same size: get() still hits
+
+        flipped = start_run(SPEC, runs_dir=str(tmp_path / "flipped"),
+                            run_id="base", cache_dir=cache)
+        assert flipped["counts"]["failed"] == 1
+        run_dir = flipped["run_dir"]
+        m = json.loads(_read(os.path.join(run_dir, "manifest.json")))
+        failed = [(p["id"], stage, st) for p in m["points"]
+                  for stage, st in p["stages"].items()
+                  if st["status"] == "failed"]
+        assert [(pid, stage) for pid, stage, _ in failed] == \
+            [("p0000", "layout")]
+        rec = failed[0][2]
+        assert rec["rc"] == 1 and rec["queries"][0]["verified"] is False
+        assert rec["summary"]["valid"]  # the layout is fine, its artifact not
+        assert not os.path.exists(store.entry_dir(key))
+        assert os.path.isdir(os.path.join(cache, "quarantine", key))
+        frontier = json.loads(_read(os.path.join(run_dir, "frontier.json")))
+        assert frontier["ineligible"] == 1
+        assert frontier["considered"] == 1
+
+        # the quarantined entry is a miss: the next run recomputes it
+        again = start_run(SPEC, runs_dir=str(tmp_path / "again"),
+                          run_id="base", cache_dir=cache)
+        assert again["counts"]["failed"] == 0
+        assert _outputs(again["run_dir"]) == _outputs(baseline["run_dir"])
+
+    def test_layout_entry_without_payload_fails_proof(self, baseline,
+                                                      tmp_path):
+        cache = str(tmp_path / "cache")
+        shutil.copytree(os.path.join(baseline["run_dir"], "cache"), cache)
+        grid = normalize_grid(SPEC)
+        point = expand_points(grid)[0]
+        store = ArtifactStore(cache)
+        ok = run_stage("layout", point, grid["config"], store=store)
+        assert ok["status"] == "ok"
+        entry = store.entry_dir(ok["proof"]["queries"][0]["key"])
+        manifest = json.loads(_read(os.path.join(entry, "manifest.json")))
+        os.unlink(os.path.join(entry, manifest["payload"]["file"]))
+        manifest["payload"] = None  # still a well-formed manifest
+        with open(os.path.join(entry, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh)
+        rec = run_stage("layout", point, grid["config"], store=store)
+        assert rec["status"] == "failed" and rec["proof"]["rc"] == 1
+        assert rec["proof"]["queries"][0]["verified"] is False
+        assert rec["summary"] == ok["summary"] and rec["result"] == ok["result"]
+
+    def test_warm_run_loads_no_arrays(self, baseline, tmp_path, monkeypatch):
+        calls = {"load_arrays": 0, "compute": 0}
+        load_arrays, compute = ArtifactStore.load_arrays, handlers.compute
+
+        def counting_load_arrays(self, *args, **kwargs):
+            calls["load_arrays"] += 1
+            return load_arrays(self, *args, **kwargs)
+
+        def counting_compute(*args, **kwargs):
+            calls["compute"] += 1
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(ArtifactStore, "load_arrays",
+                            counting_load_arrays)
+        monkeypatch.setattr(handlers, "compute", counting_compute)
+        warm = start_run(SPEC, runs_dir=str(tmp_path / "runs"),
+                         run_id="base",
+                         cache_dir=os.path.join(baseline["run_dir"], "cache"))
+        assert warm["stages_run"] == 8
+        assert calls == {"load_arrays": 0, "compute": 0}
+        assert _outputs(warm["run_dir"]) == _outputs(baseline["run_dir"])
+
+
+class TestSharedCache:
+    def test_two_processes_race_on_one_cache(self, tmp_path):
+        """Two campaign processes on one ``--cache-dir`` race for the
+        same keys: the single-flight locks leave identical results, no
+        stale lock and no corrupt entry."""
+        runs, cache = str(tmp_path / "runs"), str(tmp_path / "cache")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..",
+                                         "src") + os.pathsep + \
+            env.get("PYTHONPATH", "")
+        argv = [sys.executable, "-m", "repro", "campaign", "run",
+                "--ks", "2,2,1", "--ks", "3,1,1", "--layers", "2,3",
+                "--cycles", "300", "--warmup", "30",
+                "--runs-dir", runs, "--cache-dir", cache]
+        procs = [
+            subprocess.Popen(argv + ["--run-id", run_id], env=env,
+                             stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE)
+            for run_id in ("a", "b")
+        ]
+        errs = [p.communicate(timeout=300)[1] for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], errs
+        a, b = (_outputs(os.path.join(runs, r)) for r in ("a", "b"))
+        ma, mb = json.loads(a[0]), json.loads(b[0])
+        assert (ma.pop("run_id"), mb.pop("run_id")) == ("a", "b")
+        assert ma == mb and ma["counts"]["complete"] == 4
+        assert a[1] == b[1]
+        assert os.listdir(os.path.join(cache, "locks")) == []
+        assert ArtifactStore(cache).verify()["corrupt"] == []
 
 
 class TestKillAndResume:
@@ -533,12 +685,19 @@ class TestCampaignCLI:
 
     def test_bad_grid_exits_2(self, tmp_path, capsys):
         grid = str(tmp_path / "g.json")
-        with open(grid, "w") as fh:
-            json.dump({"ks": [[1, 1, 1]], "bogus": 1}, fh)
-        rc = main(["campaign", "run", "--grid", grid,
-                   "--runs-dir", str(tmp_path / "runs")])
-        assert rc == 2
-        assert "unknown grid key" in capsys.readouterr().err
+        for spec, msg in (
+            ({"ks": [[1, 1, 1]], "bogus": 1}, "unknown grid key"),
+            # used to escape as a TypeError traceback
+            ({"ks": [[1, 1, 1]], "config": {"threshold": None}},
+             "config.threshold must be a number"),
+        ):
+            with open(grid, "w") as fh:
+                json.dump(spec, fh)
+            rc = main(["campaign", "run", "--grid", grid,
+                       "--runs-dir", str(tmp_path / "runs")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert msg in err and err.count("\n") == 1
 
     def test_status_on_missing_run_exits_2(self, tmp_path, capsys):
         rc = main(["campaign", "status", str(tmp_path / "nope")])

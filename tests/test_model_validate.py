@@ -7,6 +7,7 @@ specific rule violation and checks that exactly that violation is caught
 
 import pytest
 
+from repro.layout import build_grid_layout
 from repro.layout.geometry import LayerPair, Rect, Segment, Wire
 from repro.layout.model import Layout, LayoutModel, multilayer_model, thompson_model
 from repro.layout.validate import validate_layout
@@ -85,6 +86,25 @@ class TestLayoutMetrics:
         s = two_node_layout().summary()
         for key in ("nodes", "wires", "area", "max_wire_length", "vias"):
             assert key in s
+
+    def test_summary_takes_one_bounding_box(self, monkeypatch):
+        """Each of ``width``, ``height``, ``area`` and ``volume`` walks
+        every node; ``summary()`` used to read all four, six walks."""
+        calls = []
+        box = Layout.bounding_box
+
+        def counting(self):
+            calls.append(self)
+            return box(self)
+
+        monkeypatch.setattr(Layout, "bounding_box", counting)
+        for lay in (two_node_layout(model=multilayer_model(4)),
+                    build_grid_layout((2, 1, 1), L=3).layout):
+            calls.clear()
+            s = lay.summary()
+            assert len(calls) == 1
+            assert (s["width"], s["height"], s["area"], s["volume"]) == (
+                lay.width, lay.height, lay.area, lay.volume)
 
 
 class TestValidatorPasses:

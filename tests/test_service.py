@@ -119,6 +119,31 @@ class TestStore:
         assert store.get("benes", params) is None
         assert store.stats()["quarantined"] == 1
 
+    def test_payload_get_hashes_without_loading(self, store, monkeypatch):
+        arrays_p, bare_p = {"n": 3}, {"n": 4}
+        key = store.put("benes", arrays_p, {"ok": True},
+                        {"a": np.arange(100, dtype=np.int64)})
+        store.put("benes", bare_p, {"ok": False})
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("get(payload=True) loaded the payload")
+
+        monkeypatch.setattr(np, "load", no_load)
+        assert store.get("benes", arrays_p, payload=True) == {"ok": True}
+        # no declared payload: a miss for this read, but not corrupt
+        assert store.get("benes", bare_p, payload=True) is None
+        assert store.get("benes", bare_p) == {"ok": False}
+        path = os.path.join(store.entry_dir(key), "payload.npz")
+        with open(path, "r+b") as fh:
+            fh.seek(120)
+            b = fh.read(1)
+            fh.seek(120)
+            fh.write(bytes([b[0] ^ 0xFF]))
+        assert store.get("benes", arrays_p) == {"ok": True}
+        assert store.get("benes", arrays_p, payload=True) is None
+        assert not os.path.isdir(store.entry_dir(key))
+        assert store.stats()["quarantined"] == 1
+
     def test_verify_flags_corruption(self, store):
         good = {"ks": [2, 2]}
         bad = {"ks": [3, 3]}
