@@ -49,7 +49,7 @@ global ``MAX_ERRORS_KEPT`` cap is applied.
 The spill is columnar.  Each grouped check appends its rows, int64 and
 row-major, to one raw file for the whole stream, sorted by bucket
 within each chunk, so a bucket is a list of ``(path, byte_offset,
-rows)`` extents read back with ``np.fromfile``.  A row names its wire
+rows)`` extents read back into one buffer.  A row names its wire
 by global id rather than carrying the net: each chunk's nets are
 pickled once into a net file indexed by global wire offset, read only
 to format kept messages, to tell same-net from different-net wires
@@ -58,6 +58,17 @@ multiset when the array fast path cannot decide.  A spilling pass
 therefore writes a fixed number of files (one per check plus the net
 file) whatever the chunk and bucket counts; a one-chunk pass writes
 none.
+
+The realizes-graph check costs O(chunk) per feed.  For a purely staged
+graph the validator packs the canonical edge rows once into sorted
+int64 codes; each chunk's nets are packed in the same frame, found by
+one ``searchsorted`` and counted into a fixed per-edge vector.  Node
+placement comes from the terminal check, which resolves every net
+endpoint to a node row anyway: equal edge counts with no unplaced
+endpoint place every graph node, because a staged graph has no
+isolated node.  Any other outcome (a net that is no graph edge, an
+unpacked row, unequal counts, an unplaced endpoint) leaves the verdict
+to the exact multiset comparison.
 """
 
 from __future__ import annotations
@@ -98,7 +109,6 @@ from .validate import (
     _canon_net_rows,
     _node_index,
     _realizes_fallback,
-    _staged_nodes_placed,
     _track_overlap_sweep,
     _via_col_sweep,
     _via_seg_orientation,
@@ -576,13 +586,15 @@ def summarize_chunks(
 def _buckets_of(nb: int, *cols: np.ndarray) -> np.ndarray:
     """Deterministic hash partition of rows by their group-key columns.
     Rows with equal keys always land in the same bucket, so every
-    comparison group of a grouped check is bucket-local."""
+    comparison group of a grouped check is bucket-local.  Ids come in
+    the narrowest unsigned type that holds ``nb - 1`` (``uint8`` up to
+    256 buckets), whose stable sort is numpy's radix sort."""
     h = np.zeros(len(cols[0]), dtype=np.uint64)
     mix = np.uint64(0x9E3779B97F4A7C15)
     for c in cols:
         h = (h + c.astype(np.uint64)) * mix
         h ^= h >> np.uint64(29)
-    return (h % np.uint64(nb)).astype(np.int64)
+    return (h % np.uint64(nb)).astype(np.min_scalar_type(nb - 1))
 
 
 class _SpillStore:
@@ -614,7 +626,8 @@ class _SpillStore:
         if not nr:
             return
         order = np.argsort(bucket, kind="stable")
-        bounds = np.searchsorted(bucket[order], np.arange(self.nb + 1))
+        counts = np.bincount(bucket, minlength=self.nb)
+        starts = np.cumsum(counts) - counts
         mat = np.stack([c[order] for c in cols], axis=1).astype(
             np.int64, copy=False
         )
@@ -623,9 +636,10 @@ class _SpillStore:
             self._fh = open(self.path, "ab" if self._size else "wb")
         self._fh.write(mat)
         row = 8 * self.ncols
-        for k in np.flatnonzero(np.diff(bounds)).tolist():
-            i0, i1 = int(bounds[k]), int(bounds[k + 1])
-            self.parts[k].append((self.path, self._size + i0 * row, i1 - i0))
+        for k in np.flatnonzero(counts).tolist():
+            self.parts[k].append(
+                (self.path, self._size + int(starts[k]) * row, int(counts[k]))
+            )
         self._size += nr * row
 
     def close(self) -> None:
@@ -636,8 +650,11 @@ class _SpillStore:
 
 def _load_parts(parts: List[Tuple], ncols: int) -> List[np.ndarray]:
     """Read spill extents — ``(path, byte_offset, rows)`` each — back in
-    append order; one array per column."""
-    mats = []
+    append order into one preallocated buffer; one array per column.  A
+    short read (a truncated spill file) raises ``OSError``."""
+    buf = np.empty((sum(rows for _p, _off, rows in parts), ncols), np.int64)
+    raw = buf.reshape(-1).view(np.uint8)
+    pos = 0
     fh = path = None
     try:
         for p, off, rows in parts:
@@ -646,14 +663,18 @@ def _load_parts(parts: List[Tuple], ncols: int) -> List[np.ndarray]:
                     fh.close()
                 fh, path = open(p, "rb"), p
             fh.seek(off)
-            mat = np.fromfile(fh, dtype=np.int64, count=rows * ncols)
-            mats.append(mat.reshape(rows, ncols))
+            want = 8 * ncols * rows
+            got = fh.readinto(raw[pos:pos + want])
+            if got != want:
+                raise OSError(
+                    f"spill file {p} is torn: at byte offset {off} "
+                    f"expected {want} bytes, read {got}"
+                )
+            pos += want
     finally:
         if fh is not None:
             fh.close()
-    if not mats:
-        return [np.zeros(0, dtype=np.int64) for _ in range(ncols)]
-    return list(np.concatenate(mats).T.copy())
+    return list(buf.T.copy())
 
 
 def _load_queries(qparts: List[List[Tuple]]):
@@ -782,10 +803,13 @@ class _KeyedTally:
 
 
 def _fast_template(graph: Graph) -> Optional[Dict]:
-    """Accumulator template for the realizes-graph array fast path, or
-    ``None`` when the graph has no staged arrays: the graph's canonical
-    edge rows and counts, and the empty ``uniq``/``agg`` accumulators
-    ``feed`` folds each chunk's nets into."""
+    """The per-edge counter of the realizes-graph array fast path, or
+    ``None`` when the graph has no staged arrays (a graph without edges
+    has none) or edge rows that do not pack into int64 codes: the
+    graph's canonical edge rows packed once into sorted ``codes`` (with
+    the ``mins``/``ranges`` frame ``feed`` packs each chunk's nets in),
+    their ``counts``, and the zeroed ``got`` vector ``feed`` counts nets
+    into."""
     if graph._staged_arrays() is None:
         return None
     try:
@@ -794,14 +818,32 @@ def _fast_template(graph: Graph) -> Optional[Dict]:
         return None
     k = edges.shape[2] if edges.ndim == 3 else 0
     kk = k if k else 1
+    packed = Graph._pack_rows(edges.reshape(len(counts), 2 * kk))
+    if packed is None:
+        return None
+    codes, mins, ranges = packed
     return {
-        "k": k,
-        "kk": kk,
-        "want_rows": edges.reshape(len(counts), 2 * kk),
-        "counts": counts,
-        "uniq": np.zeros((0, 2 * kk), dtype=np.int64),
-        "agg": np.zeros(0, dtype=np.int64),
+        "k": k, "kk": kk, "codes": codes, "mins": mins, "ranges": ranges,
+        "counts": counts, "got": np.zeros(len(counts), dtype=np.int64),
     }
+
+
+def _count_nets(f: Dict, nets: List) -> bool:
+    """Count a chunk's nets into ``f["got"]``, one per graph edge they
+    name; ``False`` (nothing counted) when a net is not a graph edge or
+    not an int-node pair, so only the exact fallback can decide."""
+    rows = _canon_net_rows(nets, f["k"], f["kk"])
+    if rows is None:
+        return False
+    packed = Graph._pack_rows(rows, f["mins"], f["ranges"])
+    if packed is None:
+        return False
+    codes = f["codes"]
+    pos = np.searchsorted(codes, packed[0])
+    if (pos == len(codes)).any() or not np.array_equal(codes[pos], packed[0]):
+        return False
+    f["got"] += np.bincount(pos, minlength=len(codes))
+    return True
 
 
 # -- grouped-check rows -----------------------------------------------------
@@ -877,26 +919,37 @@ class ChunkedValidator:
 
     Per-wire checks (layer discipline, contiguity and terminals, wires
     avoiding nodes) run on each chunk as it arrives, against a node
-    index and node band indexes built once here.  Grouped checks (track
-    overlap, via conflicts, terminal collisions) take each chunk's rows
-    from one row producer (``_rows``) and run one sweep per check
-    (:func:`_sweep`).  The first chunk is held in memory: if it stays
-    the only one, ``finalize`` derives each check's rows from it and
-    sweeps them one check at a time, creating no directory and no file.
-    A second ``feed`` spills the held chunk and then every chunk: int64
-    rows go into ``num_buckets`` hash partitions keyed so comparison
-    groups stay bucket-local — one raw append-only file per check, rows
-    naming their wire by global id — and ``finalize`` reloads and sweeps
-    one bucket at a time.  Each spilled chunk's nets are pickled once
-    into a net file, read back only for kept messages, same-point
-    terminals of different wires, and the realizes-graph multiset when
-    its array fast path is unavailable or disagrees.  Streaming peak
-    memory is one chunk plus one bucket; pick ``num_buckets >=
-    total_rows_bytes / memory_budget_bytes`` to bound the reload size.
-    The spill directory (a temporary one unless ``spill_dir`` is given)
-    is created at the first spill.  ``close()`` (which ``finalize``
-    calls) closes the spill files' handles and removes a temporary spill
-    directory; files under a caller's ``spill_dir`` are left in place.
+    index and node band indexes built once here.  The realizes-graph
+    check counts each chunk's nets into a per-edge vector as it arrives
+    (see the module docstring), the terminal check adds up the
+    endpoints that name no placed node, and ``finalize`` compares the
+    counts.  Grouped checks (track overlap, via conflicts, terminal
+    collisions) take each chunk's rows from one row producer (``_rows``)
+    and run one sweep per check (:func:`_sweep`).  The first chunk is
+    held in memory: if it stays the only one, ``finalize`` derives each
+    check's rows from it and sweeps them one check at a time, creating
+    no directory and no file.  A second ``feed`` spills the held chunk
+    and then every chunk: int64 rows go into ``num_buckets`` hash
+    partitions keyed so comparison groups stay bucket-local — one raw
+    append-only file per check, rows naming their wire by global id —
+    and ``finalize`` reloads and sweeps one bucket at a time.  Each
+    spilled chunk's nets are pickled once into a net file, read back
+    only for kept messages, same-point terminals of different wires,
+    and the realizes-graph multiset when its array fast path is
+    unavailable or disagrees.
+
+    Streaming peak memory is one chunk plus one bucket plus the
+    O(network) state built once here: the node-index columns (a key ->
+    row dict and four int64 rect columns), the two band indexes (a few
+    int64 arrays per node), and for a staged graph the packed edge
+    codes with their wanted and counted vectors (three int64 arrays per
+    distinct edge).  Pick ``num_buckets >= total_rows_bytes /
+    memory_budget_bytes`` to bound the reload size.  The spill directory
+    (a temporary one unless ``spill_dir`` is given) is created at the
+    first spill.  ``close()`` (which ``finalize`` calls, also when it
+    raises) closes the spill files' handles and removes a temporary
+    spill directory; files under a caller's ``spill_dir`` are left in
+    place.
     """
 
     def __init__(
@@ -942,18 +995,15 @@ class ChunkedValidator:
         # wires-avoid-nodes: band indexes over the (fixed) nodes, built once
         self._bi: Dict[bool, Optional[_BandIndex]] = {True: None, False: None}
         if check_nodes and nodes:
-            ybands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
-            xbands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
-            for r in nodes.values():
-                ybands[(r.y, r.y2)].append((r.x, r.x2))
-                xbands[(r.x, r.x2)].append((r.y, r.y2))
-            self._bi[True] = _BandIndex(ybands)
-            self._bi[False] = _BandIndex(xbands)
-        # realizes-graph array fast path while viable; the exact multiset
+            _nid, rx, ry, rx2, ry2 = self._node_index
+            self._bi[True] = _BandIndex(ry, ry2, rx, rx2)
+            self._bi[False] = _BandIndex(rx, rx2, ry, ry2)
+        # realizes-graph per-edge counter while viable; the exact multiset
         # is rebuilt from the nets only if finalize needs it
         self._fast: Optional[Dict] = (
             _fast_template(graph) if graph is not None else None
         )
+        self._unplaced = 0  # net endpoints naming no node of ``nodes``
         self._finalized = False
 
     # -- feeding ---------------------------------------------------------
@@ -965,22 +1015,15 @@ class ChunkedValidator:
         _vt_layer_discipline(t, self.model, tmp)
         self._t_layer.add(tmp.num_errors, tmp.errors)
         tmp = ValidationReport(ok=True)
-        _vt_contiguity_terminals(t, self.nodes, self._node_index, tmp)
+        self._unplaced += _vt_contiguity_terminals(
+            t, self.nodes, self._node_index, tmp
+        )
         self._t_contig.add(tmp.num_errors, tmp.errors)
         if self.check_nodes:
             self._feed_avoid(t)
         if self._fast is not None and t.num_wires:
-            f = self._fast
-            rows = _canon_net_rows(t.nets, f["k"], f["kk"])
-            if rows is None:
+            if not _count_nets(self._fast, t.nets):
                 self._fast = None
-            else:
-                f["uniq"], f["agg"] = Graph._aggregate_rows(
-                    np.concatenate([f["uniq"], rows]),
-                    np.concatenate([
-                        f["agg"], np.ones(len(rows), dtype=np.int64),
-                    ]),
-                )
         if not self._chunks:
             self._held = t
         else:
@@ -1129,6 +1172,12 @@ class ChunkedValidator:
         if self._finalized:
             raise RuntimeError("validator already finalized")
         self._finalized = True
+        try:
+            return self._report()
+        finally:
+            self.close()
+
+    def _report(self) -> ValidationReport:
         self._close_spills()
         rep = ValidationReport(ok=True)
         rep.checks_run.append("layer-discipline")
@@ -1163,33 +1212,21 @@ class ChunkedValidator:
             kt = by_kind[("terms", None)]
             _bulk(rep, kt.count, iter(kt.merged()))
         if self.check_nodes:
-            _vt_nodes_disjoint(self.nodes, rep)
+            _vt_nodes_disjoint(self.nodes, self._node_index, rep)
             rep.checks_run.append("wires-avoid-nodes")
             _bulk(rep, self._t_avoid.count, iter(self._t_avoid.msgs))
         if self.graph is not None:
             rep.checks_run.append("realizes-graph")
-            placed = set(self.nodes)
-            ok = False
             f = self._fast
-            # zero wires fed: decide by the exact fallback, as the legacy
-            # checker does (its _canon_net_rows([]) is None)
-            if self._wire_off == 0:
-                f = None
-            if f is not None:
-                want_rows = f["want_rows"]
-                if (
-                    f["uniq"].shape == want_rows.shape
-                    and np.array_equal(f["uniq"], want_rows)
-                    and np.array_equal(f["agg"], f["counts"])
-                ):
-                    ok = _staged_nodes_placed(
-                        want_rows, f["k"], f["kk"], placed
-                    )
-            if not ok:
+            # equal edge multisets with every endpoint placed place every
+            # graph node: a purely staged graph has no isolated nodes
+            if not (
+                f is not None and self._unplaced == 0
+                and np.array_equal(f["got"], f["counts"])
+            ):
                 _realizes_fallback(
-                    _net_multiset(nets), placed, self.graph, rep
+                    _net_multiset(nets), set(self.nodes), self.graph, rep
                 )
-        self.close()
         return rep
 
     def _close_spills(self) -> None:

@@ -36,7 +36,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,13 +86,19 @@ def _canon_net_rows(nets, k, kk):
     vectorized layout (mixed arity, non-int nodes, ...)."""
     try:
         if k:
-            flat = np.array([n[0] + n[1] for n in nets], dtype=np.int64)
+            flat = np.array([n[0] + n[1] for n in nets])
         else:
-            flat = np.array([(n[0], n[1]) for n in nets], dtype=np.int64)
+            flat = np.array([(n[0], n[1]) for n in nets])
     except (TypeError, ValueError):
         return None
-    if flat.ndim != 2 or flat.shape != (len(nets), 2 * kk):
+    # integer endpoints only: an int64 cast would also parse strings and
+    # truncate floats into rows that equal a graph edge the net is not
+    if (
+        flat.ndim != 2 or flat.shape != (len(nets), 2 * kk)
+        or flat.dtype.kind != "i"
+    ):
         return None
+    flat = flat.astype(np.int64, copy=False)
     a, b = flat[:, :kk], flat[:, kk:]
     flip = np.zeros(len(flat), dtype=bool)
     decided = np.zeros(len(flat), dtype=bool)
@@ -101,15 +109,6 @@ def _canon_net_rows(nets, k, kk):
     lo = np.where(flip[:, None], b, a)
     hi = np.where(flip[:, None], a, b)
     return np.concatenate([lo, hi], axis=1)
-
-
-def _staged_nodes_placed(want_rows, k, kk, placed) -> bool:
-    # a purely staged graph has no isolated nodes, so the edge endpoints
-    # are exactly its node set
-    gnodes = np.unique(want_rows.reshape(-1, kk), axis=0)
-    if k:
-        return all(t in placed for t in map(tuple, gnodes.tolist()))
-    return all(x in placed for x in gnodes[:, 0].tolist())
 
 
 def _realizes_fallback(got: Counter, placed, graph: Graph, rep: ValidationReport) -> None:
@@ -217,23 +216,25 @@ def _vt_layer_discipline(t, model, rep: ValidationReport) -> None:
 
 def _node_index(nodes):
     """``(nid, rx, ry, rx2, ry2)``: node key -> row number, and the rect
-    columns :func:`_vt_contiguity_terminals` checks terminals against."""
+    columns the terminal, node-disjointness and wires-avoid-nodes checks
+    read, taken from ``nodes`` in one pass."""
     nid = {k: i for i, k in enumerate(nodes)}
     n = len(nid)
-    rx = np.fromiter((r.x for r in nodes.values()), np.int64, n)
-    ry = np.fromiter((r.y for r in nodes.values()), np.int64, n)
-    rx2 = np.fromiter((r.x2 for r in nodes.values()), np.int64, n)
-    ry2 = np.fromiter((r.y2 for r in nodes.values()), np.int64, n)
-    return nid, rx, ry, rx2, ry2
+    rx, ry, w, h = np.fromiter(
+        chain.from_iterable(map(attrgetter("x", "y", "w", "h"), nodes.values())),
+        np.int64, 4 * n,
+    ).reshape(n, 4).T.copy()
+    return nid, rx, ry, rx + w, ry + h
 
 
-def _vt_contiguity_terminals(t, nodes, index, rep: ValidationReport) -> None:
+def _vt_contiguity_terminals(t, nodes, index, rep: ValidationReport) -> int:
     """``index`` is :func:`_node_index` of ``nodes`` (the chunked
-    validator builds it once for all its chunks)."""
+    validator builds it once for all its chunks).  Returns the number of
+    net endpoints that name no node of ``nodes``."""
     rep.checks_run.append("contiguity-terminals")
     nw = t.num_wires
     if nw == 0:
-        return
+        return 0
     paths = t.paths()
     sx = paths.px[paths.pt_indptr[:-1]]
     sy = paths.py[paths.pt_indptr[:-1]]
@@ -256,12 +257,13 @@ def _vt_contiguity_terminals(t, nodes, index, rep: ValidationReport) -> None:
     else:
         s_ok = np.zeros(nw, dtype=bool)
         e_ok = np.zeros(nw, dtype=bool)
+    unplaced = int((ui < 0).sum()) + int((vi < 0).sum())
     good = ~paths.bad
     s_bad = good & ~s_ok
     e_bad = good & ~e_ok
     count = int(paths.bad.sum()) + int(s_bad.sum()) + int(e_bad.sum())
     if not count:
-        return
+        return unplaced
 
     def msgs():
         for wi in np.flatnonzero(paths.bad | s_bad | e_bad).tolist():
@@ -290,6 +292,7 @@ def _vt_contiguity_terminals(t, nodes, index, rep: ValidationReport) -> None:
                     )
 
     _bulk(rep, count, msgs())
+    return unplaced
 
 
 def _track_overlap_sweep(
@@ -522,15 +525,14 @@ def _via_seg_orientation(
     return count, keyed
 
 
-def _vt_nodes_disjoint(nodes, rep: ValidationReport) -> None:
+def _vt_nodes_disjoint(nodes, index, rep: ValidationReport) -> None:
+    """``index`` is :func:`_node_index` of ``nodes``; the exact sweep
+    reads ``nodes`` only when the arrays find an overlap."""
     rep.checks_run.append("nodes-disjoint")
-    n = len(nodes)
+    _nid, rx, ry, rx2, ry2 = index
+    n = len(rx)
     if n < 2:
         return
-    rx = np.fromiter((r.x for r in nodes.values()), np.int64, n)
-    ry = np.fromiter((r.y for r in nodes.values()), np.int64, n)
-    rx2 = np.fromiter((r.x2 for r in nodes.values()), np.int64, n)
-    ry2 = np.fromiter((r.y2 for r in nodes.values()), np.int64, n)
     order = np.lexsort((rx, ry2, ry))
     Y1, Y2, X1, X2 = ry[order], ry2[order], rx[order], rx2[order]
     new = np.empty(n, dtype=bool)
@@ -575,23 +577,29 @@ def _vt_nodes_disjoint(nodes, rep: ValidationReport) -> None:
 
 class _BandIndex:
     """Vectorized point-in-band + interval-overlap queries over node
-    bands (rects grouped by identical fixed-axis interval)."""
+    bands (rects grouped by identical fixed-axis interval).
 
-    def __init__(self, bands: Dict[Tuple[int, int], List[Tuple[int, int]]]) -> None:
-        items = sorted(bands.items())
-        self.a = np.array([k[0] for k, _v in items], dtype=np.int64)
-        self.b = np.array([k[1] for k, _v in items], dtype=np.int64)
-        self.disjoint = bool(np.all(self.a[1:] >= self.b[:-1])) if len(items) > 1 else True
-        ivs = [sorted(v) for _k, v in items]
-        self.iv_lens = np.array([len(v) for v in ivs], dtype=np.int64)
-        self.iv_start = np.zeros(len(items), dtype=np.int64)
-        np.cumsum(self.iv_lens[:-1], out=self.iv_start[1:])
-        flat = [iv for lst in ivs for iv in lst]
-        self.iv1 = np.array([p[0] for p in flat], dtype=np.int64)
-        iv2 = np.array([p[1] for p in flat], dtype=np.int64)
-        gid = np.repeat(np.arange(len(items), dtype=np.int64), self.iv_lens)
-        self.xmin = int(self.iv1.min()) if len(flat) else 0
-        self.xband = (int(iv2.max()) - self.xmin + 1) if len(flat) else 1
+    Built from one row per rect: the fixed-axis interval ``[fixed_lo,
+    fixed_hi]`` names its band, the variable-axis interval ``[var_lo,
+    var_hi]`` is stored in it.  One ``lexsort`` orders bands by their
+    interval and each band's stored intervals ascending, duplicates
+    kept."""
+
+    def __init__(self, fixed_lo, fixed_hi, var_lo, var_hi) -> None:
+        order = np.lexsort((var_hi, var_lo, fixed_hi, fixed_lo))
+        a, b = fixed_lo[order], fixed_hi[order]
+        n = len(order)
+        new = np.ones(n, dtype=bool)
+        new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        self.iv_start = np.flatnonzero(new)
+        self.iv_lens = np.diff(np.append(self.iv_start, n))
+        self.a, self.b = a[self.iv_start], b[self.iv_start]
+        self.disjoint = bool(np.all(self.a[1:] >= self.b[:-1]))
+        self.iv1 = var_lo[order]
+        iv2 = var_hi[order]
+        gid = np.cumsum(new) - 1
+        self.xmin = int(self.iv1.min()) if n else 0
+        self.xband = (int(iv2.max()) - self.xmin + 1) if n else 1
         self.key = gid * self.xband + (self.iv1 - self.xmin)
         self.cm = np.maximum.accumulate((iv2 - self.xmin) + gid * self.xband)
 

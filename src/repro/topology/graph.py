@@ -245,18 +245,26 @@ class Graph:
     @staticmethod
     def _pack_rows(
         rows: np.ndarray,
+        mins: Optional[np.ndarray] = None,
+        ranges: Optional[List[int]] = None,
     ) -> Optional[Tuple[np.ndarray, np.ndarray, List[int]]]:
         """Pack int64 ``(m, w)`` rows into scalar codes *monotone in the
         lexicographic row order*, or ``None`` when the column ranges would
         overflow an int64.  Returns ``(codes, mins, ranges)``; decode with
-        :meth:`_unpack_codes`."""
-        mins = rows.min(axis=0)
-        ranges = (rows.max(axis=0) - mins + 1).tolist()
-        span = 1
-        for r in ranges:
-            span *= int(r)
-            if span >= (1 << 62):
-                return None
+        :meth:`_unpack_codes`.  Given an earlier call's ``mins`` and
+        ``ranges``, packs in that frame instead (so codes compare across
+        calls), or returns ``None`` when a row falls outside it."""
+        if mins is None:
+            mins = rows.min(axis=0)
+            ranges = (rows.max(axis=0) - mins + 1).tolist()
+            span = 1
+            for r in ranges:
+                span *= int(r)
+                if span >= (1 << 62):
+                    return None
+        # compare before shifting: a far-off row could wrap into the frame
+        elif ((rows < mins) | (rows > mins + (np.asarray(ranges) - 1))).any():
+            return None
         shifted = rows - mins
         code = shifted[:, 0].copy()
         for j in range(1, rows.shape[1]):

@@ -6,9 +6,10 @@ indexes.  The differential suites hold :func:`repro.layout.validate_layout`
 to it: the same verdict, error count and error-message set on valid and
 mutated layouts (message order differs; the production sweeps emit in
 sorted order).  The helpers it shares with the production validator
-(``_canon_edge``, ``_canon_net_rows``, ``_staged_nodes_placed``,
-``_realizes_fallback``, ``_nodes_disjoint_sweep``) stay in
-:mod:`repro.layout.validate`.
+(``_canon_edge``, ``_canon_net_rows``, ``_realizes_fallback``,
+``_nodes_disjoint_sweep``) stay in :mod:`repro.layout.validate`;
+``_staged_nodes_placed``, which only this checker's realizes-graph fast
+path calls, lives here.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.layout.validate import (
     _canon_net_rows,
     _nodes_disjoint_sweep,
     _realizes_fallback,
-    _staged_nodes_placed,
 )
 from repro.topology.graph import Graph
 
@@ -157,6 +157,15 @@ def _check_contiguity_and_terminals(layout: Layout, rep: ValidationReport) -> No
                     f"wire {w.net}: {which} point {point} not on boundary of "
                     f"node {node!r} at ({r.x},{r.y},{r.w},{r.h})"
                 )
+
+
+def _staged_nodes_placed(want_rows, k, kk, placed) -> bool:
+    # a purely staged graph has no isolated nodes, so the edge endpoints
+    # are exactly its node set
+    gnodes = np.unique(want_rows.reshape(-1, kk), axis=0)
+    if k:
+        return all(t in placed for t in map(tuple, gnodes.tolist()))
+    return all(x in placed for x in gnodes[:, 0].tolist())
 
 
 def _realizes_graph_fast(nets, placed, graph: Graph) -> bool:

@@ -11,12 +11,17 @@
   temporary spill directory and no open file handle behind, through
   :func:`validate_table_chunked` and through a bare
   :class:`ChunkedValidator`;
+* **torn spill** — a spill file cut short before ``finalize`` is an
+  ``OSError`` naming the file, the offset and the byte counts, and the
+  failed ``finalize`` still removes a temporary spill directory;
 * **cross-chunk nets** — spilled rows carry global wire ids instead of
   nets, so two wires of one net sharing a terminal point (not an error)
   and two wires of different nets sharing one (an error) must stay
   distinguishable when each pair straddles a chunk boundary,
   and the realizes-graph multiset rebuilt from the net file must list
-  its mismatches in the monolithic order.
+  its mismatches in the monolithic order; the per-edge counter counts a
+  net only toward the edge whose packed code it matches exactly, and
+  nets whose endpoints are not ints never take the array fast path.
 """
 
 import os
@@ -27,6 +32,7 @@ import pytest
 
 from repro.layout import (
     ChunkedValidator,
+    Layout,
     Rect,
     build_grid_layout,
     chunked_grid_table,
@@ -42,6 +48,8 @@ from repro.layout.wiretable import WireTable
 from repro.topology.complete import complete_multigraph
 from repro.topology.graph import Graph
 from repro.transform.swap_butterfly import SwapButterfly
+
+from tests.oracles.validate import validate_layout_legacy
 
 # columns per spilled row, by spill file stem
 NCOLS = {
@@ -200,6 +208,32 @@ def test_source_error_leaves_no_spill_dir_or_handle(tmp_path, monkeypatch,
     assert _fd_count() == before
 
 
+@pytest.mark.parametrize("where", ["spill_dir", "temporary"])
+def test_torn_spill_file_raises_oserror(tmp_path, monkeypatch, where):
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    ks = (2, 2, 2)
+    lay = build_grid_layout(ks).layout
+    t = lay.wire_table()
+    given = str(tmp_path / "spill") if where == "spill_dir" else None
+    v = ChunkedValidator(lay.nodes, lay.model,
+                         graph=grid_graph(SwapButterfly.from_ks(ks)),
+                         spill_dir=given)
+    for lo in range(0, t.num_wires, 100):
+        v.feed(t.slice_wires(lo, lo + 100))
+    root = given or str(tmp_path / _leftover_spill_dirs(tmp_path)[0])
+    path = os.path.join(root, "tracks.i64")
+    os.truncate(path, os.path.getsize(path) // 2)
+    with pytest.raises(OSError, match=(
+        r"tracks\.i64 is torn: at byte offset \d+ expected \d+ bytes, "
+        r"read \d+"
+    )):
+        v.finalize()
+    assert _leftover_spill_dirs(tmp_path) == []
+    # a caller's spill directory keeps its files
+    assert os.path.exists(path) == (where == "spill_dir")
+
+
 # ---------------------------------------------------------------------------
 # terminals and realizes-graph across chunk boundaries
 # ---------------------------------------------------------------------------
@@ -255,4 +289,95 @@ def test_shared_terminals_and_realizes_fallback_across_chunks(staged, chunk):
     chunks = [table.slice_wires(lo, lo + chunk)
               for lo in range(0, table.num_wires, chunk)]
     got = validate_table_chunked(chunks, nodes, model, graph=graph)
+    assert_reports_identical(got, want)
+
+
+def _row_table(nets, keys):
+    """One three-segment wire per net over 4x4 nodes ``keys`` placed in
+    a row, each wire on its own columns and track, so only the nets can
+    be wrong."""
+    nodes = {key: Rect(10 * i, 0, 4, 4) for i, key in enumerate(keys)}
+    segs = []
+    for j, (u, v) in enumerate(nets):
+        xu, xv, y = nodes[u].x + 1 + j, nodes[v].x + 1 + j, 6 + j
+        segs += [(xu, 4, xu, y, 1), (xu, y, xv, y, 2), (xv, y, xv, 4, 1)]
+    table = WireTable.from_segment_arrays(
+        list(nets), np.arange(len(nets) + 1, dtype=np.int64) * 3,
+        *np.array(segs, dtype=np.int64).T,
+    )
+    return table, nodes
+
+
+# (graph edges, nets): the second net is no graph edge, yet the packing
+# frame of the edges' rows would give it the code of the edge it misses
+COUNTER_CASES = {
+    # edges (0, 1), (2, 3) pack in the frame lo 0..2, hi 1..3; (0, 2)
+    # packs inside it to a code that is no edge
+    "in-frame": ([(0, 1), (2, 3)], [(0, 1), (0, 2)]),
+    # hi = 6 lies above the frame and carries into lo: (2, 3)'s code
+    "above": ([(0, 1), (2, 3)], [(0, 1), (1, 6)]),
+    # rows (lo0, lo1, hi0, hi1): hi1 = 0 lies below the frame and
+    # borrows from hi0, giving ((0, 0), (1, 1))'s code
+    "below": ([((0, 0), (2, 1)), ((0, 0), (1, 1))],
+              [((0, 0), (2, 1)), ((0, 0), (2, 0))]),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+@pytest.mark.parametrize("case", sorted(COUNTER_CASES))
+def test_counter_counts_only_exact_edge_codes(case, chunk):
+    edges, nets = COUNTER_CASES[case]
+    keys = list(dict.fromkeys(x for e in edges + nets for x in e))
+    table, nodes = _row_table(nets, keys)
+    model = thompson_model()
+
+    def graph():
+        g = Graph()
+        g.add_edges_from(np.array(edges, dtype=np.int64))
+        return g
+
+    want = validate_table(table, nodes, model, graph=graph())
+    assert want.errors == [
+        f"graph edge {edges[1]} x1 has no wire",
+        f"wire {nets[1]} x1 has no graph edge",
+    ]
+    legacy = validate_layout_legacy(
+        Layout(model, nodes=nodes, table=table), graph()
+    )
+    assert legacy.errors == want.errors
+    chunks = [table.slice_wires(lo, lo + chunk)
+              for lo in range(0, table.num_wires, chunk)]
+    got = validate_table_chunked(chunks, nodes, model, graph=graph())
+    assert_reports_identical(got, want)
+
+
+@pytest.mark.parametrize("chunk", [1, 4])
+def test_string_nets_take_the_exact_fallback(chunk):
+    """Nets and nodes keyed ``"0"``..``"3"`` against a staged int graph:
+    an int64 cast would read the nets as the graph's edges and every
+    endpoint is placed, yet no net is a graph edge and no graph node is
+    placed, which only the exact fallback reports."""
+    table, nodes = _shared_terminal_table()
+    table.nets = [tuple(str(x) for x in net) for net in table.nets]
+    nodes = {str(k): r for k, r in nodes.items()}
+    model = thompson_model()
+
+    def graph():
+        g = Graph()
+        g.add_edges_from(
+            np.array([[0, 1], [1, 2], [0, 1], [3, 2]], dtype=np.int64)
+        )
+        return g
+
+    want = validate_table(table, nodes, model, graph=graph())
+    legacy = validate_layout_legacy(
+        Layout(model, nodes=nodes, table=table), graph()
+    )
+    assert want.num_errors == legacy.num_errors
+    assert sorted(want.errors) == sorted(legacy.errors)
+    assert "graph node 0 not placed" in want.errors
+    assert "wire ('0', '1') x2 has no graph edge" in want.errors
+    chunks = [table.slice_wires(lo, lo + chunk)
+              for lo in range(0, table.num_wires, chunk)]
+    got = validate_table_chunked(chunks, nodes, model, graph=graph())
     assert_reports_identical(got, want)

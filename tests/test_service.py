@@ -94,7 +94,8 @@ class TestStore:
         params = {"ks": [2, 2]}
         key = store.put("dims", params, {"answer": 1})
         path = os.path.join(store.entry_dir(key), "manifest.json")
-        m = json.load(open(path))
+        with open(path) as fh:
+            m = json.load(fh)
         m["result"]["answer"] = 999  # digest no longer matches
         with open(path, "w") as fh:
             json.dump(m, fh)

@@ -4,34 +4,47 @@ Property tests (hypothesis) that the chunked builders and the chunked
 validator are **byte-identical** to the monolithic path at arbitrary
 ``memory_budget_bytes`` — down to budgets forcing 1-wire chunks — for
 tables, validation reports (verdict, error count, kept messages, check
-list), and summary stats.  A ``tracemalloc`` guard pins that the
-chunked B_14 grid build's peak allocation stays under the declared
-budget, i.e. the budget knob is real, not advisory.
+list), and summary stats.  Mutated tables (collinear K_6 x 2 and the
+B_6 grid) must report the same at every chunk and bucket split, and
+the mutations that reach the realizes-graph check and node placement
+are also held to the legacy oracle in ``tests/oracles``.  A
+``tracemalloc`` guard pins that the chunked B_14 grid build's peak
+allocation stays under the declared budget, i.e. the budget knob is
+real, not advisory.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.layout import (
+    ChunkedValidator,
+    Layout,
+    Rect,
     chunked_collinear_table,
     chunked_grid2d_table,
     chunked_grid_table,
     collinear_layout,
     build_grid2d_layout,
     build_grid_layout,
+    grid_graph,
     summarize_chunks,
+    thompson_model,
     validate_table,
     validate_table_chunked,
     wires_per_chunk,
 )
 from repro.layout.chunked import _WIRE_BYTES
+from repro.layout.validate import MAX_ERRORS_KEPT
 from repro.layout.wiretable import WireTable
 from repro.topology.complete import complete_multigraph
 from repro.topology.graph import Graph
+from repro.transform.swap_butterfly import SwapButterfly
+
+from tests.oracles.validate import validate_layout_legacy
 
 SLOW = settings(
     max_examples=12, deadline=None,
@@ -144,10 +157,15 @@ def test_grid2d_chunked_identity(rows, cols, seed, split, budget):
 # ---------------------------------------------------------------------------
 
 
-def _mutate(t: WireTable, which: str, rng) -> WireTable:
+def _mutate(t: WireTable, nodes, which: str, rng):
+    """Mutated copies of ``t`` and ``nodes`` (the node map both
+    validators see)."""
     m = WireTable(nets=list(t.nets), indptr=t.indptr.copy(),
                   x1=t.x1.copy(), y1=t.y1.copy(),
                   x2=t.x2.copy(), y2=t.y2.copy(), layer=t.layer.copy())
+    nodes = dict(nodes)
+    nw = t.num_wires
+    wires = np.arange(nw)
     h = np.flatnonzero((m.y1 == m.y2) & (m.x1 != m.x2))
     if which == "layer":
         m.layer[int(rng.integers(0, t.num_segments))] = 99
@@ -167,30 +185,126 @@ def _mutate(t: WireTable, which: str, rng) -> WireTable:
     elif which == "node-interior" and h.size:
         k = h[int(rng.integers(0, h.size))]
         m.y1[k] = m.y2[k] = 1
-    return m
+    elif which == "dup-wire":
+        # the copy lands last, mostly in another chunk than its original
+        m = m.permuted(np.append(wires, rng.integers(0, nw)))
+    elif which == "drop-wire":
+        m = m.permuted(np.delete(wires, rng.integers(0, nw)))
+    elif which == "redirect-net":
+        # every net still names a graph edge; two edge counts are off by one
+        i = int(rng.integers(0, nw))
+        edge = {t.nets[i][0], t.nets[i][1]}
+        others = [j for j in range(nw) if {t.nets[j][0], t.nets[j][1]} != edge]
+        m.nets[i] = t.nets[others[int(rng.integers(0, len(others)))]]
+    elif which == "unplace-node":
+        # the edge multiset stays intact; one endpoint loses its footprint
+        del nodes[t.nets[int(rng.integers(0, nw))][0]]
+    return m, nodes
 
 
 MUTATIONS = ["layer", "overlap", "many-overlaps", "contiguity", "bad-net",
-             "terminal-clash", "node-interior"]
+             "terminal-clash", "node-interior", "dup-wire", "drop-wire",
+             "redirect-net", "unplace-node"]
+# the kinds that reach the realizes-graph counter and node placement
+# across chunk boundaries; these are also held to the legacy oracle
+GRAPH_MUTATIONS = MUTATIONS[-4:]
+
+
+def _mutation_case(case: str):
+    """``(layout, graph factory)``: collinear K_6 x 2 (int nodes, a
+    per-edge graph) or the B_6 grid (tuple nodes, a staged graph).  Each
+    validator gets a fresh graph, because the exact fallback
+    materialises the one it reads and a materialised graph never takes
+    the array fast path."""
+    if case == "collinear":
+        return collinear_layout(6, 2).layout, lambda: complete_multigraph(6, 2)
+    sb = SwapButterfly.from_ks((2, 2, 2))
+    return build_grid_layout((2, 2, 2)).layout, lambda: grid_graph(sb)
 
 
 @SLOW
+@example(case="grid", which="dup-wire", chunk_wires=7, num_buckets=255,
+         seed=0)
+@example(case="grid", which="drop-wire", chunk_wires=40, num_buckets=256,
+         seed=1)
+@example(case="grid", which="redirect-net", chunk_wires=1, num_buckets=257,
+         seed=2)
+@example(case="grid", which="unplace-node", chunk_wires=13,
+         num_buckets=1000, seed=3)
 @given(
+    case=st.sampled_from(["collinear", "grid"]),
     which=st.sampled_from(MUTATIONS),
     chunk_wires=st.integers(min_value=1, max_value=40),
-    num_buckets=st.integers(min_value=1, max_value=9),
+    num_buckets=st.one_of(
+        st.integers(min_value=1, max_value=9),
+        st.sampled_from([255, 256, 257, 1000]),
+    ),
     seed=st.integers(min_value=0, max_value=999),
 )
-def test_mutated_validation_identity(which, chunk_wires, num_buckets, seed):
-    lay = collinear_layout(6, 2).layout
-    graph = complete_multigraph(6, 2)
-    t = _mutate(lay.wire_table(), which, np.random.default_rng(seed))
-    want = validate_table(t, lay.nodes, lay.model, graph=graph)
+def test_mutated_validation_identity(case, which, chunk_wires, num_buckets,
+                                     seed):
+    lay, graph = _mutation_case(case)
+    t, nodes = _mutate(lay.wire_table(), lay.nodes, which,
+                       np.random.default_rng(seed))
+    want = validate_table(t, nodes, lay.model, graph=graph())
     chunks = (t.slice_wires(lo, lo + chunk_wires)
               for lo in range(0, t.num_wires, chunk_wires))
-    got = validate_table_chunked(chunks, lay.nodes, lay.model, graph=graph,
+    got = validate_table_chunked(chunks, nodes, lay.model, graph=graph(),
                                  num_buckets=num_buckets)
     assert_reports_identical(got, want)
+    if which in GRAPH_MUTATIONS:
+        legacy = validate_layout_legacy(
+            Layout(lay.model, nodes=nodes, table=t), graph()
+        )
+        assert not want.ok and not legacy.ok
+        assert want.checks_run == legacy.checks_run
+        assert want.num_errors == legacy.num_errors
+        # same messages; order differs by design (the sweeps emit sorted)
+        if want.num_errors <= MAX_ERRORS_KEPT:
+            assert sorted(want.errors) == sorted(legacy.errors)
+
+
+def test_overlapping_node_bands():
+    """Nodes of two heights give y-bands (0, 4) and (0, 8) that overlap,
+    so the band index takes its per-band branch; one wire runs at y = 2,
+    inside the overlap, through the taller node's interior."""
+    nodes = {0: Rect(0, 0, 4, 4), 1: Rect(10, 0, 4, 8), 2: Rect(20, 2, 4, 4)}
+    V, H = 1, 2
+    wires = [
+        # (0, 1) over the top: clear of every interior
+        ((0, 1), [(2, 4, 2, 10, V), (2, 10, 12, 10, H), (12, 10, 12, 8, V)]),
+        # (0, 2) along y = 2 from node 0's side to node 2's corner
+        ((0, 2), [(4, 2, 20, 2, H)]),
+    ]
+    segs = np.array([sg for _net, ss in wires for sg in ss], dtype=np.int64)
+    t = WireTable.from_segment_arrays(
+        [net for net, _ss in wires], np.array([0, 3, 4], dtype=np.int64),
+        *segs.T,
+    )
+    model = thompson_model()
+    assert not ChunkedValidator(nodes, model)._bi[True].disjoint
+
+    def graph():
+        g = Graph()
+        g.add_edges_from(np.array([[0, 1], [0, 2]], dtype=np.int64))
+        return g
+
+    want = validate_table(t, nodes, model, graph=graph())
+    got = validate_table_chunked(
+        [t.slice_wires(i, i + 1) for i in range(t.num_wires)],
+        nodes, model, graph=graph(),
+    )
+    assert_reports_identical(got, want)
+    legacy = validate_layout_legacy(
+        Layout(model, nodes=nodes, table=t), graph()
+    )
+
+    def crossings(rep):
+        return sorted(e for e in rep.errors if "crosses a node interior" in e)
+
+    assert crossings(want) == crossings(legacy) == [
+        "wire (0, 2): H segment y=2 x[4,20] crosses a node interior"
+    ]
 
 
 def test_check_toggles_match():
