@@ -153,10 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="forward")
     l.add_argument("--recirculating", action="store_true",
                    help="add the wrap-around feedback channel")
-    l.add_argument("--svg", type=str, default=None)
-    l.add_argument("--no-validate", action="store_true")
+    l.add_argument("--svg", type=str, default=None,
+                   help="also draw the layout as SVG")
     l.add_argument("--json", type=str, default=None,
-                   help="write the metrics report as JSON")
+                   help="write the query result as JSON")
     l.add_argument("--memory-budget", type=_positive_int, default=None,
                    metavar="BYTES",
                    help="build + validate out-of-core in chunks sized to "
@@ -438,104 +438,57 @@ def _cmd_verify(args) -> int:
 def _cmd_layout(args) -> int:
     import time
 
-    chunked = args.memory_budget is not None
-    if chunked and (args.svg or args.no_validate):
+    params = {
+        "ks": list(args.ks),
+        "layers": args.layers,
+        "node_side": args.node_side,
+        "track_order": args.track_order,
+        "recirculating": args.recirculating,
+    }
+    if args.memory_budget is not None:
+        from .layout import grid_chunk_estimate
+
+        est = grid_chunk_estimate(
+            tuple(args.ks), W=args.node_side, L=args.layers,
+            recirculating=args.recirculating,
+            memory_budget_bytes=args.memory_budget,
+        )
         print(
-            "layout: --memory-budget drives the chunked service pipeline "
-            "and cannot be combined with --svg/--no-validate",
+            f"[chunked {est['chunks']} chunks x "
+            f"{est['wires_per_chunk']} wires, "
+            f"~{est['est_chunk_bytes'] / (1 << 20):.1f} MiB per chunk]",
             file=sys.stderr,
         )
-        return 2
-
-    # --svg / --no-validate need the layout objects in hand; those runs
-    # bypass the service layer.  The default run is one cached design
-    # query.
-    if not (args.svg or args.no_validate):
-        params = {
-            "ks": list(args.ks),
-            "layers": args.layers,
-            "node_side": args.node_side,
-            "track_order": args.track_order,
-            "recirculating": args.recirculating,
-        }
-        if chunked:
-            from .layout import grid_chunk_estimate
-
-            est = grid_chunk_estimate(
-                tuple(args.ks), W=args.node_side, L=args.layers,
-                recirculating=args.recirculating,
-                memory_budget_bytes=args.memory_budget,
-            )
-            print(
-                f"[chunked {est['chunks']} chunks x "
-                f"{est['wires_per_chunk']} wires, "
-                f"~{est['est_peak_bytes'] / (1 << 20):.1f} MiB peak "
-                "working set]",
-                file=sys.stderr,
-            )
-            params["memory_budget_bytes"] = args.memory_budget
-        t0 = time.perf_counter()
-        result = _service_query("layout", params, args)
-        query_s = time.perf_counter() - t0
-        print(
-            f"validation (table): {'OK' if result['valid'] else 'FAILED'}  "
-            f"[query {query_s:.3f} s]"
-        )
-        if not result["valid"]:
-            for e in result["errors"]:
-                print(f"  {e}")
-            return 1
-        rows = [
-            {"metric": k, "value": v} for k, v in result["summary"].items()
-        ]
-        rows += [
-            {"metric": k, "value": v}
-            for k, v in result["wire_stats"].items()
-        ]
-        print(format_table(rows))
-        _write_json(result, args.json)
-        return 0
-
-    from .analysis.wirestats import wire_stats
-    from .layout import build_grid_layout, validate_layout
-    from .viz.svg import save_svg
-
+        params["memory_budget_bytes"] = args.memory_budget
     t0 = time.perf_counter()
-    res = build_grid_layout(
-        args.ks, W=args.node_side, L=args.layers,
-        track_order=args.track_order, recirculating=args.recirculating,
+    result = _service_query("layout", params, args)
+    query_s = time.perf_counter() - t0
+    print(
+        f"validation (table): {'OK' if result['valid'] else 'FAILED'}  "
+        f"[query {query_s:.3f} s]"
     )
-    build_s = time.perf_counter() - t0
-    if not args.no_validate:
-        t0 = time.perf_counter()
-        rep = validate_layout(res.layout, res.graph)
-        validate_s = time.perf_counter() - t0
-        print(
-            f"validation (table): {'OK' if rep.ok else 'FAILED'}  "
-            f"[build {build_s:.3f} s, validate {validate_s:.3f} s]"
-        )
-        if not rep.ok:
-            for e in rep.errors[:10]:
-                print(f"  {e}")
-            return 1
-    else:
-        print(f"build (table): {build_s:.3f} s (validation skipped)")
-    rows = [{"metric": k, "value": v} for k, v in res.layout.summary().items()]
-    ws = wire_stats(res.layout)
+    if not result["valid"]:
+        for e in result["errors"]:
+            print(f"  {e}")
+        return 1
+    rows = [
+        {"metric": k, "value": v} for k, v in result["summary"].items()
+    ]
     rows += [
         {"metric": k, "value": v}
-        for k, v in ws.as_row("grid").items()
-        if k not in ("layout", "wires", "max")  # already in summary()
+        for k, v in result["wire_stats"].items()
     ]
     print(format_table(rows))
-    _write_json(
-        {
-            "kind": "layout",
-            "metrics": {r["metric"]: r["value"] for r in rows},
-        },
-        args.json,
-    )
+    _write_json(result, args.json)
     if args.svg:
+        # the answer carries no geometry; the drawing needs the wires
+        from .layout import build_grid_layout
+        from .viz.svg import save_svg
+
+        res = build_grid_layout(
+            args.ks, W=args.node_side, L=args.layers,
+            track_order=args.track_order, recirculating=args.recirculating,
+        )
         print(f"wrote {save_svg(res.layout, args.svg, scale=1.5)}")
     return 0
 

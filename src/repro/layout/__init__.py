@@ -6,17 +6,21 @@ The wire-level hot path is columnar: builders emit a :class:`WireTable`
 (int64 segment arrays in CSR layout) directly, and :func:`validate_layout`
 runs sort/cummax sweeps over those columns — it is the chunked
 validator (:class:`ChunkedValidator`) fed the whole table as one chunk,
-so in-memory and out-of-core layouts go through one rule set.  The
-out-of-core builders (``chunked_*_table``) stream a layout as chunks
-sized to a ``memory_budget_bytes`` and validate it in one serial pass,
-spilling grouped-check rows to disk from the second chunk on.  The
-original object-per-wire builders and checker live in ``tests/oracles``
-as differential oracles: ``tests/test_layout_vectorized.py`` pins the
-columnar builders to identical layouts wire for wire, and the validator
-to identical verdicts and error counts.  ``Layout`` converts between
-table and :class:`Wire` objects losslessly, so ``viz/`` and other
-object-level consumers are unaffected.  The ``repro layout`` CLI
-subcommand drives a build + validation + wire-statistics run."""
+so in-memory and out-of-core layouts go through one rule set.  Builds
+take one route the same way: each layout family has one builder, a
+chunk source (``chunked_*_table``) that streams the layout as chunks
+sized to a ``memory_budget_bytes``; with no budget it yields one chunk,
+and :func:`build_grid_layout`, :func:`collinear_layout` and
+:func:`build_grid2d_layout` return that chunk as their table.  A
+budgeted stream validates in one serial pass, spilling grouped-check
+rows to disk from the second chunk on.  The original object-per-wire
+builders and checker live in ``tests/oracles`` as differential oracles:
+``tests/test_layout_vectorized.py`` pins the columnar builders to
+identical layouts wire for wire, and the validator to identical
+verdicts and error counts.  ``Layout`` converts between table and
+:class:`Wire` objects losslessly, so ``viz/`` and other object-level
+consumers are unaffected.  The ``repro layout`` CLI subcommand is one
+cached build + validation + wire-statistics query."""
 
 from .blocks import BlockDims, block_dims
 from .collinear_generic import (

@@ -1,14 +1,21 @@
 """Chunked (out-of-core) WireTable construction, validation and stats.
 
-The monolithic builders materialise every wire of a layout before
-anything can be validated, which for ``B_18``-class grids means multi-GB
-segment arrays.  This module streams the same layouts as a sequence of
-:class:`~repro.layout.wiretable.WireTable` *chunks* under an explicit
-``memory_budget_bytes``, with two exactness guarantees pinned by
-``tests/test_wiretable_chunked.py``:
+Each layout family has one builder, its chunk source here: it streams
+the layout as a sequence of :class:`~repro.layout.wiretable.WireTable`
+*chunks* sized to a ``memory_budget_bytes``.  With no budget a source
+yields the whole layout as one chunk, and the in-memory builders
+(:func:`~repro.layout.grid_scheme.build_grid_layout`,
+:func:`~repro.layout.collinear.collinear_layout`,
+:func:`~repro.layout.grid2d.build_grid2d_layout`) return that chunk as
+their table, so each family's wire geometry exists once.  A
+``B_18``-class grid, whose one table is multi-GB of segment arrays, is
+built under a budget instead.  Two exactness guarantees are pinned by
+``tests/test_wiretable_chunked.py`` against the legacy builders in
+``tests/oracles``:
 
-* **build identity** — concatenating the chunks reproduces the
-  monolithic table byte for byte (same wires, same order, same columns);
+* **build identity** — at every budget, concatenating the chunks
+  reproduces the legacy table byte for byte (same wires, same order,
+  same columns);
 * **verdict identity** — :func:`validate_table_chunked` and
   :func:`summarize_chunks` return byte-identical
   :class:`~repro.layout.validate.ValidationReport` contents (``ok``,
@@ -17,7 +24,7 @@ segment arrays.  This module streams the same layouts as a sequence of
 
 Each chunk source is a generator closure over the build's O(network)
 inputs, so :meth:`ChunkedBuild.chunks` restarts the stream on every
-call; the sources exploit each builder's order structure:
+call; the sources exploit each layout's order structure:
 
 * collinear (:func:`chunked_collinear_table`) — the table is strictly
   per-wire, so any wire range ``[lo, hi)`` regenerates independently
@@ -29,10 +36,12 @@ call; the sources exploit each builder's order structure:
   :func:`~repro.layout.grid_table._grid_cats` rebuilds any closed block
   subset exactly.  Chunk granularity is therefore whole blocks (intra)
   and whole grid columns/rows (inter) — the budget is honoured down to
-  that floor;
+  that floor.  With no budget one call covers every block and phase;
 * 2-D grids (:func:`chunked_grid2d_table`) — emission order is channel
-  by channel; a first pass computes demands without retaining graphs and
-  a second pass streams the dogleg rows.
+  by channel; a first pass computes demands and a second pass streams
+  the dogleg rows.  Under a budget the demand pass keeps no channel
+  graph and the emission pass regenerates them; with no budget the
+  emission pass reuses the demand pass's graphs.
 
 :class:`ChunkedValidator` is the one layout validator:
 :func:`~repro.layout.validate.validate_table` is it fed the whole table
@@ -76,6 +85,7 @@ from __future__ import annotations
 import bisect
 import os
 import pickle
+import sys
 import tempfile
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -94,8 +104,7 @@ from .collinear import (
 from .collinear_generic import max_congestion
 from .geometry import LayerPair, Rect, THOMPSON_LAYERS
 from .grid2d import (
-    Grid2DDims, _doglegs_to_table, _grid2d_plan, _grid2d_wire_stream,
-    _side_subgraphs,
+    _doglegs_to_table, _grid2d_plan, _grid2d_wire_stream, _side_subgraphs,
 )
 from .grid_scheme import GridDims, grid_dims
 from .grid_table import _cats_table, _grid_cats, build_grid_nodes
@@ -139,14 +148,13 @@ __all__ = [
 # budget upper-bounds the real transient footprint.
 _WIRE_BYTES = 1024
 
-_DEFAULT_CHUNK_WIRES = 65536
-
 
 def wires_per_chunk(memory_budget_bytes: Optional[int]) -> int:
     """Target chunk size (in wires) for a working-set byte budget.
 
-    ``None`` means "no budget" and yields a large default chunk.  Grid
-    chunk sources honour the result down to their natural granularity
+    ``None`` means "no budget" and yields no bound (``sys.maxsize``), so
+    every source streams its whole layout as one chunk.  Grid chunk
+    sources honour a budget's result down to their natural granularity
     floor (one block / grid column / grid row per chunk); the collinear
     source honours it exactly, down to single-wire chunks.
 
@@ -158,7 +166,7 @@ def wires_per_chunk(memory_budget_bytes: Optional[int]) -> int:
     for "unbudgeted", not ``0``).
     """
     if memory_budget_bytes is None:
-        return _DEFAULT_CHUNK_WIRES
+        return sys.maxsize
     if memory_budget_bytes <= 0:
         raise ValueError(
             f"memory_budget_bytes must be positive, got {memory_budget_bytes}"
@@ -171,12 +179,14 @@ class ChunkedBuild:
     """A layout whose wires exist only as a restartable chunk stream.
 
     ``chunks()`` returns a fresh iterator of non-empty :class:`WireTable`
-    chunks in monolithic emission order each time it is called: each
-    source hands over a ``_chunks`` closure that regenerates the stream
-    from its O(network) inputs (builds are deterministic, so the stream
-    is restartable).  ``nodes`` and ``model`` are materialised eagerly —
-    they are O(network size), not O(wires) — which is exactly what the
-    chunked validator needs.
+    chunks in emission order each time it is called: each source hands
+    over a ``_chunks`` closure that regenerates the stream from its
+    O(network) inputs (builds are deterministic, so the stream is
+    restartable).  With no budget the stream is one chunk.  ``nodes``,
+    ``model`` and ``dims`` (the grid sources' dimension record, ``None``
+    for collinear builds) are materialised eagerly — they are O(network
+    size), not O(wires) — which is exactly what the chunked validator
+    and the in-memory builders need.
     """
 
     name: str
@@ -185,6 +195,7 @@ class ChunkedBuild:
     chunk_wires: int
     memory_budget_bytes: Optional[int]
     num_wires: Optional[int] = None
+    dims: object = None
     _chunks: Callable[[], Iterator[WireTable]] = field(
         default=None, repr=False
     )
@@ -194,8 +205,9 @@ class ChunkedBuild:
         return self._chunks()
 
     def table(self) -> WireTable:
-        """Materialise the monolithic table (for tests / small builds)."""
-        return WireTable.concat(list(self.chunks()))
+        """The whole table: a lone chunk as it is, several concatenated."""
+        parts = list(self.chunks())
+        return parts[0] if len(parts) == 1 else WireTable.concat(parts)
 
     def summary(self) -> Dict[str, int]:
         """``Layout.summary()`` dict; reuses the stats pass of an earlier
@@ -246,13 +258,23 @@ def chunked_collinear_table(
     model: Optional[LayoutModel] = None,
     memory_budget_bytes: Optional[int] = None,
 ) -> ChunkedBuild:
-    """Stream :func:`~repro.layout.collinear.collinear_layout`'s table in
-    wire-range chunks; concatenated chunks are byte-identical to the
-    monolithic build."""
+    """The collinear layout of ``K_n`` (x ``multiplicity``) in wire-range
+    chunks — the one builder behind
+    :func:`~repro.layout.collinear.collinear_layout`.
+
+    Terminal discipline: node ``a`` attaches each wire at a distinct x
+    offset on its top edge, ordered by (neighbor label, copy); this
+    ordering guarantees that chained same-track links only meet
+    end-to-end, never overlapping.  Each wire is three segments: up from
+    node ``a``, along its track at ``y = node_side + 1 + track``, and
+    down to node ``b``.
+    """
     if multiplicity < 1:
         raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
+    if n < 2:
+        raise ValueError(f"need n >= 2 nodes, got {n}")
     degree = multiplicity * (n - 1)
-    side = node_side if node_side is not None else max(degree, 1)
+    side = node_side if node_side is not None else degree
     if side < degree:
         raise ValueError(
             f"node side {side} cannot host {degree} top-edge terminals"
@@ -267,8 +289,6 @@ def chunked_collinear_table(
     hl = np.int64(layers.horizontal)
 
     def chunks() -> Iterator[WireTable]:
-        if not nw:
-            return
         a0, b0, t0 = track_assignment_arrays(n, "forward")
         for lo in range(0, nw, wpc):
             idx = np.arange(lo, min(lo + wpc, nw), dtype=np.int64)
@@ -279,6 +299,8 @@ def chunked_collinear_table(
             if order == "reversed":
                 t = tracks_total - 1 - t
             y = top + 1 + t
+            # a < b throughout, so node a ranks its terminal by (b - 1,
+            # copy) and node b by (a, copy)
             xa = a * pitch + (b - 1) * m + copy
             xb = b * pitch + a * m + copy
             cn = len(idx)
@@ -314,17 +336,16 @@ def chunked_collinear_table(
 
 
 def _grid_grain(
-    dims: GridDims, sb_n: int, recirculating: bool,
-    memory_budget_bytes: Optional[int],
+    dims: GridDims, recirculating: bool, memory_budget_bytes: Optional[int],
 ) -> Tuple[int, int, int, int, int]:
     """Chunk granularity of the grid source for a byte budget:
     ``(wires_per_chunk, wires_per_block, blocks_per_intra_chunk,
     grid_cols_per_chunk, grid_rows_per_chunk)``."""
     R = dims.block.nrows
     # per-block wire estimate: ~2 wires per (row, boundary) + feedback
-    per_block = 2 * R * sb_n + (R if recirculating else 0)
+    per_block = 2 * R * dims.n + (R if recirculating else 0)
     wpc = wires_per_chunk(memory_budget_bytes)
-    bpc = max(1, wpc // max(per_block, 1))
+    bpc = max(1, wpc // per_block)
     cpc = max(1, bpc // dims.grid_rows)  # grid columns per inter-col chunk
     rpc = max(1, bpc // dims.grid_cols)  # grid rows per inter-row chunk
     return wpc, per_block, bpc, cpc, rpc
@@ -338,23 +359,33 @@ def grid_chunk_estimate(
     memory_budget_bytes: Optional[int] = None,
 ) -> Dict[str, int]:
     """Planning numbers for a chunked grid build without building wires:
-    chunk count (an upper bound: a phase group with no wires yields no
-    chunk), chunk-size target, and a peak working-set estimate
-    (the chunk-size target or the one-block granularity floor, whichever
-    dominates, times the per-wire working-set constant)."""
+    chunk count (1 with no budget; under a budget an upper bound, since
+    a phase group with no wires yields no chunk), chunk-size target in
+    wires, total wires, and ``est_chunk_bytes``.
+
+    ``est_chunk_bytes`` sizes one chunk under assembly: the chunk-size
+    target or the one-block granularity floor, whichever dominates (the
+    whole layout with no budget), times the 1 KiB-per-wire working-set
+    guess.  It is not the pass's peak: the nodes, the validator's
+    O(network) state and the interpreter come on top."""
     dims = grid_dims(ks, W, L, recirculating=recirculating)
-    sb = SwapButterfly.from_ks(dims.ks)
     wpc, per_block, bpc, cpc, rpc = _grid_grain(
-        dims, sb.n, recirculating, memory_budget_bytes
+        dims, recirculating, memory_budget_bytes
     )
     gc, gr = dims.grid_cols, dims.grid_rows
     NB = gc * gr
-    nchunks = -(-NB // bpc) + -(-gc // cpc) + -(-gr // rpc)
+    total = per_block * NB
+    if memory_budget_bytes is None:
+        nchunks = 1
+        wpc = chunk = total
+    else:
+        nchunks = -(-NB // bpc) + -(-gc // cpc) + -(-gr // rpc)
+        chunk = max(wpc, per_block)
     return {
         "chunks": int(nchunks),
         "wires_per_chunk": int(wpc),
-        "est_total_wires": int(per_block * NB),
-        "est_peak_bytes": int(max(wpc, per_block) * _WIRE_BYTES),
+        "est_total_wires": int(total),
+        "est_chunk_bytes": int(chunk * _WIRE_BYTES),
     }
 
 
@@ -366,14 +397,19 @@ def chunked_grid_table(
     recirculating: bool = False,
     memory_budget_bytes: Optional[int] = None,
 ) -> ChunkedBuild:
-    """Stream :func:`~repro.layout.grid_scheme.build_grid_layout`'s wire
-    table phase by phase: intra wires in block-range chunks, level >= 3
-    inter wires in grid-column-range chunks, level-2 inter wires in
-    grid-row-range chunks — the exact monolithic emission order.
+    """The grid-scheme layout of the ``sum(ks)``-dimensional butterfly
+    as a chunk stream — the one builder behind
+    :func:`~repro.layout.grid_scheme.build_grid_layout`.
 
-    The budget is honoured down to the phase granularity floor (one
-    block / one grid column / one grid row per chunk): a closed group is
-    the smallest unit whose rankings are self-contained.
+    With no budget the stream is one chunk, made by one
+    :func:`~repro.layout.grid_table._grid_cats` call over every block
+    and all three phases.  Under a budget it goes phase by phase: intra
+    wires in block-range chunks, level >= 3 inter wires in
+    grid-column-range chunks, level-2 inter wires in grid-row-range
+    chunks — the same emission order.  The budget is honoured down to
+    the phase granularity floor (one block / one grid column / one grid
+    row per chunk): a closed group is the smallest unit whose rankings
+    are self-contained.
     """
     dims = grid_dims(ks, W, L, recirculating=recirculating)
     sb = SwapButterfly.from_ks(dims.ks)
@@ -382,18 +418,21 @@ def chunked_grid_table(
     k2 = dims.ks[1]
     NB = gr * gc
     wpc, _per_block, bpc, cpc, rpc = _grid_grain(
-        dims, sb.n, recirculating, memory_budget_bytes
+        dims, recirculating, memory_budget_bytes
     )
 
-    def sub(bids: np.ndarray, phase: str) -> Iterator[WireTable]:
+    def sub(bids: np.ndarray, *phases: str) -> Iterator[WireTable]:
         t = _cats_table(_grid_cats(
-            sb, dims, track_order, recirculating, bids, frozenset({phase})
+            sb, dims, track_order, recirculating, bids, frozenset(phases)
         ))
         if t.num_wires:
             yield t
 
     def chunks() -> Iterator[WireTable]:
         all_b = np.arange(NB, dtype=np.int64)
+        if memory_budget_bytes is None:
+            yield from sub(all_b, "intra", "inter-col", "inter-row")
+            return
         bcol, brow = all_b & (gc - 1), all_b >> k2
         for lo in range(0, NB, bpc):
             yield from sub(all_b[lo:lo + bpc], "intra")
@@ -408,6 +447,7 @@ def chunked_grid_table(
         nodes=build_grid_nodes(sb, dims),
         chunk_wires=wpc,
         memory_budget_bytes=memory_budget_bytes,
+        dims=dims,
         _chunks=chunks,
     )
 
@@ -423,17 +463,25 @@ def chunked_grid2d_table(
     split_channels: bool = False,
     memory_budget_bytes: Optional[int] = None,
 ) -> ChunkedBuild:
-    """Stream :func:`~repro.layout.grid2d.build_grid2d_layout`'s table.
+    """The 2-D grid layout of a ``rows x cols`` product network as a
+    chunk stream — the one builder behind
+    :func:`~repro.layout.grid2d.build_grid2d_layout`.
 
-    The demand pass visits every channel graph once without retaining
-    it; the emission pass regenerates them channel by channel, buffering
-    dogleg rows up to the chunk size.  The graph callables must be pure
-    (same graph for the same index on every call).
+    The demand pass visits every channel graph once; the emission pass
+    streams the dogleg rows channel by channel, buffering them up to the
+    chunk size.  Under a budget the demand pass keeps no graph and the
+    emission pass regenerates each channel's side subgraphs, so the
+    graph callables must be pure (same graph for the same index on every
+    call).  With no budget the stream is one chunk that holds every wire
+    anyway, so the emission pass reuses the demand pass's subgraphs.
     """
     if rows < 1 or cols < 1:
         raise ValueError("need at least a 1x1 grid")
     if L < 2:
         raise ValueError(f"need at least 2 layers, got {L}")
+    keep = memory_budget_bytes is None
+    row_sides: List[Tuple[Graph, Graph]] = []
+    col_sides: List[Tuple[Graph, Graph]] = []
     d_top = d_bot = d_right = d_left = 0
     per_edge = 0
     num_wires = 0
@@ -446,6 +494,8 @@ def chunked_grid2d_table(
         d_bot = max(d_bot, max_congestion(s1, range(cols)))
         per_edge = max(per_edge, s0.max_degree(), s1.max_degree())
         num_wires += s0.num_edges + s1.num_edges
+        if keep:
+            row_sides.append((s0, s1))
     for c in range(cols):
         g = col_graph(c)
         if set(g.nodes()) - set(range(rows)):
@@ -455,6 +505,8 @@ def chunked_grid2d_table(
         d_left = max(d_left, max_congestion(s1, range(rows)))
         per_edge = max(per_edge, s0.max_degree(), s1.max_degree())
         num_wires += s0.num_edges + s1.num_edges
+        if keep:
+            col_sides.append((s0, s1))
 
     plan = _grid2d_plan(
         rows, cols, W, L, split_channels,
@@ -470,8 +522,10 @@ def chunked_grid2d_table(
         pairs_buf: List[Tuple[int, int]] = []
         stream = _grid2d_wire_stream(
             rows, cols,
-            lambda r: _side_subgraphs(row_graph(r), split_channels),
-            lambda c: _side_subgraphs(col_graph(c), split_channels),
+            row_sides.__getitem__ if keep
+            else lambda r: _side_subgraphs(row_graph(r), split_channels),
+            col_sides.__getitem__ if keep
+            else lambda c: _side_subgraphs(col_graph(c), split_channels),
             plan.g_top, plan.g_bot, plan.g_right, plan.g_left,
             side, dims.cell_w, dims.cell_h, plan.x_off, plan.y_off,
         )
@@ -499,6 +553,7 @@ def chunked_grid2d_table(
         chunk_wires=wpc,
         memory_budget_bytes=memory_budget_bytes,
         num_wires=num_wires,
+        dims=dims,
         _chunks=chunks,
     )
 
@@ -510,7 +565,7 @@ def chunked_grid2d_table(
 
 class ChunkStats:
     """Streaming :meth:`Layout.summary` over a chunk stream — running
-    sums, maxima and a running bounding box reproduce the monolithic
+    sums, maxima and a running bounding box reproduce the whole table's
     metrics exactly (all quantities are integer sums/maxes)."""
 
     def __init__(self) -> None:

@@ -16,7 +16,9 @@ This module provides the abstract track assignment, the fully geometric
 :class:`CollinearLayout` (validated wire-level), the reversed track order
 that shortens the maximum wire (the paper's closing remark in Appendix B),
 and multiplicities (every butterfly layout replicates each wire 4 or more
-times).
+times).  The wire geometry itself lives in one place, the chunk source
+:func:`~repro.layout.chunked.chunked_collinear_table`;
+:func:`collinear_layout` runs it with no budget.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ import numpy as np
 
 from ..topology.complete import complete_multigraph
 from ..topology.graph import Graph
-from .geometry import LayerPair, Rect, THOMPSON_LAYERS
-from .model import Layout, LayoutModel, thompson_model
-from .wiretable import WireTable
+from .geometry import LayerPair, THOMPSON_LAYERS
+from .model import Layout, LayoutModel
 
 __all__ = [
     "optimal_track_count",
@@ -162,75 +163,27 @@ def collinear_layout(
 ) -> CollinearLayout:
     """Construct the wire-level collinear layout of ``K_n`` (x ``multiplicity``).
 
-    Terminal discipline: node ``a`` attaches each wire at a distinct x
-    offset on its top edge, ordered by (neighbor label, copy); this ordering
-    guarantees that chained same-track links only meet end-to-end, never
-    overlapping (the interval argument in the module docstring).
-
-    The wires are assembled as columnar numpy arrays directly.
+    This is :func:`~repro.layout.chunked.chunked_collinear_table` run
+    with no budget: its one chunk is the layout's table.  Each wire's
+    middle segment runs along its track at ``y = node_side + 1 +
+    track``, which is where ``track_of`` reads it.
     """
-    if multiplicity < 1:
-        raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
-    degree = multiplicity * (n - 1)
-    side = node_side if node_side is not None else max(degree, 1)
-    if side < degree:
-        raise ValueError(
-            f"node side {side} cannot host {degree} top-edge terminals"
-        )
-    tracks_total = optimal_track_count(n) * multiplicity
+    from .chunked import chunked_collinear_table
 
-    pitch = side + 1
-    top = side  # nodes sit on y in [0, side]
-
-    m = multiplicity
-    a0, b0, t0 = track_assignment_arrays(n, "forward")
-    nl = len(a0)
-    a = np.repeat(a0, m)
-    b = np.repeat(b0, m)
-    copy = np.tile(np.arange(m, dtype=np.int64), nl)
-    t = np.repeat(t0, m) * m + copy
-    if order == "reversed":
-        t = tracks_total - 1 - t
-    y = top + 1 + t
-    # a < b throughout, so node a ranks its terminal by (b - 1, copy)
-    # and node b by (a, copy)
-    xa = a * pitch + (b - 1) * m + copy
-    xb = b * pitch + a * m + copy
-    nw = nl * m
-    rows = np.empty((nw, 3, 5), dtype=np.int64)
-    topv = np.full(nw, top, dtype=np.int64)
-    rows[:, 0] = np.stack(
-        [xa, topv, xa, y, np.full(nw, layers.vertical, dtype=np.int64)], axis=1
+    build = chunked_collinear_table(
+        n, multiplicity, node_side, order, layers, model
     )
-    rows[:, 1] = np.stack(
-        [xa, y, xb, y, np.full(nw, layers.horizontal, dtype=np.int64)], axis=1
-    )
-    rows[:, 2] = np.stack(
-        [xb, topv, xb, y, np.full(nw, layers.vertical, dtype=np.int64)], axis=1
-    )
-    flat = rows.reshape(nw * 3, 5)
-    nets = list(zip(a.tolist(), b.tolist(), copy.tolist()))
-    table = WireTable.from_segment_arrays(
-        nets,
-        np.arange(nw + 1, dtype=np.int64) * 3,
-        flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
-    )
-    lay = Layout(
-        model=model or thompson_model(),
-        name=f"collinear-K{n}x{multiplicity}",
-        table=table,
-    )
-    track_of = dict(zip(nets, t.tolist()))
-
-    for a in range(n):
-        lay.add_node(a, Rect(a * pitch, 0, side, side))
-
+    table = build.table()
+    side = build.nodes[0].w
     return CollinearLayout(
         n=n,
         multiplicity=multiplicity,
         node_side=side,
         order=order,
-        layout=lay,
-        track_of=track_of,
-        tracks_total=tracks_total,
+        layout=Layout(
+            model=build.model, name=build.name, nodes=build.nodes,
+            table=table,
+        ),
+        track_of=dict(zip(table.nets, (table.y1[1::3] - side - 1).tolist())),
+        tracks_total=optimal_track_count(n) * multiplicity,
     )

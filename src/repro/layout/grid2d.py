@@ -10,7 +10,10 @@ graph), each column's links in a vertical channel beside the column.
 :func:`build_grid2d_layout` implements that recipe generically (with
 multilayer track grouping), and is instantiated for hypercubes, k-ary
 n-cubes and generalized hypercubes in :mod:`repro.layout.hypercube_layout`
-and :mod:`repro.layout.ghc_layout`.
+and :mod:`repro.layout.ghc_layout`.  It is the chunk source
+:func:`~repro.layout.chunked.chunked_grid2d_table` run with no budget;
+this module holds the geometry both share: the side split, the track
+plan and the per-wire dogleg stream.
 
 ``split_channels=True`` implements the Section 5.2 remark "we can split
 approximately half of the wires belonging to the same link to opposite
@@ -32,10 +35,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..topology.graph import Graph
-from .collinear_generic import left_edge_tracks, max_congestion
-from .geometry import Rect
+from .collinear_generic import left_edge_tracks
 from .model import Layout, multilayer_model, thompson_model
-from .tracks import TrackGrouping, base_layer_pair
+from .tracks import TrackGrouping
 from .wiretable import WireTable
 
 __all__ = ["Grid2DDims", "Grid2DResult", "build_grid2d_layout"]
@@ -127,10 +129,8 @@ def _edge_orders(g: Graph) -> Dict[int, List[Tuple[int, int]]]:
 @dataclass(frozen=True)
 class _Grid2DPlan:
     """Everything downstream of the channel-demand pass: dimensions,
-    model, track groupings and cell offsets.  Shared by the monolithic
-    builder and the chunked builder in :mod:`repro.layout.chunked`
-    (which computes the demands incrementally instead of keeping every
-    channel graph alive)."""
+    model, track groupings and cell offsets, for the chunk source in
+    :mod:`repro.layout.chunked`."""
 
     dims: Grid2DDims
     model: object
@@ -218,81 +218,25 @@ def build_grid2d_layout(
     Node side defaults to the maximum terminal demand (with
     ``split_channels`` each node edge carries only its half).
 
-    The channel wires are accumulated as columnar arrays and back the
-    layout with a :class:`~repro.layout.wiretable.WireTable`.
+    This is :func:`~repro.layout.chunked.chunked_grid2d_table` run with
+    no budget: its one chunk is the layout's table.  The realised
+    network holds the nodes in row-major order, then one edge per wire
+    in emission order.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("need at least a 1x1 grid")
-    if L < 2:
-        raise ValueError(f"need at least 2 layers, got {L}")
-    rgs = [row_graph(r) for r in range(rows)]
-    cgs = [col_graph(c) for c in range(cols)]
-    for r, g in enumerate(rgs):
-        if set(g.nodes()) - set(range(cols)):
-            raise ValueError(f"row graph {r} has nodes outside 0..{cols - 1}")
-    for c, g in enumerate(cgs):
-        if set(g.nodes()) - set(range(rows)):
-            raise ValueError(f"column graph {c} has nodes outside 0..{rows - 1}")
+    from .chunked import chunked_grid2d_table
 
-    row_sides = [_side_subgraphs(g, split_channels) for g in rgs]
-    col_sides = [_side_subgraphs(g, split_channels) for g in cgs]
-
-    def demand(graphs: List[Graph], n: int) -> int:
-        return max((max_congestion(g, range(n)) for g in graphs), default=0)
-
-    d_top = demand([s[0] for s in row_sides], cols)
-    d_bot = demand([s[1] for s in row_sides], cols)
-    d_right = demand([s[0] for s in col_sides], rows)
-    d_left = demand([s[1] for s in col_sides], rows)
-    per_edge = max(
-        max((s[i].max_degree() for s in row_sides for i in (0, 1)), default=0),
-        max((s[i].max_degree() for s in col_sides for i in (0, 1)), default=0),
+    build = chunked_grid2d_table(
+        rows, cols, row_graph, col_graph, W, L, name, split_channels
     )
-
-    plan = _grid2d_plan(
-        rows, cols, W, L, split_channels,
-        d_top, d_bot, d_right, d_left, per_edge,
-    )
-    dims, model, side = plan.dims, plan.model, plan.dims.W
-    g_top, g_bot = plan.g_top, plan.g_bot
-    g_right, g_left = plan.g_right, plan.g_left
-    x_off, y_off = plan.x_off, plan.y_off
-    cell_w, cell_h = dims.cell_w, dims.cell_h
+    table = build.table()
     net = Graph(name=name)
-
-    def origin(r: int, c: int) -> Tuple[int, int]:
-        return (c * cell_w + x_off, r * cell_h + y_off)
-
-    nodes: Dict[Node, Rect] = {}
-    for r in range(rows):
-        for c in range(cols):
-            ox, oy = origin(r, c)
-            nodes[(r, c)] = Rect(ox, oy, side, side)
-            net.add_node((r, c))
-
-    # wire emitter: every channel wire is the same 4-point dogleg, so the
-    # builder just records (net, path, layer pair) rows and builds the
-    # columns in one shot at the end
-    nets_out: List[Tuple] = []
-    paths_out: List[Tuple[int, ...]] = []
-    pairs_out: List[Tuple[int, int]] = []
-
-    stream = _grid2d_wire_stream(
-        rows, cols,
-        lambda r: row_sides[r], lambda c: col_sides[c],
-        g_top, g_bot, g_right, g_left,
-        side, cell_w, cell_h, x_off, y_off,
+    net.add_nodes(build.nodes)
+    for wnet in table.nets:
+        net.add_edge(wnet[0], wnet[1])
+    lay = Layout(
+        model=build.model, name=build.name, nodes=build.nodes, table=table
     )
-    for u, v, wnet, p8, pair in stream:
-        net.add_edge(u, v)
-        nets_out.append(wnet)
-        paths_out.append(p8)
-        pairs_out.append((pair.vertical, pair.horizontal))
-
-    lname = f"{name}-{rows}x{cols}-L{L}"
-    table = _doglegs_to_table(nets_out, paths_out, pairs_out)
-    lay = Layout(model=model, name=lname, nodes=nodes, table=table)
-    return Grid2DResult(layout=lay, graph=net, dims=dims)
+    return Grid2DResult(layout=lay, graph=net, dims=build.dims)
 
 
 def _grid2d_wire_stream(
@@ -314,9 +258,9 @@ def _grid2d_wire_stream(
     order (row channels by row then side, column channels by column then
     side; links in sorted track-assignment order).
 
-    The side-subgraph accessors are callables so the monolithic builder
-    can hand out precomputed graphs while the chunked builder regenerates
-    them channel by channel without holding them all."""
+    The side-subgraph accessors are callables so an unbudgeted stream
+    can hand out the demand pass's graphs while a budgeted one
+    regenerates them channel by channel without holding them all."""
 
     def origin(r: int, c: int) -> Tuple[int, int]:
         return (c * cell_w + x_off, r * cell_h + y_off)

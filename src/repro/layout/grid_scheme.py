@@ -27,7 +27,7 @@ from ..transform.swap_butterfly import SwapButterfly
 from .blocks import BlockDims, block_dims
 from .collinear import TrackOrder, optimal_track_count
 from .collinear_generic import max_congestion
-from .model import Layout, multilayer_model, thompson_model
+from .model import Layout
 from .tracks import TrackGrouping
 
 __all__ = [
@@ -240,21 +240,18 @@ def build_grid_layout(
     labels this matching is the ``phi_n``-twisted wrap; the *standard*
     wrapped butterfly's wrap is a different, block-crossing matching.)
 
-    All blocks and channels are planned as numpy arrays
-    (:mod:`repro.layout.grid_table`), and the layout is backed by a
-    columnar :class:`~repro.layout.wiretable.WireTable`."""
-    from .grid_table import build_grid_nodes, build_grid_table
+    This is :func:`~repro.layout.chunked.chunked_grid_table` run with no
+    budget: all blocks and channels are planned as numpy arrays
+    (:mod:`repro.layout.grid_table`) in one pass, and its one chunk is
+    the layout's columnar :class:`~repro.layout.wiretable.WireTable`."""
+    from .chunked import chunked_grid_table
 
-    dims = grid_dims(ks, W, L, recirculating=recirculating)
-    sb = SwapButterfly.from_ks(dims.ks)
-    model = thompson_model() if L == 2 else multilayer_model(L)
+    build = chunked_grid_table(ks, W, L, track_order, recirculating)
     lay = Layout(
-        model=model,
-        name=f"grid-B{dims.n}-L{L}",
-        nodes=build_grid_nodes(sb, dims),
-        table=build_grid_table(sb, dims, track_order, recirculating),
+        model=build.model, name=build.name, nodes=build.nodes,
+        table=build.table(),
     )
     return GridLayoutResult(
-        layout=lay, sb=sb, dims=dims, track_order=track_order,
-        recirculating=recirculating,
+        layout=lay, sb=SwapButterfly.from_ks(build.dims.ks), dims=build.dims,
+        track_order=track_order, recirculating=recirculating,
     )

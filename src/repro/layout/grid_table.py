@@ -25,12 +25,14 @@ The construction mirrors the legacy builder category by category:
 
 Finally all categories are concatenated and permuted into the legacy
 emission order (blocks by id — boundaries by stage — items by rank, then
-channel groups in sorted key order).
+channel groups in sorted key order).  The one caller is the chunk
+source :func:`~repro.layout.chunked.chunked_grid_table`, which plans
+every block and phase in one call when it has no budget.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .grid_scheme import GridDims, _column_union_graph
 from .tracks import TrackGrouping, base_layer_pair
 from .wiretable import WireTable
 
-__all__ = ["build_grid_nodes", "build_grid_table"]
+__all__ = ["build_grid_nodes"]
 
 _KIND = ("sc", "ss")  # index = kind code; string sort order 'sc' < 'ss'
 _SLOT_OUT = (2, 1)  # by kind code (sc, ss); 'cross' shares slot 1
@@ -126,25 +128,6 @@ def _hvh(x1, y1, tx, y2, x2, vl, hl) -> np.ndarray:
     return segs
 
 
-_PHASES = ("intra", "inter-col", "inter-row")
-
-
-def build_grid_table(
-    sb: SwapButterfly,
-    dims: GridDims,
-    track_order: TrackOrder = "forward",
-    recirculating: bool = False,
-) -> WireTable:
-    """All wires of the grid layout as one :class:`WireTable`, ordered
-    exactly like the legacy builder's ``layout.wires`` list."""
-    NB = dims.grid_rows * dims.grid_cols
-    cats = _grid_cats(
-        sb, dims, track_order, recirculating,
-        np.arange(NB, dtype=np.int64), frozenset(_PHASES),
-    )
-    return _cats_table(cats)
-
-
 def _cats_table(cats: List[_Cat]) -> WireTable:
     """Concatenate categories and permute into legacy emission order."""
     table = WireTable.concat([c.table() for c in cats])
@@ -177,11 +160,11 @@ def _grid_cats(
     sort by source grid row.  Every ranking the geometry depends on —
     channel ranks, feedthrough rows, track copies — is local to a block
     (intra/feeds) or to one grid column/row (inter groups), so building a
-    *closed* subset of blocks reproduces exactly the wires the monolithic
-    build emits for them.  This is what the chunked builder in
-    :mod:`repro.layout.chunked` exploits: ``bids`` must cover whole
-    blocks for ``intra``, whole grid columns for ``inter-col``, and whole
-    grid rows for ``inter-row``.
+    *closed* subset of blocks reproduces exactly the wires the whole
+    build emits for them.  This is what the chunk source in
+    :mod:`repro.layout.chunked` exploits under a budget: ``bids`` must
+    cover whole blocks for ``intra``, whole grid columns for
+    ``inter-col``, and whole grid rows for ``inter-row``.
     """
     want_intra = "intra" in phases
     want_col = "inter-col" in phases

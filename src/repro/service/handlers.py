@@ -1,9 +1,8 @@
 """Design-query handlers: validate params, compute, cache, serve.
 
-One handler per query *kind* — the same five answers the CLI has always
-printed, now factored so the ``repro`` subcommands, the HTTP front end
-(:mod:`repro.service.server`) and the bench harness all go through one
-cached path:
+One handler per query *kind*, so the ``repro`` subcommands, the HTTP
+front end (:mod:`repro.service.server`), the campaign runner and the
+benchmark in ``bench/`` all go through one cached path:
 
 ``layout``
     build + validate a grid-scheme butterfly layout; summary metrics and
@@ -24,7 +23,7 @@ cached path:
 
 Results are plain JSON-native dicts and contain **no timings or other
 nondeterminism** — a warm hit must serve bytes identical to the cold
-compute, which is also what the bench harness gates on.  Parameters are
+compute, which ``tests/test_service.py`` gates on.  Parameters are
 normalized (defaults filled, types coerced) *before* keying so every
 spelling of the same query shares one cache entry; anything malformed
 raises :class:`QueryError`, which the server maps to HTTP 400.
@@ -182,8 +181,10 @@ QUERY_KINDS = tuple(PARAM_SPECS)
 #: Execution knobs: how to compute, never what to compute.  They are
 #: split off *before* normalization, excluded from the cache key and
 #: from ``result["params"]`` — same design, same artifact, so a warm
-#: cache serves identical bytes whatever budget produced them (the
-#: chunked pipeline is byte-identical to the monolithic one).
+#: cache serves identical bytes whatever budget produced them (every
+#: budget streams the same layout from the same chunk source, and the
+#: budgeted route's result and payload are byte-identical to the
+#: unbudgeted one's).
 EXEC_PARAM_SPECS: Dict[str, Dict[str, Callable]] = {
     "layout": {"memory_budget_bytes": _optional(_positive_int)},
 }
@@ -290,13 +291,12 @@ def _compute_layout(
         t = res.layout.wire_table()
         return _layout_result(p, rep, summary, ws), _layout_payload(t)
 
-    # chunked route: stream the build under the byte budget and validate
+    # budgeted route: stream the build under the byte budget and validate
     # it in one streaming pass — result and payload are byte-identical to
-    # the monolithic route above, which is why the budget may not enter
+    # the unbudgeted route above, which is why the budget may not enter
     # the cache key
     from ..analysis.wirestats import wire_stats_from_lengths
     from ..layout import chunked_grid_table, grid_graph
-    from ..layout.wiretable import WireTable
     from ..transform.swap_butterfly import SwapButterfly
 
     build = chunked_grid_table(
@@ -310,11 +310,8 @@ def _compute_layout(
     rep, summary = build.validate_and_summarize(graph=graph)
     # the array payload is O(wires) by definition; a second enumeration
     # assembles it and the wire-length stats
-    parts = list(build.chunks())
-    ws = wire_stats_from_lengths(
-        np.concatenate([t.wire_lengths() for t in parts])
-    )
-    table = WireTable.concat(parts)
+    table = build.table()
+    ws = wire_stats_from_lengths(table.wire_lengths())
     return _layout_result(p, rep, summary, ws), _layout_payload(table)
 
 

@@ -46,6 +46,8 @@ class TestCommands:
         chunked = capsys.readouterr()
         # the chunk-estimate note rides on stderr next to the cache note
         assert "[chunked " in chunked.err
+        # it sizes one chunk; it is not the run's peak
+        assert "MiB per chunk]" in chunked.err
         assert "[cache " in chunked.err
         # stdout metrics are byte-identical (strip the timing line)
         strip = lambda s: "\n".join(s.splitlines()[1:])
@@ -59,10 +61,20 @@ class TestCommands:
             assert exc.value.code == 2
             assert "expected a positive integer" in capsys.readouterr().err
 
-    def test_layout_exec_flags_need_service_path(self, capsys):
+    def test_layout_svg_takes_the_service_path(self, capsys, tmp_path):
+        assert main(["layout", "--ks", "2,2,2"]) == 0
+        plain = capsys.readouterr()
+        svg = tmp_path / "out.svg"
         assert main(["layout", "--ks", "2,2,2", "--memory-budget", "4096",
-                     "--no-validate"]) == 2
-        assert "cannot be combined" in capsys.readouterr().err
+                     "--svg", str(svg)]) == 0
+        drawn = capsys.readouterr()
+        assert svg.exists()
+        # the plain run's metrics, then the drawing (strip the timing line)
+        strip = lambda s: "\n".join(s.splitlines()[1:])
+        assert strip(drawn.out) == strip(plain.out) + f"\nwrote {svg}"
+        with pytest.raises(SystemExit) as exc:
+            main(["layout", "--ks", "2,2,2", "--no-validate"])
+        assert exc.value.code == 2
 
     def test_campaign_spec_carries_exec_knobs(self):
         from repro.cli import _campaign_spec, build_parser

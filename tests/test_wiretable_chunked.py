@@ -1,8 +1,10 @@
 """Chunked out-of-core WireTable pinning.
 
-Property tests (hypothesis) that the chunked builders and the chunked
-validator are **byte-identical** to the monolithic path at arbitrary
-``memory_budget_bytes`` — down to budgets forcing 1-wire chunks — for
+Property tests (hypothesis) that the chunk sources and the chunked
+validator are **byte-identical** to the legacy builders in
+``tests/oracles`` and the one-chunk validator at arbitrary
+``memory_budget_bytes`` — from no budget (one chunk, which is what the
+in-memory builders return) down to budgets forcing 1-wire chunks — for
 tables, validation reports (verdict, error count, kept messages, check
 list), and summary stats.  Mutated tables (collinear K_6 x 2 and the
 B_6 grid) must report the same at every chunk and bucket split, and
@@ -13,6 +15,7 @@ allocation stays under the declared budget, i.e. the budget knob is
 real, not advisory.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -44,6 +47,11 @@ from repro.topology.complete import complete_multigraph
 from repro.topology.graph import Graph
 from repro.transform.swap_butterfly import SwapButterfly
 
+from tests.oracles.builders import (
+    build_grid2d_layout_legacy,
+    build_grid_layout_legacy,
+    collinear_layout_legacy,
+)
 from tests.oracles.validate import validate_layout_legacy
 
 SLOW = settings(
@@ -101,7 +109,7 @@ def assert_chunked_matches(build, layout, graph, num_buckets=4) -> None:
 )
 def test_collinear_chunked_identity(n, m, order, budget):
     c = chunked_collinear_table(n, m, order=order, memory_budget_bytes=budget)
-    lay = collinear_layout(n, m, order=order).layout
+    lay = collinear_layout_legacy(n, m, order=order).layout
     assert_chunked_matches(c, lay, complete_multigraph(n, m))
     if budget == 1:
         # budget below one wire's working set degrades to 1-wire chunks
@@ -120,7 +128,7 @@ def test_collinear_chunked_identity(n, m, order, budget):
 def test_grid_chunked_identity(ks, recirculating, budget):
     c = chunked_grid_table(ks, recirculating=recirculating,
                            memory_budget_bytes=budget)
-    res = build_grid_layout(ks, recirculating=recirculating)
+    res = build_grid_layout_legacy(ks, recirculating=recirculating)
     assert_chunked_matches(c, res.layout, res.graph)
 
 
@@ -148,7 +156,7 @@ def test_grid2d_chunked_identity(rows, cols, seed, split, budget):
     rg, cg = row_graphs.__getitem__, col_graphs.__getitem__
     c = chunked_grid2d_table(rows, cols, rg, cg, split_channels=split,
                              memory_budget_bytes=budget)
-    res = build_grid2d_layout(rows, cols, rg, cg, split_channels=split)
+    res = build_grid2d_layout_legacy(rows, cols, rg, cg, split_channels=split)
     assert_chunked_matches(c, res.layout, res.graph)
 
 
@@ -339,13 +347,43 @@ def test_empty_stream_matches_empty_table():
 
 
 def test_wires_per_chunk_knob():
-    assert wires_per_chunk(None) == 65536
+    assert wires_per_chunk(None) == sys.maxsize
     assert wires_per_chunk(1) == 1
     assert wires_per_chunk(_WIRE_BYTES * 10) == 10
     with pytest.raises(ValueError, match="positive"):
         wires_per_chunk(0)
     with pytest.raises(ValueError, match="positive"):
         wires_per_chunk(-5)
+
+
+def test_collinear_needs_two_nodes():
+    # one contract for K_1: the chunk source refuses it like the builder
+    for build in (chunked_collinear_table, collinear_layout):
+        with pytest.raises(ValueError, match="need n >= 2 nodes, got 1"):
+            build(1)
+
+
+def test_unbudgeted_build_enumerates_once(monkeypatch):
+    """No budget means one chunk: the grid source yields one, the grid
+    builder plans it with one ``_grid_cats`` call, and the 2-D builder
+    splits each channel graph once (``rows + cols`` ``_side_subgraphs``
+    calls, not a second round for the emission pass)."""
+    import repro.layout.chunked as chunked
+
+    assert sum(1 for _ in chunked_grid_table((2, 2, 2)).chunks()) == 1
+    calls = []
+    for name in ("_grid_cats", "_side_subgraphs"):
+        real = getattr(chunked, name)
+        monkeypatch.setattr(
+            chunked, name,
+            lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a),
+        )
+    build_grid_layout((2, 2, 2))
+    assert calls.count("_grid_cats") == 1
+    rows, cols = 3, 4
+    build_grid2d_layout(rows, cols, lambda r: complete_multigraph(cols, 2),
+                        lambda c: complete_multigraph(rows, 1))
+    assert calls.count("_side_subgraphs") == rows + cols
 
 
 def test_chunked_build_surface():
