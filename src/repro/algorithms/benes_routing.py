@@ -362,41 +362,86 @@ def _settings_to_crossed(settings: BenesSettings) -> np.ndarray:
 
 
 def _apply_batch(crossed: np.ndarray) -> np.ndarray:
-    """Realized permutations ``(B, N)`` of a ``(B, 2n-1, N/2)`` batch.
-
-    Simulates the switched network column by column on the whole batch:
-    token ``i`` starts at wire position ``i``; a column swaps positions
-    ``2j <-> 2j+1`` where its switch ``j`` is crossed (blocks are
-    aligned, so the global pair index is ``pos // 2`` in every column);
-    between columns the fixed Benes wiring fans each size-``M`` block
-    out to its two halves (forward) or merges them back (mirror).
-    """
+    """Realized permutations ``(B, N)`` of a ``(B, 2n-1, N/2)`` batch,
+    in cache-sized row blocks that reuse one set of buffers."""
     B, S, H = crossed.shape
     N = 2 * H
+    out = np.empty((B, N), dtype=np.int64)
+    step = max(1, _CHUNK_ELEMS // N)
+    # flat offset of each position's settings row, for a full block
+    rows = np.repeat(np.arange(min(step, B), dtype=np.int64) * (S * H), N)
+    t, u = np.empty_like(rows), np.empty_like(rows)
+    swap = np.empty(rows.size, dtype=crossed.dtype)
+    for lo in range(0, B, step):
+        k = (min(lo + step, B) - lo) * N
+        _apply_block(
+            crossed[lo:lo + step], out[lo:lo + step],
+            rows[:k], t[:k], u[:k], swap[:k],
+        )
+    return out
+
+
+def _apply_block(
+    crossed: np.ndarray,
+    out: np.ndarray,
+    rows: np.ndarray,
+    t: np.ndarray,
+    u: np.ndarray,
+    swap: np.ndarray,
+) -> None:
+    """Fill ``out`` ``(b, N)`` with the realized permutations of one
+    ``(b, 2n-1, N/2)`` block of settings; ``rows``, ``t``, ``u`` and
+    ``swap`` are flat ``b * N`` buffers (``rows`` holds each position's
+    settings-row offset).
+
+    Simulates the switched network column by column: token ``i`` starts
+    at wire position ``i``; a column swaps positions ``2j <-> 2j+1``
+    where its switch ``j`` is crossed (blocks are aligned, so the global
+    pair index is ``pos // 2`` in every column); between columns the
+    fixed Benes wiring fans each size-``M`` block out to its two halves
+    (forward) or merges them back (mirror).  Column ``s`` of row ``r``
+    starts at ``flat[r*S*H + s*H]``, so one ``take`` on ``flat[s*H:]``
+    at ``rows + pos // 2`` reads every row's switches; every index is
+    in range, so ``mode="wrap"`` only skips the bounds check.
+    """
+    _b, S, H = crossed.shape
+    N = 2 * H
     n = (S + 1) // 2
-    pos = np.arange(N, dtype=np.int64)
-    cur = np.broadcast_to(pos, (B, N)).copy()
+    flat = np.ascontiguousarray(crossed).reshape(-1)
+    out[...] = np.arange(N, dtype=np.int64)
+    cur = out.reshape(-1)
 
     def through_column(s: int) -> None:
-        swap = np.take_along_axis(crossed[:, s, :], cur >> 1, axis=1)
-        np.bitwise_xor(cur, swap.astype(np.int64), out=cur)
+        np.right_shift(cur, 1, out=t)
+        np.add(t, rows, out=t)
+        flat[s * H:].take(t, mode="wrap", out=swap)
+        np.bitwise_xor(cur, swap, out=cur)
 
     for d in range(n - 1):
         M = N >> d
         through_column(d)
         # top output of switch j enters the top half at sub-position j:
         # local 2j + p  ->  p*M/2 + j
-        t = cur & (M - 1)
-        cur += ((t & 1) * (M >> 1) + (t >> 1)) - t
+        np.bitwise_and(cur, M - 1, out=t)
+        cur -= t
+        np.bitwise_and(t, 1, out=u)
+        u *= M >> 1
+        cur += u
+        t >>= 1
+        cur += t
     through_column(n - 1)  # middle column: the 2x2 base case
     for d in range(n - 2, -1, -1):
         M = N >> d
         # sub-output j of half p re-enters the last column's switch j:
         # local p*M/2 + j  ->  2j + p
-        t = cur & (M - 1)
-        cur += (((t & ((M >> 1) - 1)) << 1) | (t >> (n - d - 1))) - t
+        np.bitwise_and(cur, M - 1, out=t)
+        cur -= t
+        np.bitwise_and(t, (M >> 1) - 1, out=u)
+        u <<= 1
+        cur += u
+        t >>= n - d - 1
+        cur += t
         through_column(2 * n - 2 - d)
-    return cur
 
 
 def apply_settings_batch(settings: BenesSettingsBatch) -> np.ndarray:

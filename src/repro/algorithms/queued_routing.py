@@ -31,8 +31,11 @@ one slot per FIFO — files each packet under its pop cycle; each cycle
 pops its row at once, and a two-pass collision-free scatter files the
 popped packets under their next-stage queues.  There is no Python-level
 loop over nodes, and :func:`sweep_rates` batches many independent
-(rate, seed) runs through the *same* loop.  The original pure-Python
-triple loop is the reference for differential tests
+(rate, seed) runs through the *same* loop.  Injections are drawn one
+block of about ``2**16`` (cycle, input) pairs at a time, reading
+exactly the numbers a whole-run draw would, so a run's memory is
+O(R x block + calendar) however many cycles it has.  The original
+pure-Python triple loop is the reference for differential tests
 (``tests/oracles/queued_routing.py``): with the same seed both produce
 *identical* offered / delivered / drained counts and latency totals (the
 loop's enqueue order — cycle ascending, then source row ascending — is
@@ -61,8 +64,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.shm import attach_cached, share_arrays
-
 __all__ = [
     "SimResult",
     "StatsTrace",
@@ -86,7 +87,7 @@ def _qid_layout(n: int, B: int) -> Tuple[int, int, int, int]:
 
     Returns ``(jmask, sshift, cstride, num_q)`` for the id packing
     ``class | stage | job | row-rest | out`` shared by the engine and
-    the injection precompute.  ``class`` is bit ``stage`` of the
+    the injection blocks.  ``class`` is bit ``stage`` of the
     queue's row, the scatter pass its packets leave in.  It is the top
     *digit*, worth ``cstride = n << sshift``, not a bit: each class is
     then one id run sorted by stage, and a one-job batch numbers its
@@ -103,58 +104,78 @@ def _packet_dtype(n: int, cycles: int, drain: int):
     return np.int32 if ((cycles + drain) << n) < 2**31 else np.int64
 
 
-def _prepare_injections(
+#: (cycle, input) draws per injection block, across the batch: a block
+#: runs ``max(1, _BLOCK_DRAWS // (R * B))`` cycles, so the injection
+#: arrays stay O(block) however many cycles the run has.
+_BLOCK_DRAWS = 1 << 16
+
+
+def _injection_blocks(
     n: int,
     jobs: Sequence[Tuple[float, int]],
     cycles: int,
     warmup: int,
     pdtype,
-) -> Tuple[np.ndarray, ...]:
-    """Precompute every injection of every job, grouped by cycle.
+) -> Iterator[Tuple]:
+    """Draw every injection of every job, one block of cycles at a time.
 
-    Returns ``(offered, inj_percycle, ival, iqid, itin)`` — exactly the
-    arrays :func:`_run_batch` consumes.  Factored out of the engine so
-    the serial path and the shared-memory sweep workers prepare (or
-    attach) byte-identical arrays: the rng consumption order here *is*
-    the reference order.
+    Yields ``(c0, c1, offered, inj_percycle, ival, iqid, itin)`` for
+    cycles ``c0 .. c1 - 1``: the block's post-warmup offered count per
+    job, its injections per (cycle, job), and its packets grouped by
+    cycle.  The rng consumption order *is* the reference order: a run
+    reads ``random((cycles, R))`` and then ``integers(0, R, (cycles,
+    R))`` from ``default_rng(seed)``.  Each job reads the first from one
+    generator and the second from another advanced past them with
+    ``bit_generator.advance(cycles * R)`` — PCG64 spends one output per
+    double and, ``R`` being a power of two, one half-output per
+    destination with no rejection — so every block of rows is the slice
+    of the whole-run draws it stands for.
     """
     R = 1 << n
     B = len(jobs)
     _jmask, _sshift, cstride, _num_q = _qid_layout(n, B)
-    offered = np.zeros(B, np.int64)
-    inj_percycle = np.zeros((cycles, B), np.int64)
-    parts_t, parts_val, parts_qid = [], [], []
     rows = np.arange(R)
     # stage-0 queue id of each input row, less the route bit: class = row
     # bit 0, row-rest = the other row bits
     row_qid = (rows & 1) * cstride | (rows & (R - 2))
-    for j, (rate, seed) in enumerate(jobs):
-        rng = np.random.default_rng(seed)
-        inj = rng.random((cycles, R)) < rate
-        dests = rng.integers(0, R, size=(cycles, R))
-        # flat = (cycle << n) | row, row-major: grouped by cycle, then row;
-        # dest < R, so flat ^ dest is the packed (cycle << n) | (row ^ dest)
-        flat = np.flatnonzero(inj)
-        t_idx = flat >> n
-        val = flat ^ dests.ravel()[flat]
-        qid = row_qid[flat & (R - 1)]
-        qid |= (j << n) | (val & 1)
-        parts_t.append(t_idx)
-        parts_val.append(val)
-        parts_qid.append(qid)
-        offered[j] = t_idx.size - np.searchsorted(t_idx, warmup)
-        inj_percycle[:, j] = np.count_nonzero(inj, axis=1)
-    if B == 1:  # already grouped by cycle
-        ival = parts_val[0].astype(pdtype)
-        iqid = parts_qid[0]
-        itin = parts_t[0]
-    else:
-        t_all = np.concatenate(parts_t)
-        grouped = np.argsort(t_all, kind="stable")  # <= 1 arrival/queue/cycle
-        ival = np.concatenate(parts_val)[grouped].astype(pdtype)
-        iqid = np.concatenate(parts_qid)[grouped]
-        itin = t_all[grouped]
-    return offered, inj_percycle, ival, iqid, itin
+    rngs = []
+    for _rate, seed in jobs:
+        dest_rng = np.random.default_rng(seed)
+        dest_rng.bit_generator.advance(cycles * R)
+        rngs.append((np.random.default_rng(seed), dest_rng))
+    step = max(1, _BLOCK_DRAWS // (R * B))
+    for c0 in range(0, cycles, step):
+        c1 = min(c0 + step, cycles)
+        offered = np.zeros(B, np.int64)
+        inj_percycle = np.zeros((c1 - c0, B), np.int64)
+        parts_t, parts_val, parts_qid = [], [], []
+        for j, ((rate, _seed), (rng, dest_rng)) in enumerate(zip(jobs, rngs)):
+            inj = rng.random((c1 - c0, R)) < rate
+            dests = dest_rng.integers(0, R, size=(c1 - c0, R))
+            # flat = ((cycle - c0) << n) | row, row-major: grouped by
+            # cycle, then row; dest < R, so (flat ^ dest) + (c0 << n) is
+            # the packed (cycle << n) | (row ^ dest)
+            flat = np.flatnonzero(inj)
+            t_idx = (flat >> n) + c0
+            val = (flat ^ dests.ravel()[flat]) + (c0 << n)
+            qid = row_qid[flat & (R - 1)]
+            qid |= (j << n) | (val & 1)
+            parts_t.append(t_idx)
+            parts_val.append(val)
+            parts_qid.append(qid)
+            offered[j] = t_idx.size - np.searchsorted(t_idx, warmup)
+            inj_percycle[:, j] = np.count_nonzero(inj, axis=1)
+        if B == 1:  # already grouped by cycle
+            ival = parts_val[0].astype(pdtype)
+            iqid = parts_qid[0]
+            itin = parts_t[0]
+        else:
+            t_all = np.concatenate(parts_t)
+            grouped = np.argsort(t_all, kind="stable")  # <= 1 arrival/queue/cycle
+            ival = np.concatenate(parts_val)[grouped].astype(pdtype)
+            iqid = np.concatenate(parts_qid)[grouped]
+            itin = t_all[grouped]
+        yield c0, c1, offered, inj_percycle, ival, iqid, itin
 
 
 @dataclass
@@ -276,7 +297,6 @@ def _run_batch(
     warmup: int,
     drain: Optional[int],
     trace: bool = False,
-    injections: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> List[SimResult]:
     """Run ``len(jobs)`` independent ``(rate, seed)`` simulations through
     one shared per-link FIFO arbitration loop.
@@ -313,6 +333,12 @@ def _run_batch(
     pass of their own.  Jobs never share queues, so batched results are
     bit-identical to running each job alone.  ``trace`` is honoured for
     single-job batches only.
+
+    Injections come from :func:`_injection_blocks` one block of cycles
+    at a time, and a single untraced job settles its deliveries in
+    passes of about a block's worth, so the loop's memory is the
+    calendar plus O(block) whatever ``cycles`` is; only a ``trace``
+    grows with the run.
     """
     for rate, _seed in jobs:
         _validate(n, rate, cycles)
@@ -347,14 +373,10 @@ def _run_batch(
         [(n - 1) << sshift, cstride, cstride + ((n - 1) << sshift)], np.int64
     )
 
-    # -- every injection of every job, grouped by cycle ------------------
-    # either prepared here, or attached as shared-memory views by a
-    # sweep worker (see sweep_rates) — same arrays either way
-    if injections is None:
-        injections = _prepare_injections(n, jobs, cycles, warmup, pdtype)
-    offered, inj_percycle, ival, iqid, itin = injections
-    offered = offered.copy()  # result field; never mutate a shared view
-    inj_off = np.searchsorted(itin, np.arange(cycles + 1))
+    # -- injections, drawn one block of cycles at a time -----------------
+    blocks = _injection_blocks(n, jobs, cycles, warmup, pdtype)
+    offered = np.zeros(B, np.int64)
+    c0 = c1 = 0  # cycles of the current block
 
     # -- pop-time calendar: W rows of num_q slots, row p % W pops at p ---
     # W starts small and doubles as backlogs grow (they stay near 10 under
@@ -376,10 +398,28 @@ def _run_batch(
     do_trace = trace and B == 1
     tr_rows: List[Tuple[int, int, int, int, int]] = []
     hist = np.zeros(1, np.int64)
-    # solo fast path: deliveries are stashed per cycle and settled in one
-    # vectorized pass after the loop (fin_t holds each chunk's t)
+    # solo fast path: deliveries are stashed per cycle and settled in
+    # vectorized passes of about a block's worth (fin_t holds each
+    # chunk's t); latency sums stay exact Python ints until the end
     fin_vals: List[np.ndarray] = []
     fin_t: List[int] = []
+    fin_size = 0
+    fin_latency = 0
+
+    def settle() -> None:
+        nonlocal fin_size, fin_latency
+        allv = np.concatenate(fin_vals)
+        tins = allv >> n
+        counts = np.array([len(v) for v in fin_vals], np.int64)
+        t_arr = np.repeat(np.array(fin_t, np.int64), counts)
+        post = tins >= warmup
+        in_window = int(np.count_nonzero(post & (t_arr < cycles)))
+        delivered[0] += in_window
+        drained[0] += int(np.count_nonzero(post)) - in_window
+        fin_latency += int(((t_arr + 1) - tins)[post].sum())
+        fin_vals.clear()
+        fin_t.clear()
+        fin_size = 0
 
     def grow() -> None:
         # the W pending rows are cycles t .. t + W - 1: re-file each at
@@ -430,11 +470,13 @@ def _run_batch(
                 dval = np.concatenate((pval[ea:eb], pval[ec:]))
                 if solo:
                     # defer the latency/warmup arithmetic: stash the
-                    # popped values and settle everything in one
-                    # vectorized pass after the loop
+                    # popped values and settle them in bulk
                     inflight[0] -= cyc_delivered
                     fin_vals.append(dval)
                     fin_t.append(t)
+                    fin_size += cyc_delivered
+                    if fin_size >= _BLOCK_DRAWS:
+                        settle()
                 else:
                     done_tin = dval >> n
                     counted = (
@@ -463,7 +505,11 @@ def _run_batch(
                     push(nq[eb:ec], pval[eb:ec])
         cyc_injected = 0
         if t < cycles:
-            a, b = int(inj_off[t]), int(inj_off[t + 1])
+            if t == c1:
+                c0, c1, block_offered, inj_percycle, ival, iqid, itin = next(blocks)
+                offered += block_offered
+                inj_off = np.searchsorted(itin, np.arange(c0, c1 + 1)).tolist()
+            a, b = inj_off[t - c0], inj_off[t - c0 + 1]
             if b > a:
                 cyc_injected = b - a
                 total_inflight += cyc_injected
@@ -471,7 +517,7 @@ def _run_batch(
                 if solo:
                     inflight[0] += cyc_injected
                 else:
-                    inflight += inj_percycle[t]
+                    inflight += inj_percycle[t - c0]
         if do_trace:
             depth_all = nf - (t + 1)
             np.maximum(depth_all, 0, out=depth_all)
@@ -487,15 +533,8 @@ def _run_batch(
     if solo:
         maxq = np.array([peak_seen], np.int64)
         if fin_vals:
-            # settle the deferred final-stage accounting in one pass
-            allv = np.concatenate(fin_vals)
-            tins = allv >> n
-            counts = np.array([len(v) for v in fin_vals], np.int64)
-            t_arr = np.repeat(np.array(fin_t, np.int64), counts)
-            post = tins >= warmup
-            delivered[0] = int(np.count_nonzero(post & (t_arr < cycles)))
-            drained[0] = int(np.count_nonzero(post)) - int(delivered[0])
-            latency[0] = float(((t_arr + 1) - tins)[post].sum())
+            settle()
+        latency[0] = float(fin_latency)
     else:
         maxq = qpeak.reshape(2 * n, jmask + 1, R).max(axis=(0, 2))[:B]
 
@@ -562,24 +601,6 @@ def _sweep_chunk(args: Tuple) -> List[SimResult]:
     return _run_batch(n, jobs, cycles, warmup, drain)
 
 
-#: Keys of the per-chunk injection arrays inside the sweep's shared block.
-_INJ_KEYS = ("offered", "inj_percycle", "ival", "iqid", "itin")
-
-
-def _sweep_chunk_shm(args: Tuple) -> List[SimResult]:
-    """Pool worker that *attaches* its chunk's injection arrays.
-
-    The per-job pickle payload is ``(pack, chunk_index, ...)`` — a few
-    hundred bytes regardless of how many cycles or rows the simulation
-    has; the big precomputed injection arrays travel once, through the
-    shared-memory block the parent packed.
-    """
-    pack, ci, n, jobs, cycles, warmup, drain = args
-    views = attach_cached(pack)
-    injections = tuple(views[f"c{ci}_{k}"] for k in _INJ_KEYS)
-    return _run_batch(n, jobs, cycles, warmup, drain, injections=injections)
-
-
 def sweep_rates(
     n: int,
     rates: Sequence[float],
@@ -598,37 +619,22 @@ def sweep_rates(
     are *batched* through one shared arbitration loop ``batch`` jobs at
     a time — each vectorized cycle serves the whole batch — and with
     ``workers > 1`` the batches are additionally farmed out to a
-    :mod:`multiprocessing` pool.  The parent precomputes each chunk's
-    injection arrays once and publishes them through one shared-memory
-    block; workers attach zero-copy views instead of re-pickling the
-    arrays per job.  The grouping never changes the numbers: every
-    grouping is bit-identical to running each job alone.
+    :mod:`multiprocessing` pool.  Each worker is handed only its
+    chunk's ``(n, jobs, cycles, warmup, drain)`` and draws its own
+    injections block by block.  The grouping never changes the numbers:
+    every grouping is bit-identical to running each job alone.
     """
     jobs = [(float(rate), int(s)) for rate in rates for s in seeds]
     batch = max(1, batch)
-    chunk_jobs = [jobs[i : i + batch] for i in range(0, len(jobs), batch)]
-    if workers and workers > 1 and len(chunk_jobs) > 1:
-        pdtype = _packet_dtype(
-            n, cycles, drain if drain is not None else _default_drain(n)
-        )
-        arrays = {}
-        for ci, cj in enumerate(chunk_jobs):
-            inj = _prepare_injections(n, cj, cycles, warmup, pdtype)
-            for key, arr in zip(_INJ_KEYS, inj):
-                arrays[f"c{ci}_{key}"] = arr
-        procs = min(workers, len(chunk_jobs))
-        with share_arrays(**arrays) as pack:
-            del arrays
-            payloads = [
-                (pack, ci, n, cj, cycles, warmup, drain)
-                for ci, cj in enumerate(chunk_jobs)
-            ]
-            with multiprocessing.get_context().Pool(procs) as pool:
-                parts = pool.map(_sweep_chunk_shm, payloads)
+    payloads = [
+        (n, jobs[i : i + batch], cycles, warmup, drain)
+        for i in range(0, len(jobs), batch)
+    ]
+    if workers and workers > 1 and len(payloads) > 1:
+        with multiprocessing.get_context().Pool(min(workers, len(payloads))) as pool:
+            parts = pool.map(_sweep_chunk, payloads)
     else:
-        parts = [
-            _sweep_chunk((n, cj, cycles, warmup, drain)) for cj in chunk_jobs
-        ]
+        parts = [_sweep_chunk(p) for p in payloads]
     return [res for part in parts for res in part]
 
 

@@ -1,9 +1,9 @@
-"""Array plumbing shared by the engines' worker pools.
+"""Array plumbing for the engines' worker pools.
 
 Every engine calls numpy directly.  This package holds
-:mod:`repro.backend.shm`, the zero-copy shared-memory array handoff the
-multiprocessing pools use, and :func:`get_backend`, which names the
-array library for report headers.
+:mod:`repro.backend.shm`, the zero-copy shared-memory array handoff of
+the Benes pool (``route_permutations(workers=)``), and
+:func:`get_backend`, which names the array library for report headers.
 """
 
 from __future__ import annotations

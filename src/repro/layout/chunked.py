@@ -99,7 +99,8 @@ import numpy as np
 from ..topology.graph import Graph
 from ..transform.swap_butterfly import SwapButterfly
 from .collinear import (
-    TrackOrder, optimal_track_count, track_assignment_arrays,
+    TrackOrder, _check_track_order, optimal_track_count,
+    track_assignment_arrays,
 )
 from .collinear_generic import max_congestion
 from .geometry import LayerPair, Rect, THOMPSON_LAYERS
@@ -273,6 +274,7 @@ def chunked_collinear_table(
         raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
     if n < 2:
         raise ValueError(f"need n >= 2 nodes, got {n}")
+    _check_track_order(order)
     degree = multiplicity * (n - 1)
     side = node_side if node_side is not None else degree
     if side < degree:
@@ -411,6 +413,7 @@ def chunked_grid_table(
     row per chunk): a closed group is the smallest unit whose rankings
     are self-contained.
     """
+    _check_track_order(track_order)
     dims = grid_dims(ks, W, L, recirculating=recirculating)
     sb = SwapButterfly.from_ks(dims.ks)
     model = thompson_model() if L == 2 else multilayer_model(L)

@@ -46,6 +46,16 @@ __all__ = [
 TrackOrder = Literal["forward", "reversed"]
 
 
+def _check_track_order(order: str) -> None:
+    """Raise ``ValueError`` unless ``order`` is ``'forward'`` or
+    ``'reversed'``: every builder checks before it allocates, so a bogus
+    name never lays out the forward order under its own label."""
+    if order not in ("forward", "reversed"):
+        raise ValueError(
+            f"track order must be 'forward' or 'reversed', got {order!r}"
+        )
+
+
 def optimal_track_count(n: int) -> int:
     """``floor(n**2 / 4)`` — Appendix B's strictly optimal count."""
     if n < 1:
@@ -81,6 +91,7 @@ def track_assignment(n: int, order: TrackOrder = "forward") -> Dict[Tuple[int, i
     """
     if n < 2:
         raise ValueError(f"need n >= 2 nodes, got {n}")
+    _check_track_order(order)
     assign: Dict[Tuple[int, int], int] = {}
     base = 0
     for i in range(1, n):
@@ -107,6 +118,7 @@ def track_assignment_arrays(
     ``(a, b)`` — the iteration order of the object builder."""
     if n < 2:
         raise ValueError(f"need n >= 2 nodes, got {n}")
+    _check_track_order(order)
     a_parts, t_parts = [], []
     base = 0
     for i in range(1, n):

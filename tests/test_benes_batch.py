@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.benes_routing import (
+    _CHUNK_ELEMS,
+    BenesSettings,
     BenesSettingsBatch,
     apply_settings,
     apply_settings_batch,
@@ -76,6 +78,32 @@ class TestSettingsParity:
             legacy = route_permutation_legacy(perms[i].tolist())
             assert int(counts[i]) == legacy.count_crossed()
             assert batch.settings(i).count_crossed() == legacy.count_crossed()
+
+
+class TestApplyRandomSettings:
+    """The blocked apply on arbitrary settings, not only routed ones:
+    every row must realize what the legacy simulator realizes."""
+
+    @staticmethod
+    def _assert_rows_match_legacy(n, crossed):
+        got = apply_settings_batch(BenesSettingsBatch(n=n, crossed=crossed))
+        for b in range(len(crossed)):
+            legacy = BenesSettings(n=n, stages=crossed[b].tolist())
+            assert got[b].tolist() == apply_settings_legacy(legacy), b
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_random_settings_match_legacy(self, n):
+        rng = np.random.default_rng(100 + n)
+        crossed = rng.random((5, num_switch_stages(n), 1 << (n - 1))) < 0.5
+        self._assert_rows_match_legacy(n, crossed)
+
+    def test_random_settings_across_row_blocks(self):
+        # 130 rows of N = 1024 are three row blocks, the last one partial
+        rows_per_block = _CHUNK_ELEMS // 1024
+        assert 2 * rows_per_block < 130 < 3 * rows_per_block
+        rng = np.random.default_rng(7)
+        crossed = rng.random((130, num_switch_stages(10), 512)) < 0.5
+        self._assert_rows_match_legacy(10, crossed)
 
 
 class TestBatchApi:

@@ -9,12 +9,14 @@ per-cycle :class:`StatsTrace` and batched runs.
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import queued_routing
 from repro.algorithms.queued_routing import (
     SimResult,
     _default_drain,
@@ -135,6 +137,113 @@ class TestCalendarMatchesRing:
                     drain=drain, workers=workers, batch=batch,
                 )
                 assert got == want, (batch, workers)
+
+
+class TestCalendarMatchesRingOneCycleBlocks:
+    """:class:`TestCalendarMatchesRing`'s properties again with one-cycle
+    injection blocks: most drawn runs fit one block at the default size,
+    so here every cycle starts a block of its own."""
+
+    @pytest.fixture(autouse=True)
+    def _one_cycle_blocks(self, monkeypatch):
+        monkeypatch.setattr(queued_routing, "_BLOCK_DRAWS", 1)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        run=_runs(),
+        jobs=st.lists(st.tuples(_rates, _seeds), min_size=1, max_size=5),
+        trace=st.booleans(),
+    )
+    def test_batches_and_traces(self, run, jobs, trace):
+        TestCalendarMatchesRing.test_batches_and_traces.hypothesis.inner_test(
+            self, run, jobs, trace
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        run=_runs(),
+        rates=st.lists(_rates, min_size=1, max_size=3),
+        seeds=st.lists(_seeds, min_size=1, max_size=2),
+    )
+    def test_sweep_groupings(self, run, rates, seeds):
+        TestCalendarMatchesRing.test_sweep_groupings.hypothesis.inner_test(
+            self, run, rates, seeds
+        )
+
+
+class TestInjectionBlocks:
+    """Runs of many blocks, and the rng split the blocks rely on."""
+
+    @pytest.mark.parametrize("n, jobs, cycles, warmup, drain, trace", [
+        (8, [(0.9, 11), (0.5, 12)], 1500, 150, None, False),
+        (9, [(0.3, 21), (0.95, 22), (1.0, 23)], 1000, 100, 5, False),
+        # one job: untraced, its deliveries settle in several passes
+        (10, [(0.9, 31)], 700, 70, None, False),
+        (10, [(1.0, 32)], 700, 0, 0, True),
+    ])
+    def test_multi_block_runs_match_ring(self, n, jobs, cycles, warmup, drain, trace):
+        step = max(1, queued_routing._BLOCK_DRAWS // ((1 << n) * len(jobs)))
+        assert cycles > 5 * step  # several blocks
+        _assert_same_runs(
+            _run_batch(n, jobs, cycles, warmup, drain, trace=trace),
+            queued_ring._run_batch(n, jobs, cycles, warmup, drain, trace=trace),
+        )
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_split_draws_equal_whole_run_draws(self, n):
+        """A block of rows from two generators — the second advanced
+        past the run's doubles — equals the matching rows of
+        ``random((cycles, R))`` then ``integers(0, R, (cycles, R))``
+        drawn from one.  A numpy that spends the stream differently
+        fails here instead of silently changing every answer."""
+        R, cycles, seed = 1 << n, 7, 1000 + n
+        whole = np.random.default_rng(seed)
+        want_u = whole.random((cycles, R))
+        want_d = whole.integers(0, R, size=(cycles, R))
+        for block in (1, 3, cycles):
+            rng = np.random.default_rng(seed)
+            dest_rng = np.random.default_rng(seed)
+            dest_rng.bit_generator.advance(cycles * R)
+            spans = [min(block, cycles - c0) for c0 in range(0, cycles, block)]
+            got_u = np.concatenate([rng.random((k, R)) for k in spans])
+            got_d = np.concatenate(
+                [dest_rng.integers(0, R, size=(k, R)) for k in spans]
+            )
+            np.testing.assert_array_equal(got_u, want_u)
+            np.testing.assert_array_equal(got_d, want_d)
+
+
+def _peak_mib(fn) -> float:
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Injections are drawn one block at a time, so the sim's peak
+    allocation does not grow with ``cycles``.  Drawing the whole run up
+    front peaked at 53 MiB at 1,000 cycles and 203 MiB at 4,000 (numpy
+    2.4, x86-64)."""
+
+    def test_solo_peak_flat_in_cycles(self):
+        short, long_ = (
+            _peak_mib(lambda: simulate_butterfly_queued(10, 0.9, cycles=c))
+            for c in (1000, 4000)
+        )
+        assert long_ <= 1.2 * short, (short, long_)
+        assert long_ < 16, long_
+
+    def test_batch_peak_flat_in_cycles(self):
+        jobs = [(0.3, 0), (0.9, 1), (1.0, 2)]
+        short, long_ = (
+            _peak_mib(lambda: _run_batch(10, jobs, c, 100, None))
+            for c in (250, 1000)
+        )
+        assert long_ <= 1.2 * short, (short, long_)
 
 
 class TestMetrics:

@@ -1,25 +1,21 @@
-"""Shared-memory plumbing of the parallel rate sweep.
+"""The parallel rate sweep's payloads and the shared-memory handoff.
 
-Pins the two promises of the ``workers > 1`` path of
+Pins the promises of the ``workers > 1`` path of
 :func:`repro.algorithms.sweep_rates`: the pool produces results equal to
-the serial path, and each worker's pickled payload is a constant-size
-handle — the precomputed injection arrays travel through one shared
-block and are *attached* as zero-copy views, never re-pickled per job.
+the serial path, and each worker's pickled payload is a small tuple that
+does not grow with ``cycles`` — workers draw their own injections block
+by block, so no injection array crosses the pipe.  The shared-memory
+block of :mod:`repro.backend.shm`, which the Benes pool
+(``route_permutations(workers=)``) routes through, round-trips arrays
+and hands workers zero-copy views.
 """
 
 import pickle
 
 import numpy as np
 
-from repro.algorithms.queued_routing import (
-    _INJ_KEYS,
-    _default_drain,
-    _packet_dtype,
-    _prepare_injections,
-    _sweep_chunk,
-    _sweep_chunk_shm,
-    sweep_rates,
-)
+from repro.algorithms import queued_routing
+from repro.algorithms.queued_routing import _run_batch, _sweep_chunk, sweep_rates
 from repro.backend.shm import attach, attach_cached, read_array, share_arrays
 
 
@@ -48,34 +44,64 @@ def test_parallel_sweep_equals_serial():
     assert len(par) == 6  # rate-major: all seeds of each rate
 
 
-def test_worker_payload_excludes_injection_arrays():
-    n, cycles, warmup = 6, 800, 100
-    jobs = [(0.6, 0), (0.6, 1), (0.4, 2)]
-    pdtype = _packet_dtype(n, cycles, _default_drain(n))
-    inj = _prepare_injections(n, jobs, cycles, warmup, pdtype)
-    arrays = {f"c0_{k}": a for k, a in zip(_INJ_KEYS, inj)}
-    raw_bytes = sum(a.nbytes for a in arrays.values())
+class _RecordingPool:
+    """Stands in for the pool: keeps the pickled payloads and runs
+    nothing, so a million-cycle sweep costs no simulation."""
 
-    with share_arrays(**arrays) as pack:
-        payload = (pack, 0, n, jobs, cycles, warmup, None)
-        wire = len(pickle.dumps(payload))
-        # the per-job pickle is a handle, not the data: the injection
-        # arrays (hundreds of KiB here) must not ride along
-        assert wire < 4096
-        assert raw_bytes > 50 * wire
+    def __init__(self, sent):
+        self.sent = sent
 
-        got = _sweep_chunk_shm(payload)
+    def __enter__(self):
+        return self
 
-    want = _sweep_chunk((n, jobs, cycles, warmup, None))
-    assert got == want
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        assert fn is _sweep_chunk
+        self.sent.extend(pickle.dumps((fn, p)) for p in payloads)
+        return [[] for _ in payloads]
+
+
+class _RecordingContext:
+    def __init__(self):
+        self.sent = []
+
+    def Pool(self, procs):
+        return _RecordingPool(self.sent)
+
+
+def test_worker_payload_excludes_injection_arrays(monkeypatch):
+    n, warmup = 6, 100
+    sizes = {}
+    for cycles in (800, 1_000_000):
+        ctx = _RecordingContext()
+        monkeypatch.setattr(
+            queued_routing.multiprocessing, "get_context", lambda: ctx
+        )
+        sweep_rates(n, [0.6, 0.4], cycles=cycles, warmup=warmup,
+                    seeds=(0, 1), batch=2, workers=2)
+        assert len(ctx.sent) == 2
+        sizes[cycles] = max(len(wire) for wire in ctx.sent)
+        # the per-job pickle is the chunk's parameters, not its data
+        assert sizes[cycles] < 4096
+    # the cycle count is one pickled int: a few bytes more, no arrays
+    assert sizes[1_000_000] <= sizes[800] + 8
+
+    # what a worker receives runs the same simulation as the serial path
+    fn, payload = pickle.loads(ctx.sent[0])
+    assert payload == (n, [(0.6, 0), (0.6, 1)], 1_000_000, warmup, None)
+    small = (n, [(0.6, 0), (0.6, 1)], 800, warmup, None)
+    assert fn(small) == _run_batch(*small)
 
 
 def test_workers_attach_zero_copy_views():
-    n, cycles, warmup = 5, 300, 50
-    jobs = [(0.5, 7)]
-    pdtype = _packet_dtype(n, cycles, _default_drain(n))
-    inj = _prepare_injections(n, jobs, cycles, warmup, pdtype)
-    arrays = {f"c0_{k}": a for k, a in zip(_INJ_KEYS, inj)}
+    # the Benes pool's arrays: permutations in, settings written back
+    rng = np.random.default_rng(7)
+    arrays = {
+        "perms": np.array([rng.permutation(32) for _ in range(3)]),
+        "crossed": np.zeros((3, 9, 16), dtype=bool),
+    }
 
     with share_arrays(**arrays) as pack:
         views = attach_cached(pack)
@@ -88,4 +114,6 @@ def test_workers_attach_zero_copy_views():
         again = attach_cached(pack)
         for key in arrays:
             assert again[key] is views[key]
-
+        # a write through the view lands in the shared block
+        views["crossed"][1, 4, :] = True
+        assert read_array(pack, "crossed")[1, 4].all()

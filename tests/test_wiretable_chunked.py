@@ -41,6 +41,7 @@ from repro.layout import (
     wires_per_chunk,
 )
 from repro.layout.chunked import _WIRE_BYTES
+from repro.layout.collinear import track_assignment, track_assignment_arrays
 from repro.layout.validate import MAX_ERRORS_KEPT
 from repro.layout.wiretable import WireTable
 from repro.topology.complete import complete_multigraph
@@ -361,6 +362,24 @@ def test_collinear_needs_two_nodes():
     for build in (chunked_collinear_table, collinear_layout):
         with pytest.raises(ValueError, match="need n >= 2 nodes, got 1"):
             build(1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda order: chunked_collinear_table(5, order=order),
+    lambda order: collinear_layout(5, order=order),
+    lambda order: chunked_grid_table((2, 2, 2), track_order=order),
+    lambda order: build_grid_layout((2, 2, 2), track_order=order),
+    lambda order: track_assignment(5, order),
+    lambda order: track_assignment_arrays(5, order),
+], ids=[
+    "chunked_collinear_table", "collinear_layout", "chunked_grid_table",
+    "build_grid_layout", "track_assignment", "track_assignment_arrays",
+])
+def test_track_order_is_forward_or_reversed(build):
+    # a bogus order used to lay out the forward tracks under its own name
+    for order in ("bogus", "Reversed", ""):
+        with pytest.raises(ValueError, match="'forward' or 'reversed'"):
+            build(order)
 
 
 def test_unbudgeted_build_enumerates_once(monkeypatch):
