@@ -338,7 +338,8 @@ def _run_batch(
     at a time, and a single untraced job settles its deliveries in
     passes of about a block's worth, so the loop's memory is the
     calendar plus O(block) whatever ``cycles`` is; only a ``trace``
-    grows with the run.
+    grows with the run, by five int64 columns preallocated for ``cycles
+    + drain`` rows and filled in place (40 bytes a cycle).
     """
     for rate, _seed in jobs:
         _validate(n, rate, cycles)
@@ -396,7 +397,10 @@ def _run_batch(
     drain_cycles = np.zeros(B, np.int64)
 
     do_trace = trace and B == 1
-    tr_rows: List[Tuple[int, int, int, int, int]] = []
+    # trace columns (cycle, injected, delivered, in_flight, max_depth),
+    # one row per cycle that runs, filled in place
+    tr = np.zeros((5, total_cycles if do_trace else 0), np.int64)
+    tr_n = 0
     hist = np.zeros(1, np.int64)
     # solo fast path: deliveries are stashed per cycle and settled in
     # vectorized passes of about a block's worth (fin_t holds each
@@ -521,10 +525,9 @@ def _run_batch(
         if do_trace:
             depth_all = nf - (t + 1)
             np.maximum(depth_all, 0, out=depth_all)
-            tr_rows.append(
-                (t, cyc_injected, cyc_delivered, total_inflight,
-                 int(depth_all.max()))
-            )
+            tr[:, t] = (t, cyc_injected, cyc_delivered, total_inflight,
+                        depth_all.max())
+            tr_n = t + 1
             h = np.bincount(depth_all)
             if h.size > hist.size:
                 hist = np.pad(hist, (0, h.size - hist.size))
@@ -538,15 +541,13 @@ def _run_batch(
     else:
         maxq = qpeak.reshape(2 * n, jmask + 1, R).max(axis=(0, 2))[:B]
 
+    # the rows of the cycles that ran: the drain stops once the net is empty
+    trace_rec = StatsTrace(
+        *tr[:, :tr_n], depth_hist=hist, measured_cycles=cycles,
+    ) if do_trace else None
     results = []
     for j, (rate, _seed) in enumerate(jobs):
         completed = int(delivered[j] + drained[j])
-        tr = None
-        if do_trace:
-            cols = [np.asarray(c, np.int64) for c in zip(*tr_rows)] if tr_rows else [
-                np.empty(0, np.int64)
-            ] * 5
-            tr = StatsTrace(*cols, depth_hist=hist, measured_cycles=cycles)
         results.append(
             SimResult(
                 n=n,
@@ -560,7 +561,7 @@ def _run_batch(
                 drained=int(drained[j]),
                 drain_cycles=int(drain_cycles[j]),
                 in_flight=int(inflight[j]),
-                trace=tr,
+                trace=trace_rec,
             )
         )
     return results

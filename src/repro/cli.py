@@ -780,13 +780,14 @@ def _cmd_sort(args) -> int:
 
     from .topology.bitonic import bitonic_num_stages, bitonic_sort
 
+    stages = bitonic_num_stages(args.n)  # rejects n < 1 before allocating
     rng = np.random.default_rng(args.seed)
     x = rng.integers(0, 1000, size=1 << args.n)
     y = bitonic_sort(x)
     ok = bool(np.array_equal(y, np.sort(x)))
     print(
         f"bitonic sorter: {1 << args.n} values through "
-        f"{bitonic_num_stages(args.n)} compare-exchange stages, "
+        f"{stages} compare-exchange stages, "
         f"sorted={'OK' if ok else 'FAILED'}"
     )
     return 0 if ok else 1

@@ -116,6 +116,8 @@ def ccc_2d_layout(
     """Build and return the wire-level CCC(n) layout."""
     if n < 2:
         raise ValueError(f"CCC needs n >= 2, got {n}")
+    if L < 2:
+        raise ValueError(f"CCC layout needs L >= 2 wiring layers, got {L}")
     if W < 4:
         raise ValueError(f"node side must be >= 4, got {W}")
     a, b = split if split is not None else (n // 2, n - n // 2)

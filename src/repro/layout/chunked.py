@@ -77,7 +77,11 @@ endpoint to a node row anyway: equal edge counts with no unplaced
 endpoint place every graph node, because a staged graph has no
 isolated node.  Any other outcome (a net that is no graph edge, an
 unpacked row, unequal counts, an unplaced endpoint) leaves the verdict
-to the exact multiset comparison.
+to the exact multiset comparison.  Both checks read one int array of
+the chunk's net endpoints.  A grid build's array-backed nodes
+(:class:`~repro.layout.grid_table.GridNodes`) find every endpoint in
+it with one vectorized lookup; only dict nodes, and nets whose nodes
+are not int pairs, are looked up endpoint by endpoint.
 """
 
 from __future__ import annotations
@@ -90,8 +94,8 @@ import tempfile
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
-    Tuple,
+    Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple,
 )
 
 import numpy as np
@@ -109,15 +113,16 @@ from .grid2d import (
 )
 from .grid_scheme import GridDims, grid_dims
 from .grid_table import _cats_table, _grid_cats, build_grid_nodes
-from .model import LayoutModel, multilayer_model, thompson_model
+from .model import LayoutModel, _node_box, multilayer_model, thompson_model
 from .validate import (
     MAX_ERRORS_KEPT,
     ValidationReport,
     _BandIndex,
+    _NodeIndex,
     _bulk,
     _canon_edge,
-    _canon_net_rows,
-    _node_index,
+    _canon_rows,
+    _net_end_rows,
     _realizes_fallback,
     _track_overlap_sweep,
     _via_col_sweep,
@@ -187,12 +192,15 @@ class ChunkedBuild:
     ``model`` and ``dims`` (the grid sources' dimension record, ``None``
     for collinear builds) are materialised eagerly — they are O(network
     size), not O(wires) — which is exactly what the chunked validator
-    and the in-memory builders need.
+    and the in-memory builders need.  A grid build's ``nodes`` is a
+    :class:`~repro.layout.grid_table.GridNodes`: two int64 columns (16
+    bytes a node) and no ``Rect`` until one is read; the collinear and
+    2-D grid sources hold a dict of one ``Rect`` per node.
     """
 
     name: str
     model: LayoutModel
-    nodes: Dict[Hashable, Rect]
+    nodes: Mapping[Hashable, Rect]
     chunk_wires: int
     memory_budget_bytes: Optional[int]
     num_wires: Optional[int] = None
@@ -600,9 +608,10 @@ class ChunkStats:
     def summary(self, nodes, model: LayoutModel) -> Dict[str, int]:
         xs: List[int] = []
         ys: List[int] = []
-        for r in nodes.values():
-            xs.extend((r.x, r.x2))
-            ys.extend((r.y, r.y2))
+        nb = _node_box(nodes)
+        if nb is not None:
+            xs.extend((nb[0], nb[2]))
+            ys.extend((nb[1], nb[3]))
         if self.box is not None:
             xs.extend((self.box[0], self.box[2]))
             ys.extend((self.box[1], self.box[3]))
@@ -886,14 +895,17 @@ def _fast_template(graph: Graph) -> Optional[Dict]:
     }
 
 
-def _count_nets(f: Dict, nets: List) -> bool:
-    """Count a chunk's nets into ``f["got"]``, one per graph edge they
-    name; ``False`` (nothing counted) when a net is not a graph edge or
-    not an int-node pair, so only the exact fallback can decide."""
-    rows = _canon_net_rows(nets, f["k"], f["kk"])
-    if rows is None:
+def _count_nets(f: Dict, ends: Optional[np.ndarray]) -> bool:
+    """Count a chunk's nets — ``ends``, their :func:`_net_end_rows` at
+    the graph's arity — into ``f["got"]``, one per graph edge they name;
+    ``False`` (nothing counted) when a net is not a graph edge or the
+    nets are not int-node pairs (``ends`` is ``None``), so only the
+    exact fallback can decide."""
+    if ends is None:
         return False
-    packed = Graph._pack_rows(rows, f["mins"], f["ranges"])
+    packed = Graph._pack_rows(
+        _canon_rows(ends, f["kk"]), f["mins"], f["ranges"]
+    )
     if packed is None:
         return False
     codes = f["codes"]
@@ -997,17 +1009,22 @@ class ChunkedValidator:
     unavailable or disagrees.
 
     Streaming peak memory is one chunk plus one bucket plus the
-    O(network) state built once here: the node-index columns (a key ->
-    row dict and four int64 rect columns), the two band indexes (a few
-    int64 arrays per node), and for a staged graph the packed edge
-    codes with their wanted and counted vectors (three int64 arrays per
-    distinct edge).  Pick ``num_buckets >= total_rows_bytes /
-    memory_budget_bytes`` to bound the reload size.  The spill directory
-    (a temporary one unless ``spill_dir`` is given) is created at the
-    first spill.  ``close()`` (which ``finalize`` calls, also when it
-    raises) closes the spill files' handles and removes a temporary
-    spill directory; files under a caller's ``spill_dir`` are left in
-    place.
+    O(network) state built once here: the node index
+    (:class:`~repro.layout.validate._NodeIndex`: four int64 rect
+    columns, two of them a grid build's own node columns, plus a key ->
+    row dict for dict nodes only), the two band indexes (a few int64
+    arrays per node), and for a staged graph the packed edge codes with
+    their wanted and counted vectors (three int64 arrays per distinct
+    edge).  Each chunk's net endpoints become one int array that the
+    terminal lookup and the realizes-graph counter share.  Pick
+    ``num_buckets >= total_rows_bytes / memory_budget_bytes`` to bound
+    the reload size.  The spill directory — a temporary one, or, when
+    ``spill_dir`` is given, a fresh ``repro-chunked-*`` subdirectory of
+    it, so passes that share a ``spill_dir`` never share a file — is
+    created at the first spill.  ``close()`` (which ``finalize`` calls,
+    also when it raises) closes the spill files' handles and removes a
+    temporary spill directory; a subdirectory of a caller's
+    ``spill_dir`` is left in place with its files.
     """
 
     def __init__(
@@ -1049,11 +1066,11 @@ class ChunkedValidator:
         self._gw_count = 0
         self._bend_count = 0
         self._term_count = 0
-        self._node_index = _node_index(nodes)
+        self._node_index = ni = _NodeIndex(nodes)
         # wires-avoid-nodes: band indexes over the (fixed) nodes, built once
         self._bi: Dict[bool, Optional[_BandIndex]] = {True: None, False: None}
-        if check_nodes and nodes:
-            _nid, rx, ry, rx2, ry2 = self._node_index
+        if check_nodes and len(ni):
+            rx, ry, rx2, ry2 = ni.rx, ni.ry, ni.rx2, ni.ry2
             self._bi[True] = _BandIndex(ry, ry2, rx, rx2)
             self._bi[False] = _BandIndex(rx, rx2, ry, ry2)
         # realizes-graph per-edge counter while viable; the exact multiset
@@ -1072,15 +1089,24 @@ class ChunkedValidator:
         tmp = ValidationReport(ok=True)
         _vt_layer_discipline(t, self.model, tmp)
         self._t_layer.add(tmp.num_errors, tmp.errors)
+        # the chunk's net endpoints as one int array, read by the
+        # terminal lookup and, at the same arity, the realizes counter
+        index = self._node_index
+        k = index.k
+        ends = (_net_end_rows(t.nets, k)
+                if k is not None and t.num_wires else None)
         tmp = ValidationReport(ok=True)
         self._unplaced += _vt_contiguity_terminals(
-            t, self.nodes, self._node_index, tmp
+            t, self.nodes, index, tmp, ends
         )
         self._t_contig.add(tmp.num_errors, tmp.errors)
         if self.check_nodes:
             self._feed_avoid(t)
-        if self._fast is not None and t.num_wires:
-            if not _count_nets(self._fast, t.nets):
+        f = self._fast
+        if f is not None and t.num_wires:
+            if f["k"] != k:
+                ends = _net_end_rows(t.nets, f["k"])
+            if not _count_nets(f, ends):
                 self._fast = None
         if not self._chunks:
             self._held = t
@@ -1125,7 +1151,9 @@ class ChunkedValidator:
         yield "terms", None, _term_rows(paths, w_off, term_off)
 
     def _root(self) -> str:
-        """The spill directory, created at the first spill."""
+        """The spill directory, created at the first spill: a temporary
+        one, or a fresh subdirectory of the caller's ``spill_dir`` (so
+        passes that share a ``spill_dir`` never share a file)."""
         if self._dir is None:
             if self._spill_dir is None:
                 self._tmpdir = tempfile.TemporaryDirectory(
@@ -1134,7 +1162,9 @@ class ChunkedValidator:
                 self._dir = self._tmpdir.name
             else:
                 os.makedirs(self._spill_dir, exist_ok=True)
-                self._dir = self._spill_dir
+                self._dir = tempfile.mkdtemp(
+                    prefix="repro-chunked-", dir=self._spill_dir
+                )
         return self._dir
 
     def _spill(self, t: WireTable, w_off: int) -> None:

@@ -32,7 +32,10 @@ every block and phase in one call when it has no budget.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+import operator
+from collections.abc import ItemsView, Mapping, ValuesView
+from itertools import repeat
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,31 +48,141 @@ from .grid_scheme import GridDims, _column_union_graph
 from .tracks import TrackGrouping, base_layer_pair
 from .wiretable import WireTable
 
-__all__ = ["build_grid_nodes"]
+__all__ = ["GridNodes", "build_grid_nodes"]
 
 _KIND = ("sc", "ss")  # index = kind code; string sort order 'sc' < 'ss'
 _SLOT_OUT = (2, 1)  # by kind code (sc, ss); 'cross' shares slot 1
 _SLOT_IN = (4, 3)
 
 
-def build_grid_nodes(sb: SwapButterfly, dims: GridDims) -> Dict[Hashable, Rect]:
+def _as_int(v) -> Optional[int]:
+    """The int ``v`` equals, or ``None``: a dict finds an int key under
+    any value equal to it (``True``, ``1.0``, ``np.int64(1)``)."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        pass
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == v else None
+
+
+class GridNodes(Mapping):
+    """The grid layout's node rectangles: a read-only mapping ``(row,
+    stage) -> Rect`` over int64 columns.
+
+    Nodes come in the legacy insertion order — blocks by id, stages
+    major, local rows minor — so node ``i`` is block ``i // (S R)``,
+    stage ``(i // R) % S`` and local row ``i % R`` (``S`` stages,
+    ``R = 2**k1`` rows per block), and its row is ``block * R + local
+    row``.  ``x``/``y`` hold each node's lower-left corner in that
+    order; every node is a ``side x side`` square.  Lookup, ``in``,
+    ``len`` and iteration are integer arithmetic over those columns,
+    and a :class:`Rect` is made only when a caller reads one.  Keys
+    behave as in a dict of the same nodes: a key equal to a placed
+    ``(row, stage)`` finds it, an unhashable key raises ``TypeError``.
+    The validator reads :meth:`rect_columns` and finds net endpoints
+    with :meth:`find_all`; ``dict(nodes)`` gives a mutable copy.
+    """
+
+    def __init__(
+        self, x: np.ndarray, y: np.ndarray, side: int, k1: int, stages: int,
+    ) -> None:
+        self.x, self.y = x, y
+        self.x.flags.writeable = self.y.flags.writeable = False
+        self.side = side
+        self._k1 = k1
+        self._stages = stages
+        self._rows = len(x) // stages
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        i = np.arange(len(self.x), dtype=np.int64)
+        k1, S = self._k1, self._stages
+        u = ((i // (S << k1)) << k1) | (i & ((1 << k1) - 1))
+        return zip(u.tolist(), ((i >> k1) % S).tolist())
+
+    def _rects(self) -> Iterator[Rect]:
+        w = self.side
+        return map(Rect, self.x.tolist(), self.y.tolist(), repeat(w),
+                   repeat(w))
+
+    def items(self) -> "_GridItems":
+        return _GridItems(self)
+
+    def values(self) -> "_GridValues":
+        return _GridValues(self)
+
+    def find(self, key) -> int:
+        """Insertion index of ``key``, or -1 when no node has it."""
+        hash(key)  # an unhashable key raises TypeError, as in a dict
+        if not isinstance(key, tuple) or len(key) != 2:
+            return -1
+        u, s = _as_int(key[0]), _as_int(key[1])
+        if u is None or s is None or not (
+            0 <= u < self._rows and 0 <= s < self._stages
+        ):
+            return -1
+        k1 = self._k1
+        return ((u >> k1) * self._stages + s << k1) | (u & ((1 << k1) - 1))
+
+    def find_all(self, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Insertion index of each int key ``(u[j], s[j])``, ``-1`` where
+        no node has it — one vectorized lookup for many keys."""
+        k1, S = self._k1, self._stages
+        ok = (u >= 0) & (u < self._rows) & (s >= 0) & (s < S)
+        i = ((u >> k1) * S + s << k1) | (u & ((1 << k1) - 1))
+        return np.where(ok, i, -1)
+
+    def __contains__(self, key) -> bool:
+        return self.find(key) >= 0
+
+    def __getitem__(self, key) -> Rect:
+        i = self.find(key)
+        if i < 0:
+            raise KeyError(key)
+        return Rect(int(self.x[i]), int(self.y[i]), self.side, self.side)
+
+    def rect_columns(self) -> Tuple[np.ndarray, ...]:
+        """``(x, y, x2, y2)`` int64 columns in insertion order."""
+        return self.x, self.y, self.x + self.side, self.y + self.side
+
+
+# the views iterate the columns, not one ``__getitem__`` per key
+
+
+class _GridItems(ItemsView):
+    def __iter__(self):
+        m = self._mapping
+        return zip(iter(m), m._rects())
+
+
+class _GridValues(ValuesView):
+    def __iter__(self):
+        return self._mapping._rects()
+
+
+def build_grid_nodes(sb: SwapButterfly, dims: GridDims) -> GridNodes:
     """Node rectangles of the full grid layout, in legacy insertion order
-    (blocks by id, stages major, local rows minor)."""
+    (blocks by id, stages major, local rows minor), as a
+    :class:`GridNodes` mapping: node ``(row, s)`` of block ``b`` sits at
+    stage column ``s`` and local row ``row % R`` of the block's cell."""
     bd = dims.block
-    k2 = dims.ks[1]
-    gc = dims.grid_cols
     R = bd.nrows
-    W = bd.W
-    nodes: Dict[Hashable, Rect] = {}
-    for bid in range(dims.grid_rows * gc):
-        ox = (bid & (gc - 1)) * dims.cell_w
-        oy = (bid >> k2) * dims.cell_h
-        row0 = bid << dims.ks[0]
-        for s in range(sb.n + 1):
-            x = bd.colx[s] + ox
-            for rr in range(R):
-                nodes[(row0 + rr, s)] = Rect(x, bd.row_y(rr) + oy, W, W)
-    return nodes
+    S = sb.n + 1
+    bid = np.arange(dims.grid_rows * dims.grid_cols, dtype=np.int64)
+    ox = (bid & (dims.grid_cols - 1)) * dims.cell_w
+    oy = (bid >> dims.ks[1]) * dims.cell_h
+    colx = np.asarray(bd.colx[:S], dtype=np.int64)
+    rowy = bd.rows_base + np.arange(R, dtype=np.int64) * bd.row_pitch
+    shape = (len(bid), S, R)
+    x = np.broadcast_to((ox[:, None] + colx)[:, :, None], shape).ravel()
+    y = np.broadcast_to((oy[:, None] + rowy)[:, None, :], shape).ravel()
+    return GridNodes(x, y, bd.W, dims.ks[0], S)
 
 
 def _pair_layers(L: int, horizontal: bool, group: np.ndarray):

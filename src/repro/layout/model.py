@@ -11,7 +11,7 @@ rule sets used in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from .geometry import Rect, Wire
 
@@ -50,6 +50,25 @@ class LayoutModel:
                 raise ValueError(f"layer {layer} outside [1, {self.num_layers}]")
 
 
+def _node_box(nodes: Mapping) -> Optional[Tuple[int, int, int, int]]:
+    """``(x_min, y_min, x_max, y_max)`` over the node rects, ``None`` for
+    no nodes.  Array-backed nodes (``rect_columns``, see
+    :class:`~repro.layout.grid_table.GridNodes`) are read as columns,
+    without making a :class:`Rect`."""
+    if not len(nodes):
+        return None
+    columns = getattr(nodes, "rect_columns", None)
+    if columns is not None:
+        x, y, x2, y2 = columns()
+        return int(x.min()), int(y.min()), int(x2.max()), int(y2.max())
+    xs: List[int] = []
+    ys: List[int] = []
+    for r in nodes.values():
+        xs.extend((r.x, r.x2))
+        ys.extend((r.y, r.y2))
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 def thompson_model() -> LayoutModel:
     """The Thompson model: two wiring layers (layer 1 vertical, layer 2
     horizontal), one active layer."""
@@ -80,6 +99,9 @@ class Layout:
 
     Node ids are the graph's node ids (ints or tuples).  The layout does
     not interpret them; validators compare against a target graph.
+    ``nodes`` is a dict, or a read-only mapping such as the grid
+    builder's :class:`~repro.layout.grid_table.GridNodes`, which
+    :meth:`add_node` copies to a dict on the first write.
 
     Wires are stored either as a list of :class:`Wire` objects or as a
     columnar :class:`~repro.layout.wiretable.WireTable` (what the
@@ -94,7 +116,7 @@ class Layout:
         self,
         model: LayoutModel,
         name: str = "",
-        nodes: Dict[Hashable, Rect] = None,
+        nodes: Mapping[Hashable, Rect] = None,
         wires: List[Wire] = None,
         table=None,
     ) -> None:
@@ -102,7 +124,7 @@ class Layout:
             raise ValueError("pass either wires or table, not both")
         self.model = model
         self.name = name
-        self.nodes: Dict[Hashable, Rect] = {} if nodes is None else nodes
+        self.nodes: Mapping[Hashable, Rect] = {} if nodes is None else nodes
         self._wires: List[Wire] = (
             wires if wires is not None else ([] if table is None else None)
         )
@@ -139,6 +161,8 @@ class Layout:
     def add_node(self, node: Hashable, rect: Rect) -> None:
         if node in self.nodes:
             raise ValueError(f"node {node!r} already placed")
+        if not isinstance(self.nodes, dict):
+            self.nodes = dict(self.nodes.items())
         self.nodes[node] = rect
 
     def add_wire(self, wire: Wire) -> None:
@@ -152,9 +176,10 @@ class Layout:
         the paper's smallest upright encompassing rectangle."""
         xs: List[int] = []
         ys: List[int] = []
-        for r in self.nodes.values():
-            xs.extend((r.x, r.x2))
-            ys.extend((r.y, r.y2))
+        nb = _node_box(self.nodes)
+        if nb is not None:
+            xs.extend((nb[0], nb[2]))
+            ys.extend((nb[1], nb[3]))
         if self._table is not None:
             box = self._table.bounding_box()
             if box is not None:

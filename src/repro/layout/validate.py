@@ -80,13 +80,17 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _canon_net_rows(nets, k, kk):
-    """Canonicalised ``(lo, hi)`` endpoint rows for uniform int-tuple (or
-    plain-int) two-terminal nets, or ``None`` when the nets do not fit the
-    vectorized layout (mixed arity, non-int nodes, ...)."""
+def _net_end_rows(nets, k: int):
+    """Endpoints of two-terminal nets whose nodes are ``k``-tuples of
+    ints (plain ints for ``k = 0``) as one int64 array, a row ``[u...,
+    v...]`` per net, or ``None`` when the nets do not fit that shape
+    (mixed arity, non-int nodes, ...)."""
+    kk = k if k else 1
     try:
         if k:
-            flat = np.array([n[0] + n[1] for n in nets])
+            # a start of the wrong arity drops its row, so the shape check
+            # below also catches (a,) + (b, c, d)
+            flat = np.array([n[0] + n[1] for n in nets if len(n[0]) == k])
         else:
             flat = np.array([(n[0], n[1]) for n in nets])
     except (TypeError, ValueError):
@@ -98,7 +102,11 @@ def _canon_net_rows(nets, k, kk):
         or flat.dtype.kind != "i"
     ):
         return None
-    flat = flat.astype(np.int64, copy=False)
+    return flat.astype(np.int64, copy=False)
+
+
+def _canon_rows(flat, kk: int):
+    """:func:`_net_end_rows` rows canonicalised to ``(lo, hi)`` order."""
     a, b = flat[:, :kk], flat[:, kk:]
     flip = np.zeros(len(flat), dtype=bool)
     decided = np.zeros(len(flat), dtype=bool)
@@ -214,23 +222,63 @@ def _vt_layer_discipline(t, model, rep: ValidationReport) -> None:
     _bulk(rep, count, msgs())
 
 
-def _node_index(nodes):
-    """``(nid, rx, ry, rx2, ry2)``: node key -> row number, and the rect
-    columns the terminal, node-disjointness and wires-avoid-nodes checks
-    read, taken from ``nodes`` in one pass."""
-    nid = {k: i for i, k in enumerate(nodes)}
-    n = len(nid)
-    rx, ry, w, h = np.fromiter(
-        chain.from_iterable(map(attrgetter("x", "y", "w", "h"), nodes.values())),
-        np.int64, 4 * n,
-    ).reshape(n, 4).T.copy()
-    return nid, rx, ry, rx + w, ry + h
+class _NodeIndex:
+    """What the terminal, node-disjointness and wires-avoid-nodes checks
+    read of ``nodes``, taken once: the rect columns ``rx, ry, rx2, ry2``
+    in ``nodes``' iteration order, and :meth:`rows`, which numbers net
+    endpoints by those rows.
+
+    Array-backed nodes (:class:`~repro.layout.grid_table.GridNodes`,
+    keyed by int ``(row, stage)`` pairs) hand over their columns and
+    find a chunk's endpoints in one vectorized lookup (``k = 2`` is the
+    key arity :meth:`rows` wants its endpoint rows in).  Any other
+    mapping is read rect by rect and its keys are numbered in a dict.
+    """
+
+    def __init__(self, nodes) -> None:
+        self.nodes = nodes
+        columns = getattr(nodes, "rect_columns", None)
+        if columns is not None:
+            self.k: Optional[int] = 2
+            self._nid = None
+            self.rx, self.ry, self.rx2, self.ry2 = columns()
+            return
+        self.k = None
+        self._nid = {key: i for i, key in enumerate(nodes)}
+        n = len(self._nid)
+        rx, ry, w, h = np.fromiter(
+            chain.from_iterable(
+                map(attrgetter("x", "y", "w", "h"), nodes.values())
+            ),
+            np.int64, 4 * n,
+        ).reshape(n, 4).T.copy()
+        self.rx, self.ry, self.rx2, self.ry2 = rx, ry, rx + w, ry + h
+
+    def __len__(self) -> int:
+        return len(self.rx)
+
+    def rows(self, nets, ends=None) -> Tuple[np.ndarray, np.ndarray]:
+        """Node rows of every net's start and end node, ``-1`` where no
+        node has the key.  ``ends`` is :func:`_net_end_rows` of ``nets``
+        at arity ``k``; without it each endpoint is looked up alone."""
+        nw = len(nets)
+        if ends is not None:
+            find = self.nodes.find_all
+            return find(ends[:, 0], ends[:, 1]), find(ends[:, 2], ends[:, 3])
+        get = (self.nodes.find if self._nid is None
+               else lambda key: self._nid.get(key, -1))
+        ui = np.fromiter((get(net[0]) for net in nets), np.int64, nw)
+        vi = np.fromiter((get(net[1]) for net in nets), np.int64, nw)
+        return ui, vi
 
 
-def _vt_contiguity_terminals(t, nodes, index, rep: ValidationReport) -> int:
-    """``index`` is :func:`_node_index` of ``nodes`` (the chunked
-    validator builds it once for all its chunks).  Returns the number of
-    net endpoints that name no node of ``nodes``."""
+def _vt_contiguity_terminals(
+    t, nodes, index, rep: ValidationReport, ends=None,
+) -> int:
+    """``index`` is the :class:`_NodeIndex` of ``nodes`` (the chunked
+    validator builds it once for all its chunks), and ``ends`` the
+    chunk's :func:`_net_end_rows` at its arity, if any.  Returns the
+    number of net endpoints that name no node of ``nodes``."""
     rep.checks_run.append("contiguity-terminals")
     nw = t.num_wires
     if nw == 0:
@@ -240,10 +288,9 @@ def _vt_contiguity_terminals(t, nodes, index, rep: ValidationReport) -> int:
     sy = paths.py[paths.pt_indptr[:-1]]
     ex = paths.px[paths.pt_indptr[1:] - 1]
     ey = paths.py[paths.pt_indptr[1:] - 1]
-    nid, rx, ry, rx2, ry2 = index
-    ui = np.fromiter((nid.get(net[0], -1) for net in t.nets), np.int64, nw)
-    vi = np.fromiter((nid.get(net[1], -1) for net in t.nets), np.int64, nw)
-    if nid:
+    rx, ry, rx2, ry2 = index.rx, index.ry, index.rx2, index.ry2
+    ui, vi = index.rows(t.nets, ends)
+    if len(index):
 
         def on_bd(px_, py_, ridx):
             has = ridx >= 0
@@ -526,10 +573,10 @@ def _via_seg_orientation(
 
 
 def _vt_nodes_disjoint(nodes, index, rep: ValidationReport) -> None:
-    """``index`` is :func:`_node_index` of ``nodes``; the exact sweep
-    reads ``nodes`` only when the arrays find an overlap."""
+    """``index`` is the :class:`_NodeIndex` of ``nodes``; the exact
+    sweep reads ``nodes`` only when the arrays find an overlap."""
     rep.checks_run.append("nodes-disjoint")
-    _nid, rx, ry, rx2, ry2 = index
+    rx, ry, rx2, ry2 = index.rx, index.ry, index.rx2, index.ry2
     n = len(rx)
     if n < 2:
         return

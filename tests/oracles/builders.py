@@ -31,6 +31,7 @@ from repro.layout.grid2d import (
     _side_subgraphs,
 )
 from repro.layout.grid_scheme import (
+    GridDims,
     GridLayoutResult,
     _column_union_graph,
     grid_dims,
@@ -51,10 +52,35 @@ from .blocks import plan_block
 __all__ = [
     "build_grid2d_layout_legacy",
     "build_grid_layout_legacy",
+    "build_grid_nodes_legacy",
     "collinear_layout_legacy",
 ]
 
 Point = Tuple[int, int]
+
+
+def build_grid_nodes_legacy(
+    sb: SwapButterfly, dims: GridDims
+) -> Dict[Tuple[int, int], Rect]:
+    """Node rectangles of the full grid layout as a dict, one
+    :class:`Rect` per node, in the production insertion order (blocks by
+    id, stages major, local rows minor) — the reference for the
+    array-backed :class:`~repro.layout.grid_table.GridNodes`."""
+    bd = dims.block
+    k2 = dims.ks[1]
+    gc = dims.grid_cols
+    R = bd.nrows
+    W = bd.W
+    nodes: Dict[Tuple[int, int], Rect] = {}
+    for bid in range(dims.grid_rows * gc):
+        ox = (bid & (gc - 1)) * dims.cell_w
+        oy = (bid >> k2) * dims.cell_h
+        row0 = bid << dims.ks[0]
+        for s in range(sb.n + 1):
+            x = bd.colx[s] + ox
+            for rr in range(R):
+                nodes[(row0 + rr, s)] = Rect(x, bd.row_y(rr) + oy, W, W)
+    return nodes
 
 
 def collinear_layout_legacy(

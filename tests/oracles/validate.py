@@ -6,8 +6,9 @@ indexes.  The differential suites hold :func:`repro.layout.validate_layout`
 to it: the same verdict, error count and error-message set on valid and
 mutated layouts (message order differs; the production sweeps emit in
 sorted order).  The helpers it shares with the production validator
-(``_canon_edge``, ``_canon_net_rows``, ``_realizes_fallback``,
-``_nodes_disjoint_sweep``) stay in :mod:`repro.layout.validate`;
+(``_canon_edge``, ``_net_end_rows``, ``_canon_rows``,
+``_realizes_fallback``, ``_nodes_disjoint_sweep``) stay in
+:mod:`repro.layout.validate`;
 ``_staged_nodes_placed``, which only this checker's realizes-graph fast
 path calls, lives here.
 """
@@ -25,7 +26,8 @@ from repro.layout.model import Layout
 from repro.layout.validate import (
     ValidationReport,
     _canon_edge,
-    _canon_net_rows,
+    _canon_rows,
+    _net_end_rows,
     _nodes_disjoint_sweep,
     _realizes_fallback,
 )
@@ -182,9 +184,10 @@ def _realizes_graph_fast(nets, placed, graph: Graph) -> bool:
         return False
     k = edges.shape[2] if edges.ndim == 3 else 0
     kk = k if k else 1
-    rows = _canon_net_rows(nets, k, kk)
-    if rows is None:
+    ends = _net_end_rows(nets, k)
+    if ends is None:
         return False
+    rows = _canon_rows(ends, kk)
     uniq, agg = Graph._aggregate_rows(
         rows, np.ones(len(rows), dtype=np.int64)
     )

@@ -24,8 +24,10 @@
   nets whose endpoints are not ints never take the array fast path.
 """
 
+import itertools
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,11 @@ def _expected_rows(t: WireTable):
     return rows
 
 
+def _pass_dirs(spill_dir) -> list:
+    """The subdirectories validator passes made under ``spill_dir``."""
+    return sorted(p for p in Path(spill_dir).iterdir() if p.is_dir())
+
+
 def test_spill_files_do_not_grow_with_chunks(tmp_path):
     ks = (3, 3, 3)
     graph = grid_graph(SwapButterfly.from_ks(ks))
@@ -105,12 +112,49 @@ def test_spill_files_do_not_grow_with_chunks(tmp_path):
         rep, _summ = build.validate_and_summarize(graph=graph, spill_dir=str(d))
         assert rep.ok
         chunk_counts.append(sum(1 for _ in build.chunks()))
+        # the pass writes into one subdirectory of its own
+        (sub,) = _pass_dirs(d)
         # the same files at every budget, whatever the chunk count
-        assert sorted(os.listdir(d)) == want_files
+        assert sorted(os.listdir(sub)) == want_files
         for stem, ncols in NCOLS.items():
-            size = os.path.getsize(d / f"{stem}.i64")
+            size = os.path.getsize(sub / f"{stem}.i64")
             assert size == 8 * ncols * want_rows[stem], stem
     assert chunk_counts[0] < chunk_counts[1]
+
+
+def test_passes_sharing_a_spill_dir_keep_apart(tmp_path):
+    """Two validators given one ``spill_dir`` and fed interleaved chunks
+    of two builds return the reports each returns alone: each pass
+    spills into a subdirectory of its own, kept after the pass."""
+    cases = [((2, 2, 2), "forward"), ((3, 2, 1), "reversed")]
+    builds = [chunked_grid_table(ks, track_order=order,
+                                 memory_budget_bytes=8192)
+              for ks, order in cases]
+
+    def validator(i, spill_dir):
+        b = builds[i]
+        return ChunkedValidator(
+            b.nodes, b.model,
+            graph=grid_graph(SwapButterfly.from_ks(cases[i][0])),
+            spill_dir=str(spill_dir),
+        )
+
+    alone = []
+    for i, b in enumerate(builds):
+        v = validator(i, tmp_path / f"alone{i}")
+        for t in b.chunks():
+            v.feed(t)
+        alone.append(v.finalize())
+    shared = tmp_path / "shared"
+    vs = [validator(i, shared) for i in range(2)]
+    for pair in itertools.zip_longest(*(b.chunks() for b in builds)):
+        for v, t in zip(vs, pair):
+            if t is not None:
+                v.feed(t)
+    for v, want in zip(vs, alone):
+        assert_reports_identical(v.finalize(), want)
+    assert all(rep.ok for rep in alone)
+    assert len(_pass_dirs(shared)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +265,8 @@ def test_torn_spill_file_raises_oserror(tmp_path, monkeypatch, where):
                          spill_dir=given)
     for lo in range(0, t.num_wires, 100):
         v.feed(t.slice_wires(lo, lo + 100))
-    root = given or str(tmp_path / _leftover_spill_dirs(tmp_path)[0])
+    root = (str(_pass_dirs(given)[0]) if given
+            else str(tmp_path / _leftover_spill_dirs(tmp_path)[0]))
     path = os.path.join(root, "tracks.i64")
     os.truncate(path, os.path.getsize(path) // 2)
     with pytest.raises(OSError, match=(

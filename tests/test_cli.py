@@ -217,6 +217,17 @@ class TestCommands:
                 if l and not l.startswith(("usage:", " "))]
         assert len(msgs) == 1 and f"{cmd}: " in msgs[0], err
 
+    @pytest.mark.parametrize("argv, bound", [
+        (["ccc", "-n", "3", "--layers", "1"], "L >= 2"),
+        (["sort", "-n", "-1"], ">= 1, got -1"),
+    ])
+    def test_engine_bound_exits_2(self, argv, bound, capsys):
+        """The engine names its bound before it allocates anything."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"{argv[0]}: ") and bound in err, err
+
     def test_fft(self, capsys):
         assert main(["fft", "--ks", "2,2"]) == 0
         assert "max |err|" in capsys.readouterr().out

@@ -245,6 +245,24 @@ class TestMemory:
         )
         assert long_ <= 1.2 * short, (short, long_)
 
+    def test_trace_costs_its_columns_only(self, monkeypatch):
+        """A trace is five int64 columns filled in place, so the traced
+        peak exceeds the untraced one by at most 48 bytes per simulated
+        cycle; one Python tuple per cycle cost ~220.  Blocks of 64 draws
+        keep the untraced run's delivery stash and injection buffers
+        small, so the difference is the trace itself."""
+        monkeypatch.setattr(queued_routing, "_BLOCK_DRAWS", 64)
+        cycles = 1000
+
+        def run(trace, c=cycles):
+            return simulate_butterfly_queued(
+                3, 0.5, cycles=c, warmup=100, seed=1, trace=trace
+            )
+
+        run(False, 50), run(True, 50)  # one-time allocations
+        plain, traced = (_peak_mib(lambda: run(t)) for t in (False, True))
+        assert (traced - plain) * 2**20 <= 48 * cycles, (plain, traced)
+
 
 class TestMetrics:
     def test_throughput_uses_measured_window(self):
