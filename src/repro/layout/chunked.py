@@ -60,13 +60,14 @@ row-major, to one raw file for the whole stream, sorted by bucket
 within each chunk, so a bucket is a list of ``(path, byte_offset,
 rows)`` extents read back into one buffer.  A row names its wire
 by global id rather than carrying the net: each chunk's nets are
-pickled once into a net file indexed by global wire offset, read only
-to format kept messages, to tell same-net from different-net wires
-that share a terminal point, and to rebuild the realizes-graph
-multiset when the array fast path cannot decide.  A spilling pass
-therefore writes a fixed number of files (one per check plus the net
-file) whatever the chunk and bucket counts; a one-chunk pass writes
-none.
+pickled once into a net file indexed by global wire offset (a grid
+chunk's :class:`~repro.layout.grid_table.GridNets` as two narrow int
+columns, other nets as tuples), read only to format kept messages, to
+tell same-net from different-net wires that share a terminal point,
+and to rebuild the realizes-graph multiset when the array fast path
+cannot decide.  A spilling pass therefore writes a fixed number of
+files (one per check plus the net file) whatever the chunk and bucket
+counts; a one-chunk pass writes none.
 
 The realizes-graph check costs O(chunk) per feed.  For a purely staged
 graph the validator packs the canonical edge rows once into sorted
@@ -78,10 +79,15 @@ endpoint place every graph node, because a staged graph has no
 isolated node.  Any other outcome (a net that is no graph edge, an
 unpacked row, unequal counts, an unplaced endpoint) leaves the verdict
 to the exact multiset comparison.  Both checks read one int array of
-the chunk's net endpoints.  A grid build's array-backed nodes
-(:class:`~repro.layout.grid_table.GridNodes`) find every endpoint in
-it with one vectorized lookup; only dict nodes, and nets whose nodes
-are not int pairs, are looked up endpoint by endpoint.
+the chunk's net endpoints.  A grid chunk's nets are that array already:
+the grid source emits them as
+:class:`~repro.layout.grid_table.GridNets`, an int endpoint array plus
+a kind-code column that makes a net tuple only when one is read, so a
+valid grid pass makes no net tuple at all.  Other nets are tuples,
+parsed into the array once per chunk.  A grid build's array-backed
+nodes (:class:`~repro.layout.grid_table.GridNodes`) find every
+endpoint in it with one vectorized lookup; only dict nodes, and nets
+whose nodes are not int pairs, are looked up endpoint by endpoint.
 """
 
 from __future__ import annotations
@@ -112,7 +118,7 @@ from .grid2d import (
     _doglegs_to_table, _grid2d_plan, _grid2d_wire_stream, _side_subgraphs,
 )
 from .grid_scheme import GridDims, grid_dims
-from .grid_table import _cats_table, _grid_cats, build_grid_nodes
+from .grid_table import GridNets, _cats_table, _grid_cats, build_grid_nodes
 from .model import LayoutModel, _node_box, multilayer_model, thompson_model
 from .validate import (
     MAX_ERRORS_KEPT,
@@ -149,8 +155,9 @@ __all__ = [
 ]
 
 # Conservative working-set estimate per wire in a chunk under assembly:
-# ~3 segments x 5 int64 columns, the 6-int lexsort key, the net tuple,
-# and sort/permute temporaries.  Deliberately generous so a declared
+# ~3 segments x 5 int64 columns, the 6-int lexsort key, the net (a
+# 4-int row for grid chunks, a tuple otherwise), and sort/permute
+# temporaries.  Deliberately generous so a declared
 # budget upper-bounds the real transient footprint.
 _WIRE_BYTES = 1024
 
@@ -757,7 +764,11 @@ class _NetFile:
     """Every spilled chunk's ``t.nets``, pickled once into one
     append-only ``nets.pkl`` under the directory the first ``add``
     names; ``index`` holds ``(first_global_wire, path, byte_offset)`` per
-    chunk in wire order.  Spilled rows carry global wire ids instead of
+    chunk in wire order.  A grid chunk's
+    :class:`~repro.layout.grid_table.GridNets` pickle as its endpoint
+    array in the narrowest unsigned dtype that holds it (``uint16`` for
+    rows below 65,536) plus its ``uint8`` kind codes; a list of nets
+    pickles as its tuples.  Spilled rows carry global wire ids instead of
     nets, so nets are read back (through :class:`_NetReader`) only to
     format a kept message, to compare the nets of same-point terminals
     of different wires, and to rebuild the realizes-graph multiset."""
@@ -767,7 +778,7 @@ class _NetFile:
         self.index: List[Tuple[int, str, int]] = []
         self._fh = None
 
-    def add(self, root: str, wire_start: int, nets: List) -> None:
+    def add(self, root: str, wire_start: int, nets: Sequence) -> None:
         if not nets:
             return
         if self._fh is None:
@@ -895,8 +906,18 @@ def _fast_template(graph: Graph) -> Optional[Dict]:
     }
 
 
+def _end_rows(nets: Sequence, k: int) -> Optional[np.ndarray]:
+    """:func:`~repro.layout.validate._net_end_rows` of a chunk's nets at
+    arity ``k``: column nets hand over their endpoint array (their nodes
+    are ``(row, stage)`` pairs, so no other arity fits them), and only
+    tuples are parsed."""
+    if isinstance(nets, GridNets):
+        return nets.ends if k == 2 else None
+    return _net_end_rows(nets, k)
+
+
 def _count_nets(f: Dict, ends: Optional[np.ndarray]) -> bool:
-    """Count a chunk's nets — ``ends``, their :func:`_net_end_rows` at
+    """Count a chunk's nets — ``ends``, their :func:`_end_rows` at
     the graph's arity — into ``f["got"]``, one per graph edge they name;
     ``False`` (nothing counted) when a net is not a graph edge or the
     nets are not int-node pairs (``ends`` is ``None``), so only the
@@ -1015,8 +1036,10 @@ class ChunkedValidator:
     row dict for dict nodes only), the two band indexes (a few int64
     arrays per node), and for a staged graph the packed edge codes with
     their wanted and counted vectors (three int64 arrays per distinct
-    edge).  Each chunk's net endpoints become one int array that the
-    terminal lookup and the realizes-graph counter share.  Pick
+    edge).  Each chunk's net endpoints are one int array that the
+    terminal lookup and the realizes-graph counter share: a grid
+    chunk's column nets hand theirs over (33 bytes a wire), other nets
+    are parsed into one.  Pick
     ``num_buckets >= total_rows_bytes / memory_budget_bytes`` to bound
     the reload size.  The spill directory — a temporary one, or, when
     ``spill_dir`` is given, a fresh ``repro-chunked-*`` subdirectory of
@@ -1093,7 +1116,7 @@ class ChunkedValidator:
         # terminal lookup and, at the same arity, the realizes counter
         index = self._node_index
         k = index.k
-        ends = (_net_end_rows(t.nets, k)
+        ends = (_end_rows(t.nets, k)
                 if k is not None and t.num_wires else None)
         tmp = ValidationReport(ok=True)
         self._unplaced += _vt_contiguity_terminals(
@@ -1105,7 +1128,7 @@ class ChunkedValidator:
         f = self._fast
         if f is not None and t.num_wires:
             if f["k"] != k:
-                ends = _net_end_rows(t.nets, f["k"])
+                ends = _end_rows(t.nets, f["k"])
             if not _count_nets(f, ends):
                 self._fast = None
         if not self._chunks:

@@ -25,15 +25,19 @@ The construction mirrors the legacy builder category by category:
 
 Finally all categories are concatenated and permuted into the legacy
 emission order (blocks by id — boundaries by stage — items by rank, then
-channel groups in sorted key order).  The one caller is the chunk
-source :func:`~repro.layout.chunked.chunked_grid_table`, which plans
-every block and phase in one call when it has no budget.
+channel groups in sorted key order).  Nets never leave arrays on this
+path: each category's nets are a :class:`GridNets` over the row, stage
+and kind-code arrays it was built from, and the concatenation and the
+permutation gather those columns like the segment columns.  The one
+caller is the chunk source
+:func:`~repro.layout.chunked.chunked_grid_table`, which plans every
+block and phase in one call when it has no budget.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from itertools import repeat
 from typing import Iterator, List, Optional, Tuple
 
@@ -48,9 +52,12 @@ from .grid_scheme import GridDims, _column_union_graph
 from .tracks import TrackGrouping, base_layer_pair
 from .wiretable import WireTable
 
-__all__ = ["GridNodes", "build_grid_nodes"]
+__all__ = ["GridNets", "GridNodes", "build_grid_nodes"]
 
-_KIND = ("sc", "ss")  # index = kind code; string sort order 'sc' < 'ss'
+# index = kind code; the channel items' codes 0/1 keep the string sort
+# order 'sc' < 'ss' their lexsort relies on
+_KIND = ("sc", "ss", "straight", "cross", "feedback")
+_STRAIGHT, _CROSS, _FEEDBACK = 2, 3, 4
 _SLOT_OUT = (2, 1)  # by kind code (sc, ss); 'cross' shares slot 1
 _SLOT_IN = (4, 3)
 
@@ -166,6 +173,75 @@ class _GridValues(ValuesView):
         return self._mapping._rects()
 
 
+class GridNets(Sequence):
+    """The grid layout's nets: a read-only sequence of ``((u, s), (v,
+    t), kind)`` tuples over int columns.
+
+    Every grid wire is one butterfly link, so ``ends`` holds it as an
+    ``(E, 4)`` int64 row ``[u, s, v, t]`` (from node ``(u, s)`` to node
+    ``(v, t)``) and ``kind`` as a uint8 code into ``("sc", "ss",
+    "straight", "cross", "feedback")``.  A tuple is made only when an
+    item is read; slices, :meth:`take` and :meth:`concat` stay columnar,
+    and the validator reads ``ends`` as a chunk's endpoint array.  A
+    ``GridNets`` equals another by columns and a list or tuple of nets
+    item by item.  It pickles its endpoints in the narrowest unsigned
+    dtype that holds them; :meth:`json_bytes` is ``json.dumps`` of the
+    tuples.
+    """
+
+    def __init__(self, ends: np.ndarray, kind: np.ndarray) -> None:
+        self.ends = np.asarray(ends, dtype=np.int64)
+        self.kind = np.asarray(kind, dtype=np.uint8)
+        self.ends.flags.writeable = self.kind.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return GridNets(self.ends[i], self.kind[i])
+        i = operator.index(i)
+        u, s, v, t = self.ends[i].tolist()
+        return (u, s), (v, t), _KIND[self.kind[i]]
+
+    def __iter__(self) -> Iterator[Tuple]:
+        u, s, v, t = self.ends.T.tolist()
+        return zip(zip(u, s), zip(v, t),
+                   map(_KIND.__getitem__, self.kind.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, GridNets):
+            return (np.array_equal(self.ends, other.ends)
+                    and np.array_equal(self.kind, other.kind))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                map(operator.eq, self, other))
+        return NotImplemented
+
+    def __reduce__(self):
+        ends = self.ends
+        if ends.size and ends.min() >= 0:  # as grid rows and stages are
+            ends = ends.astype(np.min_scalar_type(int(ends.max())))
+        return GridNets, (ends, self.kind)
+
+    def take(self, order: np.ndarray) -> "GridNets":
+        """Nets ``[self[o] for o in order]``, as columns."""
+        return GridNets(self.ends[order], self.kind[order])
+
+    @staticmethod
+    def concat(parts: Sequence["GridNets"]) -> "GridNets":
+        """The nets of ``parts`` one after another, as columns."""
+        return GridNets(np.concatenate([p.ends for p in parts]),
+                        np.concatenate([p.kind for p in parts]))
+
+    def json_bytes(self) -> bytes:
+        """``json.dumps(list(self)).encode()``, byte for byte, formatted
+        from the columns in one ``%`` format."""
+        row = ['[[%d, %d], [%d, %d], "' + k + '"]' for k in _KIND]
+        fmt = "[" + ", ".join(map(row.__getitem__, self.kind.tolist())) + "]"
+        return (fmt % tuple(self.ends.ravel().tolist())).encode()
+
+
 def build_grid_nodes(sb: SwapButterfly, dims: GridDims) -> GridNodes:
     """Node rectangles of the full grid layout, in legacy insertion order
     (blocks by id, stages major, local rows minor), as a
@@ -201,7 +277,9 @@ class _Cat:
 
     __slots__ = ("nets", "segs", "keys")
 
-    def __init__(self, nets: List, segs: np.ndarray, keys: np.ndarray) -> None:
+    def __init__(
+        self, nets: GridNets, segs: np.ndarray, keys: np.ndarray,
+    ) -> None:
         # segs: (nw, c, 5) int64; keys: (nw, 6) int64
         self.nets = nets
         self.segs = segs
@@ -324,16 +402,15 @@ def _grid_cats(
             k[:, i] = c
         return k
 
-    def net_list(a, b, sa: int, sbb: int, kind) -> List:
-        """Nets ``((a, sa), (b, sbb), kind)``; ``kind`` is a string or a
-        per-wire code array into ``_KIND``."""
-        al, bl = a.tolist(), b.tolist()
-        if isinstance(kind, str):
-            return [((x, sa), (y, sbb), kind) for x, y in zip(al, bl)]
-        kl = kind.tolist()
-        return [
-            ((x, sa), (y, sbb), _KIND[kc]) for x, y, kc in zip(al, bl, kl)
-        ]
+    def nets_of(a: np.ndarray, b: np.ndarray, sa, sbb, kind) -> GridNets:
+        """Nets ``((a, sa), (b, sbb), kind)`` over the row arrays ``a``
+        and ``b``; the stages ``sa``/``sbb`` and the ``_KIND`` codes
+        ``kind`` are each a scalar or a per-wire array."""
+        ends = np.empty((len(a), 4), dtype=np.int64)
+        ends[:, 0], ends[:, 1], ends[:, 2], ends[:, 3] = a, sa, b, sbb
+        kc = np.empty(len(a), dtype=np.uint8)
+        kc[:] = kind
+        return GridNets(ends, kc)
 
     # stub accumulators (one row per inter-block link endpoint)
     o_u: List[np.ndarray] = []
@@ -382,7 +459,7 @@ def _grid_cats(
             segs[:, 0, 4] = bh
             cats.append(
                 _Cat(
-                    net_list(U, U, s, s + 1, "straight"),
+                    nets_of(U, U, s, s + 1, _STRAIGHT),
                     segs,
                     keys6(nw, 0, B, s, 2 * rr),
                 )
@@ -394,7 +471,7 @@ def _grid_cats(
             tx = cb + rr + OX
             cats.append(
                 _Cat(
-                    net_list(U, v, s, s + 1, "cross"),
+                    nets_of(U, v, s, s + 1, _CROSS),
                     _hvh(re + OX, oyu, tx, iyv, nl + OX, bv, bh),
                     keys6(nw, 0, B, s, 2 * rr + 1),
                 )
@@ -456,7 +533,7 @@ def _grid_cats(
             ioy = by_of(Ib[m])
             cats.append(
                 _Cat(
-                    net_list(Iu[m], Itgt[m], s, s + 1, Ikc[m]),
+                    nets_of(Iu[m], Itgt[m], s, s + 1, Ikc[m]),
                     _hvh(re + iox, oyu[m] + ioy, tx[m] + iox,
                          iyt[m] + ioy, nl + iox, bv, bh),
                     keys6(int(m.sum()), 0, Ib[m], s, ranks[m]),
@@ -588,7 +665,7 @@ def _grid_cats(
         segs[:, 4] = np.stack(
             [lx, yi, x5, yi, np.full(nw, bh, dtype=np.int64)], axis=1)
         cats.append(
-            _Cat(net_list(U, U, n, 0, "feedback"), segs,
+            _Cat(nets_of(U, U, n, 0, _FEEDBACK), segs,
                  keys6(nw, 0, B, n, rr))
         )
 
@@ -721,11 +798,8 @@ def _grid_cats(
                     [i0x[mm], iy1[mm], i2x[mm], iy1[mm],
                      np.full(nw, bh, dtype=np.int64)], axis=1)
                 sel = np.flatnonzero(mrow)[mm]
-                nets = [
-                    ((int(a), int(b)), (int(c), int(b) + 1), _KIND[int(k)])
-                    for a, b, c, k in zip(u[sel], s_[sel], vrow[sel],
-                                          kc[sel])
-                ]
+                nets = nets_of(u[sel], vrow[sel], s_[sel], s_[sel] + 1,
+                               kc[sel])
                 cats.append(_Cat(nets, segs, inter_keys(mrow)[mm]))
 
         # column channels (levels >= 3)
@@ -795,11 +869,8 @@ def _grid_cats(
                     [i1x[mm], iy1[mm], i3x[mm], iy1[mm],
                      np.full(nw, bh, dtype=np.int64)], axis=1)
                 sel = np.flatnonzero(mcol)[mm]
-                nets = [
-                    ((int(a), int(b)), (int(c), int(b) + 1), _KIND[int(k)])
-                    for a, b, c, k in zip(u[sel], s_[sel], vrow[sel],
-                                          kc[sel])
-                ]
+                nets = nets_of(u[sel], vrow[sel], s_[sel], s_[sel] + 1,
+                               kc[sel])
                 cats.append(_Cat(nets, segs, inter_keys(mcol)[mm]))
 
     return cats

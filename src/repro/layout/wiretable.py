@@ -22,6 +22,7 @@ wire, ~7 segments here) with each step a whole-table numpy operation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -98,10 +99,17 @@ class WireTable:
 
     ``nets[w]`` is wire ``w``'s net tuple; its segments occupy rows
     ``indptr[w] : indptr[w + 1]`` of the coordinate/layer columns, in path
-    order, normalized like :class:`Segment`.
+    order, normalized like :class:`Segment`.  ``nets`` is a sequence:
+    a list of tuples, or column nets that make a tuple only when an item
+    is read and that gather with ``take`` and join with ``concat`` (the
+    grid source's :class:`~repro.layout.grid_table.GridNets`).  The
+    table operations keep column nets columnar; ``concat`` of tables
+    whose nets differ in kind falls back to a list.  Two tables are
+    ``==`` when their nets are equal item by item, whatever holds them,
+    and their six columns equal in dtype and values.
     """
 
-    nets: List[Tuple]
+    nets: Sequence[Tuple]
     indptr: np.ndarray
     x1: np.ndarray
     y1: np.ndarray
@@ -122,7 +130,7 @@ class WireTable:
     @classmethod
     def from_segment_arrays(
         cls,
-        nets: List[Tuple],
+        nets: Sequence[Tuple],
         indptr: np.ndarray,
         x1: np.ndarray,
         y1: np.ndarray,
@@ -152,8 +160,8 @@ class WireTable:
             if np.any(swap):
                 x1, x2 = np.where(swap, x2, x1), np.where(swap, x1, x2)
                 y1, y2 = np.where(swap, y2, y1), np.where(swap, y1, y2)
-        return cls(nets=list(nets), indptr=indptr,
-                   x1=x1, y1=y1, x2=x2, y2=y2, layer=layer)
+        return cls(nets=nets if hasattr(nets, "take") else list(nets),
+                   indptr=indptr, x1=x1, y1=y1, x2=x2, y2=y2, layer=layer)
 
     @classmethod
     def from_wires(cls, wires: Sequence[Wire]) -> "WireTable":
@@ -183,9 +191,13 @@ class WireTable:
         tables = [t for t in tables if t.num_wires]
         if not tables:
             return cls.empty()
-        nets: List[Tuple] = []
-        for t in tables:
-            nets.extend(t.nets)
+        first = tables[0].nets
+        if hasattr(first, "concat") and all(
+            type(t.nets) is type(first) for t in tables
+        ):
+            nets = first.concat([t.nets for t in tables])
+        else:
+            nets = [net for t in tables for net in t.nets]
         counts = np.concatenate([np.diff(t.indptr) for t in tables])
         indptr = np.zeros(len(nets) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -211,8 +223,10 @@ class WireTable:
         dst_starts = indptr[:-1]
         idx = np.arange(int(indptr[-1]), dtype=np.int64)
         idx += np.repeat(starts - dst_starts, counts)
+        take = getattr(self.nets, "take", None)
         return WireTable(
-            nets=[self.nets[int(o)] for o in order],
+            nets=(take(order) if take is not None
+                  else [self.nets[int(o)] for o in order]),
             indptr=indptr,
             x1=self.x1[idx], y1=self.y1[idx],
             x2=self.x2[idx], y2=self.y2[idx],
@@ -236,6 +250,18 @@ class WireTable:
             x2=self.x2[s0:s1], y2=self.y2[s0:s1],
             layer=self.layer[s0:s1],
         )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WireTable):
+            return NotImplemented
+        for col in ("indptr", "x1", "y1", "x2", "y2", "layer"):
+            a, b = getattr(self, col), getattr(other, col)
+            if a.dtype != b.dtype or not np.array_equal(a, b):
+                return False
+        a, b = self.nets, other.nets
+        if type(a) is type(b):
+            return a == b
+        return len(a) == len(b) and all(map(operator.eq, a, b))
 
     # ------------------------------------------------------------------
     # basics

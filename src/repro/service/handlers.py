@@ -248,14 +248,12 @@ def normalize_params(kind: str, params: Dict[str, object]) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 
 def _layout_payload(t) -> Dict[str, np.ndarray]:
-    import json
-
+    # a grid table's column nets (GridNets) format their JSON from their
+    # columns, byte for byte what json.dumps writes for the tuples
     return {
         "indptr": t.indptr, "x1": t.x1, "y1": t.y1,
         "x2": t.x2, "y2": t.y2, "layer": t.layer,
-        "nets_json": np.frombuffer(
-            json.dumps(t.nets).encode("utf-8"), dtype=np.uint8
-        ),
+        "nets_json": np.frombuffer(t.nets.json_bytes(), dtype=np.uint8),
     }
 
 

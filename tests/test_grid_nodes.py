@@ -7,7 +7,9 @@ iteration order, same rects, and the same answer for every key a
 caller may try, placed or not.  The validator reads its columns
 instead of its rects, so it must give the same verdict with the array
 map as with ``dict(nodes)`` on every mutated grid layout, and a valid
-pass must make no ``Rect`` at all.
+pass must make no ``Rect`` at all.  The same verdicts must come with
+the grid's column nets (:class:`~repro.layout.grid_table.GridNets`) as
+with ``list(nets)``.
 """
 
 import itertools
@@ -23,7 +25,9 @@ from repro.layout import (
     grid_graph,
     validate_table_chunked,
 )
-from repro.layout.grid_table import GridNodes, build_grid_nodes
+from repro.layout.grid_table import (
+    _KIND, GridNets, GridNodes, build_grid_nodes,
+)
 from repro.transform.swap_butterfly import SwapButterfly
 
 from tests.oracles.builders import build_grid_nodes_legacy
@@ -154,11 +158,29 @@ def test_valid_pass_makes_no_rect(count_rects, budget):
 # ---------------------------------------------------------------------------
 
 
+def _column_nets(nets):
+    """``nets`` as :class:`GridNets` when every net is a grid link
+    ``((u, s), (v, t), kind)``; a list otherwise (a mutation's foreign
+    net keeps its chunk's nets as tuples)."""
+    ends, kinds = [], []
+    for net in nets:
+        try:
+            (u, s), (v, t), kind = net
+        except (TypeError, ValueError):
+            return list(nets)
+        if kind not in _KIND or {type(x) for x in (u, s, v, t)} != {int}:
+            return list(nets)
+        ends.append((u, s, v, t))
+        kinds.append(_KIND.index(kind))
+    return GridNets(np.array(ends, dtype=np.int64).reshape(-1, 4), kinds)
+
+
 def _assert_same_verdicts(t, ks, model):
-    """The array-backed nodes of the ``ks`` grid and ``dict(nodes)`` give
-    one report on table ``t`` at budgets none, 8192 and 1: ``t`` is cut
-    where the grid source cuts its chunks at that budget, the last chunk
-    taking any wires a mutation added."""
+    """The array-backed nodes of the ``ks`` grid and ``dict(nodes)``,
+    each with column nets and with ``list(nets)``, give one report on
+    table ``t`` at budgets none, 8192 and 1: ``t`` is cut where the grid
+    source cuts its chunks at that budget, the last chunk taking any
+    wires a mutation added."""
     sb = SwapButterfly.from_ks(ks)
     nodes = build_grid_nodes(sb, grid_dims(ks))
     for budget in (None, 8192, 1):
@@ -166,13 +188,19 @@ def _assert_same_verdicts(t, ks, model):
                  chunked_grid_table(ks, memory_budget_bytes=budget).chunks()]
         cuts = np.cumsum([0] + sizes[:-1]).tolist() + [t.num_wires]
         reports = []
-        for ns in (nodes, dict(nodes)):
-            chunks = [t.slice_wires(lo, hi)
-                      for lo, hi in zip(cuts[:-1], cuts[1:])]
+        for ns, nets_of in itertools.product(
+            (nodes, dict(nodes)), (_column_nets, list),
+        ):
+            chunks = []
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                c = t.slice_wires(lo, hi)
+                c.nets = nets_of(c.nets)
+                chunks.append(c)
             reports.append(validate_table_chunked(
                 chunks, ns, model, graph=grid_graph(sb), num_buckets=3,
             ))
-        assert_reports_identical(*reports)
+        for rep in reports[1:]:
+            assert_reports_identical(rep, reports[0])
 
 
 @pytest.mark.parametrize(

@@ -161,6 +161,37 @@ def test_wiretable_roundtrip_grid():
         np.testing.assert_array_equal(a, b)
 
 
+def test_wiretable_equality():
+    """Tables are ``==`` by nets, item by item whatever holds them, and
+    by their six columns in dtype and values; cached paths do not count."""
+    assert WireTable.empty() == WireTable.empty()
+    t = build_grid_layout((2, 1, 1), recirculating=True).layout.wire_table()
+    twin = WireTable.from_wires(t.to_wires())
+    assert type(twin.nets) is list and type(t.nets) is not list
+    assert t == twin and twin == t and not (t != twin)
+    t.paths()
+    assert t == twin and t == t.permuted(np.arange(t.num_wires))
+
+    def variant(**kw):
+        cols = dict(nets=list(twin.nets), indptr=twin.indptr, x1=twin.x1,
+                    y1=twin.y1, x2=twin.x2, y2=twin.y2, layer=twin.layer)
+        cols.update(kw)
+        return WireTable(**cols)
+
+    assert t == variant(nets=tuple(twin.nets))
+    nets = list(twin.nets)
+    nets[2] = nets[3]
+    layer = twin.layer.copy()
+    layer[5] += 2
+    for other in (
+        variant(nets=nets), variant(layer=layer),
+        variant(x2=twin.x2.astype(np.int32)),
+        t.permuted(np.arange(t.num_wires)[::-1]), WireTable.empty(),
+    ):
+        assert t != other and other != t and not (t == other)
+    assert t != "table" and t is not None
+
+
 def test_wiretable_measurements_match_objects():
     res = build_grid_layout((2, 2, 1), L=3)
     t = res.layout.wire_table()

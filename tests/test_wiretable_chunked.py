@@ -74,6 +74,7 @@ def assert_tables_identical(got: WireTable, want: WireTable) -> None:
     for col in ("indptr", "x1", "y1", "x2", "y2", "layer"):
         a, b = getattr(got, col), getattr(want, col)
         assert a.dtype == b.dtype and np.array_equal(a, b), col
+    assert got == want
 
 
 def assert_reports_identical(got, want) -> None:
