@@ -45,17 +45,27 @@ call; the sources exploit each layout's order structure:
 
 :class:`ChunkedValidator` is the one layout validator:
 :func:`~repro.layout.validate.validate_table` is it fed the whole table
-as one chunk.  Each grouped check (track overlap, via columns,
-via-vs-segment, terminals) has one row producer and one sweep.  A lone
-chunk is held in memory and each check's rows are swept straight from
-it, one check at a time, with no spill.  From the second chunk on, the
-rows are partitioned into disk-spilled hash buckets keyed by the
-check's group key (track, via point, channel coordinate) so every
-comparison group lands wholly in one bucket; the per-bucket sweeps'
-keyed messages merge back into the one-chunk emission order before the
-global ``MAX_ERRORS_KEPT`` cap is applied.
+as one chunk.  The grouped checks (track overlap, via conflicts,
+via-vs-segment, terminals) read two *row families*: the segments
+(``layer, horizontal, track, lo, hi, global wire``) and the via columns
+(``x, y, z_lo, z_hi, global wire, key``, the key packing the column's
+section — wire start, wire end or bend — with its global position).
+Each check derives its rows from them: track overlap from the
+segments; via conflicts and terminals from the via columns;
+via-vs-segment by expanding the via columns into one point query per
+spanned layer that holds segments of one orientation and matching the
+queries against those segments.  A lone chunk is held in memory and its families are
+derived at ``finalize``, each check's rows one check at a time, with
+no spill.  From the second chunk on, each family is partitioned into
+disk-spilled hash buckets by one coordinate: the segments by track,
+the via columns once by ``y`` and once by ``x``.  Every family hashes
+with the same function, so each comparison group lands wholly in one
+bucket — a track's segments, a via point's columns, and an H (V)
+segment's track together with the ``y``- (``x``-) keyed columns on it.
+The per-bucket sweeps' keyed messages merge back into the one-chunk
+emission order before the global ``MAX_ERRORS_KEPT`` cap is applied.
 
-The spill is columnar.  Each grouped check appends its rows, int64 and
+The spill is columnar.  Each family appends its rows, int64 and
 row-major, to one raw file for the whole stream, sorted by bucket
 within each chunk, so a bucket is a list of ``(path, byte_offset,
 rows)`` extents read back into one buffer.  A row names its wire
@@ -65,9 +75,9 @@ chunk's :class:`~repro.layout.grid_table.GridNets` as two narrow int
 columns, other nets as tuples), read only to format kept messages, to
 tell same-net from different-net wires that share a terminal point,
 and to rebuild the realizes-graph multiset when the array fast path
-cannot decide.  A spilling pass therefore writes a fixed number of
-files (one per check plus the net file) whatever the chunk and bucket
-counts; a one-chunk pass writes none.
+cannot decide.  A spilling pass therefore writes four files (the
+segments, the two via-column files and the net file) whatever the
+chunk and bucket counts; a one-chunk pass writes none.
 
 The realizes-graph check costs O(chunk) per feed.  For a purely staged
 graph the validator packs the canonical edge rows once into sorted
@@ -657,22 +667,27 @@ def summarize_chunks(
 # ---------------------------------------------------------------------------
 
 
-def _buckets_of(nb: int, *cols: np.ndarray) -> np.ndarray:
-    """Deterministic hash partition of rows by their group-key columns.
-    Rows with equal keys always land in the same bucket, so every
-    comparison group of a grouped check is bucket-local.  Ids come in
-    the narrowest unsigned type that holds ``nb - 1`` (``uint8`` up to
-    256 buckets), whose stable sort is numpy's radix sort."""
-    h = np.zeros(len(cols[0]), dtype=np.uint64)
-    mix = np.uint64(0x9E3779B97F4A7C15)
-    for c in cols:
-        h = (h + c.astype(np.uint64)) * mix
-        h ^= h >> np.uint64(29)
+def _buckets_of(nb: int, key: np.ndarray) -> np.ndarray:
+    """Deterministic hash partition of rows by one key column.  Rows
+    with equal keys always land in the same bucket, and every row family
+    hashes the coordinate its comparison groups share with this one
+    function, so a group stays bucket-local across families too.  Ids
+    come in the narrowest unsigned type that holds ``nb - 1`` (``uint8``
+    up to 256 buckets), whose stable sort is numpy's radix sort."""
+    h = key.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    h ^= h >> np.uint64(29)
     return (h % np.uint64(nb)).astype(np.min_scalar_type(nb - 1))
 
 
 class _SpillStore:
-    """Disk-spilled, hash-partitioned int64 rows for one grouped check.
+    """Disk-spilled, hash-partitioned int64 rows of one row family.
+
+    A spilling validator keeps one store per family, six columns each:
+    the segments (``segments.i64``, bucketed by track) and the via
+    columns keyed by ``y`` (``vias_y.i64``) and by ``x``
+    (``vias_x.i64``).  Bucket ``k`` of every store hashes the same key
+    values, so one bucket reload — ``parts[k]`` of the segments, then of
+    one via store — holds every comparison group its checks need.
 
     Every row goes to one append-only raw int64 file ``<name>.i64``,
     ``ncols`` values per row, opened under the directory the first
@@ -681,8 +696,8 @@ class _SpillStore:
     one call; each touched bucket gains one ``(path, byte_offset, rows)``
     extent in ``parts[k]``.  ``close`` closes the append handle and must
     precede any read of the extents (:func:`_load_parts`), which come
-    back in append order — global arrival order, since chunks feed in
-    emission order.  Rows name their wire by global id; nets live in the
+    back in append order: chunk by chunk, since chunks feed in emission
+    order.  Rows name their wire by global id; nets live in the
     validator's :class:`_NetFile`.
     """
 
@@ -695,20 +710,18 @@ class _SpillStore:
         self._fh = None
         self._size = 0
 
-    def add(self, root: str, bucket: np.ndarray, cols: List[np.ndarray]) -> None:
+    def add(self, root: str, bucket: np.ndarray, rows: np.ndarray) -> None:
+        """Append ``rows``, an ``(n, ncols)`` int64 array, by ``bucket``."""
         nr = len(bucket)
         if not nr:
             return
         order = np.argsort(bucket, kind="stable")
         counts = np.bincount(bucket, minlength=self.nb)
         starts = np.cumsum(counts) - counts
-        mat = np.stack([c[order] for c in cols], axis=1).astype(
-            np.int64, copy=False
-        )
         if self._fh is None:
             self.path = os.path.join(root, f"{self.name}.i64")
             self._fh = open(self.path, "ab" if self._size else "wb")
-        self._fh.write(mat)
+        self._fh.write(rows[order])
         row = 8 * self.ncols
         for k in np.flatnonzero(counts).tolist():
             self.parts[k].append(
@@ -722,10 +735,13 @@ class _SpillStore:
             self._fh = None
 
 
-def _load_parts(parts: List[Tuple], ncols: int) -> List[np.ndarray]:
+def _load_parts(
+    parts: List[Tuple], ncols: int, sort_col: Optional[int] = None,
+) -> List[np.ndarray]:
     """Read spill extents — ``(path, byte_offset, rows)`` each — back in
-    append order into one preallocated buffer; one array per column.  A
-    short read (a truncated spill file) raises ``OSError``."""
+    append order into one preallocated buffer; one array per column, its
+    rows in append order or, given ``sort_col``, stably sorted by that
+    column.  A short read (a truncated spill file) raises ``OSError``."""
     buf = np.empty((sum(rows for _p, _off, rows in parts), ncols), np.int64)
     raw = buf.reshape(-1).view(np.uint8)
     pos = 0
@@ -748,16 +764,10 @@ def _load_parts(parts: List[Tuple], ncols: int) -> List[np.ndarray]:
     finally:
         if fh is not None:
             fh.close()
-    return list(buf.T.copy())
-
-
-def _load_queries(qparts: List[List[Tuple]]):
-    """One via-vs-segment bucket's query rows: sections 0-2 reloaded
-    and concatenated, and ``bounds`` where section ``s`` is rows
-    ``bounds[s]:bounds[s + 1]``."""
-    secs = [_load_parts(p, 6) for p in qparts]
-    bounds = np.cumsum([0] + [len(sec[0]) for sec in secs])
-    return [np.concatenate([sec[i] for sec in secs]) for i in range(6)], bounds
+    if sort_col is None:
+        return [buf[:, j].copy() for j in range(ncols)]
+    order = np.argsort(buf[:, sort_col], kind="stable")
+    return [buf[order, j] for j in range(ncols)]
 
 
 class _NetFile:
@@ -937,66 +947,140 @@ def _count_nets(f: Dict, ends: Optional[np.ndarray]) -> bool:
     return True
 
 
-# -- grouped-check rows -----------------------------------------------------
+# -- row families -----------------------------------------------------------
 #
-# Each grouped check's rows for one chunk, numbered globally: the
-# validator spills them into hash buckets, or sweeps a held chunk's rows
-# directly.  Spill file stems: tracks, viacol, seg_h/seg_v, qry_h_<s> /
-# qry_v_<s> (one per column section s) and terms.
+# A chunk's grouped-check rows come in two families, numbered globally:
+# its segments and its via columns.  A spilling validator writes the
+# segments once, bucketed by track, and the via columns twice, bucketed
+# by y and by x; a held chunk's families are made at finalize.
+# :func:`_grouped_checks` derives every check's rows from them.
+
+# A via column's key is ``section << _SECTION_SHIFT | position``, with
+# section 0 (a wire's start), 1 (its end) or 2 (a bend), and position
+# the global wire id of a start or end or the global ordinal of a bend.
+# Keys are unique and sort in the one-chunk column order: every start,
+# then every end, then every bend, each in table order.
+_SECTION_SHIFT = 61
 
 
-def _track_rows(t: WireTable, w_of: np.ndarray, w_off: int) -> List[np.ndarray]:
-    """Track-overlap rows: layer, horiz, track, lo, hi, global wire."""
+def _segment_rows(t: WireTable, w_off: int) -> List[np.ndarray]:
+    """The segment family: layer, horizontal, track, lo, hi, global
+    wire (``w_off`` is the chunk's first global wire id)."""
     h = t.is_horizontal
     return [
         t.layer, h.astype(np.int64), np.where(h, t.y1, t.x1),
-        np.where(h, t.x1, t.y1), np.where(h, t.x2, t.y2), w_of + w_off,
+        np.where(h, t.x1, t.y1), np.where(h, t.x2, t.y2), t.wire_of + w_off,
     ]
 
 
-def _seg_rows(
-    t: WireTable, w_of: np.ndarray, is_h: bool, w_off: int
-) -> List[np.ndarray]:
-    """Via-vs-segment segment rows of one orientation: layer, fix, lo,
-    hi, global wire."""
-    si = np.flatnonzero(t.is_horizontal if is_h else ~t.is_horizontal)
-    return [
-        t.layer[si], (t.y1 if is_h else t.x1)[si],
-        (t.x1 if is_h else t.y1)[si], (t.x2 if is_h else t.y2)[si],
-        w_of[si] + w_off,
+def _via_rows(
+    t: WireTable, w_off: int, bend_off: int
+) -> Tuple[List[np.ndarray], int]:
+    """The via-column family of :func:`~repro.layout.validate._vt_columns`
+    — x, y, z_lo, z_hi, global wire, key — and the chunk's bend count;
+    ``bend_off`` is the global ordinal of its first bend."""
+    cx, cy, zlo, zhi, cw = _vt_columns(t)
+    n_gw = int(np.count_nonzero(~t.paths().bad))
+    n_bends = len(cx) - 2 * n_gw
+    gw = cw + w_off
+    key = np.empty(len(cx), dtype=np.int64)
+    key[:2 * n_gw] = gw[:2 * n_gw]
+    key[n_gw:2 * n_gw] |= 1 << _SECTION_SHIFT
+    key[2 * n_gw:] = (2 << _SECTION_SHIFT) + bend_off + np.arange(n_bends)
+    return [cx, cy, zlo, zhi, gw, key], n_bends
+
+
+def _net_at(net_of: "_NetReader", gw: np.ndarray) -> Callable[[int], Hashable]:
+    """Row ``r`` -> the net of global wire ``gw[r]``."""
+    return lambda r: net_of(int(gw[r]))
+
+
+def _grouped_checks(families: Iterator, net_of: "_NetReader",
+                    check_vias: bool) -> Iterator[Tuple]:
+    """Every grouped check over one spill bucket's families, or a held
+    chunk's.  ``families`` yields the segment family, then the via
+    columns keyed by ``y``, then those keyed by ``x``, each via family
+    in key order.  A family is read when its first check starts; after
+    the track sweep the segments give way to the two orientations'
+    subsets the via-vs-segment sweeps read, and the ``y``-keyed columns
+    are dropped before the ``x``-keyed ones are read.  Yields
+    ``(check, (count, keyed_messages))``, the keys sorting in the
+    one-chunk emission order."""
+    layer, horiz, track, lo, hi, sw = next(families)
+    yield ("tracks", None), _track_overlap_sweep(
+        layer, horiz, track, lo, hi, sw, _net_at(net_of, sw)
+    )
+    if not check_vias:
+        return
+    # each orientation's segments: layer, track, lo, hi, global wire
+    by_orient = {
+        is_h: [c[si] for c in (layer, track, lo, hi, sw)]
+        for is_h, si in ((True, np.flatnonzero(horiz)),
+                         (False, np.flatnonzero(horiz == 0)))
+    }
+    del layer, horiz, track, lo, hi, sw
+    v = next(families)
+    yield ("viacol", None), _via_col_sweep(*v[:5], _net_at(net_of, v[4]))
+    yield ("terms", None), _terminal_sweep(v, net_of)
+    yield ("viaseg", True), _via_seg_sweep(
+        by_orient.pop(True), v, True, net_of
+    )
+    del v
+    yield ("viaseg", False), _via_seg_sweep(
+        by_orient.pop(False), next(families), False, net_of
+    )
+
+
+def _via_seg_sweep(segs, vias, is_h: bool, net_of: "_NetReader"):
+    """Via-vs-segment conflicts of one orientation: the via columns
+    expanded into one point query per spanned layer that holds some of
+    ``segs``, the segments of that orientation (layer, track, lo, hi,
+    global wire), against those segments.  A hit's key is (column key, layer ordinal, hit ordinal),
+    which is the one-chunk query order."""
+    s_lay, s_fix, s_lo, s_hi, s_gw = segs
+    cx, cy, zlo, zhi, vw, key = vias
+    ql, qx, qy, qw, qc = _via_seg_queries(
+        cx, cy, zlo, zhi, vw, np.unique(s_lay)
+    )
+    count, keyed = _via_seg_orientation(
+        s_lay, s_fix, s_lo, s_hi, s_gw, _net_at(net_of, s_gw),
+        ql, qx, qy, qw, _net_at(net_of, qw), is_h,
+    )
+    return count, [
+        ((int(key[qc[q]]), int(ql[q] - zlo[qc[q]]), j), m)
+        for (q, j), m in keyed
     ]
 
 
-def _query_rows(cols, n_gw: int, w_off: int, gw_off: int, bend_off: int):
-    """Via-vs-segment query rows — ql, qx, qy, global wire, global
-    section position, layer ordinal — and ``bounds``, where section ``s``
-    (0 starts, 1 ends, 2 bends of :func:`_vt_columns`) is rows
-    ``bounds[s]:bounds[s + 1]``.  Section and position reproduce the
-    one-chunk query order across chunks."""
-    ql, qx, qy, qw, qc = _via_seg_queries(*cols)
-    pos = np.arange(len(cols[0]), dtype=np.int64)
-    pos[n_gw:2 * n_gw] -= n_gw
-    pos[:2 * n_gw] += gw_off
-    pos[2 * n_gw:] += bend_off - 2 * n_gw
-    bounds = np.concatenate([
-        [0], np.searchsorted(qc, (n_gw, 2 * n_gw)), [len(qc)],
-    ])
-    return [ql, qx, qy, qw + w_off, pos[qc], ql - cols[2][qc]], bounds
-
-
-def _term_rows(paths, w_off: int, term_off: int) -> List[np.ndarray]:
-    """Terminals of good wires, interleaved start/end in wire order: x,
-    y, global arrival seq (the one-chunk tiebreak), global wire."""
-    gw_idx = np.flatnonzero(~paths.bad)
-    n = gw_idx.size
-    tx = np.empty(2 * n, dtype=np.int64)
-    ty = np.empty(2 * n, dtype=np.int64)
-    tx[0::2] = paths.px[paths.pt_indptr[:-1]][gw_idx]
-    tx[1::2] = paths.px[paths.pt_indptr[1:] - 1][gw_idx]
-    ty[0::2] = paths.py[paths.pt_indptr[:-1]][gw_idx]
-    ty[1::2] = paths.py[paths.pt_indptr[1:] - 1][gw_idx]
-    seq = term_off + np.arange(2 * n, dtype=np.int64)
-    return [tx, ty, seq, np.repeat(gw_idx, 2) + w_off]
+def _terminal_sweep(vias, net_of: "_NetReader"):
+    """Terminal points shared by wires of different nets, over the start
+    and end columns (sections 0 and 1).  At one point they are ordered
+    by ``2 * wire + section``, the one-chunk order (each wire's start,
+    then its end, wire by wire)."""
+    cx, cy, _zlo, _zhi, vw, key = vias
+    te = np.flatnonzero(key < (2 << _SECTION_SHIFT))
+    tx, ty, tw = cx[te], cy[te], vw[te]
+    seq = 2 * tw + (key[te] >> _SECTION_SHIFT)
+    order = np.lexsort((seq, ty, tx))
+    X, Y, S_, W = tx[order], ty[order], seq[order], tw[order]
+    same = (X[1:] == X[:-1]) & (Y[1:] == Y[:-1])
+    # one wire has one net, so only same-point neighbours of different
+    # wires need their nets compared (two wires of a net may share one)
+    cand = np.flatnonzero(same & (W[1:] != W[:-1])) + 1
+    if not cand.size:
+        return 0, []
+    prev = net_of.take(W[cand - 1])
+    cur = net_of.take(W[cand])
+    err = [
+        (i, a, b) for i, a, b in zip(cand.tolist(), prev, cur) if a != b
+    ]
+    keyed = []
+    for i, a, b in err[:MAX_ERRORS_KEPT]:
+        p = (int(X[i]), int(Y[i]))
+        keyed.append(((p[0], p[1], int(S_[i])), (
+            f"terminal point {p} shared by wires {a} and {b}"
+        )))
+    return len(err), keyed
 
 
 class ChunkedValidator:
@@ -1014,22 +1098,28 @@ class ChunkedValidator:
     check counts each chunk's nets into a per-edge vector as it arrives
     (see the module docstring), the terminal check adds up the
     endpoints that name no placed node, and ``finalize`` compares the
-    counts.  Grouped checks (track overlap, via conflicts, terminal
-    collisions) take each chunk's rows from one row producer (``_rows``)
-    and run one sweep per check (:func:`_sweep`).  The first chunk is
-    held in memory: if it stays the only one, ``finalize`` derives each
-    check's rows from it and sweeps them one check at a time, creating
+    counts.  Grouped checks (track overlap, via conflicts,
+    via-vs-segment, terminal collisions) derive their rows from two row
+    families, the segments and the via columns, and run one sweep per
+    check (:func:`_grouped_checks`).  The first chunk is held in memory:
+    if it stays the only one, ``finalize`` makes its families and
+    derives each check's rows from them one check at a time, creating
     no directory and no file.  A second ``feed`` spills the held chunk
-    and then every chunk: int64 rows go into ``num_buckets`` hash
-    partitions keyed so comparison groups stay bucket-local — one raw
-    append-only file per check, rows naming their wire by global id —
-    and ``finalize`` reloads and sweeps one bucket at a time.  Each
-    spilled chunk's nets are pickled once into a net file, read back
-    only for kept messages, same-point terminals of different wires,
-    and the realizes-graph multiset when its array fast path is
-    unavailable or disagrees.
+    and then every chunk into ``num_buckets`` hash partitions, one raw
+    append-only int64 file per family, rows naming their wire by global
+    id: the segments bucketed by track (``segments.i64``) and the via
+    columns twice, bucketed by ``y`` (``vias_y.i64``) and by ``x``
+    (``vias_x.i64``), so every comparison group stays bucket-local.
+    ``finalize`` reloads one bucket at a time: its segments, then its
+    ``y``-keyed via columns (via conflicts, terminals, and via-vs-segment
+    against the H segments), then, those dropped, its ``x``-keyed ones
+    (via-vs-segment against the V segments).  Each spilled chunk's nets
+    are pickled once into a net file (``nets.pkl``), read back only for
+    kept messages, same-point terminals of different wires, and the
+    realizes-graph multiset when its array fast path is unavailable or
+    disagrees.
 
-    Streaming peak memory is one chunk plus one bucket plus the
+    Streaming peak memory is one chunk plus one bucket reload plus the
     O(network) state built once here: the node index
     (:class:`~repro.layout.validate._NodeIndex`: four int64 rect
     columns, two of them a grid build's own node columns, plus a key ->
@@ -1039,9 +1129,15 @@ class ChunkedValidator:
     edge).  Each chunk's net endpoints are one int array that the
     terminal lookup and the realizes-graph counter share: a grid
     chunk's column nets hand theirs over (33 bytes a wire), other nets
-    are parsed into one.  Pick
-    ``num_buckets >= total_rows_bytes / memory_budget_bytes`` to bound
-    the reload size.  The spill directory — a temporary one, or, when
+    are parsed into one.  A bucket reload holds about ``1 /
+    num_buckets`` of ``segments.i64`` and of one via file (48 bytes a
+    row each; the segments as their two orientations once the track
+    sweep is done), and the via-vs-segment sweep expands those via
+    columns into point queries on the layers that hold segments of the
+    orientation it checks (about one a column at L = 2), with a few
+    arrays of that length on top.  Pick ``num_buckets >= (segments.i64
+    + vias_y.i64 bytes) / memory_budget_bytes`` to bound the reload
+    size.  The spill directory — a temporary one, or, when
     ``spill_dir`` is given, a fresh ``repro-chunked-*`` subdirectory of
     it, so passes that share a ``spill_dir`` never share a file — is
     created at the first spill.  ``close()`` (which ``finalize`` calls,
@@ -1069,16 +1165,10 @@ class ChunkedValidator:
         self._spill_dir = spill_dir
         self._dir: Optional[str] = None
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        # spill stores by file stem, with their columns per row
-        ncols = {"tracks": 6}
-        if check_vias:
-            ncols.update(viacol=5, seg_h=5, seg_v=5, terms=4)
-            ncols.update(
-                (f"qry_{o}_{s}", 6) for o in "hv" for s in (0, 1, 2)
-            )
-        self._stores = {
-            name: _SpillStore(name, self.nb, n) for name, n in ncols.items()
-        }
+        # spill stores by file stem, one per row family: the segments,
+        # then the via columns keyed by y and by x
+        stems = ("segments", "vias_y", "vias_x")[:3 if check_vias else 1]
+        self._stores = {s: _SpillStore(s, self.nb, 6) for s in stems}
         self._nets = _NetFile()
         self._held: Optional[WireTable] = None
         self._chunks = 0
@@ -1086,9 +1176,7 @@ class ChunkedValidator:
         self._t_contig = _Tally()
         self._t_avoid = _Tally()
         self._wire_off = 0
-        self._gw_count = 0
-        self._bend_count = 0
-        self._term_count = 0
+        self._bend_off = 0  # global ordinal of the next spilled bend
         self._node_index = ni = _NodeIndex(nodes)
         # wires-avoid-nodes: band indexes over the (fixed) nodes, built once
         self._bi: Dict[bool, Optional[_BandIndex]] = {True: None, False: None}
@@ -1142,37 +1230,6 @@ class ChunkedValidator:
         self._chunks += 1
         self._wire_off += t.num_wires
 
-    def _rows(self, t: WireTable, w_off: int) -> Iterator[Tuple]:
-        """The row producer: chunk ``t``'s rows for each grouped check as
-        ``(kind, is_h, rows)``, one check at a time so a consumer can
-        drop each check's rows before the next is built.  ``w_off`` is
-        the chunk's first global wire id; deriving the via columns
-        advances the via-section and terminal counters past the chunk.
-        A ``viaseg`` item's rows are ``(segment rows, query rows,
-        bounds)``, the query rows shared by both orientations."""
-        w_of = t.wire_of
-        yield "tracks", None, _track_rows(t, w_of, w_off)
-        if not self.check_vias:
-            return
-        paths = t.paths()
-        n_gw = int((~paths.bad).sum())
-        cols = _vt_columns(t)
-        gw_off, bend_off, term_off = (
-            self._gw_count, self._bend_count, self._term_count
-        )
-        self._gw_count += n_gw
-        self._bend_count += len(cols[0]) - 2 * n_gw
-        self._term_count += 2 * n_gw
-        cx, cy, zlo, zhi, cw = cols
-        yield "viacol", None, [cx, cy, zlo, zhi, cw + w_off]
-        q, bounds = _query_rows(cols, n_gw, w_off, gw_off, bend_off)
-        # only the query rows stay alive through both orientations
-        del cols, cx, cy, zlo, zhi, cw
-        for is_h in (True, False):
-            yield "viaseg", is_h, (_seg_rows(t, w_of, is_h, w_off), q, bounds)
-        del q
-        yield "terms", None, _term_rows(paths, w_off, term_off)
-
     def _root(self) -> str:
         """The spill directory, created at the first spill: a temporary
         one, or a fresh subdirectory of the caller's ``spill_dir`` (so
@@ -1191,24 +1248,22 @@ class ChunkedValidator:
         return self._dir
 
     def _spill(self, t: WireTable, w_off: int) -> None:
-        """Append chunk ``t``'s grouped-check rows to the spill stores,
-        bucketed by each check's group key, and its nets to the net file."""
+        """Append chunk ``t``'s row families to the spill stores — the
+        segments bucketed by track, the via columns by ``y`` and by
+        ``x`` — and its nets to the net file."""
         root = self._root()
-        stores = self._stores
-
-        def add(name, rows, *key):
-            stores[name].add(root, _buckets_of(self.nb, *key), rows)
-
-        for kind, is_h, rows in self._rows(t, w_off):
-            if kind != "viaseg":
-                add(kind, rows, *rows[:3 if kind == "tracks" else 2])
-                continue
-            o = "h" if is_h else "v"
-            seg, q, bounds = rows
-            add(f"seg_{o}", seg, seg[0], seg[1])
-            for s in (0, 1, 2):
-                sec = [c[bounds[s]:bounds[s + 1]] for c in q]
-                add(f"qry_{o}_{s}", sec, sec[0], sec[2 if is_h else 1])
+        stores, nb = self._stores, self.nb
+        segs = _segment_rows(t, w_off)
+        stores["segments"].add(
+            root, _buckets_of(nb, segs[2]), np.stack(segs, axis=1)
+        )
+        del segs
+        if self.check_vias:
+            vias, n_bends = _via_rows(t, w_off, self._bend_off)
+            self._bend_off += n_bends
+            rows = np.stack(vias, axis=1)
+            stores["vias_y"].add(root, _buckets_of(nb, vias[1]), rows)
+            stores["vias_x"].add(root, _buckets_of(nb, vias[0]), rows)
         self._nets.add(root, w_off, t.nets)
 
     def _feed_avoid(self, t: WireTable) -> None:
@@ -1247,37 +1302,44 @@ class ChunkedValidator:
 
     # -- finalization ----------------------------------------------------
 
-    def _bucket_rows(self) -> Iterator[Tuple]:
-        """Each spill bucket's rows, reloaded one bucket at a time, as
-        ``(kind, is_h, rows)`` in :meth:`_rows`'s shape, in (check,
-        orientation, bucket) order; buckets no row reached are skipped.
-        A ``viaseg`` bucket's query sections are concatenated, with
-        ``bounds`` marking where each starts."""
-        stores = self._stores
+    def _held_families(self) -> Iterator[Iterator]:
+        """The held chunk's families as one bucket: its segments, then its
+        via columns, made at first use and handed out as both the ``y``-
+        and the ``x``-keyed family."""
+        t = self._held
 
-        def plain(kind: str) -> Iterator[Tuple]:
-            for parts in stores[kind].parts:
-                if parts:
-                    yield kind, None, _load_parts(parts, stores[kind].ncols)
+        def families() -> Iterator[List[np.ndarray]]:
+            yield _segment_rows(t, 0)
+            vias = _via_rows(t, 0, 0)[0]
+            yield vias
+            yield vias
 
-        yield from plain("tracks")
-        if not self.check_vias:
-            return
-        yield from plain("viacol")
-        for is_h in (True, False):
-            o = "h" if is_h else "v"
-            for k, seg_parts in enumerate(stores[f"seg_{o}"].parts):
-                qparts = [stores[f"qry_{o}_{s}"].parts[k] for s in (0, 1, 2)]
-                if seg_parts and any(qparts):
-                    yield "viaseg", is_h, (
-                        _load_parts(seg_parts, 5), *_load_queries(qparts)
-                    )
-        yield from plain("terms")
+        yield families()
+
+    def _bucket_families(self) -> Iterator[Iterator]:
+        """Each spill bucket's families, reloaded one bucket at a time and
+        one family at a time: its segments, then its ``y``- and its
+        ``x``-keyed via columns in key order.  Buckets no row reached are
+        skipped."""
+
+        def families(parts) -> Iterator[List[np.ndarray]]:
+            segs, *vias = parts
+            yield _load_parts(segs, 6)
+            # a bucket's via columns come back chunk by chunk, and the
+            # via-vs-segment sweep keeps its first hits in query order,
+            # which must be the one-chunk order: sort them by key
+            for p in vias:
+                yield _load_parts(p, 6, sort_col=5)
+
+        for k in range(self.nb):
+            parts = [store.parts[k] for store in self._stores.values()]
+            if any(parts):
+                yield families(parts)
 
     def finalize(self) -> ValidationReport:
         """The report.  A held chunk (exactly one was fed) is swept in
         memory one check at a time; otherwise each spill bucket is
-        reloaded and swept (:meth:`_bucket_rows`).  Either way each
+        reloaded and swept (:meth:`_bucket_families`).  Either way each
         check's keyed messages re-sort into the one-chunk emission order
         before the per-orientation and global caps apply."""
         if self._finalized:
@@ -1298,13 +1360,14 @@ class ChunkedValidator:
         by_kind: Dict[Tuple, _KeyedTally] = defaultdict(_KeyedTally)
         if self._held is not None:
             nets = _NetReader.of_nets(self._held.nets)
-            groups = self._rows(self._held, 0)
+            buckets = self._held_families()
         else:
             nets = _NetReader(self._nets.index)
-            groups = self._bucket_rows()
-        for kind, is_h, rows in groups:
-            by_kind[(kind, is_h)].add(*_sweep(kind, is_h, rows, nets))
-            del rows  # free these rows before the next group is built
+            buckets = self._bucket_families()
+        for families in buckets:
+            for check, res in _grouped_checks(families, nets,
+                                              self.check_vias):
+                by_kind[check].add(*res)
         rep.checks_run.append("track-overlap")
         kt = by_kind[("tracks", None)]
         _bulk(rep, kt.count, iter(kt.merged()))
@@ -1352,61 +1415,6 @@ class ChunkedValidator:
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
-
-
-def _sweep(kind: str, is_h: Optional[bool], rows, net_of: _NetReader):
-    """The sweep of grouped check ``kind`` over its rows — a held chunk's
-    rows in memory, or one spill bucket's reloaded.  ``net_of`` resolves
-    a global wire id to its net.  Returns ``(count, keyed_messages)``
-    with keys that sort in the one-chunk emission order."""
-    if kind == "tracks":
-        layer, horiz, track, lo, hi, gw = rows
-        return _track_overlap_sweep(
-            layer, horiz, track, lo, hi, gw, lambda r: net_of(int(gw[r]))
-        )
-    if kind == "viacol":
-        cx, cy, zlo, zhi, gcw = rows
-        return _via_col_sweep(
-            cx, cy, zlo, zhi, gcw, lambda r: net_of(int(gcw[r]))
-        )
-    if kind == "viaseg":
-        (s_lay, s_fix, s_lo, s_hi, s_gw), q, bounds = rows
-        ql, qx, qy, gqw, qpos, qj = q
-        c, keyed = _via_seg_orientation(
-            s_lay, s_fix, s_lo, s_hi, s_gw,
-            lambda r: net_of(int(s_gw[r])),
-            ql, qx, qy, gqw,
-            lambda i: net_of(int(gqw[i])),
-            is_h,
-        )
-        sec = np.searchsorted(bounds, [qi for (qi, _j), _m in keyed], "right")
-        return c, [
-            ((int(s) - 1, int(qpos[qi]), int(qj[qi]), j), m)
-            for s, ((qi, j), m) in zip(sec, keyed)
-        ]
-    if kind != "terms":
-        raise ValueError(f"unknown sweep kind {kind!r}")
-    tx, ty, seq, gtw = rows
-    order = np.lexsort((seq, ty, tx))
-    X, Y, S_, W = tx[order], ty[order], seq[order], gtw[order]
-    same = (X[1:] == X[:-1]) & (Y[1:] == Y[:-1])
-    # one wire has one net, so only same-point neighbours of different
-    # wires need their nets compared (two wires of a net may share one)
-    cand = np.flatnonzero(same & (W[1:] != W[:-1])) + 1
-    if not cand.size:
-        return 0, []
-    prev = net_of.take(W[cand - 1])
-    cur = net_of.take(W[cand])
-    err = [
-        (i, a, b) for i, a, b in zip(cand.tolist(), prev, cur) if a != b
-    ]
-    keyed = []
-    for i, a, b in err[:MAX_ERRORS_KEPT]:
-        p = (int(X[i]), int(Y[i]))
-        keyed.append(((p[0], p[1], int(S_[i])), (
-            f"terminal point {p} shared by wires {a} and {b}"
-        )))
-    return len(err), keyed
 
 
 def validate_table_chunked(

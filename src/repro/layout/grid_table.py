@@ -23,12 +23,13 @@ The construction mirrors the legacy builder category by category:
   layer, which splits each channel category into a fixed-segment-count
   "merged" and "unmerged" variant.
 
-Finally all categories are concatenated and permuted into the legacy
+Finally the categories' wires are gathered once into the legacy
 emission order (blocks by id — boundaries by stage — items by rank, then
-channel groups in sorted key order).  Nets never leave arrays on this
-path: each category's nets are a :class:`GridNets` over the row, stage
-and kind-code arrays it was built from, and the concatenation and the
-permutation gather those columns like the segment columns.  The one
+channel groups in sorted key order): one sort of the stacked keys, one
+fancy index of the stacked segment rows, and one check of the result.
+Nets never leave arrays on this path: each category's nets are a
+:class:`GridNets` over the row, stage and kind-code arrays it was built
+from, and the gather takes those columns like the segment rows.  The one
 caller is the chunk source
 :func:`~repro.layout.chunked.chunked_grid_table`, which plans every
 block and phase in one call when it has no budget.
@@ -285,15 +286,6 @@ class _Cat:
         self.segs = segs
         self.keys = keys
 
-    def table(self) -> WireTable:
-        nw, c, _ = self.segs.shape
-        flat = self.segs.reshape(nw * c, 5)
-        return WireTable.from_segment_arrays(
-            self.nets,
-            np.arange(nw + 1, dtype=np.int64) * c,
-            flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
-        )
-
 
 def _hvh(x1, y1, tx, y2, x2, vl, hl) -> np.ndarray:
     """Stack the ubiquitous H-V-H channel wire: ``(x1,y1)->(tx,y1)``,
@@ -320,16 +312,29 @@ def _hvh(x1, y1, tx, y2, x2, vl, hl) -> np.ndarray:
 
 
 def _cats_table(cats: List[_Cat]) -> WireTable:
-    """Concatenate categories and permute into legacy emission order."""
-    table = WireTable.concat([c.table() for c in cats])
+    """The categories' wires as one table in legacy emission order,
+    gathered once: the wires' sort ``order`` over the stacked keys, their
+    segment counts in that order give ``indptr``, one fancy index of the
+    stacked ``(nw * c, 5)`` segment rows gives the segment columns, and
+    :meth:`GridNets.take` the nets."""
     if not cats:
-        return table
+        return WireTable.empty()
     keys = np.concatenate([c.keys for c in cats], axis=0)
-    order = np.lexsort(
-        (keys[:, 5], keys[:, 4], keys[:, 3], keys[:, 2], keys[:, 1],
-         keys[:, 0])
-    )
-    return table.permuted(order)
+    order = np.lexsort(keys.T[::-1])
+    counts = np.concatenate([
+        np.full(len(c.keys), c.segs.shape[1], dtype=np.int64) for c in cats
+    ])
+    starts = (np.cumsum(counts) - counts)[order]
+    counts = counts[order]
+    indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    # source row of every destination segment row
+    idx = np.arange(int(indptr[-1]), dtype=np.int64)
+    idx += np.repeat(starts - indptr[:-1], counts)
+    rows = np.concatenate([c.segs.reshape(-1, 5) for c in cats])
+    x1, y1, x2, y2, layer = rows.T[:, idx]
+    nets = GridNets.concat([c.nets for c in cats]).take(order)
+    return WireTable.from_segment_arrays(nets, indptr, x1, y1, x2, y2, layer)
 
 
 def _grid_cats(

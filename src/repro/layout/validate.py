@@ -492,15 +492,18 @@ def _via_col_sweep(cx, cy, zlo, zhi, cw, net_at):
     return count, keyed
 
 
-def _via_seg_queries(cx, cy, zlo, zhi, cw):
-    """Expand via columns into one point query per (column, spanned layer):
+def _via_seg_queries(cx, cy, zlo, zhi, cw, layers):
+    """Expand via columns into one point query per (column, spanned layer
+    in ``layers``), ``layers`` being the sorted distinct layers of the
+    segments the queries meet (a query on any other layer hits none):
     returns ``(ql, qx, qy, qw, qc)`` layer/point/wire arrays and each
-    query's column."""
-    reps = zhi - zlo + 1
+    query's column, in column-then-layer order."""
+    first = np.searchsorted(layers, zlo)
+    reps = np.searchsorted(layers, zhi, side="right") - first
     qc = np.repeat(np.arange(len(cx), dtype=np.int64), reps)
     offs = np.zeros(len(cx), dtype=np.int64)
     np.cumsum(reps[:-1], out=offs[1:])
-    ql = (np.arange(len(qc), dtype=np.int64) - offs[qc]) + zlo[qc]
+    ql = layers[(np.arange(len(qc), dtype=np.int64) - offs[qc]) + first[qc]]
     return ql, cx[qc], cy[qc], cw[qc], qc
 
 

@@ -1,8 +1,9 @@
 """Spill-format, cleanup and cross-chunk pinning for the chunked validator.
 
 * **footprint** — the spill directory holds one raw int64 file per
-  grouped check plus one net file, whatever the chunk count, and each
-  column file is exactly ``8 * ncols * rows`` bytes (no pickled rows);
+  row family (the segments, and the via columns keyed by ``y`` and by
+  ``x``) plus one net file, whatever the chunk count, and each column
+  file is exactly ``8 * ncols * rows`` bytes (no pickled rows);
 * **one chunk, no disk** — a validator fed exactly one chunk (which is
   what ``validate_table`` and ``validate_layout`` are) sweeps it in
   memory: no file even under a given ``spill_dir``, and no temporary
@@ -45,7 +46,7 @@ from repro.layout import (
     validate_table,
     validate_table_chunked,
 )
-from repro.layout.validate import _via_seg_queries, _vt_columns
+from repro.layout.validate import _vt_columns
 from repro.layout.wiretable import WireTable
 from repro.topology.complete import complete_multigraph
 from repro.topology.graph import Graph
@@ -53,11 +54,8 @@ from repro.transform.swap_butterfly import SwapButterfly
 
 from tests.oracles.validate import validate_layout_legacy
 
-# columns per spilled row, by spill file stem
-NCOLS = {
-    "tracks": 6, "viacol": 5, "seg_h": 5, "seg_v": 5, "terms": 4,
-    **{f"qry_{o}_{s}": 6 for o in "hv" for s in (0, 1, 2)},
-}
+# columns per spilled row, by spill file stem: one file per row family
+NCOLS = {"segments": 6, "vias_y": 6, "vias_x": 6}
 
 
 def assert_reports_identical(got, want) -> None:
@@ -74,25 +72,11 @@ def assert_reports_identical(got, want) -> None:
 
 def _expected_rows(t: WireTable):
     """Rows each spill file must hold for table ``t`` (a valid layout:
-    every wire contiguous)."""
-    cx, cy, zlo, zhi, cw = _vt_columns(t)
-    n_gw = t.num_wires
-    ql = _via_seg_queries(cx, cy, zlo, zhi, cw)[0]
-    reps = zhi - zlo + 1
-    sec_rows = [
-        int(reps[:n_gw].sum()), int(reps[n_gw:2 * n_gw].sum()),
-        int(reps[2 * n_gw:].sum()),
-    ]
-    assert sum(sec_rows) == len(ql)
-    nh = int(t.is_horizontal.sum())
-    rows = {
-        "tracks": t.num_segments, "viacol": len(cx),
-        "seg_h": nh, "seg_v": t.num_segments - nh, "terms": 2 * n_gw,
-    }
-    for o in "hv":
-        for s in (0, 1, 2):
-            rows[f"qry_{o}_{s}"] = sec_rows[s]
-    return rows
+    every wire contiguous): every segment once, and every via column
+    (each wire's start and end, and each bend) once per key axis."""
+    n_vias = len(_vt_columns(t)[0])
+    assert n_vias == 2 * t.num_wires + t.num_vias()
+    return {"segments": t.num_segments, "vias_y": n_vias, "vias_x": n_vias}
 
 
 def _pass_dirs(spill_dir) -> list:
@@ -267,10 +251,10 @@ def test_torn_spill_file_raises_oserror(tmp_path, monkeypatch, where):
         v.feed(t.slice_wires(lo, lo + 100))
     root = (str(_pass_dirs(given)[0]) if given
             else str(tmp_path / _leftover_spill_dirs(tmp_path)[0]))
-    path = os.path.join(root, "tracks.i64")
+    path = os.path.join(root, "segments.i64")
     os.truncate(path, os.path.getsize(path) // 2)
     with pytest.raises(OSError, match=(
-        r"tracks\.i64 is torn: at byte offset \d+ expected \d+ bytes, "
+        r"segments\.i64 is torn: at byte offset \d+ expected \d+ bytes, "
         r"read \d+"
     )):
         v.finalize()

@@ -378,6 +378,42 @@ def test_random_mutation_verdict_parity_grid(seed):
     _assert_same_errors(rep_v, rep_l)
 
 
+def _rand_through_via(layout, rng):
+    """A foreign one-segment wire through a via point of another wire, on
+    a random layer of either orientation."""
+    vias = []
+    for w in layout.wires:
+        try:
+            vias.extend(w.vias())
+        except ValueError:  # an earlier mutation broke this wire's path
+            continue
+    x, y = vias[rng.randrange(len(vias))]
+    layer = rng.randint(1, layout.model.num_layers)
+    seg = (Segment(x - 1, y, x + 2, y, layer) if rng.randrange(2)
+           else Segment(x, y - 1, x, y + 2, layer))
+    layout.wires.insert(rng.randrange(len(layout.wires) + 1),
+                        Wire(net=("mut", "via"), segments=[seg]))
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(0, 10**9), st.integers(1, 3))
+def test_random_mutation_verdict_parity_multilayer(seed, n_mut):
+    """At L = 4 a via column spans up to four layers, two of each
+    orientation, and the via-vs-segment sweep expands it only on the
+    layers that hold segments of the orientation it checks."""
+    rng = random.Random(seed)
+    res = build_grid_layout((2, 1, 1), L=4)
+    layout, graph = res.layout, res.graph
+    mutations = _RANDOM_MUTATIONS + [_rand_through_via]
+    for _ in range(n_mut):
+        mutations[rng.randrange(len(mutations))](layout, rng)
+    rep_v = validate_layout(layout, graph)
+    rep_l = validate_layout_legacy(layout, graph)
+    assert rep_v.ok == rep_l.ok
+    assert rep_v.checks_run == rep_l.checks_run
+    _assert_same_errors(rep_v, rep_l)
+
+
 # ---------------------------------------------------------------------------
 # Appendix B oracle: brute-force minimal track counts for K_2..K_8
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ tables, validation reports (verdict, error count, kept messages, check
 list), and summary stats.  Mutated tables (collinear K_6 x 2 and the
 B_6 grid) must report the same at every chunk and bucket split, and
 the mutations that reach the realizes-graph check and node placement
-are also held to the legacy oracle in ``tests/oracles``.  A
-``tracemalloc`` guard pins that the chunked B_14 grid build's peak
+are also held to the legacy oracle in ``tests/oracles``.  A B_6 grid
+with more via-vs-segment hits than ``MAX_ERRORS_KEPT``, spread over
+the whole table, pins which hits the capped report keeps at every
+chunk and bucket split.  A ``tracemalloc`` guard pins that the chunked B_14 grid build's peak
 allocation stays under the declared budget, i.e. the budget knob is
 real, not advisory.
 """
@@ -272,6 +274,48 @@ def test_mutated_validation_identity(case, which, chunk_wires, num_buckets,
         # same messages; order differs by design (the sweeps emit sorted)
         if want.num_errors <= MAX_ERRORS_KEPT:
             assert sorted(want.errors) == sorted(legacy.errors)
+
+
+def _through_via_rows_table():
+    """The B_6 grid with two wires put first: each one H segment on the
+    V layer (layer 1) from the left side of the row's first node to a
+    side of its last node, through a row of via columns.  Row 14 holds
+    24 wire starts and 24 bends, row 21 24 wire ends and 24 bends, each
+    from wires spread over the whole table.  That makes 2 errors before
+    the via-vs-segment check (one layer error a wire) and 96
+    via-vs-segment hits."""
+    lay = build_grid_layout((2, 2, 2)).layout
+    V = 1
+    new = WireTable.from_segment_arrays(
+        [((0, 0), (12, 6), "row14"), ((1, 0), (13, 6), "row21")],
+        np.arange(3, dtype=np.int64),
+        *np.array([(0, 14, 389, 14, V), (0, 21, 393, 21, V)],
+                  dtype=np.int64).T,
+    )
+    return WireTable.concat([new, lay.wire_table()]), lay
+
+
+@pytest.mark.parametrize("num_buckets", [1, 2, 3, 8])
+@pytest.mark.parametrize("chunk_wires", [1, 5, 17, 100])
+def test_error_cap_across_buckets(chunk_wires, num_buckets):
+    """More than ``MAX_ERRORS_KEPT`` via-vs-segment hits, kept in the
+    one-chunk query order (every wire start, then every end, then every
+    bend), although a spill bucket's via columns come back chunk by
+    chunk: a chunk's bends before a later chunk's starts."""
+    t, lay = _through_via_rows_table()
+    sb = SwapButterfly.from_ks((2, 2, 2))
+    want = validate_table(t, lay.nodes, lay.model, graph=grid_graph(sb))
+    through = [e for e in want.errors if " passes through via of wire " in e]
+    # the fixture reaches the cap inside the via-vs-segment check
+    assert len(want.errors) == MAX_ERRORS_KEPT
+    assert len(through) == MAX_ERRORS_KEPT - 2
+    assert want.num_errors > 96
+    chunks = (t.slice_wires(lo, lo + chunk_wires)
+              for lo in range(0, t.num_wires, chunk_wires))
+    got = validate_table_chunked(chunks, lay.nodes, lay.model,
+                                 graph=grid_graph(sb),
+                                 num_buckets=num_buckets)
+    assert_reports_identical(got, want)
 
 
 def test_overlapping_node_bands():
