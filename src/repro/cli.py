@@ -54,14 +54,19 @@ location, ``--no-cache`` opts out); a ``[cache hit|miss <key>]`` note
 goes to stderr so stdout stays parseable.
 
 Bad input exits 2 with one ``<command>: <message>`` line on stderr,
-whether argparse, the service layer or an engine rejects it.
+whether argparse, the service layer or an engine rejects it.  The
+subcommands that run an engine directly (``hypercube``, ``ccc``,
+``omega``, ``sort``, ``isn-layout``) also exit 2 above a declared bound
+on their size parameter, derived from the engine's size arithmetic and
+:data:`MAX_DIRECT_WIRES` wires or :data:`MAX_SORT_VALUES` values, before
+the engine allocates anything.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analysis.comparison import format_table
 
@@ -122,6 +127,30 @@ def _positive_int(s: str) -> int:
             f"expected a positive integer, got {s!r}"
         )
     return v
+
+
+#: Declared upper bounds of the subcommands that run an engine directly
+#: rather than a cached query, in the sizes the engines build: the wires
+#: of a wire-level layout (these builders hold and validate one object a
+#: wire) and the values of a sort.  :func:`_check_bound` turns each into
+#: a bound on the command's parameter before the engine allocates.
+MAX_DIRECT_WIRES = 1 << 20
+MAX_SORT_VALUES = 1 << 24
+
+
+def _check_bound(name: str, value: int, size: Callable[[int], int],
+                 cap: int, unit: str) -> None:
+    """Raise ``ValueError`` (exit 2) when ``value`` exceeds the largest
+    parameter whose engine size ``size(n)`` (growing with ``n``) stays
+    within ``cap``.  That parameter is found counting up from 1, so the
+    engine's arithmetic never runs at a far-off value."""
+    top = 0
+    while size(top + 1) <= cap:
+        top += 1
+    if value > top:
+        raise ValueError(
+            f"{name} must be <= {top} ({unit}, bound {cap:,}), got {value}"
+        )
 
 
 def _add_cache_opts(sp: argparse.ArgumentParser) -> None:
@@ -658,6 +687,9 @@ def _cmd_hypercube(args) -> int:
     from .layout.validate import validate_layout
     from .viz.svg import save_svg
 
+    # one wire per edge of Q_n
+    _check_bound("n", args.n, lambda n: n << (n - 1), MAX_DIRECT_WIRES,
+                 "n*2**(n-1) wires")
     res = hypercube_2d_layout(args.n, L=args.layers)
     rep = validate_layout(res.layout, res.graph)
     s = res.layout.summary()
@@ -675,6 +707,9 @@ def _cmd_ccc(args) -> int:
     from .layout.validate import validate_layout
     from .viz.svg import save_svg
 
+    # one wire per edge of CCC(n): n*2**n cycle and n*2**(n-1) cube edges
+    _check_bound("n", args.n, lambda n: 3 * n << (n - 1), MAX_DIRECT_WIRES,
+                 "3n*2**(n-1) wires")
     res = ccc_2d_layout(args.n, L=args.layers)
     rep = validate_layout(res.layout, res.graph)
     s = res.layout.summary()
@@ -693,6 +728,8 @@ def _cmd_omega(args) -> int:
     from .layout.validate import validate_layout
     from .topology.omega import Omega, destination_tag_route
 
+    _check_bound("n", args.n, lambda n: Omega(n).num_edges,
+                 MAX_DIRECT_WIRES, "2n*2**n wires")
     om = Omega(args.n)
     res = build_multistage_layout(
         om.rows, om.boundary_link_lists(), L=args.layers, name="omega"
@@ -781,6 +818,8 @@ def _cmd_sort(args) -> int:
     from .topology.bitonic import bitonic_num_stages, bitonic_sort
 
     stages = bitonic_num_stages(args.n)  # rejects n < 1 before allocating
+    _check_bound("n", args.n, lambda n: 1 << n, MAX_SORT_VALUES,
+                 "2**n values")
     rng = np.random.default_rng(args.seed)
     x = rng.integers(0, 1000, size=1 << args.n)
     y = bitonic_sort(x)
@@ -798,6 +837,10 @@ def _cmd_isn_layout(args) -> int:
     from .layout.validate import validate_layout
     from .topology.isn import ISN
 
+    # the one-level ISN of a given sum(ks) has the fewest wires
+    _check_bound("sum(ks)", sum(args.ks),
+                 lambda n: ISN.from_ks((n,)).num_edges, MAX_DIRECT_WIRES,
+                 "2n*2**n wires at n = sum(ks)")
     isn = ISN.from_ks(args.ks)
     res = build_multistage_layout(
         isn.rows, isn.boundary_link_lists(), L=args.layers, name=f"ISN{args.ks}"

@@ -116,7 +116,7 @@ from typing import (
 
 import numpy as np
 
-from ..topology.graph import Graph
+from ..topology.graph import Graph, _canon_rows
 from ..transform.swap_butterfly import SwapButterfly
 from .collinear import (
     TrackOrder, _check_track_order, optimal_track_count,
@@ -137,7 +137,7 @@ from .validate import (
     _NodeIndex,
     _bulk,
     _canon_edge,
-    _canon_rows,
+    _lexsort,
     _net_end_rows,
     _realizes_fallback,
     _track_overlap_sweep,
@@ -893,23 +893,25 @@ class _KeyedTally:
 def _fast_template(graph: Graph) -> Optional[Dict]:
     """The per-edge counter of the realizes-graph array fast path, or
     ``None`` when the graph has no staged arrays (a graph without edges
-    has none) or edge rows that do not pack into int64 codes: the
-    graph's canonical edge rows packed once into sorted ``codes`` (with
-    the ``mins``/``ranges`` frame ``feed`` packs each chunk's nets in),
+    has none) or edge rows that do not pack into int64 codes: the sorted
+    distinct ``codes`` of the graph's canonical edge rows (with the
+    ``mins``/``ranges`` frame ``feed`` packs each chunk's nets in),
     their ``counts``, and the zeroed ``got`` vector ``feed`` counts nets
-    into."""
-    if graph._staged_arrays() is None:
+    into.  The staged rows are packed once and the codes counted as
+    they are, so no edge row is unpacked; the frame, codes and counts
+    equal those of packing :meth:`~repro.topology.graph.Graph.to_edge_array`'s
+    rows."""
+    staged = graph._staged_edge_rows()
+    if staged is None:
         return None
-    try:
-        edges, counts = graph.to_edge_array()
-    except ValueError:
-        return None
-    k = edges.shape[2] if edges.ndim == 3 else 0
+    rows, weights, k = staged
     kk = k if k else 1
-    packed = Graph._pack_rows(edges.reshape(len(counts), 2 * kk))
+    packed = Graph._pack_rows(rows)
+    del rows
     if packed is None:
         return None
     codes, mins, ranges = packed
+    codes, counts = Graph._aggregate_codes(codes, weights)
     return {
         "k": k, "kk": kk, "codes": codes, "mins": mins, "ranges": ranges,
         "counts": counts, "got": np.zeros(len(counts), dtype=np.int64),
@@ -1031,6 +1033,14 @@ def _grouped_checks(families: Iterator, net_of: "_NetReader",
     )
 
 
+def _layers_of(s_lay: np.ndarray) -> np.ndarray:
+    """The sorted distinct layers of ``s_lay``."""
+    s = np.sort(s_lay)
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    return s[first]
+
+
 def _via_seg_sweep(segs, vias, is_h: bool, net_of: "_NetReader"):
     """Via-vs-segment conflicts of one orientation: the via columns
     expanded into one point query per spanned layer that holds some of
@@ -1040,7 +1050,7 @@ def _via_seg_sweep(segs, vias, is_h: bool, net_of: "_NetReader"):
     s_lay, s_fix, s_lo, s_hi, s_gw = segs
     cx, cy, zlo, zhi, vw, key = vias
     ql, qx, qy, qw, qc = _via_seg_queries(
-        cx, cy, zlo, zhi, vw, np.unique(s_lay)
+        cx, cy, zlo, zhi, vw, _layers_of(s_lay)
     )
     count, keyed = _via_seg_orientation(
         s_lay, s_fix, s_lo, s_hi, s_gw, _net_at(net_of, s_gw),
@@ -1061,7 +1071,7 @@ def _terminal_sweep(vias, net_of: "_NetReader"):
     te = np.flatnonzero(key < (2 << _SECTION_SHIFT))
     tx, ty, tw = cx[te], cy[te], vw[te]
     seq = 2 * tw + (key[te] >> _SECTION_SHIFT)
-    order = np.lexsort((seq, ty, tx))
+    order = _lexsort((seq, ty, tx))
     X, Y, S_, W = tx[order], ty[order], seq[order], tw[order]
     same = (X[1:] == X[:-1]) & (Y[1:] == Y[:-1])
     # one wire has one net, so only same-point neighbours of different
@@ -1126,7 +1136,13 @@ class ChunkedValidator:
     row dict for dict nodes only), the two band indexes (a few int64
     arrays per node), and for a staged graph the packed edge codes with
     their wanted and counted vectors (three int64 arrays per distinct
-    edge).  Each chunk's net endpoints are one int array that the
+    edge).  Building that state is the pass's allocation burst: each
+    band index sorts its rects once (one packed sort), and the codes
+    come from one packing of the staged graph's canonical edge rows,
+    counted as codes and never unpacked back into rows (a few int64
+    arrays per staged edge at a time; at B_14 that keeps the burst
+    about 40 MiB below what unpacking and repacking took).  Each
+    chunk's net endpoints are one int array that the
     terminal lookup and the realizes-graph counter share: a grid
     chunk's column nets hand theirs over (33 bytes a wire), other nets
     are parsed into one.  A bucket reload holds about ``1 /

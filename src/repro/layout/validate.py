@@ -105,20 +105,6 @@ def _net_end_rows(nets, k: int):
     return flat.astype(np.int64, copy=False)
 
 
-def _canon_rows(flat, kk: int):
-    """:func:`_net_end_rows` rows canonicalised to ``(lo, hi)`` order."""
-    a, b = flat[:, :kk], flat[:, kk:]
-    flip = np.zeros(len(flat), dtype=bool)
-    decided = np.zeros(len(flat), dtype=bool)
-    for j in range(kk):
-        less = b[:, j] < a[:, j]
-        flip |= less & ~decided
-        decided |= less | (b[:, j] > a[:, j])
-    lo = np.where(flip[:, None], b, a)
-    hi = np.where(flip[:, None], a, b)
-    return np.concatenate([lo, hi], axis=1)
-
-
 def _realizes_fallback(got: Counter, placed, graph: Graph, rep: ValidationReport) -> None:
     """Exact object-level edge-multiset diff shared with the chunked
     validator, which accumulates ``got`` across chunks before calling."""
@@ -174,6 +160,57 @@ def _nodes_disjoint_sweep(nodes, rep: ValidationReport) -> None:
 # element that undercuts an earlier extent in its group.  Exact Python
 # enumeration runs only over the flagged groups, so valid layouts never
 # leave numpy.
+
+
+def _lexsort(keys) -> np.ndarray:
+    """``np.lexsort(keys)``'s permutation (the last key primary) from
+    one sort of the integer keys packed into int64 codes.
+
+    A least-significant key that is already nondecreasing along the rows
+    is dropped first: a stable sort keeps row order on ties, which that
+    key would only confirm.  When the packed keys with the row index
+    below them fit in 63 bits, every code is unique and a plain
+    ``np.sort`` gives the stable order; when the packed keys alone fit,
+    a stable ``argsort`` of them does; otherwise ``np.lexsort`` does."""
+    keys = list(keys)
+    n = len(keys[0])
+    if n < 2:
+        return np.arange(n)
+    while keys and bool(np.all(keys[0][1:] >= keys[0][:-1])):
+        keys.pop(0)
+    # (key, min, span) primary first, constant keys left out; Python
+    # ints keep the spans of uint64 keys near 2**64 exact
+    packed = []
+    total = 1
+    for k in reversed(keys):
+        lo = int(k.min())
+        span = int(k.max()) - lo + 1
+        if span > 1:
+            packed.append((k, lo, span))
+            total *= span
+    if not packed:
+        return np.arange(n)
+    if total > 1 << 63:
+        return np.lexsort(keys)
+    code = None
+    for k, lo, span in packed:
+        if k.dtype == np.uint64:
+            off = (k - np.uint64(lo)).astype(np.int64)
+        else:
+            off = k.astype(np.int64, copy=False) - lo
+        if code is None:
+            code = off
+        else:
+            code *= span
+            code += off
+    shift = (n - 1).bit_length()
+    if total << shift > 1 << 63:
+        return np.argsort(code, kind="stable")
+    code <<= shift
+    code |= np.arange(n)
+    code.sort()
+    code &= (1 << shift) - 1
+    return code
 
 
 def _bulk(rep: ValidationReport, count: int, messages) -> None:
@@ -358,7 +395,7 @@ def _track_overlap_sweep(
     ns = len(layer)
     if ns < 2:
         return 0, []
-    order = np.lexsort((w, hi, lo, track, horiz, layer))
+    order = _lexsort((w, hi, lo, track, horiz, layer))
     lay_s, hz_s, tr_s = layer[order], horiz[order], track[order]
     lo_s, hi_s, w_s = lo[order], hi[order], w[order]
     new = np.empty(ns, dtype=bool)
@@ -451,7 +488,7 @@ def _via_col_sweep(cx, cy, zlo, zhi, cw, net_at):
     n = len(cx)
     if n < 2:
         return 0, []
-    order = np.lexsort((cw, zhi, zlo, cy, cx))
+    order = _lexsort((cw, zhi, zlo, cy, cx))
     X, Y = cx[order], cy[order]
     A, B, W = zlo[order], zhi[order], cw[order]
     new = np.empty(n, dtype=bool)
@@ -522,6 +559,17 @@ def _via_seg_orientation(
     ``MAX_ERRORS_KEPT`` ``((q, j), message)`` pairs in query order, keyed
     by (query row, per-query hit ordinal) so the chunked validator can
     remap ``q`` to a global query key and merge spill buckets exactly.
+
+    A segment's group is its (layer, track) code, and the sweep puts it
+    in that code's numeric band: sorted by (group, ``lo``), each segment
+    keys as ``group * xband + lo`` and its running maximum reads ``group
+    * xband + hi``, coordinates taken from a common minimum.  A query
+    keys as ``group * xband + point``.  One ``searchsorted`` of the
+    sorted query keys into the segment keys finds each query's earlier
+    segments, and an earlier group's maximum stays below any later
+    group's band, so the running maximum there exceeds the query key
+    exactly when a segment of the query's own group has ``lo < point <
+    hi``.  A group's bounds are looked up only for a query that hits.
     """
     count = 0
     keyed = []
@@ -533,33 +581,28 @@ def _via_seg_orientation(
     fspan = max(int(s_fix.max()), int(q_fix.max())) - fmin + 1
     enc_s = s_lay * fspan + (s_fix - fmin)
     enc_q = ql * fspan + (q_fix - fmin)
-    order = np.lexsort((s_lo, enc_s))
-    enc_ss, lo_ss, hi_ss, w_ss = enc_s[order], s_lo[order], s_hi[order], s_w[order]
-    uniq, g_start = np.unique(enc_ss, return_index=True)
-    g_end = np.append(g_start[1:], len(enc_ss))
-    gs = np.searchsorted(uniq, enc_ss)
+    order = _lexsort((s_lo, enc_s))
+    enc_ss, lo_ss, hi_ss = enc_s[order], s_lo[order], s_hi[order]
     xmin = min(int(lo_ss.min()), int(q_var.min()))
     xband = max(int(hi_ss.max()), int(q_var.max())) - xmin + 1
-    cm = np.maximum.accumulate((hi_ss - xmin) + gs * xband)
-    q_gpos = np.searchsorted(uniq, enc_q)
-    in_range = q_gpos < len(uniq)
-    has_group = in_range.copy()
-    has_group[in_range] = uniq[q_gpos[in_range]] == enc_q[in_range]
-    pos = np.searchsorted(
-        enc_ss * xband + (lo_ss - xmin),
-        enc_q * xband + (q_var - xmin),
-        side="left",
-    )
-    idx = np.flatnonzero(has_group & (pos > 0))
-    if not idx.size:
+    band = enc_ss * xband - xmin
+    # cm[i]: the running maximum over the first i sorted segments
+    cm = np.empty(len(band) + 1, dtype=np.int64)
+    cm[0] = np.iinfo(np.int64).min
+    np.maximum.accumulate(band + hi_ss, out=cm[1:])
+    key_q = enc_q * xband + (q_var - xmin)
+    # the queries in key order: the search then walks the segment keys
+    # forward instead of jumping about them
+    q_order = _lexsort((key_q,))
+    key_q = key_q[q_order]
+    pos = np.searchsorted(band + lo_ss, key_q, side="left")
+    hit_idx = q_order[cm[pos] > key_q]
+    if not hit_idx.size:
         return count, keyed
-    # earlier groups can never exceed this group's threshold, so one
-    # prefix cummax answers "any same-group segment with lo < q < hi?"
-    thr = q_gpos[idx] * xband + (q_var[idx] - xmin)
-    hit_idx = idx[cm[pos[idx] - 1] > thr]
+    hit_idx.sort()
+    w_ss = s_w[order]
     for q in hit_idx.tolist():
-        g = int(q_gpos[q])
-        g0, g1 = int(g_start[g]), int(g_end[g])
+        g0, g1 = np.searchsorted(enc_ss, [enc_q[q], enc_q[q] + 1]).tolist()
         xv = int(q_var[q])
         wi = int(qw[q])
         sl = slice(g0, g1)
@@ -583,7 +626,7 @@ def _vt_nodes_disjoint(nodes, index, rep: ValidationReport) -> None:
     n = len(rx)
     if n < 2:
         return
-    order = np.lexsort((rx, ry2, ry))
+    order = _lexsort((rx, ry2, ry))
     Y1, Y2, X1, X2 = ry[order], ry2[order], rx[order], rx2[order]
     new = np.empty(n, dtype=bool)
     new[0] = True
@@ -631,12 +674,12 @@ class _BandIndex:
 
     Built from one row per rect: the fixed-axis interval ``[fixed_lo,
     fixed_hi]`` names its band, the variable-axis interval ``[var_lo,
-    var_hi]`` is stored in it.  One ``lexsort`` orders bands by their
-    interval and each band's stored intervals ascending, duplicates
-    kept."""
+    var_hi]`` is stored in it.  One packed sort (:func:`_lexsort`)
+    orders bands by their interval and each band's stored intervals
+    ascending, duplicates kept."""
 
     def __init__(self, fixed_lo, fixed_hi, var_lo, var_hi) -> None:
-        order = np.lexsort((var_hi, var_lo, fixed_hi, fixed_lo))
+        order = _lexsort((var_hi, var_lo, fixed_hi, fixed_lo))
         a, b = fixed_lo[order], fixed_hi[order]
         n = len(order)
         new = np.ones(n, dtype=bool)

@@ -95,6 +95,22 @@ def edge_array(
     return out
 
 
+def _canon_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Int64 edge rows ``[u..., v...]`` (``k`` columns an endpoint) with
+    each row's endpoints put in lexicographic order, as a new array."""
+    a, b = rows[:, :k], rows[:, k:]
+    flip = np.zeros(len(rows), dtype=bool)
+    decided = np.zeros(len(rows), dtype=bool)
+    for j in range(k):
+        less = b[:, j] < a[:, j]
+        flip |= less & ~decided
+        decided |= less | (b[:, j] > a[:, j])
+    out = rows.copy()
+    np.copyto(out[:, :k], b, where=flip[:, None])
+    np.copyto(out[:, k:], a, where=flip[:, None])
+    return out
+
+
 def _canon(u: Node, v: Node) -> Edge:
     """Canonical (sorted) form of an undirected edge key."""
     # Nodes in this project are ints or tuples of ints; both sort fine.
@@ -242,6 +258,18 @@ class Graph:
         counts = np.concatenate([c for _, c in self._pending])
         return arr, counts, arity
 
+    def _staged_edge_rows(self) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+        """``(rows, counts, arity)`` of a purely staged graph: one int64
+        row ``[u..., v...]`` per staged edge with its endpoints in
+        canonical order (:func:`_canon_rows`), and the edges'
+        multiplicities; ``None`` for any other graph."""
+        staged = self._staged_arrays()
+        if staged is None:
+            return None
+        arr, counts, arity = staged
+        k = arity if arity else 1
+        return _canon_rows(arr.reshape(len(counts), 2 * k), k), counts, arity
+
     @staticmethod
     def _pack_rows(
         rows: np.ndarray,
@@ -265,11 +293,10 @@ class Graph:
         # compare before shifting: a far-off row could wrap into the frame
         elif ((rows < mins) | (rows > mins + (np.asarray(ranges) - 1))).any():
             return None
-        shifted = rows - mins
-        code = shifted[:, 0].copy()
+        code = rows[:, 0] - mins[0]
         for j in range(1, rows.shape[1]):
             code *= ranges[j]
-            code += shifted[:, j]
+            code += rows[:, j] - mins[j]
         return code, mins, ranges
 
     @staticmethod
@@ -285,6 +312,14 @@ class Graph:
         return out
 
     @staticmethod
+    def _aggregate_codes(
+        codes: np.ndarray, weights: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted unique :meth:`_pack_rows` codes plus summed weights."""
+        keys, inv = np.unique(codes, return_inverse=True)
+        return keys, np.bincount(inv, weights=weights).astype(np.int64)
+
+    @staticmethod
     def _aggregate_rows(
         rows: np.ndarray, weights: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -295,8 +330,7 @@ class Graph:
         packed = Graph._pack_rows(rows)
         if packed is not None:
             codes, mins, ranges = packed
-            keys, inv = np.unique(codes, return_inverse=True)
-            agg = np.bincount(inv, weights=weights).astype(np.int64)
+            keys, agg = Graph._aggregate_codes(codes, weights)
             return Graph._unpack_codes(keys, mins, ranges), agg
         uniq, inv = np.unique(rows, axis=0, return_inverse=True)
         agg = np.bincount(inv.ravel(), weights=weights).astype(np.int64)
@@ -348,28 +382,11 @@ class Graph:
         node set is not representable (mixed or non-int node types).
         Isolated nodes do not appear in the export.
         """
-        staged = self._staged_arrays()
+        staged = self._staged_edge_rows()
         if staged is not None:
-            arr, counts, arity = staged
-            k = arity if arity else 1
-            a = arr[:, 0].reshape(-1, k)
-            b = arr[:, 1].reshape(-1, k)
-            # canonicalise each row: endpoints in lexicographic order
-            if arity:
-                flip = np.zeros(len(counts), dtype=bool)
-                decided = np.zeros(len(counts), dtype=bool)
-                for j in range(k):
-                    less = b[:, j] < a[:, j]
-                    flip |= less & ~decided
-                    decided |= less | (b[:, j] > a[:, j])
-            else:
-                flip = b[:, 0] < a[:, 0]
-            lo = np.where(flip[:, None], b, a)
-            hi = np.where(flip[:, None], a, b)
-            uniq, agg = self._aggregate_rows(
-                np.concatenate([lo, hi], axis=1), counts
-            )
-            edges = uniq.reshape(-1, 2, k) if arity else uniq
+            rows, counts, arity = staged
+            uniq, agg = self._aggregate_rows(rows, counts)
+            edges = uniq.reshape(-1, 2, arity) if arity else uniq
             return edges, agg
         self._materialize()
         arity = self._export_arity()

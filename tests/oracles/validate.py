@@ -6,9 +6,9 @@ indexes.  The differential suites hold :func:`repro.layout.validate_layout`
 to it: the same verdict, error count and error-message set on valid and
 mutated layouts (message order differs; the production sweeps emit in
 sorted order).  The helpers it shares with the production validator
-(``_canon_edge``, ``_net_end_rows``, ``_canon_rows``,
-``_realizes_fallback``, ``_nodes_disjoint_sweep``) stay in
-:mod:`repro.layout.validate`;
+(``_canon_edge``, ``_net_end_rows``, ``_realizes_fallback``,
+``_nodes_disjoint_sweep``) stay in :mod:`repro.layout.validate`, and
+``_canon_rows`` in :mod:`repro.topology.graph`;
 ``_staged_nodes_placed``, which only this checker's realizes-graph fast
 path calls, lives here.
 """
@@ -26,12 +26,11 @@ from repro.layout.model import Layout
 from repro.layout.validate import (
     ValidationReport,
     _canon_edge,
-    _canon_rows,
     _net_end_rows,
     _nodes_disjoint_sweep,
     _realizes_fallback,
 )
-from repro.topology.graph import Graph
+from repro.topology.graph import Graph, _canon_rows
 
 __all__ = ["validate_layout_legacy"]
 

@@ -220,9 +220,33 @@ class TestCommands:
     @pytest.mark.parametrize("argv, bound", [
         (["ccc", "-n", "3", "--layers", "1"], "L >= 2"),
         (["sort", "-n", "-1"], ">= 1, got -1"),
+        # above each declared upper bound (the engine is never reached)
+        (["sort", "-n", "40"], "n must be <= 24 (2**n values, bound "
+                               "16,777,216), got 40"),
+        (["hypercube", "-n", "17"], "n must be <= 16"),
+        (["ccc", "-n", "16"], "n must be <= 15"),
+        (["omega", "-n", "16"], "n must be <= 15"),
+        (["isn-layout", "--ks", "8,8"], "sum(ks) must be <= 15"),
+        (["omega", "-n", str(10 ** 5)], "n must be <= 15"),
     ])
-    def test_engine_bound_exits_2(self, argv, bound, capsys):
+    def test_engine_bound_exits_2(self, argv, bound, capsys, monkeypatch):
         """The engine names its bound before it allocates anything."""
+        if "must be <=" in bound:
+            # a bound that failed to hold would reach the command's first
+            # allocation: make that raise instead
+            target = {
+                "sort": "numpy.random.default_rng",
+                "hypercube": "repro.layout.hypercube_layout."
+                             "hypercube_2d_layout",
+                "ccc": "repro.layout.ccc_layout.ccc_2d_layout",
+                "omega": "repro.topology.omega.Omega.boundary_link_lists",
+                "isn-layout": "repro.topology.isn.ISN.boundary_link_lists",
+            }[argv[0]]
+
+            def engine(*_a, **_k):
+                raise AssertionError(f"{argv[0]} reached {target}")
+
+            monkeypatch.setattr(target, engine)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err

@@ -9,10 +9,11 @@ tables, validation reports (verdict, error count, kept messages, check
 list), and summary stats.  Mutated tables (collinear K_6 x 2 and the
 B_6 grid) must report the same at every chunk and bucket split, and
 the mutations that reach the realizes-graph check and node placement
-are also held to the legacy oracle in ``tests/oracles``.  A B_6 grid
-with more via-vs-segment hits than ``MAX_ERRORS_KEPT``, spread over
-the whole table, pins which hits the capped report keeps at every
-chunk and bucket split.  A ``tracemalloc`` guard pins that the chunked B_14 grid build's peak
+are also held to the legacy oracle in ``tests/oracles``.  Two B_6
+grids with more via-vs-segment hits than ``MAX_ERRORS_KEPT``, spread
+over the whole table, pin which hits the capped report keeps at every
+chunk and bucket split: H segments through rows of via columns, and V
+segments through columns of them.  A ``tracemalloc`` guard pins that the chunked B_14 grid build's peak
 allocation stays under the declared budget, i.e. the budget knob is
 real, not advisory.
 """
@@ -295,27 +296,56 @@ def _through_via_rows_table():
     return WireTable.concat([new, lay.wire_table()]), lay
 
 
+def _through_via_cols_table():
+    """The V-segment twin of :func:`_through_via_rows_table`: the B_6
+    grid with three wires put first, each one V segment on the H layer
+    (layer 2) through a column of via columns, each column from wires
+    spread over the whole table.  Column 54 (the right sides of the
+    nodes at x = 50) holds 32 wire starts, column 329 (the left sides
+    of the nodes there) 32 wire ends, and column 387 8 bends.  The first
+    two wires run between sides of their nodes; the third misses its
+    nodes at both ends.  That makes 5 errors before the via-vs-segment
+    check (one layer error a wire, two contiguity errors) and 71
+    via-vs-segment hits (the end at row 13 lies below the second
+    wire)."""
+    lay = build_grid_layout((2, 2, 2)).layout
+    H = 2
+    new = WireTable.from_segment_arrays(
+        [((0, 4), (51, 4), "col54"), ((12, 2), (63, 2), "col329"),
+         ((12, 6), (63, 6), "col387")],
+        np.arange(4, dtype=np.int64),
+        *np.array([(54, 13, 54, 185, H), (329, 14, 329, 185, H),
+                   (387, 14, 387, 185, H)], dtype=np.int64).T,
+    )
+    return WireTable.concat([new, lay.wire_table()]), lay
+
+
 @pytest.mark.parametrize("num_buckets", [1, 2, 3, 8])
 @pytest.mark.parametrize("chunk_wires", [1, 5, 17, 100])
 def test_error_cap_across_buckets(chunk_wires, num_buckets):
     """More than ``MAX_ERRORS_KEPT`` via-vs-segment hits, kept in the
     one-chunk query order (every wire start, then every end, then every
     bend), although a spill bucket's via columns come back chunk by
-    chunk: a chunk's bends before a later chunk's starts."""
-    t, lay = _through_via_rows_table()
+    chunk: a chunk's bends before a later chunk's starts.  The hits of H
+    segments meet the ``y``-keyed via columns, those of V segments the
+    ``x``-keyed ones."""
     sb = SwapButterfly.from_ks((2, 2, 2))
-    want = validate_table(t, lay.nodes, lay.model, graph=grid_graph(sb))
-    through = [e for e in want.errors if " passes through via of wire " in e]
-    # the fixture reaches the cap inside the via-vs-segment check
-    assert len(want.errors) == MAX_ERRORS_KEPT
-    assert len(through) == MAX_ERRORS_KEPT - 2
-    assert want.num_errors > 96
-    chunks = (t.slice_wires(lo, lo + chunk_wires)
-              for lo in range(0, t.num_wires, chunk_wires))
-    got = validate_table_chunked(chunks, lay.nodes, lay.model,
-                                 graph=grid_graph(sb),
-                                 num_buckets=num_buckets)
-    assert_reports_identical(got, want)
+    for fixture, before, hits in ((_through_via_rows_table, 2, 96),
+                                  (_through_via_cols_table, 5, 71)):
+        t, lay = fixture()
+        want = validate_table(t, lay.nodes, lay.model, graph=grid_graph(sb))
+        through = [e for e in want.errors
+                   if " passes through via of wire " in e]
+        # the fixture reaches the cap inside the via-vs-segment check
+        assert len(want.errors) == MAX_ERRORS_KEPT
+        assert len(through) == MAX_ERRORS_KEPT - before
+        assert want.num_errors > hits
+        chunks = (t.slice_wires(lo, lo + chunk_wires)
+                  for lo in range(0, t.num_wires, chunk_wires))
+        got = validate_table_chunked(chunks, lay.nodes, lay.model,
+                                     graph=grid_graph(sb),
+                                     num_buckets=num_buckets)
+        assert_reports_identical(got, want)
 
 
 def test_overlapping_node_bands():
