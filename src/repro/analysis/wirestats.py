@@ -6,12 +6,8 @@ the grid scheme trades a slightly larger area constant for a much
 shorter tail than the stage-column shape, which is exactly the paper's
 argument for its scheme (propagation delay, drive power).
 
-Lengths are read through :meth:`Layout.wire_table`, so table-backed
-layouts are measured columnar-ly.  The old object loop touched
-``layout.wires``, which silently materialized (and discarded) the
-native table of a vectorized layout just to compute statistics; the
-per-wire integer lengths are identical either way, pinned by the
-differential tests.
+Lengths are read from the columns of :meth:`Layout.wire_table`, one
+integer per wire.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ Commands mirror the library's main entry points:
 ``dims``        closed-form layout dimensions (works at any ``n``)
 ``collinear``   optimal collinear layout of ``K_N``
 ``board``       the Section 5.2 board calculator
-``optimize``    packaging parameter search under pin/size limits
 ``package``     exact vs closed-form pin accounting for one parameter
-                vector (row / nucleus / naive schemes) or an optimizer
-                sweep (``--exact`` verifies every candidate against the
+                vector (row / nucleus / naive schemes) or a packaging
+                parameter search under pin/size limits (``-n``;
+                ``--exact`` verifies every candidate against the
                 columnar link count); ``--json`` writes the report
 ``multilevel``  per-level pins of a nested packaging hierarchy
 ``hypercube``   2-D hypercube layout (companion-claim extension)
@@ -55,11 +55,11 @@ goes to stderr so stdout stays parseable.
 
 Bad input exits 2 with one ``<command>: <message>`` line on stderr,
 whether argparse, the service layer or an engine rejects it.  The
-subcommands that run an engine directly (``hypercube``, ``ccc``,
-``omega``, ``sort``, ``isn-layout``) also exit 2 above a declared bound
-on their size parameter, derived from the engine's size arithmetic and
-:data:`MAX_DIRECT_WIRES` wires or :data:`MAX_SORT_VALUES` values, before
-the engine allocates anything.
+subcommands that run an engine directly (``collinear``, ``hypercube``,
+``ccc``, ``omega``, ``sort``, ``isn-layout``) also exit 2 above a
+declared bound on their size parameter, derived from the engine's size
+arithmetic and :data:`MAX_DIRECT_WIRES` wires or
+:data:`MAX_SORT_VALUES` values, before the engine allocates anything.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def _positive_int(s: str) -> int:
 
 #: Declared upper bounds of the subcommands that run an engine directly
 #: rather than a cached query, in the sizes the engines build: the wires
-#: of a wire-level layout (these builders hold and validate one object a
-#: wire) and the values of a sort.  :func:`_check_bound` turns each into
+#: of a wire-level layout (built, validated and measured in memory) and
+#: the values of a sort.  :func:`_check_bound` turns each into
 #: a bound on the command's parameter before the engine allocates.
 MAX_DIRECT_WIRES = 1 << 20
 MAX_SORT_VALUES = 1 << 24
@@ -215,13 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--layers", type=int, default=2)
     b.add_argument("--svg", type=str, default=None,
                    help="write a chip-grid schematic SVG")
-
-    o = sub.add_parser("optimize", help="packaging parameter search")
-    o.add_argument("-n", type=int, required=True)
-    o.add_argument("--max-pins", type=int, default=None)
-    o.add_argument("--max-nodes", type=int, default=None)
-    o.add_argument("--max-l", type=int, default=4)
-    o.add_argument("--top", type=int, default=8)
 
     pk = sub.add_parser(
         "package", help="exact vs closed-form pin accounting / optimizer sweep"
@@ -540,6 +533,16 @@ def _cmd_collinear(args) -> int:
     from .viz.ascii import collinear_figure
     from .viz.svg import save_svg
 
+    # one wire per link of K_n x multiplicity; below n = 2 every size is
+    # 0 and the engine rejects n itself, and multiplicity 1 has passed
+    # the check on n
+    _check_bound("n", args.n, lambda n: n * (n - 1) // 2, MAX_DIRECT_WIRES,
+                 "n(n-1)/2 wires at multiplicity 1")
+    if args.n >= 2 and args.multiplicity > 1:
+        links = args.n * (args.n - 1) // 2
+        _check_bound("multiplicity", args.multiplicity, lambda m: m * links,
+                     MAX_DIRECT_WIRES,
+                     f"multiplicity*n(n-1)/2 wires at n = {args.n}")
     cl = collinear_layout(args.n, multiplicity=args.multiplicity, order=args.order)
     rep = validate_layout(cl.layout, cl.graph)
     s = cl.summary()
@@ -566,33 +569,6 @@ def _cmd_board(args) -> int:
     print(format_table(rows))
     if args.svg:
         print(f"wrote {save_board_svg(d, args.svg)}")
-    return 0
-
-
-def _cmd_optimize(args) -> int:
-    from .packaging import optimize_packaging
-
-    cands = optimize_packaging(
-        args.n,
-        max_nodes_per_module=args.max_nodes,
-        max_pins_per_module=args.max_pins,
-        max_l=args.max_l,
-    )
-    if not cands:
-        print("no feasible design")
-        return 1
-    rows = [
-        {
-            "ks": c.ks,
-            "scheme": c.scheme,
-            "modules": c.num_modules,
-            "max nodes": c.max_nodes_per_module,
-            "pins": c.pins_per_module,
-            "avg links/node": float(c.avg_links_per_node),
-        }
-        for c in cands[: args.top]
-    ]
-    print(format_table(rows))
     return 0
 
 

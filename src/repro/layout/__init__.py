@@ -2,10 +2,11 @@
 graphs, and the recursive grid layout scheme for butterflies under the
 Thompson and multilayer 2-D grid models.
 
-The wire-level hot path is columnar: builders emit a :class:`WireTable`
-(int64 segment arrays in CSR layout) directly, and :func:`validate_layout`
-runs sort/cummax sweeps over those columns — it is the chunked
-validator (:class:`ChunkedValidator`) fed the whole table as one chunk,
+A layout's wires are one :class:`WireTable` (int64 segment arrays in
+CSR layout): every builder emits one, :class:`Layout` holds it, and
+the validator, the measurements and ``viz/`` read its columns.
+:func:`validate_layout` runs sort/cummax sweeps over those columns —
+it is the chunked validator (:class:`ChunkedValidator`) fed the whole table as one chunk,
 so in-memory and out-of-core layouts go through one rule set.  Builds
 take one route the same way: each layout family has one builder, a
 chunk source (``chunked_*_table``) that streams the layout as chunks
@@ -16,10 +17,10 @@ budgeted stream validates in one serial pass, spilling grouped-check
 rows to disk from the second chunk on.  The original object-per-wire
 builders and checker live in ``tests/oracles`` as differential oracles:
 ``tests/test_layout_vectorized.py`` pins the columnar builders to
-identical layouts wire for wire, and the validator to identical
-verdicts and error counts.  ``Layout`` converts between table and
-:class:`Wire` objects losslessly, so ``viz/`` and other object-level
-consumers are unaffected.  The ``repro layout`` CLI subcommand is one
+equal tables and node maps, and the validator to identical verdicts
+and error counts.  The builders whose wires have irregular shapes
+(CCC, stage-column, generic collinear) emit through
+:class:`WireTableBuilder`.  The ``repro layout`` CLI subcommand is one
 cached build + validation + wire-statistics query."""
 
 from .blocks import BlockDims, block_dims
@@ -61,7 +62,7 @@ from .collinear import (
     optimal_track_count,
     track_assignment,
 )
-from .geometry import LayerPair, Rect, Segment, THOMPSON_LAYERS, Wire
+from .geometry import LayerPair, Rect, THOMPSON_LAYERS
 from .grid_scheme import (
     GridDims, GridLayoutResult, build_grid_layout, grid_dims, grid_graph,
     max_wire_bounds,
@@ -89,8 +90,6 @@ from .chunked import (
 
 __all__ = [
     "Rect",
-    "Segment",
-    "Wire",
     "LayerPair",
     "THOMPSON_LAYERS",
     "Layout",

@@ -35,9 +35,10 @@ from typing import Dict, List, Optional, Tuple
 from ..topology.bits import flip_bit
 from ..topology.graph import Graph
 from .collinear_generic import left_edge_tracks
-from .geometry import Rect, Wire
+from .geometry import Rect
 from .model import Layout, multilayer_model, thompson_model
 from .tracks import TrackGrouping, base_layer_pair
+from .wiretable import WireTableBuilder
 
 __all__ = ["ccc_graph", "CccDims", "CccResult", "ccc_2d_layout", "ccc_2d_dims"]
 
@@ -142,7 +143,8 @@ def ccc_2d_layout(
 
     model = thompson_model() if L == 2 else multilayer_model(L)
     base = base_layer_pair(L)
-    lay = Layout(model=model, name=f"CCC{n}-L{L}")
+    nodes: Dict[Tuple[int, int], Rect] = {}
+    tb = WireTableBuilder()
     graph = ccc_graph(n)
 
     def origin(x: int) -> Tuple[int, int]:
@@ -156,36 +158,32 @@ def ccc_2d_layout(
     for x in range(1 << n):
         for d in range(n):
             px, py = node_pos(x, d)
-            lay.add_node((x, d), Rect(px, py, W, W))
+            nodes[(x, d)] = Rect(px, py, W, W)
 
     # --- cycle links ------------------------------------------------------
     for x in range(1 << n):
         ox, oy = origin(x)
         for d in range(n - 1):
             px, py = node_pos(x, d)
-            lay.add_wire(
-                Wire.from_path(
-                    ((x, d), (x, d + 1), "cycle"),
-                    [(px, py + W), (px, py + W + 1)],
-                    base,
-                )
+            tb.add_path(
+                ((x, d), (x, d + 1), "cycle"),
+                [(px, py + W), (px, py + W + 1)],
+                base,
             )
         if n >= 2:
             # wrap link via the cell channel's track 0
             track_x = ox + W + 1
             _, y_hi = node_pos(x, n - 1)
             _, y_lo = node_pos(x, 0)
-            lay.add_wire(
-                Wire.from_path(
-                    ((x, n - 1), (x, 0), "wrap"),
-                    [
-                        (ox + W, y_hi + _SLOT_WRAP),
-                        (track_x, y_hi + _SLOT_WRAP),
-                        (track_x, y_lo + _SLOT_WRAP),
-                        (ox + W, y_lo + _SLOT_WRAP),
-                    ],
-                    base,
-                )
+            tb.add_path(
+                ((x, n - 1), (x, 0), "wrap"),
+                [
+                    (ox + W, y_hi + _SLOT_WRAP),
+                    (track_x, y_hi + _SLOT_WRAP),
+                    (track_x, y_lo + _SLOT_WRAP),
+                    (ox + W, y_lo + _SLOT_WRAP),
+                ],
+                base,
             )
 
     # --- dimension links d < b: horizontal row channels -------------------
@@ -212,18 +210,16 @@ def ccc_2d_layout(
             _, y1 = node_pos(x1, d)
             _, y2 = node_pos(x2, d)
             track_y = r * gc_h + cell_h + 1 + gh.offset_of(track)
-            lay.add_wire(
-                Wire.from_legs(
-                    ((x1, d), (x2, d), "dim"),
-                    [
-                        ([(o1[0] + W, y1 + _SLOT_DIM_OUT),
-                          (rx1, y1 + _SLOT_DIM_OUT)], base),
-                        ([(rx1, y1 + _SLOT_DIM_OUT), (rx1, track_y),
-                          (rx2, track_y), (rx2, y2 + _SLOT_DIM_IN)], pair),
-                        ([(rx2, y2 + _SLOT_DIM_IN),
-                          (o2[0] + W, y2 + _SLOT_DIM_IN)], base),
-                    ],
-                )
+            tb.add_legs(
+                ((x1, d), (x2, d), "dim"),
+                [
+                    ([(o1[0] + W, y1 + _SLOT_DIM_OUT),
+                      (rx1, y1 + _SLOT_DIM_OUT)], base),
+                    ([(rx1, y1 + _SLOT_DIM_OUT), (rx1, track_y),
+                      (rx2, track_y), (rx2, y2 + _SLOT_DIM_IN)], pair),
+                    ([(rx2, y2 + _SLOT_DIM_IN),
+                      (o2[0] + W, y2 + _SLOT_DIM_IN)], base),
+                ],
             )
 
     # --- dimension links d >= b: vertical column channels -----------------
@@ -246,20 +242,20 @@ def ccc_2d_layout(
             _, y1 = node_pos(x1, d)
             _, y2 = node_pos(x2, d)
             track_x = cc * gc_w + cell_w + 1 + gv.offset_of(track)
-            lay.add_wire(
-                Wire.from_legs(
-                    ((x1, d), (x2, d), "dim"),
-                    [
-                        ([(o1[0] + W, y1 + _SLOT_DIM_OUT),
-                          (track_x, y1 + _SLOT_DIM_OUT)], base),
-                        ([(track_x, y1 + _SLOT_DIM_OUT),
-                          (track_x, y2 + _SLOT_DIM_IN)], pair),
-                        ([(track_x, y2 + _SLOT_DIM_IN),
-                          (o2[0] + W, y2 + _SLOT_DIM_IN)], base),
-                    ],
-                )
+            tb.add_legs(
+                ((x1, d), (x2, d), "dim"),
+                [
+                    ([(o1[0] + W, y1 + _SLOT_DIM_OUT),
+                      (track_x, y1 + _SLOT_DIM_OUT)], base),
+                    ([(track_x, y1 + _SLOT_DIM_OUT),
+                      (track_x, y2 + _SLOT_DIM_IN)], pair),
+                    ([(track_x, y2 + _SLOT_DIM_IN),
+                      (o2[0] + W, y2 + _SLOT_DIM_IN)], base),
+                ],
             )
 
+    lay = Layout(model=model, name=f"CCC{n}-L{L}", nodes=nodes,
+                 table=tb.build())
     return CccResult(layout=lay, graph=graph, dims=dims)
 
 

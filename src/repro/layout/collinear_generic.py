@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..topology.graph import Graph
-from .geometry import LayerPair, Rect, THOMPSON_LAYERS, Wire
+from .geometry import LayerPair, Rect, THOMPSON_LAYERS
 from .model import Layout, LayoutModel, thompson_model
+from .wiretable import WireTableBuilder
 
 __all__ = [
     "cut_congestion",
@@ -169,19 +170,18 @@ def generic_collinear_layout(
                 rank += graph.multiplicity(u, w)
         return iu * pitch + rank + copy
 
-    lay = Layout(model=model or thompson_model(), name=f"collinear-{graph.name}")
-    for i, u in enumerate(nodes):
-        lay.add_node(u, Rect(i * pitch, 0, side, side))
-
+    tb = WireTableBuilder()
     track_of: Dict[Tuple, int] = {}
     for (u, v, copy), t in sorted(assign.items(), key=lambda kv: str(kv)):
         y = top + 1 + t
         xa = terminal_x(u, v, copy)
         xb = terminal_x(v, u, copy)
-        lay.add_wire(
-            Wire.from_path((u, v, copy), [(xa, top), (xa, y), (xb, y), (xb, top)], layers)
-        )
+        tb.add_path((u, v, copy), [(xa, top), (xa, y), (xb, y), (xb, top)], layers)
         track_of[(u, v, copy)] = t
+    lay = Layout(model=model or thompson_model(), name=f"collinear-{graph.name}",
+                 table=tb.build())
+    for i, u in enumerate(nodes):
+        lay.add_node(u, Rect(i * pitch, 0, side, side))
     return GenericCollinearLayout(
         graph=graph,
         order=tuple(nodes),

@@ -17,10 +17,10 @@ The construction mirrors the legacy builder category by category:
   ``(destination grid row, stage, rank, role)`` exactly like the legacy
   ``pending_feeds.sort``;
 * inter-block wires: out/in stubs are joined on the link id, grouped by
-  the channel key, and the three legs are fused with
-  :meth:`Wire.from_legs`' merge rule applied analytically — consecutive
-  collinear runs merge iff the channel group's layer equals the base
-  layer, which splits each channel category into a fixed-segment-count
+  the channel key, and the three legs are fused with the run-merge rule
+  of :func:`~repro.layout.wiretable.merge_legs` applied analytically —
+  consecutive collinear runs merge iff the channel group's layer equals
+  the base layer, which splits each channel category into a fixed-segment-count
   "merged" and "unmerged" variant.
 
 Finally the categories' wires are gathered once into the legacy

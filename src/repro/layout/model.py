@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
-from .geometry import Rect, Wire
+from .geometry import Rect
+from .wiretable import WireTable
 
 __all__ = ["LayoutModel", "Layout", "thompson_model", "multilayer_model"]
 
@@ -103,13 +104,9 @@ class Layout:
     builder's :class:`~repro.layout.grid_table.GridNodes`, which
     :meth:`add_node` copies to a dict on the first write.
 
-    Wires are stored either as a list of :class:`Wire` objects or as a
-    columnar :class:`~repro.layout.wiretable.WireTable` (what the
-    vectorized builders emit).  The two are interchangeable: accessing
-    ``.wires`` on a table-backed layout materialises objects lazily (and
-    drops the table, since the returned list may be mutated in place),
-    while ``wire_table()`` hands the native table to vectorized consumers
-    without any object churn.
+    The wires are one :class:`~repro.layout.wiretable.WireTable` (no
+    table means no wires), read through :meth:`wire_table`; every
+    measurement below reads its columns.
     """
 
     def __init__(
@@ -117,46 +114,16 @@ class Layout:
         model: LayoutModel,
         name: str = "",
         nodes: Mapping[Hashable, Rect] = None,
-        wires: List[Wire] = None,
-        table=None,
+        table: Optional[WireTable] = None,
     ) -> None:
-        if wires is not None and table is not None:
-            raise ValueError("pass either wires or table, not both")
         self.model = model
         self.name = name
         self.nodes: Mapping[Hashable, Rect] = {} if nodes is None else nodes
-        self._wires: List[Wire] = (
-            wires if wires is not None else ([] if table is None else None)
-        )
-        self._table = table
+        self._table = WireTable.empty() if table is None else table
 
-    @property
-    def wires(self) -> List[Wire]:
-        if self._wires is None:
-            self._wires = self._table.to_wires()
-            # The list may be mutated by callers; the table would go stale.
-            self._table = None
-        return self._wires
-
-    @wires.setter
-    def wires(self, value: List[Wire]) -> None:
-        self._wires = value
-        self._table = None
-
-    @property
-    def has_native_table(self) -> bool:
-        """True while the wires still live only in columnar form."""
-        return self._table is not None
-
-    def wire_table(self):
-        """The layout's wires as a :class:`WireTable` — the native table
-        when one is backing this layout, else a fresh conversion of the
-        (possibly mutated) object wires."""
-        if self._table is not None:
-            return self._table
-        from .wiretable import WireTable
-
-        return WireTable.from_wires(self.wires)
+    def wire_table(self) -> WireTable:
+        """The layout's wires."""
+        return self._table
 
     def add_node(self, node: Hashable, rect: Rect) -> None:
         if node in self.nodes:
@@ -165,34 +132,18 @@ class Layout:
             self.nodes = dict(self.nodes.items())
         self.nodes[node] = rect
 
-    def add_wire(self, wire: Wire) -> None:
-        self.wires.append(wire)
-
     # ------------------------------------------------------------------
     # measurement
     # ------------------------------------------------------------------
     def bounding_box(self) -> Tuple[int, int, int, int]:
         """``(x_min, y_min, x_max, y_max)`` over all nodes and wires —
         the paper's smallest upright encompassing rectangle."""
-        xs: List[int] = []
-        ys: List[int] = []
-        nb = _node_box(self.nodes)
-        if nb is not None:
-            xs.extend((nb[0], nb[2]))
-            ys.extend((nb[1], nb[3]))
-        if self._table is not None:
-            box = self._table.bounding_box()
-            if box is not None:
-                xs.extend((int(box[0]), int(box[2])))
-                ys.extend((int(box[1]), int(box[3])))
-        else:
-            for w in self.wires:
-                for s in w.segments:
-                    xs.extend((s.x1, s.x2))
-                    ys.extend((s.y1, s.y2))
-        if not xs:
+        boxes = [b for b in (_node_box(self.nodes), self._table.bounding_box())
+                 if b is not None]
+        if not boxes:
             raise ValueError("empty layout")
-        return (min(xs), min(ys), max(xs), max(ys))
+        x1s, y1s, x2s, y2s = zip(*boxes)
+        return (min(x1s), min(y1s), max(x2s), max(y2s))
 
     @property
     def width(self) -> int:
@@ -214,34 +165,22 @@ class Layout:
         return self.area * self.model.num_layers
 
     def max_wire_length(self) -> int:
-        if self._table is not None:
-            return self._table.max_wire_length()
-        return max((w.length for w in self.wires), default=0)
+        return self._table.max_wire_length()
 
     def total_wire_length(self) -> int:
-        if self._table is not None:
-            return self._table.total_wire_length()
-        return sum(w.length for w in self.wires)
+        return self._table.total_wire_length()
 
     def num_vias(self) -> int:
-        if self._table is not None:
-            return self._table.num_vias()
-        return sum(len(w.vias()) for w in self.wires)
+        return self._table.num_vias()
 
     def layers_used(self) -> List[int]:
-        if self._table is not None:
-            return self._table.layers_used()
-        return sorted({s.layer for w in self.wires for s in w.segments})
+        return self._table.layers_used()
 
     def segment_count(self) -> int:
-        if self._table is not None:
-            return self._table.num_segments
-        return sum(len(w.segments) for w in self.wires)
+        return self._table.num_segments
 
     def num_wires(self) -> int:
-        if self._table is not None:
-            return self._table.num_wires
-        return len(self.wires)
+        return self._table.num_wires
 
     def summary(self) -> Dict[str, int]:
         """One-stop metrics dict used by benches and EXPERIMENTS.md."""

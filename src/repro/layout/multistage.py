@@ -25,9 +25,10 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from ..topology.graph import Graph
 from .collinear_generic import left_edge_tracks
-from .geometry import Rect, Wire
+from .geometry import Rect
 from .model import Layout, multilayer_model, thompson_model
 from .tracks import TrackGrouping, base_layer_pair
+from .wiretable import WireTableBuilder
 
 __all__ = ["MultistageDims", "MultistageResult", "build_multistage_layout", "multistage_dims"]
 
@@ -184,7 +185,8 @@ def build_multistage_layout(
 
     model = thompson_model() if L == 2 else multilayer_model(L)
     base = base_layer_pair(L)
-    lay = Layout(model=model, name=f"{name}-{rows}x{dims.stages}-L{L}")
+    nodes: Dict[Tuple[int, int], Rect] = {}
+    tb = WireTableBuilder()
     net = Graph(name=name)
 
     def row_y(u: int) -> int:
@@ -192,7 +194,7 @@ def build_multistage_layout(
 
     for s in range(dims.stages):
         for u in range(rows):
-            lay.add_node((u, s), Rect(colx[s], row_y(u), W, W))
+            nodes[(u, s)] = Rect(colx[s], row_y(u), W, W)
             net.add_node((u, s))
 
     for s, links in enumerate(link_lists):
@@ -210,10 +212,8 @@ def build_multistage_layout(
             straight_out.add(u)
             y0 = row_y(u) + _SLOT_STRAIGHT
             net.add_edge((u, s), (u, s + 1))
-            lay.add_wire(
-                Wire.from_path(
-                    ((u, s), (u, s + 1), "straight"), [(right, y0), (nxt, y0)], base
-                )
+            tb.add_path(
+                ((u, s), (u, s + 1), "straight"), [(right, y0), (nxt, y0)], base
             )
         # channel nets: assign per-node out/in slots deterministically
         out_rank: Dict[int, int] = defaultdict(int)
@@ -232,14 +232,14 @@ def build_multistage_layout(
             yo = row_y(u) + _SLOTS_OUT[ou]
             yi = row_y(v) + _SLOTS_IN[iv]
             net.add_edge((u, s), (v, s + 1))
-            lay.add_wire(
-                Wire.from_legs(
-                    ((u, s), (v, s + 1), "cross"),
-                    [
-                        ([(right, yo), (tx, yo)], base),
-                        ([(tx, yo), (tx, yi)], pair),
-                        ([(tx, yi), (nxt, yi)], base),
-                    ],
-                )
+            tb.add_legs(
+                ((u, s), (v, s + 1), "cross"),
+                [
+                    ([(right, yo), (tx, yo)], base),
+                    ([(tx, yo), (tx, yi)], pair),
+                    ([(tx, yi), (nxt, yi)], base),
+                ],
             )
+    lay = Layout(model=model, name=f"{name}-{rows}x{dims.stages}-L{L}",
+                 nodes=nodes, table=tb.build())
     return MultistageResult(layout=lay, graph=net, dims=dims)

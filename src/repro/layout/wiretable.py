@@ -1,34 +1,35 @@
-"""Columnar wire storage: the vectorized layout engine's core.
+"""Columnar wire storage: the one representation of a layout's wires.
 
 A :class:`WireTable` holds every wire of a layout as int64 numpy columns
-(one row per segment, CSR-style ``indptr`` per wire) instead of a list of
-:class:`~repro.layout.geometry.Wire` objects.  Builders emit tables
-directly; conversion to/from the object representation is lossless
-(``from_wires`` / ``to_wires``), so visualisation and all existing
-object-level callers keep working while the hot paths — construction,
-validation, measurement — run as numpy sweeps.
+(one row per segment, CSR-style ``indptr`` per wire).  Every builder
+emits one: the regular families straight from numpy, and the builders
+with irregular wire shapes (CCC, stage-column, generic collinear)
+through :class:`WireTableBuilder`, whose :func:`merge_legs` applies the
+run-merge rule to point paths.  Construction, validation, measurement
+and rendering all read the columns.
 
-Segments are stored normalized exactly like :class:`Segment`
-(``(x1, y1) <= (x2, y2)`` lexicographically), which is what makes
-``to_wires`` byte-for-byte reproduce the object builder's output; the
+Segments are stored normalized (``(x1, y1) <= (x2, y2)``
+lexicographically, axis-aligned, nonzero length, layer >= 1), which
+:meth:`WireTable.from_segment_arrays` enforces.  The object-per-wire
+originals in ``tests/oracles`` must yield equal tables; the
 differential suite in ``tests/test_layout_vectorized.py`` pins that.
 
-Path order (which endpoint is the wire's start) is not stored — neither
-does :class:`Wire`, whose ``path_points`` reconstructs it from segment
-contiguity.  :meth:`WireTable.paths` performs the same reconstruction
-vectorized: a short loop over segment *positions* (bounded by the longest
-wire, ~7 segments here) with each step a whole-table numpy operation.
+Path order (which endpoint is the wire's start) is not stored: it is
+reconstructed from segment contiguity.  :meth:`WireTable.paths` does
+that vectorized: a short loop over segment *positions* (bounded by the
+longest wire, ~7 segments here) with each step a whole-table numpy
+operation.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import LayerPair, Segment, Wire
+from .geometry import LayerPair
 
 __all__ = ["WireTable", "WireTableBuilder", "merge_legs"]
 
@@ -38,12 +39,17 @@ Point = Tuple[int, int]
 def merge_legs(
     net: Tuple, legs: Sequence[Tuple[Sequence[Point], LayerPair]]
 ) -> List[Tuple[int, int, int, int, int]]:
-    """The exact run-merge of :meth:`Wire.from_legs`, on plain tuples.
+    """The run-merge rule: one wire's segments from its point legs.
 
+    ``legs`` are consecutive point paths, each with the
+    :class:`~repro.layout.geometry.LayerPair` it is wired on (vertical
+    moves on ``pair.vertical``, horizontal ones on ``pair.horizontal``).
     Returns directed runs ``(ax, ay, bx, by, layer)``: consecutive
-    duplicate points dropped, collinear same-layer continuing runs merged.
-    Shared by the table builders so that a table-native wire and the
-    object wire built from the same legs have identical segments.
+    duplicate points dropped, and a straight run continuing across
+    points or legs *on the same layer* merged into one segment, so the
+    validator sees whole runs and a run split into pieces cannot graze
+    another net's via unnoticed.  Raises ``ValueError`` for a diagonal
+    move or a path with no move.
     """
     runs: List[Tuple[int, int, int, int, int]] = []
     last: Optional[Point] = None
@@ -98,15 +104,16 @@ class WireTable:
     """All wires of a layout as int64 segment columns.
 
     ``nets[w]`` is wire ``w``'s net tuple; its segments occupy rows
-    ``indptr[w] : indptr[w + 1]`` of the coordinate/layer columns, in path
-    order, normalized like :class:`Segment`.  ``nets`` is a sequence:
-    a list of tuples, or column nets that make a tuple only when an item
-    is read and that gather with ``take`` and join with ``concat`` (the
-    grid source's :class:`~repro.layout.grid_table.GridNets`).  The
-    table operations keep column nets columnar; ``concat`` of tables
-    whose nets differ in kind falls back to a list.  Two tables are
-    ``==`` when their nets are equal item by item, whatever holds them,
-    and their six columns equal in dtype and values.
+    ``indptr[w] : indptr[w + 1]`` of the coordinate/layer columns, in
+    path order, each normalized to ``(x1, y1) <= (x2, y2)``.  ``nets``
+    is a sequence: a list of tuples, or column nets that make a tuple
+    only when an item is read and that gather with ``take`` and join
+    with ``concat`` (the grid source's
+    :class:`~repro.layout.grid_table.GridNets`).  The table operations
+    keep column nets columnar; ``concat`` of tables whose nets differ in
+    kind falls back to a list.  Two tables are ``==`` when their nets
+    are equal item by item, whatever holds them, and their six columns
+    equal in dtype and values.
     """
 
     nets: Sequence[Tuple]
@@ -137,10 +144,10 @@ class WireTable:
         x2: np.ndarray,
         y2: np.ndarray,
         layer: np.ndarray,
-        normalize: bool = True,
     ) -> "WireTable":
         """Assemble from raw columns, normalizing endpoint order and
-        validating the same invariants ``Segment`` enforces."""
+        checking that every segment is axis-aligned, of nonzero length
+        and on a layer >= 1."""
         arrs = [np.ascontiguousarray(a, dtype=np.int64)
                 for a in (x1, y1, x2, y2, layer)]
         x1, y1, x2, y2, layer = arrs
@@ -155,35 +162,12 @@ class WireTable:
             raise ValueError("zero-length segment")
         if layer.size and int(layer.min()) < 1:
             raise ValueError("layer must be >= 1")
-        if normalize:
-            swap = (x1 > x2) | ((x1 == x2) & (y1 > y2))
-            if np.any(swap):
-                x1, x2 = np.where(swap, x2, x1), np.where(swap, x1, x2)
-                y1, y2 = np.where(swap, y2, y1), np.where(swap, y1, y2)
+        swap = (x1 > x2) | ((x1 == x2) & (y1 > y2))
+        if np.any(swap):
+            x1, x2 = np.where(swap, x2, x1), np.where(swap, x1, x2)
+            y1, y2 = np.where(swap, y2, y1), np.where(swap, y1, y2)
         return cls(nets=nets if hasattr(nets, "take") else list(nets),
                    indptr=indptr, x1=x1, y1=y1, x2=x2, y2=y2, layer=layer)
-
-    @classmethod
-    def from_wires(cls, wires: Sequence[Wire]) -> "WireTable":
-        """Lossless import of object wires (already-normalized segments)."""
-        counts = np.fromiter((len(w.segments) for w in wires),
-                             dtype=np.int64, count=len(wires))
-        indptr = np.zeros(len(wires) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        cols = np.empty((5, total), dtype=np.int64)
-        i = 0
-        for w in wires:
-            for s in w.segments:
-                cols[0, i] = s.x1
-                cols[1, i] = s.y1
-                cols[2, i] = s.x2
-                cols[3, i] = s.y2
-                cols[4, i] = s.layer
-                i += 1
-        return cls(nets=[w.net for w in wires], indptr=indptr,
-                   x1=cols[0], y1=cols[1], x2=cols[2], y2=cols[3],
-                   layer=cols[4])
 
     @classmethod
     def concat(cls, tables: Sequence["WireTable"]) -> "WireTable":
@@ -312,14 +296,17 @@ class WireTable:
                 int(self.x2.max()), int(self.y2.max()))
 
     # ------------------------------------------------------------------
-    # path reconstruction (vectorized Wire.path_points)
+    # path reconstruction
     # ------------------------------------------------------------------
     def paths(self) -> _Paths:
         """Reconstruct every wire's ordered point path (cached).
 
-        Mirrors :meth:`Wire.path_points` including its failure points:
-        ``bad`` wires are those whose object counterpart raises, with
-        ``bad_at`` the failing segment index.
+        A one-segment wire runs from its first endpoint.  A longer one
+        starts at the endpoint of its first segment that the second does
+        not share (the second endpoint if it shares both), and each later
+        segment must continue from the previous point.  ``bad`` wires
+        are those whose walk fails, with ``bad_at`` the failing segment
+        index.
         """
         if self._paths is not None:
             return self._paths
@@ -405,54 +392,19 @@ class WireTable:
     def num_vias(self) -> int:
         return int(self.vias_per_wire().sum())
 
-    # ------------------------------------------------------------------
-    # object conversion
-    # ------------------------------------------------------------------
-    def to_wires(self) -> List[Wire]:
-        """Materialise object wires (lossless; segments already normalized
-        so ``Segment`` construction re-derives the same values)."""
-        x1 = self.x1.tolist()
-        y1 = self.y1.tolist()
-        x2 = self.x2.tolist()
-        y2 = self.y2.tolist()
-        lay = self.layer.tolist()
-        bounds = self.indptr.tolist()
-        out: List[Wire] = []
-        for w, net in enumerate(self.nets):
-            lo, hi = bounds[w], bounds[w + 1]
-            segs = [
-                Segment(x1[i], y1[i], x2[i], y2[i], lay[i])
-                for i in range(lo, hi)
-            ]
-            out.append(Wire(net=net, segments=segs))
-        return out
-
-    def net_segment_map(self):
-        """``net -> ((x1, y1, x2, y2, layer), ...)`` for set-level
-        comparisons in the differential tests."""
-        rows = np.stack([self.x1, self.y1, self.x2, self.y2, self.layer], axis=1)
-        rows_l = rows.tolist()
-        bounds = self.indptr.tolist()
-        return {
-            net: tuple(tuple(r) for r in rows_l[bounds[w]:bounds[w + 1]])
-            for w, net in enumerate(self.nets)
-        }
-
 
 class WireTableBuilder:
     """Incremental table assembly for builders with irregular wire shapes.
 
-    ``add_legs``/``add_path`` replicate the object builders' merge
-    semantics (via :func:`merge_legs`) without creating any ``Wire`` or
-    ``Segment`` objects; ``extend_table`` splices in a pre-vectorized
-    block of wires.  ``build()`` produces the normalized table.
+    ``add_legs``/``add_path`` append one wire, its segments merged by
+    :func:`merge_legs`, without creating any per-segment object;
+    ``build()`` produces the normalized table.
     """
 
     def __init__(self) -> None:
         self._nets: List[Tuple] = []
         self._counts: List[int] = []
         self._rows: List[Tuple[int, int, int, int, int]] = []
-        self._tables: List[Tuple[int, WireTable]] = []  # (position, table)
 
     def add_legs(
         self, net: Tuple, legs: Sequence[Tuple[Sequence[Point], LayerPair]]
@@ -467,40 +419,11 @@ class WireTableBuilder:
     ) -> None:
         self.add_legs(net, [(points, layers)])
 
-    def extend_table(self, table: WireTable) -> None:
-        if table.num_wires:
-            self._tables.append((len(self._nets), table))
-            self._nets.extend(table.nets)
-            self._counts.extend(np.diff(table.indptr).tolist())
-            # rows are spliced at build() time to avoid quadratic copies
-            self._rows.append(("table", len(self._tables) - 1, 0, 0, 0))
-
     def build(self) -> WireTable:
-        parts: List[np.ndarray] = []
-        plain: List[Tuple[int, int, int, int, int]] = []
-
-        def flush() -> None:
-            if plain:
-                parts.append(np.array(plain, dtype=np.int64).reshape(-1, 5))
-                plain.clear()
-
-        for row in self._rows:
-            if row[0] == "table":
-                flush()
-                t = self._tables[row[1]][1]
-                parts.append(
-                    np.stack([t.x1, t.y1, t.x2, t.y2, t.layer], axis=1)
-                )
-            else:
-                plain.append(row)
-        flush()
-        if parts:
-            cols = np.concatenate(parts, axis=0)
-        else:
-            cols = np.zeros((0, 5), dtype=np.int64)
+        cols = np.array(self._rows, dtype=np.int64).reshape(-1, 5)
         indptr = np.zeros(len(self._nets) + 1, dtype=np.int64)
         np.cumsum(np.asarray(self._counts, dtype=np.int64), out=indptr[1:])
         return WireTable.from_segment_arrays(
-            list(self._nets), indptr,
+            self._nets, indptr,
             cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3], cols[:, 4],
         )

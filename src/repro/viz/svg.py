@@ -1,8 +1,10 @@
 """SVG rendering of layouts (Figures 3 and 4 style output).
 
 Pure-string SVG generation (no dependencies): node rectangles, wire
-polylines colored by layer, vias as dots.  Scales/flips coordinates so
-renders match the paper's figures (y grows upward in our layouts).
+segments colored by layer, vias as dots, all read from the layout's
+:class:`~repro.layout.wiretable.WireTable` columns.  Scales/flips
+coordinates so renders match the paper's figures (y grows upward in our
+layouts).
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ def layout_to_svg(
     """Render a layout as an SVG document string.
 
     ``max_wires`` truncates very large layouts (rendering every wire of an
-    ``n = 12`` butterfly produces a 100 MB file; the structure is visible
-    from a sample).
+    ``n = 12`` butterfly produces a 46 MB file; the structure is visible
+    from a sample) to their first ``max_wires`` wires.  Each segment is
+    one line, and each bend where consecutive segments change layer is
+    one via dot.
     """
     x0, y0, x1, y1 = layout.bounding_box()
     W = (x1 - x0) * scale + 2 * margin
@@ -68,21 +72,34 @@ def layout_to_svg(
             f'fill="{node_fill}" stroke="#555" stroke-width="0.6">'
             f"<title>{node}</title></rect>"
         )
-    wires = layout.wires if max_wires is None else layout.wires[:max_wires]
-    for w in wires:
-        for s in w.segments:
+    t = layout.wire_table()
+    if max_wires is not None:
+        t = t.slice_wires(0, max_wires)
+    x1s, y1s, x2s, y2s, layers = (
+        c.tolist() for c in (t.x1, t.y1, t.x2, t.y2, t.layer)
+    )
+    bounds = t.indptr.tolist()
+    if show_vias:
+        paths = t.paths()
+        px, py = paths.px.tolist(), paths.py.tolist()
+    for w in range(t.num_wires):
+        lo, hi = bounds[w], bounds[w + 1]
+        for i in range(lo, hi):
             parts.append(
-                f'<line x1="{tx(s.x1):.1f}" y1="{ty(s.y1):.1f}" '
-                f'x2="{tx(s.x2):.1f}" y2="{ty(s.y2):.1f}" '
-                f'stroke="{_color(s.layer)}" stroke-width="0.8" '
+                f'<line x1="{tx(x1s[i]):.1f}" y1="{ty(y1s[i]):.1f}" '
+                f'x2="{tx(x2s[i]):.1f}" y2="{ty(y2s[i]):.1f}" '
+                f'stroke="{_color(layers[i])}" stroke-width="0.8" '
                 f'stroke-opacity="0.8"/>'
             )
         if show_vias:
-            for vx, vy in w.vias():
-                parts.append(
-                    f'<circle cx="{tx(vx):.1f}" cy="{ty(vy):.1f}" r="1.2" '
-                    f'fill="#222"/>'
-                )
+            # wire w's path points start at row lo + w, so the point
+            # after segment i is i + w + 1
+            for i in range(lo, hi - 1):
+                if layers[i] != layers[i + 1]:
+                    parts.append(
+                        f'<circle cx="{tx(px[i + w + 1]):.1f}" '
+                        f'cy="{ty(py[i + w + 1]):.1f}" r="1.2" fill="#222"/>'
+                    )
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -1,9 +1,9 @@
 """The original object-per-wire layout checker.
 
-:func:`validate_layout_legacy` walks ``Layout.wires`` one
-:class:`~repro.layout.geometry.Wire` at a time with sorted-interval
-indexes.  The differential suites hold :func:`repro.layout.validate_layout`
-to it: the same verdict, error count and error-message set on valid and
+:func:`validate_layout_legacy` converts the layout's table to
+:class:`~tests.oracles.wires.Wire` objects and walks them one at a time
+with sorted-interval indexes.  The differential suites hold
+:func:`repro.layout.validate_layout` to it: the same verdict, error count and error-message set on valid and
 mutated layouts (message order differs; the production sweeps emit in
 sorted order).  The helpers it shares with the production validator
 (``_canon_edge``, ``_net_end_rows``, ``_realizes_fallback``,
@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.layout.geometry import Segment, Wire
 from repro.layout.model import Layout
 from repro.layout.validate import (
     ValidationReport,
@@ -31,6 +30,8 @@ from repro.layout.validate import (
     _realizes_fallback,
 )
 from repro.topology.graph import Graph, _canon_rows
+
+from .wires import ObjectLayout, Segment, Wire
 
 __all__ = ["validate_layout_legacy"]
 
@@ -124,7 +125,7 @@ class _TrackIndex:
         return out
 
 
-def _check_layer_discipline(layout: Layout, rep: ValidationReport) -> None:
+def _check_layer_discipline(layout: ObjectLayout, rep: ValidationReport) -> None:
     rep.checks_run.append("layer-discipline")
     L = layout.model.num_layers
     v_ok, h_ok = set(layout.model.v_layers), set(layout.model.h_layers)
@@ -140,7 +141,7 @@ def _check_layer_discipline(layout: Layout, rep: ValidationReport) -> None:
                 )
 
 
-def _check_contiguity_and_terminals(layout: Layout, rep: ValidationReport) -> None:
+def _check_contiguity_and_terminals(layout: ObjectLayout, rep: ValidationReport) -> None:
     rep.checks_run.append("contiguity-terminals")
     for w in layout.wires:
         try:
@@ -210,7 +211,7 @@ def _check_realizes_graph(nets, placed, graph: Graph, rep: ValidationReport) -> 
     _realizes_fallback(got, placed, graph, rep)
 
 
-def _check_track_overlaps(idx: _TrackIndex, layout: Layout, rep: ValidationReport) -> None:
+def _check_track_overlaps(idx: _TrackIndex, layout: ObjectLayout, rep: ValidationReport) -> None:
     rep.checks_run.append("track-overlap")
     for key, a, b in idx.overlaps():
         layer, horiz, track = key
@@ -221,7 +222,7 @@ def _check_track_overlaps(idx: _TrackIndex, layout: Layout, rep: ValidationRepor
         )
 
 
-def _columns(layout: Layout) -> List[Tuple[int, int, int, int, int]]:
+def _columns(layout: ObjectLayout) -> List[Tuple[int, int, int, int, int]]:
     """Via/terminal columns ``(x, y, z_lo, z_hi, wire_idx)``.
 
     Bends span between their two segment layers.  Terminals drop to the
@@ -248,7 +249,7 @@ def _columns(layout: Layout) -> List[Tuple[int, int, int, int, int]]:
 
 
 def _check_via_conflicts(
-    idx: _TrackIndex, layout: Layout, rep: ValidationReport
+    idx: _TrackIndex, layout: ObjectLayout, rep: ValidationReport
 ) -> None:
     rep.checks_run.append("via-conflicts")
     cols = _columns(layout)
@@ -299,7 +300,7 @@ def _covers_strict_interior(w: Wire, layer: int, point: Tuple[int, int]) -> bool
     return False
 
 
-def _check_nodes_disjoint(layout: Layout, rep: ValidationReport) -> None:
+def _check_nodes_disjoint(layout: ObjectLayout, rep: ValidationReport) -> None:
     rep.checks_run.append("nodes-disjoint")
     _nodes_disjoint_sweep(layout.nodes, rep)
 
@@ -308,7 +309,7 @@ class _NodeBands:
     """Spatial index over node rects: bands of identical y-interval (for H
     segment queries) and of identical x-interval (for V queries)."""
 
-    def __init__(self, layout: Layout) -> None:
+    def __init__(self, layout: ObjectLayout) -> None:
         ybands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
         xbands: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
         for r in layout.nodes.values():
@@ -347,7 +348,7 @@ class _NodeBands:
         return False
 
 
-def _check_wires_avoid_nodes(layout: Layout, rep: ValidationReport) -> None:
+def _check_wires_avoid_nodes(layout: ObjectLayout, rep: ValidationReport) -> None:
     rep.checks_run.append("wires-avoid-nodes")
     bands = _NodeBands(layout)
     for w in layout.wires:
@@ -366,7 +367,7 @@ def _check_wires_avoid_nodes(layout: Layout, rep: ValidationReport) -> None:
                     )
 
 
-def _check_terminals_distinct(layout: Layout, rep: ValidationReport) -> None:
+def _check_terminals_distinct(layout: ObjectLayout, rep: ValidationReport) -> None:
     rep.checks_run.append("terminals-distinct")
     seen: Dict[Tuple[int, int], Tuple] = {}
     for w in layout.wires:
@@ -390,24 +391,25 @@ def validate_layout_legacy(
 ) -> ValidationReport:
     """The original object-per-wire checker, kept as the differential
     oracle for :func:`validate_layout`."""
+    obj = ObjectLayout.of(layout)
     rep = ValidationReport(ok=True)
-    _check_layer_discipline(layout, rep)
-    _check_contiguity_and_terminals(layout, rep)
+    _check_layer_discipline(obj, rep)
+    _check_contiguity_and_terminals(obj, rep)
 
     idx = _TrackIndex()
-    for wi, w in enumerate(layout.wires):
+    for wi, w in enumerate(obj.wires):
         for s in w.segments:
             idx.add(s, wi)
     idx.finalize()
-    _check_track_overlaps(idx, layout, rep)
+    _check_track_overlaps(idx, obj, rep)
     if check_vias:
-        _check_via_conflicts(idx, layout, rep)
-        _check_terminals_distinct(layout, rep)
+        _check_via_conflicts(idx, obj, rep)
+        _check_terminals_distinct(obj, rep)
     if check_nodes:
-        _check_nodes_disjoint(layout, rep)
-        _check_wires_avoid_nodes(layout, rep)
+        _check_nodes_disjoint(obj, rep)
+        _check_wires_avoid_nodes(obj, rep)
     if graph is not None:
         _check_realizes_graph(
-            [w.net for w in layout.wires], set(layout.nodes), graph, rep
+            [w.net for w in obj.wires], set(obj.nodes), graph, rep
         )
     return rep

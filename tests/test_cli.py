@@ -101,12 +101,9 @@ class TestCommands:
         assert main(["board", "--layers", "8"]) == 0
         assert "78400" in capsys.readouterr().out
 
-    def test_optimize(self, capsys):
-        assert main(["optimize", "-n", "9", "--max-pins", "64"]) == 0
+    def test_package_sweep(self, capsys):
+        assert main(["package", "-n", "9", "--max-pins", "64"]) == 0
         assert "(3, 3, 3)" in capsys.readouterr().out
-
-    def test_optimize_infeasible(self, capsys):
-        assert main(["optimize", "-n", "9", "--max-pins", "1"]) == 1
 
     def test_package_report(self, capsys):
         assert main(["package", "--ks", "3,3,3"]) == 0
@@ -228,6 +225,13 @@ class TestCommands:
         (["omega", "-n", "16"], "n must be <= 15"),
         (["isn-layout", "--ks", "8,8"], "sum(ks) must be <= 15"),
         (["omega", "-n", str(10 ** 5)], "n must be <= 15"),
+        # K_n x multiplicity: multiplicity * n(n-1)/2 wires
+        (["collinear", "-n", "1449"], "n must be <= 1448"),
+        (["collinear", "-n", str(10 ** 5)], "n must be <= 1448"),
+        (["collinear", "-n", "1000", "--multiplicity", "3"],
+         "multiplicity must be <= 2"),
+        (["collinear", "-n", "2", "--multiplicity", str(10 ** 7)],
+         "multiplicity must be <= 1048576"),
     ])
     def test_engine_bound_exits_2(self, argv, bound, capsys, monkeypatch):
         """The engine names its bound before it allocates anything."""
@@ -241,6 +245,7 @@ class TestCommands:
                 "ccc": "repro.layout.ccc_layout.ccc_2d_layout",
                 "omega": "repro.topology.omega.Omega.boundary_link_lists",
                 "isn-layout": "repro.topology.isn.ISN.boundary_link_lists",
+                "collinear": "repro.layout.collinear_layout",
             }[argv[0]]
 
             def engine(*_a, **_k):

@@ -15,6 +15,17 @@ from repro.topology.complete import complete_graph, complete_multigraph
 from repro.topology.graph import Graph
 from repro.topology.hypercube import hypercube_graph
 
+from tests.oracles.builders import generic_collinear_layout_legacy
+
+
+def assert_matches_legacy(gl, **kw):
+    """The layout equals the object builder's: track map, node map and
+    table."""
+    leg = generic_collinear_layout_legacy(gl.graph, **kw)
+    assert gl.track_of == leg.track_of
+    assert gl.layout.nodes == leg.layout.nodes
+    assert gl.layout.wire_table() == leg.layout.wire_table()
+
 
 def path_graph(n):
     g = Graph(f"P_{n}")
@@ -95,12 +106,14 @@ class TestGeometric:
         rep = validate_layout(gl.layout, gl.graph)
         assert rep.ok, rep.errors
         assert gl.tracks_total == gl.congestion
+        assert_matches_legacy(gl)
 
     def test_custom_order(self):
         g = complete_graph(5)
         gl = generic_collinear_layout(g, order=[4, 3, 2, 1, 0])
         validate_layout(gl.layout, gl.graph).raise_if_failed()
         assert gl.order == (4, 3, 2, 1, 0)
+        assert_matches_legacy(gl, order=[4, 3, 2, 1, 0])
 
     def test_node_side_check(self):
         with pytest.raises(ValueError):
@@ -124,3 +137,4 @@ def test_random_graph_property(n, pairs):
     gl = generic_collinear_layout(g)
     rep = validate_layout(gl.layout, gl.graph)
     assert rep.ok, rep.errors
+    assert_matches_legacy(gl)

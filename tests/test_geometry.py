@@ -1,15 +1,11 @@
-"""Tests for geometric primitives."""
+"""Tests for geometric primitives, and for the object ``Segment`` and
+``Wire`` that the oracles build layouts from."""
 
 import pytest
 
-from repro.layout.geometry import (
-    LayerPair,
-    Rect,
-    Segment,
-    THOMPSON_LAYERS,
-    Wire,
-    rectilinear_path_length,
-)
+from repro.layout.geometry import LayerPair, Rect, THOMPSON_LAYERS
+
+from tests.oracles.wires import Segment, Wire
 
 
 class TestRect:
@@ -157,8 +153,3 @@ class TestWire:
         # single-segment wires normalize coordinate order, so compare
         # the attachment points as a set
         assert set(w.endpoints) == {legs[0][0][0], legs[-1][0][-1]}
-
-
-def test_rectilinear_path_length():
-    assert rectilinear_path_length([(0, 0), (0, 4), (3, 4)]) == 7
-    assert rectilinear_path_length([(1, 1)]) == 0

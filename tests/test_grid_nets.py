@@ -42,7 +42,7 @@ KS = [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 2, 1), (3, 3, 3)]
 
 
 def _legacy_nets(ks, **kw):
-    return [w.net for w in build_grid_layout_legacy(ks, **kw).layout.wires]
+    return build_grid_layout_legacy(ks, **kw).layout.wire_table().nets
 
 
 @pytest.fixture(scope="module")

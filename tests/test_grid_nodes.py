@@ -209,7 +209,7 @@ def _assert_same_verdicts(t, ks, model):
 def test_layout_mutation_verdicts(mutation):
     """``tests/test_validator_mutations.py``'s grid case."""
     lay, _graph = layout_mutations.fresh_grid()
-    mutation(lay, 3)
+    lay = layout_mutations.mutated(lay, mutation, 3)
     assert isinstance(lay.nodes, GridNodes)
     _assert_same_verdicts(lay.wire_table(), (1, 1, 1), lay.model)
 

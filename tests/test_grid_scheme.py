@@ -80,7 +80,7 @@ class TestBuildSmall:
     def test_node_count(self):
         res = build_grid_layout((2, 1, 1))
         assert len(res.layout.nodes) == 5 * 16
-        assert len(res.layout.wires) == res.sb.num_edges
+        assert res.layout.num_wires() == res.sb.num_edges
 
     def test_wire_layers_within_L(self):
         res = build_grid_layout((2, 2, 2), L=6)
@@ -302,8 +302,8 @@ class TestHigherLevelGrids:
         rep = count_off_module_links(RowPartition.natural(res.sb))
         inter = sum(
             1
-            for w in res.layout.wires
-            if w.net[0][0] >> 2 != w.net[1][0] >> 2
+            for net in res.layout.wire_table().nets
+            if net[0][0] >> 2 != net[1][0] >> 2
         )
         assert inter == rep.off_module_links
         assert rep.max_per_module == row_partition_offmodule_per_module(ks)
@@ -313,13 +313,9 @@ class TestOddLLayerUsage:
     def test_odd_L_uses_top_layer_for_horizontals(self):
         """Section 4.2's odd-L rule in the built artifact: layer L carries
         horizontal runs, layer L-1 verticals."""
-        res = build_grid_layout((2, 2, 2), L=5)
-        h_layers = {
-            s.layer for w in res.layout.wires for s in w.segments if s.is_horizontal
-        }
-        v_layers = {
-            s.layer for w in res.layout.wires for s in w.segments if s.is_vertical
-        }
+        t = build_grid_layout((2, 2, 2), L=5).layout.wire_table()
+        h_layers = set(t.layer[t.is_horizontal].tolist())
+        v_layers = set(t.layer[t.x1 == t.x2].tolist())
         assert h_layers <= {1, 3, 5} and 5 in h_layers
         assert v_layers <= {2, 4}
 

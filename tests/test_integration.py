@@ -95,8 +95,8 @@ class TestLayoutPackagingCrossCheck:
 
         per_block = {}
         inter = 0
-        for w in res.layout.wires:
-            (u, _su), (v, _sv) = w.net[0], w.net[1]
+        for net in res.layout.wire_table().nets:
+            (u, _su), (v, _sv) = net[0], net[1]
             bu, bv = u >> k1, v >> k1
             if bu != bv:
                 inter += 1
@@ -113,13 +113,14 @@ class TestLayoutPackagingCrossCheck:
         d = res.dims
         k1, k2 = ks[0], ks[1]
         gc = d.grid_cols
-        for w in res.layout.wires:
-            (u, _su), (v, _sv) = w.net[0], w.net[1]
+        t = res.layout.wire_table()
+        for w, net in enumerate(t.nets):
+            (u, _su), (v, _sv) = net[0], net[1]
             if u >> k1 != v >> k1:
                 continue
             bid = u >> k1
             ox = (bid & (gc - 1)) * d.cell_w
             oy = (bid >> k2) * d.cell_h
-            for s in w.segments:
-                assert ox <= s.x1 and s.x2 <= ox + d.cell_w
-                assert oy <= s.y1 and s.y2 <= oy + d.cell_h
+            rows = slice(t.indptr[w], t.indptr[w + 1])
+            assert (ox <= t.x1[rows]).all() and (t.x2[rows] <= ox + d.cell_w).all()
+            assert (oy <= t.y1[rows]).all() and (t.y2[rows] <= oy + d.cell_h).all()

@@ -3,18 +3,19 @@ to the legacy object geometry.
 
 The columnar builders and the vectorized validator must be
 *indistinguishable* from the object-per-wire originals in
-``tests/oracles``: same wires in the same order, same track assignments,
-same verdicts on valid and corrupted layouts.  The oracles are kept
-exactly for this purpose, so every test here is an oracle comparison,
-not a golden file.
+``tests/oracles``: equal tables (the same wires in the same order) and
+node maps, same track assignments, same verdicts on valid and corrupted
+layouts.  The oracles are kept exactly for this purpose, so every test
+here is an oracle comparison, not a golden file.
 """
 
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.layout.ccc_layout import ccc_2d_layout
 from repro.layout.collinear import (
     chen_agrawal_track_count,
     collinear_layout,
@@ -23,29 +24,40 @@ from repro.layout.collinear import (
     track_assignment,
     track_assignment_arrays,
 )
-from repro.layout.geometry import Rect, Segment, THOMPSON_LAYERS, Wire
+from repro.layout.geometry import LayerPair, THOMPSON_LAYERS
 from repro.layout.grid2d import build_grid2d_layout
 from repro.layout.grid_scheme import build_grid_layout
+from repro.layout.multistage import build_multistage_layout
 from repro.layout.validate import MAX_ERRORS_KEPT, validate_layout
-from repro.layout.wiretable import WireTable
+from repro.layout.wiretable import WireTable, WireTableBuilder
+from repro.topology.benes import benes_boundary_bits
+from repro.topology.bitonic import BitonicNetwork
 from repro.topology.complete import complete_multigraph
+from repro.topology.isn import ISN
+from repro.topology.omega import Omega
 
 from tests.oracles.builders import (
     build_grid2d_layout_legacy,
     build_grid_layout_legacy,
+    build_multistage_layout_legacy,
+    ccc_2d_layout_legacy,
     collinear_layout_legacy,
 )
 from tests.oracles.validate import validate_layout_legacy
+from tests.oracles.wires import (
+    ObjectLayout,
+    Segment,
+    Wire,
+    table_to_wires,
+    wires_to_table,
+)
 
 
 def assert_same_layout(tab, leg):
-    """Node-for-node and wire-for-wire equality, including order."""
+    """Equal node maps and equal tables: the same nets and segment
+    columns, wire for wire and in order."""
     assert tab.nodes == leg.nodes
-    wt, wl = tab.wires, leg.wires
-    assert len(wt) == len(wl)
-    for i, (a, b) in enumerate(zip(wt, wl)):
-        assert a.net == b.net, f"wire {i}: nets differ"
-        assert a.segments == b.segments, f"wire {a.net}: segments differ"
+    assert tab.wire_table() == leg.wire_table()
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +71,6 @@ def assert_same_layout(tab, leg):
 def test_collinear_table_matches_legacy(n, mult, order):
     t = collinear_layout(n, multiplicity=mult, order=order)
     l = collinear_layout_legacy(n, multiplicity=mult, order=order)
-    assert t.layout.has_native_table
     assert t.track_of == l.track_of
     assert t.tracks_total == l.tracks_total
     assert_same_layout(t.layout, l.layout)
@@ -107,7 +118,6 @@ def test_grid_table_matches_legacy(ks, L, order, rec):
     t = build_grid_layout(ks, L=L, track_order=order, recirculating=rec)
     l = build_grid_layout_legacy(ks, L=L, track_order=order,
                                  recirculating=rec)
-    assert t.layout.has_native_table
     assert_same_layout(t.layout, l.layout)
 
 
@@ -137,10 +147,70 @@ def test_grid2d_table_matches_legacy(rows, cols, split):
                             _complete_rows(rows), **kw)
     l = build_grid2d_layout_legacy(rows, cols, _complete_rows(cols),
                                    _complete_rows(rows), **kw)
-    assert t.layout.has_native_table
     assert_same_layout(t.layout, l.layout)
     rep = validate_layout(t.layout, t.graph)
     assert rep.ok, rep.errors[:3]
+
+
+# ---------------------------------------------------------------------------
+# CCC and stage-column layouts: WireTableBuilder vs the object builders
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ccc_table_matches_legacy(n, L):
+    t, l = ccc_2d_layout(n, L=L), ccc_2d_layout_legacy(n, L=L)
+    assert t.dims == l.dims
+    assert_same_layout(t.layout, l.layout)
+
+
+def test_ccc_uneven_split_matches_legacy():
+    kw = dict(split=(1, 4), W=5, L=3)
+    t, l = ccc_2d_layout(5, **kw), ccc_2d_layout_legacy(5, **kw)
+    assert t.dims == l.dims
+    assert_same_layout(t.layout, l.layout)
+
+
+def _assert_same_multistage(rows, boundaries, **kw):
+    t = build_multistage_layout(rows, boundaries, **kw)
+    l = build_multistage_layout_legacy(rows, boundaries, **kw)
+    assert t.dims == l.dims
+    assert t.graph.same_as(l.graph)
+    assert_same_layout(t.layout, l.layout)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_omega_table_matches_legacy(n, L):
+    om = Omega(n)
+    _assert_same_multistage(om.rows, om.boundary_link_lists(), L=L,
+                            name="omega")
+
+
+# every stage-column layout that benchmarks/, examples/ and
+# tests/test_multistage_bitonic.py build (omega is swept above)
+STAGE_COLUMN_CASES = [
+    pytest.param(64, list(range(6)), {"name": "bfly-cols"}, id="bfly-64"),
+    pytest.param(16, list(range(4)), {"name": "butterfly"}, id="bfly-16"),
+    pytest.param(16, list(range(4)), {"L": 4}, id="bfly-16-L4"),
+    pytest.param(16, benes_boundary_bits(4), {"name": "benes"}, id="benes-16"),
+    pytest.param(16, BitonicNetwork(4).boundaries, {"name": "bitonic"},
+                 id="bitonic-16"),
+    pytest.param(8, [0, 1, 2], {}, id="bfly-8"),
+    pytest.param(8, benes_boundary_bits(3), {}, id="benes-8"),
+    pytest.param(8, BitonicNetwork(3).boundaries, {}, id="bitonic-8"),
+    pytest.param(32, [0, 4], {}, id="bits-0-4"),
+] + [
+    pytest.param(ISN.from_ks(ks).rows, ISN.from_ks(ks).boundary_link_lists(),
+                 {"name": f"ISN{ks}"}, id=f"isn-{ks}")
+    for ks in [(1, 1), (2, 1), (2, 2), (2, 2, 2)]
+]
+
+
+@pytest.mark.parametrize("rows,boundaries,kw", STAGE_COLUMN_CASES)
+def test_stage_column_table_matches_legacy(rows, boundaries, kw):
+    _assert_same_multistage(rows, boundaries, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +221,8 @@ def test_grid2d_table_matches_legacy(rows, cols, split):
 def test_wiretable_roundtrip_grid():
     res = build_grid_layout((2, 1, 1))
     t = res.layout.wire_table()
-    wires = t.to_wires()
-    t2 = WireTable.from_wires(wires)
+    wires = table_to_wires(t)
+    t2 = wires_to_table(wires)
     assert t2.nets == t.nets
     for a, b in (
         (t.indptr, t2.indptr), (t.x1, t2.x1), (t.y1, t2.y1),
@@ -166,7 +236,7 @@ def test_wiretable_equality():
     by their six columns in dtype and values; cached paths do not count."""
     assert WireTable.empty() == WireTable.empty()
     t = build_grid_layout((2, 1, 1), recirculating=True).layout.wire_table()
-    twin = WireTable.from_wires(t.to_wires())
+    twin = wires_to_table(table_to_wires(t))
     assert type(twin.nets) is list and type(t.nets) is not list
     assert t == twin and twin == t and not (t != twin)
     t.paths()
@@ -195,7 +265,7 @@ def test_wiretable_equality():
 def test_wiretable_measurements_match_objects():
     res = build_grid_layout((2, 2, 1), L=3)
     t = res.layout.wire_table()
-    wires = res.layout.wires  # materializes (drops the table)
+    wires = table_to_wires(t)
     assert t.total_wire_length() == sum(w.length for w in wires)
     assert t.max_wire_length() == max(w.length for w in wires)
     assert t.num_vias() == sum(len(w.vias()) for w in wires)
@@ -213,7 +283,7 @@ def test_wiretable_paths_match_objects():
     t = res.layout.wire_table()
     p = t.paths()
     assert not p.bad.any()
-    for i, w in enumerate(t.to_wires()):
+    for i, w in enumerate(table_to_wires(t)):
         s, e = int(p.pt_indptr[i]), int(p.pt_indptr[i + 1])
         pts = list(zip(p.px[s:e].tolist(), p.py[s:e].tolist()))
         assert pts == w.path_points()
@@ -229,18 +299,6 @@ def test_wiretable_rejects_bad_segments():
         WireTable.from_segment_arrays(nets, ind, one, one, one, one, one)
     with pytest.raises(ValueError, match="layer"):
         WireTable.from_segment_arrays(nets, ind, one, one, one + 1, one, one * 0)
-
-
-def test_layout_lazy_materialization_drops_table():
-    res = build_grid_layout((1, 1, 1))
-    lay = res.layout
-    assert lay.has_native_table
-    n = lay.num_wires()
-    _ = lay.wires  # materialize
-    assert not lay.has_native_table
-    assert lay.num_wires() == n
-    # wire_table() still works, via conversion
-    assert lay.wire_table().num_wires == n
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +328,42 @@ def rect_path(draw):
     return pts
 
 
+# layer pairs that share a layer, so a straight run continuing from one
+# leg into the next on that layer merges across the legs
+_LEG_PAIRS = [THOMPSON_LAYERS, LayerPair(1, 4), LayerPair(3, 2),
+              LayerPair(3, 4)]
+
+
+@st.composite
+def rect_legs(draw):
+    """A :func:`rect_path` cut into consecutive legs that share their
+    end points, each wired on its own layer pair."""
+    pts = draw(rect_path())
+    cuts = (sorted(draw(st.sets(st.integers(1, len(pts) - 2), max_size=3)))
+            if len(pts) > 2 else [])
+    ends = [0, *cuts, len(pts) - 1]
+    return [(pts[a:b + 1], draw(st.sampled_from(_LEG_PAIRS)))
+            for a, b in zip(ends, ends[1:])]
+
+
 @settings(deadline=None, max_examples=60)
-@given(st.lists(rect_path(), min_size=1, max_size=5))
-def test_random_wires_roundtrip(paths):
-    wires = [
-        Wire.from_path(("net", i), pts, THOMPSON_LAYERS)
-        for i, pts in enumerate(paths)
-    ]
-    t = WireTable.from_wires(wires)
-    assert t.to_wires() == wires
+@given(st.lists(rect_legs(), min_size=1, max_size=5))
+# a vertical run continuing on layer 1 from one leg into the next
+@example(wire_legs=[[([(0, 0), (0, 3)], THOMPSON_LAYERS),
+                     ([(0, 3), (0, 5), (4, 5)], LayerPair(1, 4))]])
+def test_random_wires_roundtrip(wire_legs):
+    wires = [Wire.from_legs(("net", i), legs)
+             for i, legs in enumerate(wire_legs)]
+    t = wires_to_table(wires)
+    assert table_to_wires(t) == wires
+    # the table builder's merge_legs gives the same segments
+    tb = WireTableBuilder()
+    for i, legs in enumerate(wire_legs):
+        if len(legs) == 1:
+            tb.add_path(("net", i), *legs[0])
+        else:
+            tb.add_legs(("net", i), legs)
+    assert tb.build() == t
     p = t.paths()
     assert not p.bad.any()
     for i, w in enumerate(wires):
@@ -291,6 +376,8 @@ def test_random_wires_roundtrip(paths):
 # ---------------------------------------------------------------------------
 # randomized corruption: both validators must agree on every verdict
 # ---------------------------------------------------------------------------
+# each mutation corrupts an ObjectLayout's wire list in place; the test
+# hands the validators the table of the result
 
 
 def _rand_shift_track(layout, rng):
@@ -355,9 +442,10 @@ def _assert_same_errors(rep_v, rep_l):
 def test_random_mutation_verdict_parity(seed, n_mut):
     rng = random.Random(seed)
     cl = collinear_layout(5, multiplicity=2)
-    layout, graph = cl.layout, cl.graph
+    obj, graph = ObjectLayout.of(cl.layout), cl.graph
     for _ in range(n_mut):
-        _RANDOM_MUTATIONS[rng.randrange(len(_RANDOM_MUTATIONS))](layout, rng)
+        _RANDOM_MUTATIONS[rng.randrange(len(_RANDOM_MUTATIONS))](obj, rng)
+    layout = obj.to_layout()
     rep_v = validate_layout(layout, graph)
     rep_l = validate_layout_legacy(layout, graph)
     assert rep_v.ok == rep_l.ok
@@ -370,8 +458,9 @@ def test_random_mutation_verdict_parity(seed, n_mut):
 def test_random_mutation_verdict_parity_grid(seed):
     rng = random.Random(seed)
     res = build_grid_layout((1, 1, 1))
-    layout, graph = res.layout, res.graph
-    _RANDOM_MUTATIONS[rng.randrange(len(_RANDOM_MUTATIONS))](layout, rng)
+    obj, graph = ObjectLayout.of(res.layout), res.graph
+    _RANDOM_MUTATIONS[rng.randrange(len(_RANDOM_MUTATIONS))](obj, rng)
+    layout = obj.to_layout()
     rep_v = validate_layout(layout, graph)
     rep_l = validate_layout_legacy(layout, graph)
     assert rep_v.ok == rep_l.ok
@@ -403,10 +492,11 @@ def test_random_mutation_verdict_parity_multilayer(seed, n_mut):
     layers that hold segments of the orientation it checks."""
     rng = random.Random(seed)
     res = build_grid_layout((2, 1, 1), L=4)
-    layout, graph = res.layout, res.graph
+    obj, graph = ObjectLayout.of(res.layout), res.graph
     mutations = _RANDOM_MUTATIONS + [_rand_through_via]
     for _ in range(n_mut):
-        mutations[rng.randrange(len(mutations))](layout, rng)
+        mutations[rng.randrange(len(mutations))](obj, rng)
+    layout = obj.to_layout()
     rep_v = validate_layout(layout, graph)
     rep_l = validate_layout_legacy(layout, graph)
     assert rep_v.ok == rep_l.ok

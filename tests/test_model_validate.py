@@ -2,27 +2,35 @@
 
 The validator tests are adversarial: each one constructs a layout with a
 specific rule violation and checks that exactly that violation is caught
-(and that the same layout without the defect passes).
+(and that the same layout without the defect passes).  The layouts are
+written as :class:`~tests.oracles.wires.Wire` objects and handed to
+:class:`Layout` as a table.
 """
 
 import pytest
 
 from repro.layout import build_grid_layout
-from repro.layout.geometry import LayerPair, Rect, Segment, Wire
+from repro.layout.geometry import LayerPair, Rect
 from repro.layout.model import Layout, LayoutModel, multilayer_model, thompson_model
 from repro.layout.validate import validate_layout
 from repro.topology.graph import Graph
 
+from tests.oracles.wires import ObjectLayout, Segment, Wire
 
-def two_node_layout(wire_points=None, model=None):
+
+def two_node_objects(wire_points=None, model=None):
     """Nodes 'a' at (0,0) and 'b' at (10,0), 2x2 squares, one wire."""
-    lay = Layout(model=model or thompson_model(), name="test")
+    lay = ObjectLayout(model=model or thompson_model(), name="test")
     lay.add_node("a", Rect(0, 0, 2, 2))
     lay.add_node("b", Rect(10, 0, 2, 2))
     pts = wire_points or [(2, 1), (5, 1), (5, 3), (7, 3), (7, 1), (10, 1)]
     # default path bends twice; terminals sit on node boundaries
     lay.add_wire(Wire.from_path(("a", "b"), pts))
     return lay
+
+
+def two_node_layout(wire_points=None, model=None):
+    return two_node_objects(wire_points, model).to_layout()
 
 
 def graph_ab():
@@ -118,41 +126,41 @@ class TestValidatorPasses:
 
 class TestValidatorCatches:
     def test_layer_discipline(self):
-        lay = Layout(model=thompson_model())
+        lay = ObjectLayout(model=thompson_model())
         lay.add_node("a", Rect(0, 0, 2, 2))
         lay.add_node("b", Rect(10, 0, 2, 2))
         # horizontal segment on the vertical layer
         lay.add_wire(
             Wire(net=("a", "b"), segments=[Segment(2, 1, 10, 1, layer=1)])
         )
-        rep = validate_layout(lay)
+        rep = validate_layout(lay.to_layout())
         assert not rep.ok
         assert any("not permitted" in e for e in rep.errors)
 
     def test_layer_out_of_range(self):
-        lay = Layout(model=thompson_model())
+        lay = ObjectLayout(model=thompson_model())
         lay.add_node("a", Rect(0, 0, 2, 2))
         lay.add_node("b", Rect(10, 0, 2, 2))
         lay.add_wire(
             Wire(net=("a", "b"), segments=[Segment(2, 1, 10, 1, layer=4)])
         )
-        rep = validate_layout(lay)
+        rep = validate_layout(lay.to_layout())
         assert any("> L=2" in e for e in rep.errors)
 
     def test_track_overlap(self):
-        lay = two_node_layout()
+        lay = two_node_objects()
         lay.add_node("c", Rect(0, 10, 2, 2))
         lay.add_node("d", Rect(10, 10, 2, 2))
         # overlaps the first wire's horizontal run at y=1 on layer 2
         lay.add_wire(
             Wire(net=("c", "d"), segments=[Segment(1, 1, 9, 1, layer=2)])
         )
-        rep = validate_layout(lay)
+        rep = validate_layout(lay.to_layout())
         assert not rep.ok
         assert any("overlap" in e for e in rep.errors)
 
     def test_touching_endpoints_allowed(self):
-        lay = Layout(model=thompson_model())
+        lay = ObjectLayout(model=thompson_model())
         lay.add_node("a", Rect(0, 0, 2, 2))
         lay.add_node("b", Rect(4, 0, 2, 2))
         lay.add_node("c", Rect(8, 0, 2, 2))
@@ -161,11 +169,11 @@ class TestValidatorCatches:
         g = Graph()
         g.add_edge("a", "b")
         g.add_edge("b", "c")
-        rep = validate_layout(lay, g)
+        rep = validate_layout(lay.to_layout(), g)
         assert rep.ok, rep.errors
 
     def test_via_conflict_passthrough(self):
-        lay = Layout(model=thompson_model())
+        lay = ObjectLayout(model=thompson_model())
         lay.add_node("a", Rect(0, 0, 2, 2))
         lay.add_node("b", Rect(10, 0, 2, 2))
         lay.add_node("c", Rect(4, 10, 2, 2))
@@ -178,12 +186,12 @@ class TestValidatorCatches:
         lay.add_wire(
             Wire.from_path(("c", "b"), [(5, 10), (5, 6), (5, 2), (7, 2), (7, 0), (10, 0)])
         )
-        rep = validate_layout(lay)
+        rep = validate_layout(lay.to_layout())
         assert not rep.ok
         assert any("passes through via" in e for e in rep.errors)
 
     def test_shared_bend_point(self):
-        lay = Layout(model=thompson_model())
+        lay = ObjectLayout(model=thompson_model())
         lay.add_node("a", Rect(0, 0, 2, 2))
         lay.add_node("b", Rect(10, 0, 2, 2))
         lay.add_node("c", Rect(0, 6, 2, 2))
@@ -191,64 +199,64 @@ class TestValidatorCatches:
         # both wires bend at (6,4): colliding via columns
         lay.add_wire(Wire.from_path(("a", "b"), [(2, 1), (6, 1), (6, 4), (8, 4), (8, 1), (10, 1)]))
         lay.add_wire(Wire.from_path(("c", "d"), [(2, 7), (4, 7), (4, 4), (6, 4), (6, 5), (10, 5), (10, 6)]))
-        rep = validate_layout(lay)
+        rep = validate_layout(lay.to_layout())
         assert not rep.ok
         assert any("collide" in e for e in rep.errors)
 
     def test_wire_through_node_interior(self):
-        lay = Layout(model=thompson_model())
+        lay = ObjectLayout(model=thompson_model())
         lay.add_node("a", Rect(0, 0, 2, 2))
         lay.add_node("b", Rect(10, 0, 2, 2))
         lay.add_node("mid", Rect(5, 0, 2, 2))
         lay.add_wire(
             Wire(net=("a", "b"), segments=[Segment(2, 1, 10, 1, layer=2)])
         )
-        rep = validate_layout(lay)
+        rep = validate_layout(lay.to_layout())
         assert not rep.ok
         assert any("node interior" in e for e in rep.errors)
 
     def test_wire_along_node_edge_allowed(self):
-        lay = Layout(model=thompson_model())
+        lay = ObjectLayout(model=thompson_model())
         lay.add_node("a", Rect(0, 0, 2, 2))
         lay.add_node("b", Rect(10, 0, 2, 2))
         lay.add_node("mid", Rect(5, 0, 2, 2))
         # runs along mid's top edge y=2: boundary, not interior
         lay.add_wire(Wire(net=("a", "b"), segments=[Segment(2, 2, 10, 2, layer=2)]))
-        rep = validate_layout(lay)
+        rep = validate_layout(lay.to_layout())
         assert rep.ok, rep.errors
 
     def test_overlapping_nodes(self):
-        lay = two_node_layout()
+        lay = two_node_objects()
         lay.add_node("c", Rect(1, 1, 3, 3))
-        rep = validate_layout(lay)
+        rep = validate_layout(lay.to_layout())
         assert any("overlap" in e for e in rep.errors)
 
     def test_terminal_not_on_node(self):
-        lay = Layout(model=thompson_model())
+        lay = ObjectLayout(model=thompson_model())
         lay.add_node("a", Rect(0, 0, 2, 2))
         lay.add_node("b", Rect(10, 0, 2, 2))
         lay.add_wire(Wire(net=("a", "b"), segments=[Segment(3, 1, 10, 1, layer=2)]))
-        rep = validate_layout(lay)
+        rep = validate_layout(lay.to_layout())
         assert any("not on boundary" in e for e in rep.errors)
 
     def test_missing_and_extra_wires_vs_graph(self):
-        lay = two_node_layout()
+        lay = two_node_objects()
         g = graph_ab()
         g.add_edge("a", "c")
-        rep = validate_layout(lay, g)
+        rep = validate_layout(lay.to_layout(), g)
         assert not rep.ok
         assert any("has no wire" in e for e in rep.errors)
         assert any("not placed" in e for e in rep.errors)
 
     def test_multiplicity_mismatch(self):
-        lay = two_node_layout()
+        lay = two_node_objects()
         g = Graph()
         g.add_edge("a", "b", 2)
-        rep = validate_layout(lay, g)
+        rep = validate_layout(lay.to_layout(), g)
         assert not rep.ok
 
     def test_discontiguous_wire(self):
-        lay = Layout(model=thompson_model())
+        lay = ObjectLayout(model=thompson_model())
         lay.add_node("a", Rect(0, 0, 2, 2))
         lay.add_node("b", Rect(10, 0, 2, 2))
         lay.add_wire(
@@ -257,17 +265,17 @@ class TestValidatorCatches:
                 segments=[Segment(2, 1, 4, 1, 2), Segment(6, 1, 10, 1, 2)],
             )
         )
-        rep = validate_layout(lay)
+        rep = validate_layout(lay.to_layout())
         assert not rep.ok
 
     def test_raise_if_failed(self):
-        lay = two_node_layout()
+        lay = two_node_objects()
         lay.add_node("c", Rect(1, 1, 3, 3))
         with pytest.raises(AssertionError):
-            validate_layout(lay).raise_if_failed()
+            validate_layout(lay.to_layout()).raise_if_failed()
 
     def test_shared_terminal_point(self):
-        lay = Layout(model=thompson_model())
+        lay = ObjectLayout(model=thompson_model())
         lay.add_node("a", Rect(0, 0, 2, 2))
         lay.add_node("b", Rect(10, 0, 2, 2))
         lay.add_node("c", Rect(0, 6, 2, 2))
@@ -276,5 +284,5 @@ class TestValidatorCatches:
             Wire.from_path(("c", "b"), [(2, 7), (10, 7), (10, 1)])
         )
         # wire 2 terminal at (10,1) == wire 1 terminal
-        rep = validate_layout(lay)
+        rep = validate_layout(lay.to_layout())
         assert not rep.ok

@@ -19,6 +19,8 @@ from repro.topology.bitonic import (
     bitonic_sort,
 )
 
+from tests.oracles.builders import build_multistage_layout_legacy
+
 
 class TestBitonicSort:
     @pytest.mark.parametrize("r", range(1, 7))
@@ -231,6 +233,9 @@ def test_multistage_random_boundaries_property(rbits, data):
     res = build_multistage_layout(rows, boundaries, name="rand")
     rep = validate_layout(res.layout, res.graph)
     assert rep.ok, rep.errors[:3]
+    leg = build_multistage_layout_legacy(rows, boundaries, name="rand")
+    assert res.layout.nodes == leg.layout.nodes
+    assert res.layout.wire_table() == leg.layout.wire_table()
 
 
 @settings(deadline=None, max_examples=8)

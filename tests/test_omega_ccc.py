@@ -103,7 +103,7 @@ class TestCcc:
         assert res.graph.same_as(ccc_graph(4))
         # and wires match the graph exactly (validator already checks; be
         # explicit about the wire count: 3-regular -> 3N/2 edges)
-        assert len(res.layout.wires) == 3 * 64 // 2
+        assert res.layout.num_wires() == 3 * 64 // 2
 
     def test_area_scaling(self):
         """Theta(4^n): the bisection-square law for CCC."""

@@ -42,6 +42,22 @@ def test_readme_quickstart():
     assert s["area"] > 0 and s["max_wire_length"] > 0
 
 
+def test_one_wire_representation():
+    """A layout's wires are stored one way: ``repro.layout`` defines no
+    ``Wire`` or ``Segment``, and a ``Layout`` holds only a table."""
+    import repro.layout
+    import repro.layout.geometry
+    from repro.layout import Layout, WireTable, thompson_model
+
+    for mod in (repro.layout, repro.layout.geometry):
+        for name in ("Wire", "Segment"):
+            assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+    lay = Layout(model=thompson_model())
+    for name in ("wires", "add_wire"):
+        assert not hasattr(lay, name), name
+    assert lay.wire_table() == WireTable.empty()
+
+
 def test_version():
     import repro
 

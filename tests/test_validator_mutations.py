@@ -2,18 +2,20 @@
 
 A validator that silently passes broken layouts would make the whole
 reproduction vacuous, so we take known-good layouts and apply targeted
-corruptions, asserting each is flagged.
+corruptions, asserting each is flagged.  Each mutation corrupts the
+layout's wires as :class:`~tests.oracles.wires.Wire` objects in place;
+:func:`mutated` hands the validators the table of the result.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.layout.collinear import collinear_layout
-from repro.layout.geometry import Segment, Wire
 from repro.layout.grid_scheme import build_grid_layout
 from repro.layout.validate import MAX_ERRORS_KEPT, validate_layout
 
 from tests.oracles.validate import validate_layout_legacy
+from tests.oracles.wires import ObjectLayout, Segment, Wire
 
 
 def fresh_collinear():
@@ -27,6 +29,13 @@ def fresh_grid():
 
 
 FACTORIES = [fresh_collinear, fresh_grid]
+
+
+def mutated(layout, mutation, i):
+    """``layout`` with ``mutation(·, i)`` applied to its object wires."""
+    obj = ObjectLayout.of(layout)
+    mutation(obj, i)
+    return obj.to_layout()
 
 
 def mutate_layer_parity(layout, i):
@@ -104,8 +113,7 @@ MUTATIONS = [
 def test_mutation_detected(factory, mutation):
     layout, graph = factory()
     assert validate_layout(layout, graph).ok
-    mutation(layout, 3)
-    rep = validate_layout(layout, graph)
+    rep = validate_layout(mutated(layout, mutation, 3), graph)
     assert not rep.ok, f"{mutation.__name__} went undetected"
 
 
@@ -116,15 +124,14 @@ def test_mutation_detected(factory, mutation):
 )
 def test_mutation_detected_property(idx, which):
     layout, graph = fresh_collinear()
-    MUTATIONS[which](layout, idx)
-    rep = validate_layout(layout, graph)
+    rep = validate_layout(mutated(layout, MUTATIONS[which], idx), graph)
     assert not rep.ok
 
 
 def test_two_mutations_counted(capsys=None):
     layout, graph = fresh_collinear()
-    mutate_drop_wire(layout, 0)
-    mutate_layer_parity(layout, 1)
+    layout = mutated(layout, mutate_drop_wire, 0)
+    layout = mutated(layout, mutate_layer_parity, 1)
     rep = validate_layout(layout, graph)
     assert rep.num_errors >= 2
 
@@ -134,7 +141,7 @@ def test_two_mutations_counted(capsys=None):
 def test_mutation_verdict_parity(factory, mutation):
     """Vectorized and legacy validators reject every mutation identically."""
     layout, graph = factory()
-    mutation(layout, 3)
+    layout = mutated(layout, mutation, 3)
     rep_v = validate_layout(layout, graph)
     rep_l = validate_layout_legacy(layout, graph)
     assert not rep_v.ok and not rep_l.ok
@@ -148,7 +155,7 @@ def test_mutation_verdict_parity(factory, mutation):
 @pytest.mark.parametrize("factory", FACTORIES, ids=["collinear", "grid"])
 def test_via_conflict_message(factory):
     layout, graph = factory()
-    mutate_via_passthrough(layout, 0)
+    layout = mutated(layout, mutate_via_passthrough, 0)
     for rep in (validate_layout(layout, graph), validate_layout_legacy(layout, graph)):
         assert any("via" in e for e in rep.errors), rep.errors[:5]
 
@@ -156,6 +163,6 @@ def test_via_conflict_message(factory):
 @pytest.mark.parametrize("factory", FACTORIES, ids=["collinear", "grid"])
 def test_layer_overflow_message(factory):
     layout, graph = factory()
-    mutate_layer_overflow(layout, 0)
+    layout = mutated(layout, mutate_layer_overflow, 0)
     for rep in (validate_layout(layout, graph), validate_layout_legacy(layout, graph)):
         assert any("layer" in e for e in rep.errors), rep.errors[:5]

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.layout.ccc_layout import ccc_2d_layout
 from repro.layout.collinear import collinear_layout
 from repro.layout.grid_scheme import build_grid_layout
 from repro.topology.isn import ISN
 from repro.transform.swap_butterfly import SwapButterfly
 from repro.viz.ascii import collinear_figure, isn_schedule_figure, swap_butterfly_figure
 from repro.viz.svg import layout_to_svg, save_svg
+
+from tests.oracles.svg import layout_to_svg_legacy
 
 
 class TestSvg:
@@ -17,7 +20,7 @@ class TestSvg:
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
         assert svg.count("<rect") == 9 + 1  # nodes + background
-        assert svg.count("<line") == sum(len(w.segments) for w in cl.layout.wires)
+        assert svg.count("<line") == cl.layout.segment_count()
 
     def test_grid_svg(self):
         res = build_grid_layout((1, 1, 1))
@@ -27,9 +30,7 @@ class TestSvg:
     def test_max_wires_truncation(self):
         cl = collinear_layout(9)
         svg = layout_to_svg(cl.layout, max_wires=3)
-        assert svg.count("<line") == sum(
-            len(w.segments) for w in cl.layout.wires[:3]
-        )
+        assert svg.count("<line") == cl.layout.wire_table().indptr[3]
 
     def test_save_svg(self, tmp_path):
         cl = collinear_layout(4)
@@ -43,6 +44,25 @@ class TestSvg:
         without = layout_to_svg(cl.layout, show_vias=False)
         assert with_vias.count("<circle") > 0
         assert without.count("<circle") == 0
+
+
+# grid B_6, B_8 at L = 4 and B_9, K_9 with multiplicity 2, CCC(5) at L = 3
+SVG_LAYOUTS = {
+    "B6": lambda: build_grid_layout((2, 2, 2)),
+    "B8-L4": lambda: build_grid_layout((3, 3, 2), L=4),
+    "B9": lambda: build_grid_layout((3, 3, 3)),
+    "K9x2": lambda: collinear_layout(9, multiplicity=2),
+    "CCC5-L3": lambda: ccc_2d_layout(5, L=3),
+}
+
+
+@pytest.mark.parametrize("case", SVG_LAYOUTS)
+@pytest.mark.parametrize("opts", [{}, {"max_wires": 7}, {"show_vias": False}],
+                         ids=["default", "max_wires", "no_vias"])
+def test_svg_matches_object_renderer(case, opts):
+    """The columnar renderer writes the object renderer's bytes."""
+    layout = SVG_LAYOUTS[case]().layout
+    assert layout_to_svg(layout, **opts) == layout_to_svg_legacy(layout, **opts)
 
 
 class TestAsciiFigures:
