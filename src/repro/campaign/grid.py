@@ -35,7 +35,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..service.handlers import PARAM_SPECS, QueryError
+from ..service.handlers import EXEC_PARAM_SPECS, PARAM_SPECS, QueryError
 from ..service.store import canonical_json
 
 __all__ = [
@@ -54,15 +54,24 @@ class GridError(ValueError):
     """Malformed campaign grid specification."""
 
 
+#: Config keys that feed a service parameter: ``key -> (kind, param)``.
+#: Each takes that parameter's :data:`PARAM_SPECS` default and must
+#: pass its converter, so a grid the service would reject fails before
+#: any point runs.
+_SERVICE_PARAMS = {
+    "node_side": ("layout", "node_side"),
+    "track_order": ("layout", "track_order"),
+    "cycles": ("sim", "cycles"),
+    "warmup": ("sim", "warmup"),
+    "benes_batch": ("benes", "batch"),
+    "threshold": ("saturation", "threshold"),
+}
+
 #: Run-level knobs (not axes); all overridable via ``config``.
 CONFIG_DEFAULTS: Dict[str, object] = {
-    "node_side": 4,
-    "track_order": "forward",
-    "cycles": 600,
-    "warmup": 100,
-    "benes_batch": 8,
+    **{k: PARAM_SPECS[kind][param][1]
+       for k, (kind, param) in _SERVICE_PARAMS.items()},
     "sat_max_n": 6,
-    "threshold": 0.95,
     "seed": 0,
     "layout_memory_budget": None,
 }
@@ -71,27 +80,39 @@ CONFIG_DEFAULTS: Dict[str, object] = {
 #: chunked out-of-core build), never *what* it computes — the stage
 #: output bytes are identical with or without them.  They are therefore
 #: stripped from :func:`spec_digest`, so run ids, derived seeds and
-#: proofs from runs predating these knobs stay valid.
-EXEC_CONFIG_KEYS = ("layout_memory_budget",)
+#: proofs from runs predating these knobs stay valid.  Each value must
+#: pass the converter of the :data:`EXEC_PARAM_SPECS` knob it feeds.
+_EXEC_PARAMS = {"layout_memory_budget": ("layout", "memory_budget_bytes")}
+EXEC_CONFIG_KEYS = tuple(_EXEC_PARAMS)
 
 _AXES = ("ks", "layers", "pin_limit", "rate")
-
-#: Config keys that feed a service parameter: ``key -> (kind, param)``.
-#: Each value must pass that parameter's :data:`PARAM_SPECS` converter,
-#: so a grid the service would reject fails before any point runs.
-_SERVICE_PARAMS = {
-    "node_side": ("layout", "node_side"),
-    "cycles": ("sim", "cycles"),
-    "warmup": ("sim", "warmup"),
-    "benes_batch": ("benes", "batch"),
-    "threshold": ("saturation", "threshold"),
-}
 
 
 def _as_int(v: object, what: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise GridError(f"{what} must be an integer, got {v!r}")
     return v
+
+
+def _as_number(v: object, what: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise GridError(f"{what} must be a number, got {v!r}")
+    return v
+
+
+def _spec_check(conv, v: object, what: str) -> object:
+    """``conv(v)``, a service converter, with its rejection a
+    :class:`GridError`."""
+    try:
+        return conv(v, what)
+    except QueryError as e:
+        raise GridError(str(e)) from None
+
+
+def _axis(raw: object, name: str) -> list:
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise GridError(f"grid {name!r} must be a non-empty list")
+    return list(raw)
 
 
 def _norm_ks_axis(raw: object) -> List[List[int]]:
@@ -102,28 +123,19 @@ def _norm_ks_axis(raw: object) -> List[List[int]]:
         if not isinstance(ks, (list, tuple)) or not ks:
             raise GridError(f"each ks entry must be a non-empty list, got {ks!r}")
         vec = [_as_int(k, "ks entry") for k in ks]
-        if any(k < 1 for k in vec):
-            raise GridError(f"ks entries must be >= 1, got {vec}")
-        if sum(vec) > 24:
-            raise GridError(f"sum(ks) capped at 24 per point, got {sum(vec)}")
-        out.append(vec)
+        out.append(_spec_check(PARAM_SPECS["layout"]["ks"][0], vec, "ks"))
     return out
 
 
 def _norm_layers_axis(raw: object) -> List[int]:
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise GridError("grid 'layers' must be a non-empty list")
-    out = [_as_int(v, "layers") for v in raw]
-    if any(not 2 <= v <= 64 for v in out):
-        raise GridError(f"layers must be in [2, 64], got {out}")
-    return out
+    conv = PARAM_SPECS["layout"]["layers"][0]
+    return [_spec_check(conv, _as_int(v, "layers"), "layers")
+            for v in _axis(raw, "layers")]
 
 
 def _norm_pin_axis(raw: object) -> List[Optional[int]]:
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise GridError("grid 'pin_limit' must be a non-empty list")
     out: List[Optional[int]] = []
-    for v in raw:
+    for v in _axis(raw, "pin_limit"):
         if v is None:
             out.append(None)
             continue
@@ -135,17 +147,9 @@ def _norm_pin_axis(raw: object) -> List[Optional[int]]:
 
 
 def _norm_rate_axis(raw: object) -> List[float]:
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise GridError("grid 'rate' must be a non-empty list")
-    out: List[float] = []
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise GridError(f"rate must be a number, got {v!r}")
-        f = float(v)
-        if not 0.0 < f <= 1.0:
-            raise GridError(f"rate must be in (0, 1], got {f}")
-        out.append(f)
-    return out
+    conv = PARAM_SPECS["sim"]["rate"][0]
+    return [_spec_check(conv, _as_number(v, "rate"), "rate")
+            for v in _axis(raw, "rate")]
 
 
 def normalize_grid(spec: Dict[str, object]) -> Dict[str, object]:
@@ -153,7 +157,9 @@ def normalize_grid(spec: Dict[str, object]) -> Dict[str, object]:
 
     The returned dict is the *canonical* spec: it is what gets digested,
     written to ``campaign.json`` and embedded in the manifest, so two
-    spellings of the same grid produce identical run trees.
+    spellings of the same grid produce identical run trees.  Values are
+    type-checked strictly as JSON (``2``, not ``"2"``, ``2.0`` or
+    ``true``), then bounded by the service parameter each one feeds.
     """
     if not isinstance(spec, dict):
         raise GridError(f"grid must be an object, got {type(spec).__name__}")
@@ -164,7 +170,9 @@ def normalize_grid(spec: Dict[str, object]) -> Dict[str, object]:
         raise GridError("grid requires a 'ks' axis")
     grid: Dict[str, object] = {
         "ks": _norm_ks_axis(spec["ks"]),
-        "layers": _norm_layers_axis(spec.get("layers", [2])),
+        "layers": _norm_layers_axis(
+            spec.get("layers", [PARAM_SPECS["layout"]["layers"][1]])
+        ),
         "pin_limit": _norm_pin_axis(spec.get("pin_limit", [None])),
         "rate": _norm_rate_axis(spec.get("rate", [0.8])),
     }
@@ -181,28 +189,19 @@ def normalize_grid(spec: Dict[str, object]) -> Dict[str, object]:
         raise GridError(f"unknown config key(s): {sorted(unknown)}")
     cfg = dict(CONFIG_DEFAULTS)
     cfg.update(raw_cfg)
-    if cfg["track_order"] not in ("forward", "reversed"):
-        raise GridError(f"bad track_order {cfg['track_order']!r}")
     for k in ("node_side", "cycles", "warmup", "benes_batch", "sat_max_n", "seed"):
         cfg[k] = _as_int(cfg[k], f"config.{k}")
     for k, (kind, param) in _SERVICE_PARAMS.items():
-        try:
-            cfg[k] = PARAM_SPECS[kind][param][0](cfg[k], f"config.{k}")
-        except QueryError as e:
-            raise GridError(str(e)) from None
+        cfg[k] = _spec_check(PARAM_SPECS[kind][param][0], cfg[k], f"config.{k}")
     if cfg["warmup"] >= cfg["cycles"]:
         raise GridError(
             f"config.warmup must be below config.cycles (a measured sim "
             f"window), got warmup={cfg['warmup']}, cycles={cfg['cycles']}"
         )
-    for k in EXEC_CONFIG_KEYS:
+    for k, (kind, param) in _EXEC_PARAMS.items():
         if cfg[k] is not None:
-            v = _as_int(cfg[k], f"config.{k}")
-            if v < 1:
-                raise GridError(
-                    f"config.{k} must be a positive integer or null, got {v}"
-                )
-            cfg[k] = v
+            cfg[k] = _spec_check(EXEC_PARAM_SPECS[kind][param],
+                                 _as_int(cfg[k], f"config.{k}"), f"config.{k}")
     grid["config"] = cfg
     return grid
 

@@ -163,8 +163,7 @@ def _run_point(args: Tuple) -> Tuple[str, int, Dict[str, str]]:
         path = _stage_path(run_dir, point.point_id, stage)
         rec = _load_stage_record(path)
         if rec is None:
-            rec = _seal(run_stage(stage, point, config, store=store,
-                                  use_cache=use_cache))
+            rec = _seal(run_stage(stage, point, config, store=store))
             write_json_atomic(path, rec)
             executed += 1
         statuses[stage] = rec["status"]

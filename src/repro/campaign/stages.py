@@ -32,7 +32,14 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional, Tuple
 
-from ..service.handlers import QueryError, normalize_params, query
+from ..service.handlers import (
+    PARAM_SPECS,
+    QueryError,
+    normalize_params,
+    params_argv,
+    query,
+    split_exec_params,
+)
 from ..service.store import ArtifactStore, cache_key, canonical_json
 from .grid import CampaignPoint, derive_seed
 
@@ -52,86 +59,74 @@ def _digest(result: Dict) -> str:
     return hashlib.sha256(canonical_json(result)).hexdigest()
 
 
-def _layout_params(point: CampaignPoint, config: Dict) -> Dict[str, object]:
-    return {
-        "ks": list(point.ks),
-        "layers": point.layers,
-        "node_side": config["node_side"],
-        "track_order": config["track_order"],
-    }
+def _primary_query(
+    stage: str, point: CampaignPoint, config: Dict[str, object]
+) -> Tuple[str, Dict[str, object]]:
+    """The kind and params of the stage's primary query (the saturation
+    stage's is its sim)."""
+    if stage == "layout":
+        return "layout", {
+            "ks": list(point.ks),
+            "layers": point.layers,
+            "node_side": config["node_side"],
+            "track_order": config["track_order"],
+        }
+    if stage == "package":
+        return "package", {"ks": list(point.ks), "scheme": "all"}
+    if stage == "benes":
+        seed = derive_seed(config["seed"], "benes", list(point.ks))
+        return "benes", {
+            "n": point.n, "batch": config["benes_batch"], "seed": seed,
+        }
+    if stage == "saturation":
+        seed = derive_seed(config["seed"], "sim", list(point.ks), point.rate)
+        return "sim", {
+            "n": point.n, "rate": point.rate, "cycles": config["cycles"],
+            "warmup": config["warmup"], "seed": seed,
+        }
+    raise ValueError(f"unknown stage {stage!r}")
 
 
 def stage_argv(
     stage: str, point: CampaignPoint, config: Dict[str, object]
 ) -> List[str]:
     """The CLI invocation that reproduces the stage's primary query."""
-    ks = ",".join(str(k) for k in point.ks)
-    if stage == "layout":
-        return [
-            "repro", "layout", "--ks", ks,
-            "--layers", str(point.layers),
-            "--node-side", str(config["node_side"]),
-            "--track-order", str(config["track_order"]),
-        ]
-    if stage == "package":
-        return ["repro", "package", "--ks", ks, "--scheme", "all"]
-    if stage == "benes":
-        seed = derive_seed(config["seed"], "benes", list(point.ks))
-        return [
-            "repro", "benes", "-n", str(point.n),
-            "--batch", str(config["benes_batch"]), "--seed", str(seed),
-        ]
-    if stage == "saturation":
-        seed = derive_seed(config["seed"], "sim", list(point.ks), point.rate)
-        return [
-            "repro", "sim", "-n", str(point.n),
-            "--rate", str(point.rate),
-            "--cycles", str(config["cycles"]), "--seed", str(seed),
-        ]
-    raise ValueError(f"unknown stage {stage!r}")
+    kind, params = _primary_query(stage, point, config)
+    return ["repro", kind, *params_argv(kind, params)]
 
 
-def _exec_params(config: Dict[str, object]) -> Optional[Dict[str, object]]:
-    """The layout stage's execution knob from campaign config, or
-    ``None`` when it is unset (the monolithic path).  It never enters
-    cache keys, proofs or argv — it changes how the answer is computed,
-    not the answer."""
-    budget = config.get("layout_memory_budget")
-    return None if budget is None else {"memory_budget_bytes": budget}
+def _n_cap(kind: str) -> int:
+    """The largest ``n`` the service answers a ``kind`` query for."""
+    return PARAM_SPECS[kind]["n"][0].bounds[1]
 
 
 def _query_with_proof(
     kind: str,
     params: Dict[str, object],
     store: Optional[ArtifactStore],
-    use_cache: bool,
-    exec_params: Optional[Dict[str, object]] = None,
     payload: bool = False,
 ) -> Tuple[Dict, Dict]:
     """Run one service query and attest it: the returned proof entry
     records the cache key and the digest of the result, with
     ``verified`` true only when re-reading the artifact store yields the
     same bytes (the verify-gate's "validated result digest") and, with
-    ``payload``, an array payload whose SHA-256 matches."""
-    result = query(kind, params, store=store, use_cache=use_cache,
-                   exec_params=exec_params)
+    ``payload``, an array payload whose SHA-256 matches.  Execution
+    knobs in ``params`` reach the query but neither the key nor the
+    re-read."""
+    result = query(kind, params, store=store)
+    p = normalize_params(kind, split_exec_params(kind, params)[0])
     digest = _digest(result)
     entry: Dict[str, object] = {
         "kind": kind,
-        "key": normalize_key(kind, params),
+        "key": cache_key(kind, p),
         "result_sha256": digest,
     }
-    if store is not None and use_cache:
-        again = store.get(kind, normalize_params(kind, params),
-                          payload=payload)
+    if store is not None:
+        again = store.get(kind, p, payload=payload)
         entry["verified"] = again is not None and _digest(again) == digest
     else:
         entry["verified"] = True  # nothing on disk to cross-check
     return result, entry
-
-
-def normalize_key(kind: str, params: Dict[str, object]) -> str:
-    return cache_key(kind, normalize_params(kind, params))
 
 
 def _record(
@@ -163,21 +158,24 @@ def run_stage(
     point: CampaignPoint,
     config: Dict[str, object],
     store: Optional[ArtifactStore] = None,
-    use_cache: bool = True,
 ) -> Dict:
-    """Execute one stage for one point and return its stage record.
+    """Execute one stage for one point and return its stage record;
+    ``store=None`` runs it with the cache off.
 
     Engine rejections surface as ``status: failed`` records with the
     error text — deterministic, so failed points checkpoint and resume
     like successful ones.
     """
     argv = stage_argv(stage, point, config)
+    kind, params = _primary_query(stage, point, config)
     try:
         if stage == "layout":
-            result, q = _query_with_proof(
-                "layout", _layout_params(point, config), store, use_cache,
-                exec_params=_exec_params(config), payload=True,
-            )
+            # the execution knob changes how the answer is computed, not
+            # the answer: it never enters the key, the proof or the argv
+            budget = config.get("layout_memory_budget")
+            if budget is not None:
+                params["memory_budget_bytes"] = budget
+            result, q = _query_with_proof(kind, params, store, payload=True)
             s = result["summary"]
             summary = {
                 "valid": bool(result["valid"]),
@@ -200,12 +198,7 @@ def run_stage(
             )
 
         if stage == "package":
-            result, q = _query_with_proof(
-                "package",
-                {"ks": list(point.ks), "scheme": "all",
-                 "rows_per_module": None},
-                store, use_cache,
-            )
+            result, q = _query_with_proof(kind, params, store)
             best = min(result["schemes"], key=lambda r: r["pins exact"])
             pins = int(best["pins exact"])
             feasible = point.pin_limit is None or pins <= point.pin_limit
@@ -224,15 +217,10 @@ def run_stage(
             )
 
         if stage == "benes":
-            if point.n > 16:
+            if point.n > _n_cap(kind):
                 return _record(stage, point, argv, status="skipped", rc=0,
                                error=f"n={point.n} above benes service cap")
-            seed = derive_seed(config["seed"], "benes", list(point.ks))
-            result, q = _query_with_proof(
-                "benes",
-                {"n": point.n, "batch": config["benes_batch"], "seed": seed},
-                store, use_cache,
-            )
+            result, q = _query_with_proof(kind, params, store)
             rc = 0 if result["realized_ok"] else 1
             summary = {
                 "realized_ok": bool(result["realized_ok"]),
@@ -246,17 +234,10 @@ def run_stage(
             )
 
         if stage == "saturation":
-            if point.n > 12:
+            if point.n > _n_cap(kind):
                 return _record(stage, point, argv, status="skipped", rc=0,
                                error=f"n={point.n} above sim service cap")
-            seed = derive_seed(config["seed"], "sim", list(point.ks), point.rate)
-            sim, q_sim = _query_with_proof(
-                "sim",
-                {"n": point.n, "rate": point.rate,
-                 "cycles": config["cycles"], "warmup": config["warmup"],
-                 "seed": seed},
-                store, use_cache,
-            )
+            sim, q_sim = _query_with_proof(kind, params, store)
             queries = [q_sim]
             results: Dict[str, Dict] = {"sim": sim}
             sat_rate = None
@@ -267,7 +248,7 @@ def run_stage(
                     "saturation",
                     {"n": point.n, "cycles": config["cycles"],
                      "threshold": config["threshold"], "seed": sat_seed},
-                    store, use_cache,
+                    store,
                 )
                 queries.append(q_sat)
                 results["saturation"] = sat

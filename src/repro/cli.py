@@ -53,13 +53,24 @@ served from the content-addressed cache (``--cache-dir`` overrides the
 location, ``--no-cache`` opts out); a ``[cache hit|miss <key>]`` note
 goes to stderr so stdout stays parseable.
 
+Their query flags, and every ``sim`` and ``benes`` flag that names a
+query parameter, come from :data:`~repro.service.handlers.PARAM_SPECS`:
+the flag's name, type, default and bound are the service's, ``--help``
+names each bound, and a value outside it exits 2 at parse time, before
+any cache directory is created.  A direct ``sim`` run keeps the engine's
+defaults (2,000 cycles, warmup 200) rather than the ``sim`` query's.
+
 Bad input exits 2 with one ``<command>: <message>`` line on stderr,
 whether argparse, the service layer or an engine rejects it.  The
-subcommands that run an engine directly (``collinear``, ``hypercube``,
-``ccc``, ``omega``, ``sort``, ``isn-layout``) also exit 2 above a
-declared bound on their size parameter, derived from the engine's size
-arithmetic and :data:`MAX_DIRECT_WIRES` wires or
-:data:`MAX_SORT_VALUES` values, before the engine allocates anything.
+subcommands that run an engine directly (``verify``, ``collinear``,
+``hypercube``, ``ccc``, ``omega``, ``sort``, ``isn-layout``, ``fft``)
+also exit 2 above a declared bound on their size parameter, derived
+from the engine's size arithmetic and :data:`MAX_DIRECT_WIRES` wires
+(or links) or :data:`MAX_SORT_VALUES` values (or FFT points), before
+the engine allocates anything.  ``board`` and ``multilevel`` are closed
+form and need no bound: at ``--ks 20,20,20`` ``board`` exits 2 at its
+pin check and ``multilevel`` prints its table, each in a few
+milliseconds.
 """
 
 from __future__ import annotations
@@ -69,6 +80,14 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .analysis.comparison import format_table
+from .service.handlers import (
+    EXEC_PARAM_SPECS,
+    PARAM_SPECS,
+    QueryError,
+    benes_answer,
+    normalize_params,
+    param_flag,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -114,8 +133,8 @@ def _pin_list(value: str) -> tuple:
 
 
 def _positive_int(s: str) -> int:
-    """argparse type for flags that must be positive integers; a bad
-    value is an argparse error, so the process exits 2."""
+    """argparse type for the CLI's own count flags (``--workers``, the
+    sim sweep's ``--batch``); a bad value exits 2."""
     try:
         v = int(s)
     except ValueError as e:
@@ -127,6 +146,79 @@ def _positive_int(s: str) -> int:
             f"expected a positive integer, got {s!r}"
         )
     return v
+
+
+def _spec_type(conv: Callable, name: str) -> Callable[[str], object]:
+    """argparse type from a :data:`~repro.service.handlers.PARAM_SPECS`
+    converter: a value outside the parameter's bound exits 2 at parse
+    time, with the message the service gives."""
+    def parse(value: str) -> object:
+        try:
+            return conv(value, name)
+        except QueryError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return parse
+
+
+#: What a generated query flag is for; its help goes on to name the
+#: bound (and the default) from the spec.
+_FLAG_HELP = {
+    "ks": "parameter vector, e.g. 3,3,3",
+    "layers": "wiring layers L",
+    "node_side": "node square side W",
+    "recirculating": "add the wrap-around feedback channel",
+    "scheme": "partition scheme(s) to report",
+    "rows_per_module": "naive-scheme module size (default 2**k1; need not "
+                       "be a power of two)",
+    "n": "dimension n: 2**n terminals",
+    "batch": "batch mode: route this many seeded permutations in one "
+             "vectorized pass",
+    "rate": "per-input injection rate",
+    "drain": "drain-phase budget in cycles (default 4*(n+1))",
+}
+
+
+def _add_query_flags(sp: argparse.ArgumentParser, kind: str,
+                     defaults: Optional[dict] = None) -> None:
+    """Add one flag per parameter of query ``kind``, its name, type,
+    default and bound all from the spec; ``defaults`` overrides a spec
+    default (``None`` makes a required flag optional)."""
+    for name, (conv, default) in PARAM_SPECS[kind].items():
+        text = _FLAG_HELP.get(name)
+        if getattr(conv, "flag", False):
+            sp.add_argument(param_flag(name), action="store_true", help=text)
+            continue
+        default = (defaults or {}).get(name, default)
+        note = conv.describe
+        if default is not ... and default is not None:
+            note += f", default {default}"
+        sp.add_argument(
+            param_flag(name), type=_spec_type(conv, name),
+            required=default is ...,
+            default=None if default is ... else default,
+            choices=getattr(conv, "choices", None),
+            help=f"{text}; {note}" if text else note,
+        )
+
+
+def _query_params(args, kind: str) -> dict:
+    """The query params the parsed flags ask for: each parameter (or
+    execution knob) of ``kind`` that the subcommand declares and that
+    holds a value."""
+    names = [*PARAM_SPECS[kind], *EXEC_PARAM_SPECS.get(kind, {})]
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
+def _add_memory_budget(sp: argparse.ArgumentParser, what: str) -> None:
+    """``--memory-budget BYTES``, the ``layout`` query's execution knob
+    ``memory_budget_bytes``."""
+    conv = EXEC_PARAM_SPECS["layout"]["memory_budget_bytes"]
+    sp.add_argument("--memory-budget", dest="memory_budget_bytes",
+                    metavar="BYTES", default=None,
+                    type=_spec_type(conv, "memory_budget_bytes"),
+                    help=f"{what}; {conv.describe}")
 
 
 #: Declared upper bounds of the subcommands that run an engine directly
@@ -141,16 +233,36 @@ MAX_SORT_VALUES = 1 << 24
 def _check_bound(name: str, value: int, size: Callable[[int], int],
                  cap: int, unit: str) -> None:
     """Raise ``ValueError`` (exit 2) when ``value`` exceeds the largest
-    parameter whose engine size ``size(n)`` (growing with ``n``) stays
-    within ``cap``.  That parameter is found counting up from 1, so the
-    engine's arithmetic never runs at a far-off value."""
-    top = 0
-    while size(top + 1) <= cap:
-        top += 1
+    parameter whose engine size ``size(n)`` (nondecreasing in ``n``)
+    stays within ``cap``.  That parameter is found by doubling from 1
+    and then bisecting, in O(log) calls of ``size``, none of them far
+    above the bound, so the engine's arithmetic never runs at a far-off
+    value."""
+    hi = 1
+    while size(hi) <= cap:
+        hi *= 2
+    top = hi // 2  # size(top) <= cap < size(hi), or top = 0
+    while hi - top > 1:
+        mid = (top + hi) // 2
+        if size(mid) <= cap:
+            top = mid
+        else:
+            hi = mid
     if value > top:
         raise ValueError(
             f"{name} must be <= {top} ({unit}, bound {cap:,}), got {value}"
         )
+
+
+def _check_isn_bound(ks: Sequence[int], what: str) -> None:
+    """Bound an ISN's links (``what``: the wires of its layout, or the
+    links a check walks) by :data:`MAX_DIRECT_WIRES`; the one-level ISN
+    of a given sum(ks) has the fewest."""
+    from .topology.isn import ISN
+
+    _check_bound("sum(ks)", sum(ks),
+                 lambda n: ISN.from_ks((n,)).num_edges, MAX_DIRECT_WIRES,
+                 f"2n*2**n {what} at n = sum(ks)")
 
 
 def _add_cache_opts(sp: argparse.ArgumentParser) -> None:
@@ -175,28 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full graph comparison instead of generator check")
 
     l = sub.add_parser("layout", help="build + validate a butterfly layout")
-    l.add_argument("--ks", type=_ks, required=True)
-    l.add_argument("--layers", type=int, default=2)
-    l.add_argument("--node-side", type=int, default=4)
-    l.add_argument("--track-order", choices=["forward", "reversed"],
-                   default="forward")
-    l.add_argument("--recirculating", action="store_true",
-                   help="add the wrap-around feedback channel")
+    _add_query_flags(l, "layout")
     l.add_argument("--svg", type=str, default=None,
                    help="also draw the layout as SVG")
     l.add_argument("--json", type=str, default=None,
                    help="write the query result as JSON")
-    l.add_argument("--memory-budget", type=_positive_int, default=None,
-                   metavar="BYTES",
-                   help="build + validate out-of-core in chunks sized to "
-                        "this working-set byte budget (answer bytes are "
-                        "identical; the cache key is unchanged)")
+    _add_memory_budget(l, "build + validate out-of-core in chunks sized to "
+                          "this working-set byte budget (answer bytes are "
+                          "identical; the cache key is unchanged)")
     _add_cache_opts(l)
 
     d = sub.add_parser("dims", help="closed-form layout dimensions")
-    d.add_argument("--ks", type=_ks, required=True)
-    d.add_argument("--layers", type=int, default=2)
-    d.add_argument("--node-side", type=int, default=4)
+    _add_query_flags(d, "dims")
     d.add_argument("--json", type=str, default=None,
                    help="write the dimensions report as JSON")
     _add_cache_opts(d)
@@ -219,13 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser(
         "package", help="exact vs closed-form pin accounting / optimizer sweep"
     )
-    pk.add_argument("--ks", type=_ks, default=None,
-                    help="report mode: parameter vector, e.g. 3,3,3")
-    pk.add_argument("--scheme", choices=["row", "nucleus", "naive", "all"],
-                    default="all", help="partition scheme(s) to report")
-    pk.add_argument("--rows-per-module", type=int, default=None,
-                    help="naive-scheme module size (default 2**k1; need "
-                         "not be a power of two)")
+    # --ks selects the report and -n the sweep, so --ks is optional
+    _add_query_flags(pk, "package", defaults={"ks": None})
     pk.add_argument("-n", type=int, default=None,
                     help="sweep mode: optimize over parameter vectors for B_n")
     pk.add_argument("--max-pins", type=int, default=None)
@@ -256,18 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     om.add_argument("--layers", type=int, default=2)
 
     si = sub.add_parser("sim", help="dynamic queued-routing simulator")
-    si.add_argument("-n", type=int, required=True, help="butterfly dimension")
-    si.add_argument("--rate", type=float, default=0.8,
-                    help="per-input injection rate (default 0.8)")
+    # a direct run keeps the engine's defaults (2,000 cycles, warmup
+    # 200), not the sim query's; --saturation asks for 2,000 cycles too
+    _add_query_flags(
+        si, "sim", defaults={"rate": 0.8, "cycles": 2000, "warmup": 200}
+    )
     si.add_argument("--rates", type=_float_list, default=None,
                     help="comma list of rates: sweep mode, e.g. 0.2,0.5,0.8")
-    si.add_argument("--cycles", type=int, default=2000)
-    si.add_argument("--warmup", type=int, default=200)
-    si.add_argument("--seed", type=int, default=0)
     si.add_argument("--seeds", type=_int_list, default=None,
                     help="comma list of seeds (sweep mode)")
-    si.add_argument("--drain", type=int, default=None,
-                    help="drain-phase budget in cycles (default 4*(n+1))")
     si.add_argument("--workers", type=_positive_int, default=None,
                     help="multiprocessing workers for sweeps")
     si.add_argument("--batch", type=_positive_int, default=16,
@@ -289,15 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     isn.add_argument("--layers", type=int, default=2)
 
     bn = sub.add_parser("benes", help="Benes permutation routing")
-    bn.add_argument("-n", type=int, default=None, help="2**n terminals")
+    # --perm sets n, and no --batch selects the single mode
+    _add_query_flags(bn, "benes", defaults={"n": None, "batch": None})
     bn.add_argument("--permutations", type=int, default=3,
                     help="random permutations to route one by one")
-    bn.add_argument("--seed", type=int, default=0)
     bn.add_argument("--perm", type=_int_list, default=None,
                     help="route this explicit permutation, e.g. 3,1,0,2")
-    bn.add_argument("--batch", type=_positive_int, default=None,
-                    help="batch mode: route this many seeded permutations "
-                         "in one vectorized pass")
     bn.add_argument("--workers", type=_positive_int, default=None,
                     help="multiprocessing workers for --batch")
     bn.add_argument("--json", type=str, default=None,
@@ -351,10 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="parent directory for run trees (default runs/)")
     cr.add_argument("--workers", type=_positive_int, default=None,
                     help="multiprocessing workers sharding the points")
-    cr.add_argument("--memory-budget", type=_positive_int, default=None,
-                    metavar="BYTES",
-                    help="run the layout stage out-of-core in chunks "
-                         "sized to this working-set byte budget")
+    _add_memory_budget(cr, "run the layout stage out-of-core in chunks "
+                           "sized to this working-set byte budget")
     cr.add_argument("--json", type=str, default=None,
                     help="write the run summary as JSON")
     cr.add_argument("--cache-dir", type=str, default=None,
@@ -424,7 +513,7 @@ def _service_query(kind: str, params: dict, args) -> dict:
     """One cached design query; cache disposition goes to stderr so
     stdout stays identical whether the answer was computed or served.
     Malformed queries exit 2 like argparse errors do."""
-    from .service import QueryError, query
+    from .service import query
 
     info: dict = {}
     try:
@@ -450,6 +539,7 @@ def _write_json(report: dict, path: Optional[str]) -> None:
 def _cmd_verify(args) -> int:
     from .transform import verify_automorphism
 
+    _check_isn_bound(args.ks, "links")
     ok = verify_automorphism(args.ks, materialize=args.materialize)
     n = sum(args.ks)
     mode = "graph comparison" if args.materialize else "generator check"
@@ -460,20 +550,14 @@ def _cmd_verify(args) -> int:
 def _cmd_layout(args) -> int:
     import time
 
-    params = {
-        "ks": list(args.ks),
-        "layers": args.layers,
-        "node_side": args.node_side,
-        "track_order": args.track_order,
-        "recirculating": args.recirculating,
-    }
-    if args.memory_budget is not None:
+    params = _query_params(args, "layout")
+    if args.memory_budget_bytes is not None:
         from .layout import grid_chunk_estimate
 
         est = grid_chunk_estimate(
             tuple(args.ks), W=args.node_side, L=args.layers,
             recirculating=args.recirculating,
-            memory_budget_bytes=args.memory_budget,
+            memory_budget_bytes=args.memory_budget_bytes,
         )
         print(
             f"[chunked {est['chunks']} chunks x "
@@ -481,7 +565,6 @@ def _cmd_layout(args) -> int:
             f"~{est['est_chunk_bytes'] / (1 << 20):.1f} MiB per chunk]",
             file=sys.stderr,
         )
-        params["memory_budget_bytes"] = args.memory_budget
     t0 = time.perf_counter()
     result = _service_query("layout", params, args)
     query_s = time.perf_counter() - t0
@@ -516,12 +599,7 @@ def _cmd_layout(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    result = _service_query(
-        "dims",
-        {"ks": list(args.ks), "layers": args.layers,
-         "node_side": args.node_side},
-        args,
-    )
+    result = _service_query("dims", _query_params(args, "dims"), args)
     rows = [{"metric": k, "value": v} for k, v in result["summary"].items()]
     print(format_table(rows))
     _write_json(result, args.json)
@@ -582,12 +660,8 @@ def _cmd_package(args) -> int:
 
     report: dict
     if args.ks is not None:
-        result = _service_query(
-            "package",
-            {"ks": list(args.ks), "scheme": args.scheme,
-             "rows_per_module": args.rows_per_module},
-            args,
-        )
+        result = _service_query("package", _query_params(args, "package"),
+                                args)
         rows, all_ok = result["schemes"], result["all_match"]
         print(f"B_{result['n']} pin accounting for ks={tuple(args.ks)} "
               f"(closed form vs columnar exact):")
@@ -733,10 +807,7 @@ def _cmd_sim(args) -> int:
 
     if args.saturation:
         result = _service_query(
-            "saturation",
-            {"n": args.n, "cycles": args.cycles, "seed": args.seed,
-             "drain": args.drain},
-            args,
+            "saturation", _query_params(args, "saturation"), args
         )
         print(
             f"saturation per-node rate for n={args.n}: "
@@ -813,10 +884,7 @@ def _cmd_isn_layout(args) -> int:
     from .layout.validate import validate_layout
     from .topology.isn import ISN
 
-    # the one-level ISN of a given sum(ks) has the fewest wires
-    _check_bound("sum(ks)", sum(args.ks),
-                 lambda n: ISN.from_ks((n,)).num_edges, MAX_DIRECT_WIRES,
-                 "2n*2**n wires at n = sum(ks)")
+    _check_isn_bound(args.ks, "wires")
     isn = ISN.from_ks(args.ks)
     res = build_multistage_layout(
         isn.rows, isn.boundary_link_lists(), L=args.layers, name=f"ISN{args.ks}"
@@ -848,38 +916,16 @@ def _cmd_benes(args) -> int:
     report: dict = {"n": n, "terminals": N, "switches": total_switches}
 
     if args.batch is not None:
+        params = dict(_query_params(args, "benes"), n=n)
         t0 = time.perf_counter()
         if args.workers:
             # an explicit worker count means "route right here, fanned
             # out" — workers shape the compute, never the answer, so
             # they are not part of any cache key
-            import numpy as np
-
-            from .algorithms.benes_routing import (
-                apply_settings_batch,
-                route_permutations,
-            )
-
-            rng = np.random.default_rng(args.seed)
-            perms = np.array([rng.permutation(N) for _ in range(args.batch)])
-            batch = route_permutations(perms, workers=args.workers)
-            counts = batch.count_crossed()
-            result = {
-                "realized_ok": bool(
-                    np.array_equal(apply_settings_batch(batch), perms)
-                ),
-                "crossed": {
-                    "min": int(counts.min()),
-                    "mean": float(counts.mean()),
-                    "max": int(counts.max()),
-                },
-            }
+            result, _ = benes_answer(normalize_params("benes", params),
+                                     workers=args.workers)
         else:
-            result = _service_query(
-                "benes",
-                {"n": n, "batch": args.batch, "seed": args.seed},
-                args,
-            )
+            result = _service_query("benes", params, args)
         query_s = time.perf_counter() - t0
         ok = result["realized_ok"]
         c = result["crossed"]
@@ -984,7 +1030,7 @@ def _campaign_spec(args) -> dict:
             ("benes_batch", args.benes_batch),
             ("sat_max_n", args.sat_max_n),
             ("seed", args.seed),
-            ("layout_memory_budget", args.memory_budget),
+            ("layout_memory_budget", args.memory_budget_bytes),
         )
         if v is not None
     }
@@ -1118,6 +1164,8 @@ def _cmd_fft(args) -> int:
     from .algorithms.fft import fft_via_isn
     from .topology.isn import ISN
 
+    _check_bound("sum(ks)", sum(args.ks), lambda n: 1 << n, MAX_SORT_VALUES,
+                 "2**sum(ks) points")
     isn = ISN.from_ks(args.ks)
     rng = np.random.default_rng(args.seed)
     x = rng.normal(size=isn.rows) + 1j * rng.normal(size=isn.rows)

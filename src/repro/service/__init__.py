@@ -20,7 +20,7 @@ from .store import (
     canonical_json,
     default_cache_dir,
 )
-from .server import ServiceHTTPHandler, make_server, serve
+from .server import ServiceHTTPHandler, make_server
 
 __all__ = [
     "ArtifactStore",
@@ -36,5 +36,4 @@ __all__ = [
     "query",
     "ServiceHTTPHandler",
     "make_server",
-    "serve",
 ]

@@ -32,7 +32,7 @@ raises :class:`QueryError`, which the server maps to HTTP 400.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .store import ArtifactStore, cache_key
 
 __all__ = [
     "QUERY_KINDS", "QueryError", "normalize_params", "split_exec_params",
-    "compute", "query",
+    "param_flag", "params_argv", "benes_answer", "compute", "query",
 ]
 
 Arrays = Optional[Dict[str, np.ndarray]]
@@ -53,6 +53,16 @@ class QueryError(ValueError):
 # ----------------------------------------------------------------------
 # parameter schemas
 # ----------------------------------------------------------------------
+
+def _renders(conv: Callable, describe: str, **attrs: object) -> Callable:
+    """Attach to ``conv`` what a front end needs to render it:
+    ``describe`` names the accepted values (the CLI's help text), and
+    ``bounds`` ``(lo, hi)``, ``choices`` or ``flag`` (an ``_as_bool``
+    parameter, a bare CLI flag) say the same as data."""
+    conv.describe = describe
+    conv.__dict__.update(attrs)
+    return conv
+
 
 def _as_int(v: object, name: str) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
@@ -76,6 +86,8 @@ def _as_float(v: object, name: str) -> float:
         raise QueryError(f"{name} must be finite, got {v!r}")
     return f
 
+_renders(_as_float, "a finite number")
+
 def _as_bool(v: object, name: str) -> bool:
     if isinstance(v, bool):
         return v
@@ -84,6 +96,11 @@ def _as_bool(v: object, name: str) -> bool:
     if isinstance(v, str) and v.lower() in ("false", "0", "no"):
         return False
     raise QueryError(f"{name} must be a boolean, got {v!r}")
+
+_renders(_as_bool, "a flag", flag=True)
+
+#: The service's cap on ``sum(ks)``, the butterfly dimension n.
+MAX_KS_SUM = 24
 
 def _as_ks(v: object, name: str = "ks") -> list:
     """A parameter vector: ``[3, 3, 3]`` or the CLI spelling ``"3,3,3"``."""
@@ -94,16 +111,23 @@ def _as_ks(v: object, name: str = "ks") -> list:
     ks = [_as_int(x, name) for x in v]
     if any(k < 1 for k in ks):
         raise QueryError(f"{name} entries must be >= 1, got {ks}")
-    if sum(ks) > 24:
-        raise QueryError(f"sum({name}) capped at 24 for the service, got {sum(ks)}")
+    if sum(ks) > MAX_KS_SUM:
+        raise QueryError(
+            f"sum({name}) capped at {MAX_KS_SUM} for the service, "
+            f"got {sum(ks)}"
+        )
     return ks
+
+# for ks, ``bounds`` are the least entry and the largest sum
+_renders(_as_ks, f"entries >= 1, sum <= {MAX_KS_SUM}",
+         bounds=(1, MAX_KS_SUM))
 
 def _as_choice(choices: Tuple[str, ...]) -> Callable[[object, str], str]:
     def conv(v: object, name: str) -> str:
         if v not in choices:
             raise QueryError(f"{name} must be one of {choices}, got {v!r}")
         return str(v)
-    return conv
+    return _renders(conv, "one of " + ", ".join(choices), choices=choices)
 
 def _bounded_int(lo: int, hi: int) -> Callable[[object, str], int]:
     def conv(v: object, name: str) -> int:
@@ -111,7 +135,7 @@ def _bounded_int(lo: int, hi: int) -> Callable[[object, str], int]:
         if not lo <= i <= hi:
             raise QueryError(f"{name} must be in [{lo}, {hi}], got {i}")
         return i
-    return conv
+    return _renders(conv, f"in [{lo}, {hi}]", bounds=(lo, hi))
 
 def _rate(v: object, name: str) -> float:
     f = _as_float(v, name)
@@ -119,11 +143,14 @@ def _rate(v: object, name: str) -> float:
         raise QueryError(f"{name} must be in (0, 1], got {f}")
     return f
 
+_renders(_rate, "in (0, 1]", bounds=(0.0, 1.0))
+
 def _optional(conv: Callable[[object, str], object]) -> Callable:
     def wrapped(v: object, name: str) -> object:
         if v is None or v == "":
             return None
         return conv(v, name)
+    wrapped.__dict__.update(conv.__dict__)
     return wrapped
 
 def _positive_int(v: object, name: str) -> int:
@@ -132,10 +159,17 @@ def _positive_int(v: object, name: str) -> int:
         raise QueryError(f"{name} must be a positive integer, got {i}")
     return i
 
+_renders(_positive_int, "a positive integer", bounds=(1, None))
+
 
 #: ``kind -> {param: (converter, default)}``; a default of ``...`` marks
-#: the parameter required.  The HTTP layer reuses the converters to
-#: coerce query-string values, so GET and POST queries key identically.
+#: the parameter required.  This is the one place a query parameter's
+#: name, type, default and bound are written: the HTTP layer reuses the
+#: converters to coerce query-string values (so GET and POST queries key
+#: identically), the ``repro`` CLI generates its query flags from them
+#: (:func:`param_flag`, each converter's ``describe`` in the help), the
+#: campaign grid checks the values it feeds through them, and a
+#: campaign's proof argv is :func:`params_argv` of the stage's query.
 PARAM_SPECS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
     "layout": {
         "ks": (_as_ks, ...),
@@ -188,6 +222,32 @@ QUERY_KINDS = tuple(PARAM_SPECS)
 EXEC_PARAM_SPECS: Dict[str, Dict[str, Callable]] = {
     "layout": {"memory_budget_bytes": _optional(_positive_int)},
 }
+
+
+def param_flag(name: str) -> str:
+    """The CLI flag of parameter ``name``: ``n`` -> ``-n``,
+    ``node_side`` -> ``--node-side``."""
+    return "-" + name if len(name) == 1 else "--" + name.replace("_", "-")
+
+
+def params_argv(kind: str, params: Dict[str, object]) -> List[str]:
+    """The CLI flags that ask for ``kind`` at ``params``, in spec order
+    (``repro <kind>`` takes them; ``saturation`` has no subcommand of its
+    own).  A parameter missing from ``params`` takes its spec default,
+    so the flags name every value of the normalized params; ``None`` and
+    ``False`` are left out, ``True`` is a bare flag, and a list is
+    joined with commas."""
+    argv: List[str] = []
+    for name, (_conv, default) in PARAM_SPECS[kind].items():
+        v = params.get(name, default)
+        if v is None or v is False:
+            continue
+        argv.append(param_flag(name))
+        if isinstance(v, list):
+            argv.append(",".join(str(x) for x in v))
+        elif v is not True:
+            argv.append(str(v))
+    return argv
 
 
 def split_exec_params(
@@ -404,7 +464,14 @@ def _compute_package(p: Dict[str, object]) -> Tuple[Dict, Arrays]:
     return result, arrays
 
 
-def _compute_benes(p: Dict[str, object]) -> Tuple[Dict, Arrays]:
+def benes_answer(
+    p: Dict[str, object], workers: Optional[int] = None
+) -> Tuple[Dict, Arrays]:
+    """The ``benes`` answer for normalized params: route ``batch`` seeded
+    permutations of ``2**n`` terminals in one vectorized pass and
+    summarize the crossings.  ``workers`` fans the routing out over a
+    pool; it shapes the compute, never the answer, so it is no query
+    parameter and never enters a cache key."""
     from ..algorithms.benes_routing import (
         apply_settings_batch,
         num_switch_stages,
@@ -415,7 +482,7 @@ def _compute_benes(p: Dict[str, object]) -> Tuple[Dict, Arrays]:
     N = 1 << n
     rng = np.random.default_rng(seed)
     perms = np.array([rng.permutation(N) for _ in range(batch)])
-    settings = route_permutations(perms)
+    settings = route_permutations(perms, workers=workers)
     realized_ok = bool(np.array_equal(apply_settings_batch(settings), perms))
     counts = settings.count_crossed()
     result = {
@@ -477,7 +544,7 @@ _COMPUTE: Dict[str, Callable[[Dict], Tuple[Dict, Arrays]]] = {
     "layout": _compute_layout,
     "dims": _compute_dims,
     "package": _compute_package,
-    "benes": _compute_benes,
+    "benes": benes_answer,
     "saturation": _compute_saturation,
     "sim": _compute_sim,
 }
@@ -511,40 +578,28 @@ def query(
     kind: str,
     params: Dict[str, object],
     store: Optional[ArtifactStore] = None,
-    use_cache: bool = True,
     info: Optional[Dict[str, object]] = None,
-    exec_params: Optional[Dict[str, object]] = None,
 ) -> Dict:
-    """Answer a design query, serving from ``store`` when possible.
+    """Answer a design query, serving from ``store`` when possible; with
+    no store the cache is off and the query computes.
 
     Misses compute under the store's single-flight lock, so concurrent
     identical queries compute once.  ``info`` (if given) receives
     ``cache`` (``"hit"`` / ``"miss"`` / ``"off"``) and ``key``.
 
-    Execution knobs (``memory_budget_bytes`` for ``layout``) may ride
-    along inside ``params`` — the HTTP layer passes query strings
-    through verbatim — or arrive via ``exec_params``.  Either way they
-    are validated, stripped before normalization, and excluded from the
-    cache key: they choose the compute strategy, not the artifact.  A
-    key that is neither a design parameter nor an execution knob, such
-    as ``workers``, is a :class:`QueryError`.
+    Execution knobs (``memory_budget_bytes`` for ``layout``) ride along
+    inside ``params``, as the HTTP layer passes query strings through
+    verbatim.  They are validated, stripped before normalization, and
+    excluded from the cache key: they choose the compute strategy, not
+    the artifact.  A key that is neither a design parameter nor an
+    execution knob, such as ``workers``, is a :class:`QueryError`.
     """
     params, ex = split_exec_params(kind, params)
-    if exec_params:
-        spec = EXEC_PARAM_SPECS.get(kind, {})
-        for name, val in exec_params.items():
-            if name not in spec:
-                raise QueryError(
-                    f"unknown exec parameter {name!r} for {kind}"
-                )
-            val = spec[name](val, name)
-            if val is not None:
-                ex[name] = val
     p = normalize_params(kind, params)
     if info is None:
         info = {}
     info["key"] = key = cache_key(kind, p)
-    if store is None or not use_cache:
+    if store is None:
         info["cache"] = "off"
         return compute(kind, p, ex)[0]
     cached = store.get(kind, p)

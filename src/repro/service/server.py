@@ -2,10 +2,9 @@
 
 Stdlib only (``http.server``): the library stays importable with bare
 NumPy, and ``repro serve`` needs nothing the test environment does not
-already have.  Threaded when the platform provides ``ThreadingHTTPServer``
-(the normal case), with a graceful single-threaded fallback otherwise;
-either way the artifact store's single-flight locking keeps concurrent
-identical misses from computing twice.
+already have.  One thread per request (``ThreadingHTTPServer``); the
+artifact store's single-flight locking keeps concurrent identical misses
+from computing twice.
 
 Routes (all answers are canonical JSON — sorted keys, compact — so a
 warm hit is byte-identical to the cold compute that populated it; the
@@ -25,19 +24,14 @@ with ``{"error": ...}``; unknown routes ``404``; compute crashes ``500``.
 from __future__ import annotations
 
 import json
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from .handlers import QUERY_KINDS, QueryError, query
 from .store import SCHEMA_VERSION, ArtifactStore, canonical_json
 
-__all__ = ["ServiceHTTPHandler", "make_server", "serve"]
-
-try:  # pragma: no cover - always present on CPython >= 3.7
-    from http.server import ThreadingHTTPServer as _ServerBase
-except ImportError:  # pragma: no cover - single-threaded fallback
-    _ServerBase = HTTPServer
+__all__ = ["ServiceHTTPHandler", "make_server"]
 
 
 class ServiceHTTPHandler(BaseHTTPRequestHandler):
@@ -71,12 +65,7 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
     def _answer(self, kind: str, params: Dict) -> None:
         info: Dict[str, object] = {}
         try:
-            result = query(
-                kind, params,
-                store=self.store,
-                use_cache=self.server.use_cache,
-                info=info,
-            )
+            result = query(kind, params, store=self.store, info=info)
         except QueryError as e:
             self._send_json(400, {"error": str(e), "kind": kind})
             return
@@ -138,40 +127,12 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 0,
     store: Optional[ArtifactStore] = None,
-    use_cache: bool = True,
     quiet: bool = False,
-    threaded: bool = True,
-) -> HTTPServer:
-    """A configured (but not yet serving) HTTP server; ``port=0`` binds
-    an ephemeral port (read it back from ``server_address[1]``)."""
-    cls = _ServerBase if threaded else HTTPServer
-    srv = cls((host, port), ServiceHTTPHandler)
+) -> ThreadingHTTPServer:
+    """A configured (but not yet serving) HTTP server over ``store``
+    (``None``: the cache is off); ``port=0`` binds an ephemeral port
+    (read it back from ``server_address[1]``)."""
+    srv = ThreadingHTTPServer((host, port), ServiceHTTPHandler)
     srv.artifact_store = store
-    srv.use_cache = use_cache and store is not None
     srv.quiet = quiet
-    return srv
-
-
-def serve(
-    host: str,
-    port: int,
-    store: Optional[ArtifactStore],
-    use_cache: bool = True,
-    max_requests: Optional[int] = None,
-    quiet: bool = False,
-) -> HTTPServer:
-    """Run the service until interrupted (or for ``max_requests``
-    requests — handy for smoke tests); returns the closed server."""
-    srv = make_server(host, port, store=store, use_cache=use_cache,
-                      quiet=quiet)
-    try:
-        if max_requests is not None:
-            for _ in range(max_requests):
-                srv.handle_request()
-        else:  # pragma: no cover - interactive loop
-            srv.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive loop
-        pass
-    finally:
-        srv.server_close()
     return srv

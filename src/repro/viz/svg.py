@@ -9,7 +9,8 @@ layouts).
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from ..layout.model import Layout
 
@@ -29,26 +30,24 @@ _LAYER_COLORS = [
 ]
 
 
+#: Elements :func:`save_svg` joins per write.
+_WRITE_BLOCK = 4096
+
+
 def _color(layer: int) -> str:
     return _LAYER_COLORS[(layer - 1) % len(_LAYER_COLORS)]
 
 
-def layout_to_svg(
+def _svg_parts(
     layout: Layout,
-    scale: float = 4.0,
-    margin: float = 10.0,
-    node_fill: str = "#dddddd",
-    show_vias: bool = True,
-    max_wires: Optional[int] = None,
-) -> str:
-    """Render a layout as an SVG document string.
-
-    ``max_wires`` truncates very large layouts (rendering every wire of an
-    ``n = 12`` butterfly produces a 46 MB file; the structure is visible
-    from a sample) to their first ``max_wires`` wires.  Each segment is
-    one line, and each bend where consecutive segments change layer is
-    one via dot.
-    """
+    scale: float,
+    margin: float,
+    node_fill: str,
+    show_vias: bool,
+    max_wires: Optional[int],
+) -> Iterator[str]:
+    """The SVG document of :func:`layout_to_svg`, one element at a time
+    (its lines, without the separating newlines)."""
     x0, y0, x1, y1 = layout.bounding_box()
     W = (x1 - x0) * scale + 2 * margin
     H = (y1 - y0) * scale + 2 * margin
@@ -60,13 +59,13 @@ def layout_to_svg(
         # flip: our +y is up, SVG +y is down
         return (y1 - y) * scale + margin
 
-    parts = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W:.0f}" '
-        f'height="{H:.0f}" viewBox="0 0 {W:.0f} {H:.0f}">',
-        f'<rect width="{W:.0f}" height="{H:.0f}" fill="white"/>',
-    ]
+        f'height="{H:.0f}" viewBox="0 0 {W:.0f} {H:.0f}">'
+    )
+    yield f'<rect width="{W:.0f}" height="{H:.0f}" fill="white"/>'
     for node, r in layout.nodes.items():
-        parts.append(
+        yield (
             f'<rect x="{tx(r.x):.1f}" y="{ty(r.y2):.1f}" '
             f'width="{r.w * scale:.1f}" height="{r.h * scale:.1f}" '
             f'fill="{node_fill}" stroke="#555" stroke-width="0.6">'
@@ -85,7 +84,7 @@ def layout_to_svg(
     for w in range(t.num_wires):
         lo, hi = bounds[w], bounds[w + 1]
         for i in range(lo, hi):
-            parts.append(
+            yield (
                 f'<line x1="{tx(x1s[i]):.1f}" y1="{ty(y1s[i]):.1f}" '
                 f'x2="{tx(x2s[i]):.1f}" y2="{ty(y2s[i]):.1f}" '
                 f'stroke="{_color(layers[i])}" stroke-width="0.8" '
@@ -96,17 +95,53 @@ def layout_to_svg(
             # after segment i is i + w + 1
             for i in range(lo, hi - 1):
                 if layers[i] != layers[i + 1]:
-                    parts.append(
+                    yield (
                         f'<circle cx="{tx(px[i + w + 1]):.1f}" '
                         f'cy="{ty(py[i + w + 1]):.1f}" r="1.2" fill="#222"/>'
                     )
-    parts.append("</svg>")
-    return "\n".join(parts)
+    yield "</svg>"
 
 
-def save_svg(layout: Layout, path: str, **kwargs) -> str:
-    """Write the SVG render to ``path``; returns the path."""
-    svg = layout_to_svg(layout, **kwargs)
+def layout_to_svg(
+    layout: Layout,
+    scale: float = 4.0,
+    margin: float = 10.0,
+    node_fill: str = "#dddddd",
+    show_vias: bool = True,
+    max_wires: Optional[int] = None,
+) -> str:
+    """Render a layout as an SVG document string.
+
+    ``max_wires`` truncates very large layouts (rendering every wire of an
+    ``n = 12`` butterfly produces a 46 MB file; the structure is visible
+    from a sample) to their first ``max_wires`` wires.  Each segment is
+    one line, and each bend where consecutive segments change layer is
+    one via dot.
+    """
+    return "\n".join(
+        _svg_parts(layout, scale, margin, node_fill, show_vias, max_wires)
+    )
+
+
+def save_svg(
+    layout: Layout,
+    path: str,
+    scale: float = 4.0,
+    margin: float = 10.0,
+    node_fill: str = "#dddddd",
+    show_vias: bool = True,
+    max_wires: Optional[int] = None,
+) -> str:
+    """Write :func:`layout_to_svg`'s document to ``path`` as it renders,
+    a few thousand elements at a time, never holding the whole document
+    in memory; returns the path."""
+    parts = _svg_parts(layout, scale, margin, node_fill, show_vias, max_wires)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(svg)
+        sep = ""
+        while True:
+            block = list(islice(parts, _WRITE_BLOCK))
+            if not block:
+                break
+            f.write(sep + "\n".join(block))
+            sep = "\n"
     return path

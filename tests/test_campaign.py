@@ -450,6 +450,29 @@ class TestOlderRunTrees:
         assert summary["stages_run"] == 8
         assert _outputs(run_dir) == _outputs(baseline["run_dir"])
 
+    def test_saturation_argv_without_warmup_still_verifies(self, baseline,
+                                                           tmp_path):
+        """Saturation records sealed while the proof argv left out
+        ``--warmup`` keep their schema (2) and verify: a resume neither
+        recomputes nor rewrites them."""
+        run_dir = str(tmp_path / "base")
+        shutil.copytree(baseline["run_dir"], run_dir)
+        paths = [os.path.join(run_dir, "points", pid, "stages",
+                              "saturation.json")
+                 for pid in ("p0000", "p0001")]
+        for path in paths:
+            rec = json.loads(_read(path))
+            argv = rec["proof"]["argv"]
+            i = argv.index("--warmup")
+            assert argv[i + 2] == "--seed"
+            del argv[i:i + 2]
+            write_json_atomic(path, _seal(rec))
+        before = [_read(p) for p in paths]
+        assert run_status(run_dir)["counts"]["complete"] == 2
+        summary = resume_run(run_dir)
+        assert summary["stages_run"] == 0
+        assert [_read(p) for p in paths] == before
+
 
 class TestLayoutProof:
     """The layout stage's proof re-reads its cache entry and checks the

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import math
 import os
 
 import pytest
@@ -54,12 +55,18 @@ class TestCommands:
         assert strip(chunked.out) == strip(plain.out)
 
     def test_layout_flag_validation_exits_2(self, capsys):
-        for flags in (["--memory-budget", "0"], ["--memory-budget", "-1"],
-                      ["--memory-budget", "two"]):
+        # the service's message for its execution knob
+        for flags, msg in (
+            (["--memory-budget", "0"], "must be a positive integer, got 0"),
+            (["--memory-budget", "-1"], "must be a positive integer, got -1"),
+            (["--memory-budget", "two"], "must be an integer, got 'two'"),
+        ):
             with pytest.raises(SystemExit) as exc:
                 main(["layout", "--ks", "2,2,2", *flags])
             assert exc.value.code == 2
-            assert "expected a positive integer" in capsys.readouterr().err
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1] == ("repro layout: error: argument --memory-budget: "
+                               f"memory_budget_bytes {msg}")
 
     def test_layout_svg_takes_the_service_path(self, capsys, tmp_path):
         assert main(["layout", "--ks", "2,2,2"]) == 0
@@ -198,6 +205,9 @@ class TestCommands:
          "--runs-dir", os.path.join(os.devnull, "runs")],
         ["campaign", "resume", os.path.join(os.devnull, "runs", "c0"),
          "--workers", "-3"],
+        # the service's bounds, checked at parse time
+        ["sim", "-n", "13"],
+        ["benes", "-n", "17"],
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, capsys):
         try:
@@ -232,6 +242,11 @@ class TestCommands:
          "multiplicity must be <= 2"),
         (["collinear", "-n", "2", "--multiplicity", str(10 ** 7)],
          "multiplicity must be <= 1048576"),
+        # an ISN's 2n*2**n links; 2**sum(ks) FFT points
+        (["verify", "--ks", "8,8"], "sum(ks) must be <= 15 (2n*2**n links"),
+        (["verify", "--ks", "8,8", "--materialize"], "sum(ks) must be <= 15"),
+        (["fft", "--ks", "13,12"], "sum(ks) must be <= 24 (2**sum(ks) "
+                                   "points, bound 16,777,216), got 25"),
     ])
     def test_engine_bound_exits_2(self, argv, bound, capsys, monkeypatch):
         """The engine names its bound before it allocates anything."""
@@ -246,6 +261,8 @@ class TestCommands:
                 "omega": "repro.topology.omega.Omega.boundary_link_lists",
                 "isn-layout": "repro.topology.isn.ISN.boundary_link_lists",
                 "collinear": "repro.layout.collinear_layout",
+                "verify": "repro.transform.verify_automorphism",
+                "fft": "numpy.random.default_rng",
             }[argv[0]]
 
             def engine(*_a, **_k):
@@ -256,6 +273,35 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith(f"{argv[0]}: ") and bound in err, err
+
+    @pytest.mark.parametrize("size, top_of", [
+        (lambda n: n, lambda cap: cap),
+        (lambda n: n * n, math.isqrt),
+        (lambda n: 1 << n, lambda cap: cap.bit_length() - 1),
+        (lambda n: n * (n - 1) // 2, None),
+    ], ids=["linear", "square", "exponential", "collinear"])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 1000, 1 << 20, 1 << 24])
+    def test_check_bound_is_logarithmic(self, size, top_of, cap):
+        """The bound is found in at most 2*log2(cap) + 2 calls of the
+        size arithmetic (2*log2(top) + 2 where the bound top exceeds
+        cap: n(n-1)/2 is 1 at n = 2), and it is the largest parameter
+        within cap."""
+        from repro.cli import _check_bound
+
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return size(n)
+
+        with pytest.raises(ValueError) as exc:
+            _check_bound("n", 10 ** 9, counted, cap, "units")
+        top = int(str(exc.value).split("<= ")[1].split(" ")[0])
+        assert len(calls) <= 2 * math.log2(max(cap, top)) + 2
+        if top_of is not None:
+            assert top == top_of(cap)
+        assert size(top) <= cap < size(top + 1)
+        _check_bound("n", top, size, cap, "units")  # the bound itself passes
 
     def test_fft(self, capsys):
         assert main(["fft", "--ks", "2,2"]) == 0

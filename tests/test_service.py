@@ -392,15 +392,6 @@ class TestHandlers:
         r2 = query("sim", params, store=store, info=info)
         assert info["cache"] == "hit" and canonical_json(r2) == canonical_json(r)
 
-    def test_use_cache_false_bypasses(self, store):
-        info = {}
-        query("dims", {"ks": [2, 2, 2]}, store=store, use_cache=False,
-              info=info)
-        assert info["cache"] == "off"
-        assert store.get(
-            "dims", normalize_params("dims", {"ks": [2, 2, 2]})
-        ) is None
-
 
 class TestExecParams:
     """Execution knobs: how to compute, never what to compute — they
@@ -443,32 +434,15 @@ class TestExecParams:
         assert info_hit["cache"] == "hit"
         assert canonical_json(again) == canonical_json(chunk)
 
-    def test_exec_kwarg_equivalent_to_inline(self, store):
-        params = {"ks": [2, 2, 2]}
-        r1 = query("layout", dict(params, memory_budget_bytes=8192),
-                   store=None)
-        r2 = query("layout", dict(params), store=None,
-                   exec_params={"memory_budget_bytes": 8192})
-        assert canonical_json(r1) == canonical_json(r2)
-
     def test_exec_values_validated(self):
         for bad in (0, -3, "x", 1.5, True, float("inf")):
             with pytest.raises(QueryError):
                 query("layout", {"ks": [2, 2], "memory_budget_bytes": bad},
                       store=None)
-        with pytest.raises(QueryError):
-            query("layout", {"ks": [2, 2]}, store=None,
-                  exec_params={"memory_budget_bytes": 0})
-        with pytest.raises(QueryError):
-            query("layout", {"ks": [2, 2]}, store=None,
-                  exec_params={"bogus": 1})
-        # ``workers`` is no layout knob: an unknown parameter either way
+        # ``workers`` is no layout knob: an unknown parameter
         for val in (1, 2, "2"):
             with pytest.raises(QueryError, match="unknown parameter"):
                 query("layout", {"ks": [2, 2], "workers": val}, store=None)
-            with pytest.raises(QueryError, match="unknown exec parameter"):
-                query("layout", {"ks": [2, 2]}, store=None,
-                      exec_params={"workers": val})
 
     def test_exec_strings_coerce_like_http(self):
         r = query("layout",

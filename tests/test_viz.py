@@ -59,10 +59,16 @@ SVG_LAYOUTS = {
 @pytest.mark.parametrize("case", SVG_LAYOUTS)
 @pytest.mark.parametrize("opts", [{}, {"max_wires": 7}, {"show_vias": False}],
                          ids=["default", "max_wires", "no_vias"])
-def test_svg_matches_object_renderer(case, opts):
-    """The columnar renderer writes the object renderer's bytes."""
+def test_svg_matches_object_renderer(case, opts, tmp_path):
+    """The columnar renderer writes the object renderer's bytes, joined
+    in memory or streamed to a file (in blocks: B_9 is over 4,096
+    elements)."""
     layout = SVG_LAYOUTS[case]().layout
-    assert layout_to_svg(layout, **opts) == layout_to_svg_legacy(layout, **opts)
+    legacy = layout_to_svg_legacy(layout, **opts)
+    assert layout_to_svg(layout, **opts) == legacy
+    path = save_svg(layout, str(tmp_path / "out.svg"), **opts)
+    with open(path, "rb") as fh:
+        assert fh.read() == legacy.encode("utf-8")
 
 
 class TestAsciiFigures:
