@@ -283,11 +283,17 @@ class SimResult:
         return self.delivered_total / max(self.offered, 1)
 
 
-def _validate(n: int, rate_per_input: float, cycles: int) -> None:
+def _validate(n: int, rate_per_input: float, cycles: int, warmup: int) -> None:
     if not 0 < rate_per_input <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate_per_input}")
     if n < 1 or cycles < 1:
         raise ValueError("need n >= 1 and cycles >= 1")
+    if not 0 <= warmup < cycles:
+        # a run with no measured window offers nothing to measure
+        raise ValueError(
+            f"need 0 <= warmup < cycles (a measured window), got "
+            f"warmup={warmup}, cycles={cycles}"
+        )
 
 
 def _run_batch(
@@ -342,7 +348,7 @@ def _run_batch(
     + drain`` rows and filled in place (40 bytes a cycle).
     """
     for rate, _seed in jobs:
-        _validate(n, rate, cycles)
+        _validate(n, rate, cycles, warmup)
     if drain is None:
         drain = _default_drain(n)
     R = 1 << n
@@ -626,6 +632,8 @@ def sweep_rates(
     every grouping is bit-identical to running each job alone.
     """
     jobs = [(float(rate), int(s)) for rate in rates for s in seeds]
+    for rate, _seed in jobs:
+        _validate(n, rate, cycles, warmup)
     batch = max(1, batch)
     payloads = [
         (n, jobs[i : i + batch], cycles, warmup, drain)

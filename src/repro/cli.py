@@ -432,6 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--cycles", type=int, default=None)
     cr.add_argument("--warmup", type=int, default=None)
     cr.add_argument("--benes-batch", type=int, default=None)
+    conv = PARAM_SPECS["saturation"]["threshold"][0]
+    cr.add_argument("--threshold", type=_spec_type(conv, "threshold"),
+                    default=None,
+                    help=f"saturation accepted-fraction threshold; "
+                         f"{conv.describe}")
     cr.add_argument("--sat-max-n", type=int, default=None,
                     help="run the saturation bisection only when n <= this")
     cr.add_argument("--seed", type=int, default=None,
@@ -1028,6 +1033,7 @@ def _campaign_spec(args) -> dict:
             ("cycles", args.cycles),
             ("warmup", args.warmup),
             ("benes_batch", args.benes_batch),
+            ("threshold", args.threshold),
             ("sat_max_n", args.sat_max_n),
             ("seed", args.seed),
             ("layout_memory_budget", args.memory_budget_bytes),

@@ -6,16 +6,17 @@ A layout's wires are one :class:`WireTable` (int64 segment arrays in
 CSR layout): every builder emits one, :class:`Layout` holds it, and
 the validator, the measurements and ``viz/`` read its columns.
 :func:`validate_layout` runs sort/cummax sweeps over those columns —
-it is the chunked validator (:class:`ChunkedValidator`) fed the whole table as one chunk,
-so in-memory and out-of-core layouts go through one rule set.  Builds
-take one route the same way: each layout family has one builder, a
-chunk source (``chunked_*_table``) that streams the layout as chunks
+it is the chunked validator (:class:`ChunkedValidator`) fed the whole
+table as one chunk, so in-memory and out-of-core layouts go through one
+rule set.  Only the grid scheme streams: its one builder is the chunk
+source :func:`chunked_grid_table`, which streams the layout as chunks
 sized to a ``memory_budget_bytes``; with no budget it yields one chunk,
-and :func:`build_grid_layout`, :func:`collinear_layout` and
-:func:`build_grid2d_layout` return that chunk as their table.  A
+and :func:`build_grid_layout` returns that chunk as its table.  A
 budgeted stream validates in one serial pass, spilling grouped-check
-rows to disk from the second chunk on.  The original object-per-wire
-builders and checker live in ``tests/oracles`` as differential oracles:
+rows to disk from the second chunk on.  :func:`collinear_layout` and
+:func:`build_grid2d_layout` build their tables in memory in one pass.
+The original object-per-wire builders and checker live in
+``tests/oracles`` as differential oracles:
 ``tests/test_layout_vectorized.py`` pins the columnar builders to
 equal tables and node maps, and the validator to identical verdicts
 and error counts.  The builders whose wires have irregular shapes
@@ -69,18 +70,12 @@ from .grid_scheme import (
 )
 from .model import Layout, LayoutModel, multilayer_model, thompson_model
 from .tracks import TrackGrouping, base_layer_pair
-from .validate import (
-    ValidationReport,
-    validate_layout,
-    validate_table,
-)
+from .validate import ValidationReport, validate_layout
 from .wiretable import WireTable, WireTableBuilder
 from .chunked import (
     ChunkStats,
     ChunkedBuild,
     ChunkedValidator,
-    chunked_collinear_table,
-    chunked_grid2d_table,
     chunked_grid_table,
     grid_chunk_estimate,
     summarize_chunks,
@@ -98,14 +93,11 @@ __all__ = [
     "multilayer_model",
     "ValidationReport",
     "validate_layout",
-    "validate_table",
     "WireTable",
     "WireTableBuilder",
     "ChunkStats",
     "ChunkedBuild",
     "ChunkedValidator",
-    "chunked_collinear_table",
-    "chunked_grid2d_table",
     "chunked_grid_table",
     "grid_chunk_estimate",
     "summarize_chunks",

@@ -1,17 +1,19 @@
 """Chunked (out-of-core) WireTable construction, validation and stats.
 
-Each layout family has one builder, its chunk source here: it streams
-the layout as a sequence of :class:`~repro.layout.wiretable.WireTable`
-*chunks* sized to a ``memory_budget_bytes``.  With no budget a source
-yields the whole layout as one chunk, and the in-memory builders
-(:func:`~repro.layout.grid_scheme.build_grid_layout`,
-:func:`~repro.layout.collinear.collinear_layout`,
-:func:`~repro.layout.grid2d.build_grid2d_layout`) return that chunk as
-their table, so each family's wire geometry exists once.  A
-``B_18``-class grid, whose one table is multi-GB of segment arrays, is
-built under a budget instead.  Two exactness guarantees are pinned by
-``tests/test_wiretable_chunked.py`` against the legacy builders in
-``tests/oracles``:
+This module holds three things: the one streaming layout source, the
+one layout validator, and the streaming stats.
+
+Only the Section 3-4 grid layout of ``B_n`` needs an out-of-core build:
+at ``n >= 18`` its one table is gigabytes of segment arrays.  Its chunk
+source :func:`chunked_grid_table` streams the layout as a sequence of
+:class:`~repro.layout.wiretable.WireTable` *chunks* sized to a
+``memory_budget_bytes``; with no budget it yields the whole layout as
+one chunk, which :func:`~repro.layout.grid_scheme.build_grid_layout`
+returns as its table, so the grid's wire geometry exists once.  (The
+collinear and 2-D grid builders, whose tables every caller holds in
+memory, build in one pass in their own modules.)  Two exactness
+guarantees are pinned by ``tests/test_wiretable_chunked.py`` against
+the legacy builders in ``tests/oracles``:
 
 * **build identity** — at every budget, concatenating the chunks
   reproduces the legacy table byte for byte (same wires, same order,
@@ -20,31 +22,21 @@ built under a budget instead.  Two exactness guarantees are pinned by
   :func:`summarize_chunks` return byte-identical
   :class:`~repro.layout.validate.ValidationReport` contents (``ok``,
   ``num_errors``, ``errors``, ``checks_run``) and ``Layout.summary()``
-  dicts without ever holding the whole table.
+  dicts at every chunking, without ever holding the whole table.
 
-Each chunk source is a generator closure over the build's O(network)
-inputs, so :meth:`ChunkedBuild.chunks` restarts the stream on every
-call; the sources exploit each layout's order structure:
-
-* collinear (:func:`chunked_collinear_table`) — the table is strictly
-  per-wire, so any wire range ``[lo, hi)`` regenerates independently
-  from :func:`~repro.layout.collinear.track_assignment_arrays`;
-* grid scheme (:func:`chunked_grid_table`) — the legacy emission order
-  factors into three phases (intra wires block-major, then level >= 3
-  inter wires by grid column, then level-2 inter wires by grid row) and
-  every ranking is local to a block / grid column / grid row, so
-  :func:`~repro.layout.grid_table._grid_cats` rebuilds any closed block
-  subset exactly.  Chunk granularity is therefore whole blocks (intra)
-  and whole grid columns/rows (inter) — the budget is honoured down to
-  that floor.  With no budget one call covers every block and phase;
-* 2-D grids (:func:`chunked_grid2d_table`) — emission order is channel
-  by channel; a first pass computes demands and a second pass streams
-  the dogleg rows.  Under a budget the demand pass keeps no channel
-  graph and the emission pass regenerates them; with no budget the
-  emission pass reuses the demand pass's graphs.
+The source is a generator closure over the build's O(network) inputs,
+so :meth:`ChunkedBuild.chunks` restarts the stream on every call.  It
+exploits the layout's order structure: the legacy emission order
+factors into three phases (intra wires block-major, then level >= 3
+inter wires by grid column, then level-2 inter wires by grid row) and
+every ranking is local to a block / grid column / grid row, so
+:func:`~repro.layout.grid_table._grid_cats` rebuilds any closed block
+subset exactly.  Chunk granularity is therefore whole blocks (intra)
+and whole grid columns/rows (inter) — the budget is honoured down to
+that floor.  With no budget one call covers every block and phase.
 
 :class:`ChunkedValidator` is the one layout validator:
-:func:`~repro.layout.validate.validate_table` is it fed the whole table
+:func:`~repro.layout.validate.validate_layout` is it fed the whole table
 as one chunk.  The grouped checks (track overlap, via conflicts,
 via-vs-segment, terminals) read two *row families*: the segments
 (``layer, horizontal, track, lo, hi, global wire``) and the via columns
@@ -110,7 +102,7 @@ import tempfile
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional,
+    Callable, Dict, Hashable, Iterable, Iterator, List, Optional,
     Sequence, Tuple,
 )
 
@@ -118,17 +110,11 @@ import numpy as np
 
 from ..topology.graph import Graph, _canon_rows
 from ..transform.swap_butterfly import SwapButterfly
-from .collinear import (
-    TrackOrder, _check_track_order, optimal_track_count,
-    track_assignment_arrays,
-)
-from .collinear_generic import max_congestion
-from .geometry import LayerPair, Rect, THOMPSON_LAYERS
-from .grid2d import (
-    _doglegs_to_table, _grid2d_plan, _grid2d_wire_stream, _side_subgraphs,
-)
+from .collinear import TrackOrder, _check_track_order
 from .grid_scheme import GridDims, grid_dims
-from .grid_table import GridNets, _cats_table, _grid_cats, build_grid_nodes
+from .grid_table import (
+    GridNets, GridNodes, _cats_table, _grid_cats, build_grid_nodes,
+)
 from .model import LayoutModel, _node_box, multilayer_model, thompson_model
 from .validate import (
     MAX_ERRORS_KEPT,
@@ -155,8 +141,6 @@ __all__ = [
     "ChunkStats",
     "ChunkedBuild",
     "ChunkedValidator",
-    "chunked_collinear_table",
-    "chunked_grid2d_table",
     "chunked_grid_table",
     "grid_chunk_estimate",
     "summarize_chunks",
@@ -164,9 +148,9 @@ __all__ = [
     "wires_per_chunk",
 ]
 
-# Conservative working-set estimate per wire in a chunk under assembly:
-# ~3 segments x 5 int64 columns, the 6-int lexsort key, the net (a
-# 4-int row for grid chunks, a tuple otherwise), and sort/permute
+# Conservative working-set estimate per wire in a grid chunk under
+# assembly: ~3 segments x 5 int64 columns, the 6-int lexsort key, the
+# net (a 4-int endpoint row and a kind code), and sort/permute
 # temporaries.  Deliberately generous so a declared
 # budget upper-bounds the real transient footprint.
 _WIRE_BYTES = 1024
@@ -176,10 +160,10 @@ def wires_per_chunk(memory_budget_bytes: Optional[int]) -> int:
     """Target chunk size (in wires) for a working-set byte budget.
 
     ``None`` means "no budget" and yields no bound (``sys.maxsize``), so
-    every source streams its whole layout as one chunk.  Grid chunk
-    sources honour a budget's result down to their natural granularity
-    floor (one block / grid column / grid row per chunk); the collinear
-    source honours it exactly, down to single-wire chunks.
+    :func:`chunked_grid_table` streams its whole layout as one chunk.
+    Under a budget the grid source honours the result down to its
+    natural granularity floor (one block / grid column / grid row per
+    chunk).
 
     The floor is pinned at **one wire per chunk**: any positive budget —
     even a single byte, far below the ~1 KiB per-wire working-set
@@ -202,26 +186,24 @@ class ChunkedBuild:
     """A layout whose wires exist only as a restartable chunk stream.
 
     ``chunks()`` returns a fresh iterator of non-empty :class:`WireTable`
-    chunks in emission order each time it is called: each source hands
-    over a ``_chunks`` closure that regenerates the stream from its
-    O(network) inputs (builds are deterministic, so the stream is
-    restartable).  With no budget the stream is one chunk.  ``nodes``,
-    ``model`` and ``dims`` (the grid sources' dimension record, ``None``
-    for collinear builds) are materialised eagerly — they are O(network
+    chunks in emission order each time it is called:
+    :func:`chunked_grid_table` hands over a ``_chunks`` closure that
+    regenerates the stream from its O(network) inputs (builds are
+    deterministic, so the stream is restartable).  With no budget the
+    stream is one chunk.  ``nodes``, ``model`` and ``dims`` (the grid's
+    dimension record) are materialised eagerly — they are O(network
     size), not O(wires) — which is exactly what the chunked validator
-    and the in-memory builders need.  A grid build's ``nodes`` is a
-    :class:`~repro.layout.grid_table.GridNodes`: two int64 columns (16
-    bytes a node) and no ``Rect`` until one is read; the collinear and
-    2-D grid sources hold a dict of one ``Rect`` per node.
+    and :func:`~repro.layout.grid_scheme.build_grid_layout` need.
+    ``nodes`` is a :class:`~repro.layout.grid_table.GridNodes`: two
+    int64 columns (16 bytes a node) and no ``Rect`` until one is read.
     """
 
     name: str
     model: LayoutModel
-    nodes: Mapping[Hashable, Rect]
+    nodes: GridNodes
     chunk_wires: int
     memory_budget_bytes: Optional[int]
-    num_wires: Optional[int] = None
-    dims: object = None
+    dims: GridDims
     _chunks: Callable[[], Iterator[WireTable]] = field(
         default=None, repr=False
     )
@@ -245,16 +227,13 @@ class ChunkedBuild:
     def validate_and_summarize(
         self,
         graph: Optional[Graph] = None,
-        check_nodes: bool = True,
-        check_vias: bool = True,
         num_buckets: int = 8,
         spill_dir: Optional[str] = None,
     ) -> Tuple[ValidationReport, Dict[str, int]]:
         """One pass over the chunk stream feeding both the validator and
         the stats accumulator."""
         v = ChunkedValidator(
-            self.nodes, self.model, graph=graph, check_nodes=check_nodes,
-            check_vias=check_vias,
+            self.nodes, self.model, graph=graph,
             num_buckets=num_buckets, spill_dir=spill_dir,
         )
         st = ChunkStats()
@@ -271,95 +250,8 @@ class ChunkedBuild:
 
 
 # ---------------------------------------------------------------------------
-# chunk sources
+# the grid chunk source
 # ---------------------------------------------------------------------------
-
-
-def chunked_collinear_table(
-    n: int,
-    multiplicity: int = 1,
-    node_side: Optional[int] = None,
-    order: TrackOrder = "forward",
-    layers: LayerPair = THOMPSON_LAYERS,
-    model: Optional[LayoutModel] = None,
-    memory_budget_bytes: Optional[int] = None,
-) -> ChunkedBuild:
-    """The collinear layout of ``K_n`` (x ``multiplicity``) in wire-range
-    chunks — the one builder behind
-    :func:`~repro.layout.collinear.collinear_layout`.
-
-    Terminal discipline: node ``a`` attaches each wire at a distinct x
-    offset on its top edge, ordered by (neighbor label, copy); this
-    ordering guarantees that chained same-track links only meet
-    end-to-end, never overlapping.  Each wire is three segments: up from
-    node ``a``, along its track at ``y = node_side + 1 + track``, and
-    down to node ``b``.
-    """
-    if multiplicity < 1:
-        raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
-    if n < 2:
-        raise ValueError(f"need n >= 2 nodes, got {n}")
-    _check_track_order(order)
-    degree = multiplicity * (n - 1)
-    side = node_side if node_side is not None else degree
-    if side < degree:
-        raise ValueError(
-            f"node side {side} cannot host {degree} top-edge terminals"
-        )
-    tracks_total = optimal_track_count(n) * multiplicity
-    pitch = side + 1
-    top = side
-    m = multiplicity
-    nw = (n * (n - 1) // 2) * m
-    wpc = wires_per_chunk(memory_budget_bytes)
-    vl = np.int64(layers.vertical)
-    hl = np.int64(layers.horizontal)
-
-    def chunks() -> Iterator[WireTable]:
-        a0, b0, t0 = track_assignment_arrays(n, "forward")
-        for lo in range(0, nw, wpc):
-            idx = np.arange(lo, min(lo + wpc, nw), dtype=np.int64)
-            li = idx // m
-            copy = idx % m
-            a, b = a0[li], b0[li]
-            t = t0[li] * m + copy
-            if order == "reversed":
-                t = tracks_total - 1 - t
-            y = top + 1 + t
-            # a < b throughout, so node a ranks its terminal by (b - 1,
-            # copy) and node b by (a, copy)
-            xa = a * pitch + (b - 1) * m + copy
-            xb = b * pitch + a * m + copy
-            cn = len(idx)
-            rows = np.empty((cn, 3, 5), dtype=np.int64)
-            topv = np.full(cn, top, dtype=np.int64)
-            rows[:, 0] = np.stack(
-                [xa, topv, xa, y, np.full(cn, vl)], axis=1
-            )
-            rows[:, 1] = np.stack(
-                [xa, y, xb, y, np.full(cn, hl)], axis=1
-            )
-            rows[:, 2] = np.stack(
-                [xb, topv, xb, y, np.full(cn, vl)], axis=1
-            )
-            flat = rows.reshape(cn * 3, 5)
-            nets = list(zip(a.tolist(), b.tolist(), copy.tolist()))
-            yield WireTable.from_segment_arrays(
-                nets,
-                np.arange(cn + 1, dtype=np.int64) * 3,
-                flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
-            )
-
-    nodes = {a: Rect(a * pitch, 0, side, side) for a in range(n)}
-    return ChunkedBuild(
-        name=f"collinear-K{n}x{multiplicity}",
-        model=model or thompson_model(),
-        nodes=nodes,
-        chunk_wires=wpc,
-        memory_budget_bytes=memory_budget_bytes,
-        num_wires=nw,
-        _chunks=chunks,
-    )
 
 
 def _grid_grain(
@@ -475,112 +367,6 @@ def chunked_grid_table(
         nodes=build_grid_nodes(sb, dims),
         chunk_wires=wpc,
         memory_budget_bytes=memory_budget_bytes,
-        dims=dims,
-        _chunks=chunks,
-    )
-
-
-def chunked_grid2d_table(
-    rows: int,
-    cols: int,
-    row_graph: Callable[[int], Graph],
-    col_graph: Callable[[int], Graph],
-    W: Optional[int] = None,
-    L: int = 2,
-    name: str = "grid2d",
-    split_channels: bool = False,
-    memory_budget_bytes: Optional[int] = None,
-) -> ChunkedBuild:
-    """The 2-D grid layout of a ``rows x cols`` product network as a
-    chunk stream — the one builder behind
-    :func:`~repro.layout.grid2d.build_grid2d_layout`.
-
-    The demand pass visits every channel graph once; the emission pass
-    streams the dogleg rows channel by channel, buffering them up to the
-    chunk size.  Under a budget the demand pass keeps no graph and the
-    emission pass regenerates each channel's side subgraphs, so the
-    graph callables must be pure (same graph for the same index on every
-    call).  With no budget the stream is one chunk that holds every wire
-    anyway, so the emission pass reuses the demand pass's subgraphs.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError("need at least a 1x1 grid")
-    if L < 2:
-        raise ValueError(f"need at least 2 layers, got {L}")
-    keep = memory_budget_bytes is None
-    row_sides: List[Tuple[Graph, Graph]] = []
-    col_sides: List[Tuple[Graph, Graph]] = []
-    d_top = d_bot = d_right = d_left = 0
-    per_edge = 0
-    num_wires = 0
-    for r in range(rows):
-        g = row_graph(r)
-        if set(g.nodes()) - set(range(cols)):
-            raise ValueError(f"row graph {r} has nodes outside 0..{cols - 1}")
-        s0, s1 = _side_subgraphs(g, split_channels)
-        d_top = max(d_top, max_congestion(s0, range(cols)))
-        d_bot = max(d_bot, max_congestion(s1, range(cols)))
-        per_edge = max(per_edge, s0.max_degree(), s1.max_degree())
-        num_wires += s0.num_edges + s1.num_edges
-        if keep:
-            row_sides.append((s0, s1))
-    for c in range(cols):
-        g = col_graph(c)
-        if set(g.nodes()) - set(range(rows)):
-            raise ValueError(f"column graph {c} has nodes outside 0..{rows - 1}")
-        s0, s1 = _side_subgraphs(g, split_channels)
-        d_right = max(d_right, max_congestion(s0, range(rows)))
-        d_left = max(d_left, max_congestion(s1, range(rows)))
-        per_edge = max(per_edge, s0.max_degree(), s1.max_degree())
-        num_wires += s0.num_edges + s1.num_edges
-        if keep:
-            col_sides.append((s0, s1))
-
-    plan = _grid2d_plan(
-        rows, cols, W, L, split_channels,
-        d_top, d_bot, d_right, d_left, per_edge,
-    )
-    dims = plan.dims
-    side = dims.W
-    wpc = wires_per_chunk(memory_budget_bytes)
-
-    def chunks() -> Iterator[WireTable]:
-        nets_buf: List[Tuple] = []
-        paths_buf: List[Tuple[int, ...]] = []
-        pairs_buf: List[Tuple[int, int]] = []
-        stream = _grid2d_wire_stream(
-            rows, cols,
-            row_sides.__getitem__ if keep
-            else lambda r: _side_subgraphs(row_graph(r), split_channels),
-            col_sides.__getitem__ if keep
-            else lambda c: _side_subgraphs(col_graph(c), split_channels),
-            plan.g_top, plan.g_bot, plan.g_right, plan.g_left,
-            side, dims.cell_w, dims.cell_h, plan.x_off, plan.y_off,
-        )
-        for _u, _v, wnet, p8, pair in stream:
-            nets_buf.append(wnet)
-            paths_buf.append(p8)
-            pairs_buf.append((pair.vertical, pair.horizontal))
-            if len(nets_buf) >= wpc:
-                yield _doglegs_to_table(nets_buf, paths_buf, pairs_buf)
-                nets_buf, paths_buf, pairs_buf = [], [], []
-        if nets_buf:
-            yield _doglegs_to_table(nets_buf, paths_buf, pairs_buf)
-
-    nodes: Dict[Hashable, Rect] = {}
-    for r in range(rows):
-        for c in range(cols):
-            nodes[(r, c)] = Rect(
-                c * dims.cell_w + plan.x_off, r * dims.cell_h + plan.y_off,
-                side, side,
-            )
-    return ChunkedBuild(
-        name=f"{name}-{rows}x{cols}-L{L}",
-        model=plan.model,
-        nodes=nodes,
-        chunk_wires=wpc,
-        memory_budget_bytes=memory_budget_bytes,
-        num_wires=num_wires,
         dims=dims,
         _chunks=chunks,
     )
@@ -997,8 +783,8 @@ def _net_at(net_of: "_NetReader", gw: np.ndarray) -> Callable[[int], Hashable]:
     return lambda r: net_of(int(gw[r]))
 
 
-def _grouped_checks(families: Iterator, net_of: "_NetReader",
-                    check_vias: bool) -> Iterator[Tuple]:
+def _grouped_checks(families: Iterator,
+                    net_of: "_NetReader") -> Iterator[Tuple]:
     """Every grouped check over one spill bucket's families, or a held
     chunk's.  ``families`` yields the segment family, then the via
     columns keyed by ``y``, then those keyed by ``x``, each via family
@@ -1012,8 +798,6 @@ def _grouped_checks(families: Iterator, net_of: "_NetReader",
     yield ("tracks", None), _track_overlap_sweep(
         layer, horiz, track, lo, hi, sw, _net_at(net_of, sw)
     )
-    if not check_vias:
-        return
     # each orientation's segments: layer, track, lo, hi, global wire
     by_orient = {
         is_h: [c[si] for c in (layer, track, lo, hi, sw)]
@@ -1099,7 +883,7 @@ class ChunkedValidator:
     Feed chunks in emission order, then ``finalize()``.  The report does
     not depend on the chunking — same ``checks_run``, same
     ``num_errors``, same first-20 ``errors`` in the same order — and
-    :func:`~repro.layout.validate.validate_table` is this validator fed
+    :func:`~repro.layout.validate.validate_layout` is this validator fed
     the whole table as one chunk.
 
     Per-wire checks (layer discipline, contiguity and terminals, wires
@@ -1167,24 +951,20 @@ class ChunkedValidator:
         nodes,
         model: LayoutModel,
         graph: Optional[Graph] = None,
-        check_nodes: bool = True,
-        check_vias: bool = True,
         num_buckets: int = 8,
         spill_dir: Optional[str] = None,
     ) -> None:
         self.nodes = nodes
         self.model = model
         self.graph = graph
-        self.check_nodes = check_nodes
-        self.check_vias = check_vias
         self.nb = max(1, int(num_buckets))
         self._spill_dir = spill_dir
         self._dir: Optional[str] = None
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         # spill stores by file stem, one per row family: the segments,
         # then the via columns keyed by y and by x
-        stems = ("segments", "vias_y", "vias_x")[:3 if check_vias else 1]
-        self._stores = {s: _SpillStore(s, self.nb, 6) for s in stems}
+        self._stores = {s: _SpillStore(s, self.nb, 6)
+                        for s in ("segments", "vias_y", "vias_x")}
         self._nets = _NetFile()
         self._held: Optional[WireTable] = None
         self._chunks = 0
@@ -1196,7 +976,7 @@ class ChunkedValidator:
         self._node_index = ni = _NodeIndex(nodes)
         # wires-avoid-nodes: band indexes over the (fixed) nodes, built once
         self._bi: Dict[bool, Optional[_BandIndex]] = {True: None, False: None}
-        if check_nodes and len(ni):
+        if len(ni):
             rx, ry, rx2, ry2 = ni.rx, ni.ry, ni.rx2, ni.ry2
             self._bi[True] = _BandIndex(ry, ry2, rx, rx2)
             self._bi[False] = _BandIndex(rx, rx2, ry, ry2)
@@ -1227,8 +1007,7 @@ class ChunkedValidator:
             t, self.nodes, index, tmp, ends
         )
         self._t_contig.add(tmp.num_errors, tmp.errors)
-        if self.check_nodes:
-            self._feed_avoid(t)
+        self._feed_avoid(t)
         f = self._fast
         if f is not None and t.num_wires:
             if f["k"] != k:
@@ -1274,12 +1053,11 @@ class ChunkedValidator:
             root, _buckets_of(nb, segs[2]), np.stack(segs, axis=1)
         )
         del segs
-        if self.check_vias:
-            vias, n_bends = _via_rows(t, w_off, self._bend_off)
-            self._bend_off += n_bends
-            rows = np.stack(vias, axis=1)
-            stores["vias_y"].add(root, _buckets_of(nb, vias[1]), rows)
-            stores["vias_x"].add(root, _buckets_of(nb, vias[0]), rows)
+        vias, n_bends = _via_rows(t, w_off, self._bend_off)
+        self._bend_off += n_bends
+        rows = np.stack(vias, axis=1)
+        stores["vias_y"].add(root, _buckets_of(nb, vias[1]), rows)
+        stores["vias_x"].add(root, _buckets_of(nb, vias[0]), rows)
         self._nets.add(root, w_off, t.nets)
 
     def _feed_avoid(self, t: WireTable) -> None:
@@ -1381,30 +1159,27 @@ class ChunkedValidator:
             nets = _NetReader(self._nets.index)
             buckets = self._bucket_families()
         for families in buckets:
-            for check, res in _grouped_checks(families, nets,
-                                              self.check_vias):
+            for check, res in _grouped_checks(families, nets):
                 by_kind[check].add(*res)
         rep.checks_run.append("track-overlap")
         kt = by_kind[("tracks", None)]
         _bulk(rep, kt.count, iter(kt.merged()))
-        if self.check_vias:
-            rep.checks_run.append("via-conflicts")
-            kt = by_kind[("viacol", None)]
-            _bulk(rep, kt.count, iter(kt.merged()))
-            seg_count = 0
-            seg_msgs: List[str] = []
-            for is_h in (True, False):
-                kt = by_kind[("viaseg", is_h)]
-                seg_count += kt.count
-                seg_msgs.extend(kt.merged()[:MAX_ERRORS_KEPT])
-            _bulk(rep, seg_count, iter(seg_msgs))
-            rep.checks_run.append("terminals-distinct")
-            kt = by_kind[("terms", None)]
-            _bulk(rep, kt.count, iter(kt.merged()))
-        if self.check_nodes:
-            _vt_nodes_disjoint(self.nodes, self._node_index, rep)
-            rep.checks_run.append("wires-avoid-nodes")
-            _bulk(rep, self._t_avoid.count, iter(self._t_avoid.msgs))
+        rep.checks_run.append("via-conflicts")
+        kt = by_kind[("viacol", None)]
+        _bulk(rep, kt.count, iter(kt.merged()))
+        seg_count = 0
+        seg_msgs: List[str] = []
+        for is_h in (True, False):
+            kt = by_kind[("viaseg", is_h)]
+            seg_count += kt.count
+            seg_msgs.extend(kt.merged()[:MAX_ERRORS_KEPT])
+        _bulk(rep, seg_count, iter(seg_msgs))
+        rep.checks_run.append("terminals-distinct")
+        kt = by_kind[("terms", None)]
+        _bulk(rep, kt.count, iter(kt.merged()))
+        _vt_nodes_disjoint(self.nodes, self._node_index, rep)
+        rep.checks_run.append("wires-avoid-nodes")
+        _bulk(rep, self._t_avoid.count, iter(self._t_avoid.msgs))
         if self.graph is not None:
             rep.checks_run.append("realizes-graph")
             f = self._fast
@@ -1438,17 +1213,17 @@ def validate_table_chunked(
     nodes,
     model: LayoutModel,
     graph: Optional[Graph] = None,
-    check_nodes: bool = True,
-    check_vias: bool = True,
     num_buckets: int = 8,
     spill_dir: Optional[str] = None,
 ) -> ValidationReport:
-    """Validate a chunk stream; byte-identical report to running
-    :func:`~repro.layout.validate.validate_table` on the concatenation.
-    A stream of one chunk is swept in memory and writes no file."""
+    """Validate a chunk stream; the report does not depend on how the
+    table is cut into chunks, and
+    :func:`~repro.layout.validate.validate_layout` is this function fed
+    the layout's whole table as one chunk, which is swept in memory and
+    writes no file."""
     v = ChunkedValidator(
-        nodes, model, graph=graph, check_nodes=check_nodes,
-        check_vias=check_vias, num_buckets=num_buckets, spill_dir=spill_dir,
+        nodes, model, graph=graph, num_buckets=num_buckets,
+        spill_dir=spill_dir,
     )
     try:
         for t in chunks:

@@ -16,9 +16,9 @@ This module provides the abstract track assignment, the fully geometric
 :class:`CollinearLayout` (validated wire-level), the reversed track order
 that shortens the maximum wire (the paper's closing remark in Appendix B),
 and multiplicities (every butterfly layout replicates each wire 4 or more
-times).  The wire geometry itself lives in one place, the chunk source
-:func:`~repro.layout.chunked.chunked_collinear_table`;
-:func:`collinear_layout` runs it with no budget.
+times).  :func:`collinear_layout` builds the whole table in one numpy
+pass over every wire; it is small enough (``n(n-1)/2`` wires per copy)
+that no caller streams it.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ import numpy as np
 
 from ..topology.complete import complete_multigraph
 from ..topology.graph import Graph
-from .geometry import LayerPair, THOMPSON_LAYERS
-from .model import Layout, LayoutModel
+from .geometry import LayerPair, Rect, THOMPSON_LAYERS
+from .model import Layout, LayoutModel, thompson_model
+from .wiretable import WireTable
 
 __all__ = [
     "optimal_track_count",
@@ -175,27 +176,61 @@ def collinear_layout(
 ) -> CollinearLayout:
     """Construct the wire-level collinear layout of ``K_n`` (x ``multiplicity``).
 
-    This is :func:`~repro.layout.chunked.chunked_collinear_table` run
-    with no budget: its one chunk is the layout's table.  Each wire's
-    middle segment runs along its track at ``y = node_side + 1 +
-    track``, which is where ``track_of`` reads it.
+    Terminal discipline: node ``a`` attaches each wire at a distinct x
+    offset on its top edge, ordered by (neighbor label, copy); this
+    ordering guarantees that chained same-track links only meet
+    end-to-end, never overlapping.  Each wire is three segments: up from
+    node ``a``, along its track at ``y = node_side + 1 + track``, and
+    down to node ``b``.  Wires come in ``(a, b, copy)`` order.
     """
-    from .chunked import chunked_collinear_table
-
-    build = chunked_collinear_table(
-        n, multiplicity, node_side, order, layers, model
+    if multiplicity < 1:
+        raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
+    if n < 2:
+        raise ValueError(f"need n >= 2 nodes, got {n}")
+    _check_track_order(order)
+    m = multiplicity
+    degree = m * (n - 1)
+    side = node_side if node_side is not None else degree
+    if side < degree:
+        raise ValueError(
+            f"node side {side} cannot host {degree} top-edge terminals"
+        )
+    tracks_total = optimal_track_count(n) * m
+    pitch = side + 1
+    a0, b0, t0 = track_assignment_arrays(n, "forward")
+    idx = np.arange(len(a0) * m, dtype=np.int64)
+    li, copy = idx // m, idx % m
+    a, b = a0[li], b0[li]
+    t = t0[li] * m + copy
+    if order == "reversed":
+        t = tracks_total - 1 - t
+    y = side + 1 + t
+    # a < b throughout, so node a ranks its terminal by (b - 1, copy)
+    # and node b by (a, copy)
+    xa = a * pitch + (b - 1) * m + copy
+    xb = b * pitch + a * m + copy
+    vl, hl = layers.vertical, layers.horizontal
+    # one row of three (x1, y1, x2, y2, layer) segments per wire
+    flat = np.stack(np.broadcast_arrays(
+        xa, side, xa, y, vl,
+        xa, y, xb, y, hl,
+        xb, side, xb, y, vl,
+    ), axis=1).reshape(3 * len(idx), 5)
+    nets = list(zip(a.tolist(), b.tolist(), copy.tolist()))
+    table = WireTable.from_segment_arrays(
+        nets, np.arange(len(idx) + 1, dtype=np.int64) * 3,
+        flat[:, 0], flat[:, 1], flat[:, 2], flat[:, 3], flat[:, 4],
     )
-    table = build.table()
-    side = build.nodes[0].w
+    nodes = {v: Rect(v * pitch, 0, side, side) for v in range(n)}
     return CollinearLayout(
         n=n,
-        multiplicity=multiplicity,
+        multiplicity=m,
         node_side=side,
         order=order,
         layout=Layout(
-            model=build.model, name=build.name, nodes=build.nodes,
-            table=table,
+            model=model or thompson_model(), name=f"collinear-K{n}x{m}",
+            nodes=nodes, table=table,
         ),
-        track_of=dict(zip(table.nets, (table.y1[1::3] - side - 1).tolist())),
-        tracks_total=optimal_track_count(n) * multiplicity,
+        track_of=dict(zip(nets, t.tolist())),
+        tracks_total=tracks_total,
     )

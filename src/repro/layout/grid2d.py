@@ -10,10 +10,9 @@ graph), each column's links in a vertical channel beside the column.
 :func:`build_grid2d_layout` implements that recipe generically (with
 multilayer track grouping), and is instantiated for hypercubes, k-ary
 n-cubes and generalized hypercubes in :mod:`repro.layout.hypercube_layout`
-and :mod:`repro.layout.ghc_layout`.  It is the chunk source
-:func:`~repro.layout.chunked.chunked_grid2d_table` run with no budget;
-this module holds the geometry both share: the side split, the track
-plan and the per-wire dogleg stream.
+and :mod:`repro.layout.ghc_layout`.  It builds in memory: a demand pass
+splits each channel graph once and sizes the channels, then every
+channel's dogleg wires go into one table.
 
 ``split_channels=True`` implements the Section 5.2 remark "we can split
 approximately half of the wires belonging to the same link to opposite
@@ -35,7 +34,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..topology.graph import Graph
-from .collinear_generic import left_edge_tracks
+from .collinear_generic import left_edge_tracks, max_congestion
+from .geometry import Rect
 from .model import Layout, multilayer_model, thompson_model
 from .tracks import TrackGrouping
 from .wiretable import WireTable
@@ -129,8 +129,7 @@ def _edge_orders(g: Graph) -> Dict[int, List[Tuple[int, int]]]:
 @dataclass(frozen=True)
 class _Grid2DPlan:
     """Everything downstream of the channel-demand pass: dimensions,
-    model, track groupings and cell offsets, for the chunk source in
-    :mod:`repro.layout.chunked`."""
+    model, track groupings and cell offsets."""
 
     dims: Grid2DDims
     model: object
@@ -218,57 +217,79 @@ def build_grid2d_layout(
     Node side defaults to the maximum terminal demand (with
     ``split_channels`` each node edge carries only its half).
 
-    This is :func:`~repro.layout.chunked.chunked_grid2d_table` run with
-    no budget: its one chunk is the layout's table.  The realised
-    network holds the nodes in row-major order, then one edge per wire
-    in emission order.
+    The demand pass splits each channel graph into its side subgraphs
+    once, and the emission pass lays those out.  The realised network
+    holds the nodes in row-major order, then one edge per wire in
+    emission order.
     """
-    from .chunked import chunked_grid2d_table
+    if rows < 1 or cols < 1:
+        raise ValueError("need at least a 1x1 grid")
+    if L < 2:
+        raise ValueError(f"need at least 2 layers, got {L}")
 
-    build = chunked_grid2d_table(
-        rows, cols, row_graph, col_graph, W, L, name, split_channels
+    def split(graph_at: GraphFor, count: int, n: int, what: str):
+        out = []
+        for i in range(count):
+            g = graph_at(i)
+            if set(g.nodes()) - set(range(n)):
+                raise ValueError(f"{what} {i} has nodes outside 0..{n - 1}")
+            out.append(_side_subgraphs(g, split_channels))
+        return out
+
+    def demand(sides, n: int, k: int) -> int:
+        return max(max_congestion(s[k], range(n)) for s in sides)
+
+    row_sides = split(row_graph, rows, cols, "row graph")
+    col_sides = split(col_graph, cols, rows, "column graph")
+    plan = _grid2d_plan(
+        rows, cols, W, L, split_channels,
+        demand(row_sides, cols, 0), demand(row_sides, cols, 1),
+        demand(col_sides, rows, 0), demand(col_sides, rows, 1),
+        max(g.max_degree() for s in row_sides + col_sides for g in s),
     )
-    table = build.table()
+    dims = plan.dims
+    nets, paths, pairs = [], [], []
+    for wnet, p8, pair in _grid2d_wire_stream(row_sides, col_sides, plan):
+        nets.append(wnet)
+        paths.append(p8)
+        pairs.append((pair.vertical, pair.horizontal))
+    table = _doglegs_to_table(nets, paths, pairs)
+    nodes = {
+        (r, c): Rect(c * dims.cell_w + plan.x_off,
+                     r * dims.cell_h + plan.y_off, dims.W, dims.W)
+        for r in range(rows) for c in range(cols)
+    }
     net = Graph(name=name)
-    net.add_nodes(build.nodes)
-    for wnet in table.nets:
+    net.add_nodes(nodes)
+    for wnet in nets:
         net.add_edge(wnet[0], wnet[1])
     lay = Layout(
-        model=build.model, name=build.name, nodes=build.nodes, table=table
+        model=plan.model, name=f"{name}-{rows}x{cols}-L{L}", nodes=nodes,
+        table=table,
     )
-    return Grid2DResult(layout=lay, graph=net, dims=build.dims)
+    return Grid2DResult(layout=lay, graph=net, dims=dims)
 
 
 def _grid2d_wire_stream(
-    rows: int,
-    cols: int,
-    row_sides_at: Callable[[int], Tuple[Graph, Graph]],
-    col_sides_at: Callable[[int], Tuple[Graph, Graph]],
-    g_top: TrackGrouping,
-    g_bot: TrackGrouping,
-    g_right: TrackGrouping,
-    g_left: TrackGrouping,
-    side: int,
-    cell_w: int,
-    cell_h: int,
-    x_off: int,
-    y_off: int,
+    row_sides: List[Tuple[Graph, Graph]],
+    col_sides: List[Tuple[Graph, Graph]],
+    plan: _Grid2DPlan,
 ):
-    """Yield ``(u, v, wnet, path8, pair)`` per channel wire in emission
-    order (row channels by row then side, column channels by column then
-    side; links in sorted track-assignment order).
-
-    The side-subgraph accessors are callables so an unbudgeted stream
-    can hand out the demand pass's graphs while a budgeted one
-    regenerates them channel by channel without holding them all."""
+    """Yield ``(wnet, path8, pair)`` per channel wire in emission order
+    (row channels by row then side, column channels by column then side;
+    links in sorted track-assignment order), from each row's and each
+    column's ``(primary, opposite)`` side subgraphs."""
+    dims = plan.dims
+    rows, cols, side = dims.rows, dims.cols, dims.W
+    cell_w, cell_h = dims.cell_w, dims.cell_h
+    x_off, y_off = plan.x_off, plan.y_off
 
     def origin(r: int, c: int) -> Tuple[int, int]:
         return (c * cell_w + x_off, r * cell_h + y_off)
 
     # --- row channels -----------------------------------------------------
-    for r in range(rows):
-        sides = row_sides_at(r)
-        for side_id, grouping in ((0, g_top), (1, g_bot)):
+    for r, sides in enumerate(row_sides):
+        for side_id, grouping in ((0, plan.g_top), (1, plan.g_bot)):
             g = sides[side_id]
             if g.num_edges == 0:
                 continue
@@ -288,19 +309,16 @@ def _grid2d_wire_stream(
 
             for (a, b, copy), t in sorted(assign.items()):
                 y = chan_base + grouping.offset_of(t)
-                pair = grouping.layer_pair(t)
                 pa, pb = term(a, b, copy), term(b, a, copy)
                 yield (
-                    (r, a), (r, b),
                     ((r, a), (r, b), f"row{side_id}", copy),
                     (pa[0], pa[1], pa[0], y, pb[0], y, pb[0], pb[1]),
-                    pair,
+                    grouping.layer_pair(t),
                 )
 
     # --- column channels ----------------------------------------------------
-    for c in range(cols):
-        sides = col_sides_at(c)
-        for side_id, grouping in ((0, g_right), (1, g_left)):
+    for c, sides in enumerate(col_sides):
+        for side_id, grouping in ((0, plan.g_right), (1, plan.g_left)):
             g = sides[side_id]
             if g.num_edges == 0:
                 continue
@@ -320,13 +338,11 @@ def _grid2d_wire_stream(
 
             for (a, b, copy), t in sorted(assign.items()):
                 x = chan_base + grouping.offset_of(t)
-                pair = grouping.layer_pair(t)
                 pa, pb = vterm(a, b, copy), vterm(b, a, copy)
                 yield (
-                    (a, c), (b, c),
                     ((a, c), (b, c), f"col{side_id}", copy),
                     (pa[0], pa[1], x, pa[1], x, pb[1], pb[0], pb[1]),
-                    pair,
+                    grouping.layer_pair(t),
                 )
 
 

@@ -17,10 +17,10 @@ Sections 3.1 and 4.1 of the paper:
   equals the graph's edge multiset.
 
 All checks are exact, yet layouts with hundreds of thousands of segments
-validate in seconds: :func:`validate_layout` / :func:`validate_table`
-run the rule set as numpy sort + running-maximum sweeps over the layout's
+validate in seconds: :func:`validate_layout` runs the rule set as numpy
+sort + running-maximum sweeps over the layout's
 :class:`~repro.layout.wiretable.WireTable`, falling back to exact Python
-enumeration only on the (normally empty) violating groups.  They are
+enumeration only on the (normally empty) violating groups.  It is
 :class:`~repro.layout.chunked.ChunkedValidator` fed the whole table as
 one chunk, which it sweeps in memory without spilling; the per-wire
 checks and the grouped sweep cores it calls are defined here.
@@ -48,7 +48,6 @@ from .model import Layout
 __all__ = [
     "ValidationReport",
     "validate_layout",
-    "validate_table",
 ]
 
 MAX_ERRORS_KEPT = 20
@@ -734,42 +733,18 @@ class _BandIndex:
         return out
 
 
-def validate_table(
-    table,
-    nodes,
-    model,
-    graph: Optional[Graph] = None,
-    check_nodes: bool = True,
-    check_vias: bool = True,
+def validate_layout(
+    layout: Layout, graph: Optional[Graph] = None
 ) -> ValidationReport:
-    """Vectorized rule set over a :class:`WireTable`.
+    """Run the full rule set over the layout's wire table; returns a
+    report (``.raise_if_failed()`` to assert).
 
-    This is the chunked validator fed ``table`` as its only chunk: it
-    holds the table, sweeps each grouped check's rows in memory one
+    This is the chunked validator fed the whole table as its only chunk:
+    it holds the table, sweeps each grouped check's rows in memory one
     check at a time, and writes no file.
     """
     from .chunked import validate_table_chunked
 
     return validate_table_chunked(
-        [table], nodes, model, graph=graph,
-        check_nodes=check_nodes, check_vias=check_vias,
-    )
-
-
-def validate_layout(
-    layout: Layout,
-    graph: Optional[Graph] = None,
-    check_nodes: bool = True,
-    check_vias: bool = True,
-) -> ValidationReport:
-    """Run the full rule set; returns a report (``.raise_if_failed()`` to
-    assert).  Vectorized: operates on the layout's wire table (native for
-    table-built layouts, converted once otherwise)."""
-    return validate_table(
-        layout.wire_table(),
-        layout.nodes,
-        layout.model,
-        graph=graph,
-        check_nodes=check_nodes,
-        check_vias=check_vias,
+        [layout.wire_table()], layout.nodes, layout.model, graph=graph
     )

@@ -33,6 +33,9 @@ _LAYER_COLORS = [
 #: Elements :func:`save_svg` joins per write.
 _WRITE_BLOCK = 4096
 
+#: Wires whose columns :func:`_svg_parts` holds as Python lists at once.
+_WIRE_BLOCK = 4096
+
 
 def _color(layer: int) -> str:
     return _LAYER_COLORS[(layer - 1) % len(_LAYER_COLORS)]
@@ -47,7 +50,9 @@ def _svg_parts(
     max_wires: Optional[int],
 ) -> Iterator[str]:
     """The SVG document of :func:`layout_to_svg`, one element at a time
-    (its lines, without the separating newlines)."""
+    (its lines, without the separating newlines).  The wire columns are
+    read ``_WIRE_BLOCK`` wires at a time, so the Python numbers they
+    become never outgrow a block."""
     x0, y0, x1, y1 = layout.bounding_box()
     W = (x1 - x0) * scale + 2 * margin
     H = (y1 - y0) * scale + 2 * margin
@@ -72,33 +77,35 @@ def _svg_parts(
             f"<title>{node}</title></rect>"
         )
     t = layout.wire_table()
-    if max_wires is not None:
-        t = t.slice_wires(0, max_wires)
-    x1s, y1s, x2s, y2s, layers = (
-        c.tolist() for c in (t.x1, t.y1, t.x2, t.y2, t.layer)
-    )
-    bounds = t.indptr.tolist()
-    if show_vias:
-        paths = t.paths()
-        px, py = paths.px.tolist(), paths.py.tolist()
-    for w in range(t.num_wires):
-        lo, hi = bounds[w], bounds[w + 1]
-        for i in range(lo, hi):
-            yield (
-                f'<line x1="{tx(x1s[i]):.1f}" y1="{ty(y1s[i]):.1f}" '
-                f'x2="{tx(x2s[i]):.1f}" y2="{ty(y2s[i]):.1f}" '
-                f'stroke="{_color(layers[i])}" stroke-width="0.8" '
-                f'stroke-opacity="0.8"/>'
-            )
+    nw = t.num_wires if max_wires is None else min(t.num_wires, max_wires)
+    for w0 in range(0, nw, _WIRE_BLOCK):
+        b = t.slice_wires(w0, min(w0 + _WIRE_BLOCK, nw))
+        x1s, y1s, x2s, y2s, layers = (
+            c.tolist() for c in (b.x1, b.y1, b.x2, b.y2, b.layer)
+        )
+        bounds = b.indptr.tolist()
         if show_vias:
-            # wire w's path points start at row lo + w, so the point
-            # after segment i is i + w + 1
-            for i in range(lo, hi - 1):
-                if layers[i] != layers[i + 1]:
-                    yield (
-                        f'<circle cx="{tx(px[i + w + 1]):.1f}" '
-                        f'cy="{ty(py[i + w + 1]):.1f}" r="1.2" fill="#222"/>'
-                    )
+            paths = b.paths()
+            px, py = paths.px.tolist(), paths.py.tolist()
+        for w in range(b.num_wires):
+            lo, hi = bounds[w], bounds[w + 1]
+            for i in range(lo, hi):
+                yield (
+                    f'<line x1="{tx(x1s[i]):.1f}" y1="{ty(y1s[i]):.1f}" '
+                    f'x2="{tx(x2s[i]):.1f}" y2="{ty(y2s[i]):.1f}" '
+                    f'stroke="{_color(layers[i])}" stroke-width="0.8" '
+                    f'stroke-opacity="0.8"/>'
+                )
+            if show_vias:
+                # wire w's path points start at row lo + w, so the point
+                # after segment i is i + w + 1
+                for i in range(lo, hi - 1):
+                    if layers[i] != layers[i + 1]:
+                        yield (
+                            f'<circle cx="{tx(px[i + w + 1]):.1f}" '
+                            f'cy="{ty(py[i + w + 1]):.1f}" r="1.2" '
+                            f'fill="#222"/>'
+                        )
     yield "</svg>"
 
 

@@ -352,8 +352,6 @@ def build_grid2d_layout_legacy(
         d_top, d_bot, d_right, d_left, per_edge,
     )
     dims, model, side = plan.dims, plan.model, plan.dims.W
-    g_top, g_bot = plan.g_top, plan.g_bot
-    g_right, g_left = plan.g_right, plan.g_left
     x_off, y_off = plan.x_off, plan.y_off
     cell_w, cell_h = dims.cell_w, dims.cell_h
     net = Graph(name=name)
@@ -370,14 +368,8 @@ def build_grid2d_layout_legacy(
 
     wire_objs: List[Wire] = []
 
-    stream = _grid2d_wire_stream(
-        rows, cols,
-        lambda r: row_sides[r], lambda c: col_sides[c],
-        g_top, g_bot, g_right, g_left,
-        side, cell_w, cell_h, x_off, y_off,
-    )
-    for u, v, wnet, p8, pair in stream:
-        net.add_edge(u, v)
+    for wnet, p8, pair in _grid2d_wire_stream(row_sides, col_sides, plan):
+        net.add_edge(wnet[0], wnet[1])
         path = [(p8[2 * i], p8[2 * i + 1]) for i in range(4)]
         wire_objs.append(Wire.from_legs(wnet, [(path, pair)]))
 

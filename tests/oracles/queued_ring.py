@@ -124,7 +124,7 @@ def _run_batch(
     each job alone.  ``trace`` is honoured for single-job batches only.
     """
     for rate, _seed in jobs:
-        _validate(n, rate, cycles)
+        _validate(n, rate, cycles, warmup)
     if drain is None:
         drain = _default_drain(n)
     R = 1 << n

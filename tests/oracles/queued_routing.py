@@ -37,7 +37,7 @@ def simulate_butterfly_queued_legacy(
     historical coarse sample (every 64 cycles), a lower bound on the
     engine's exact peak.
     """
-    _validate(n, rate_per_input, cycles)
+    _validate(n, rate_per_input, cycles, warmup)
     if drain is None:
         drain = _default_drain(n)
     R = 1 << n

@@ -5,7 +5,7 @@
   ``x``) plus one net file, whatever the chunk count, and each column
   file is exactly ``8 * ncols * rows`` bytes (no pickled rows);
 * **one chunk, no disk** — a validator fed exactly one chunk (which is
-  what ``validate_table`` and ``validate_layout`` are) sweeps it in
+  what ``validate_layout`` is) sweeps it in
   memory: no file even under a given ``spill_dir``, and no temporary
   directory, which a second chunk is the first to need;
 * **cleanup** — a chunk source that raises mid-stream leaves no
@@ -43,7 +43,6 @@ from repro.layout import (
     grid_graph,
     thompson_model,
     validate_layout,
-    validate_table,
     validate_table_chunked,
 )
 from repro.layout.validate import _vt_columns
@@ -309,7 +308,7 @@ def test_shared_terminals_and_realizes_fallback_across_chunks(staged, chunk):
     table, nodes = _shared_terminal_table()
     model = thompson_model()
     graph = _graph_missing_one_edge(staged)
-    want = validate_table(table, nodes, model, graph=graph)
+    want = validate_table_chunked([table], nodes, model, graph=graph)
     # the fixture exercises what it claims to
     assert "terminal point (22, 4) shared by wires (1, 2) and (3, 2)" \
         in want.errors
@@ -365,7 +364,7 @@ def test_counter_counts_only_exact_edge_codes(case, chunk):
         g.add_edges_from(np.array(edges, dtype=np.int64))
         return g
 
-    want = validate_table(table, nodes, model, graph=graph())
+    want = validate_table_chunked([table], nodes, model, graph=graph())
     assert want.errors == [
         f"graph edge {edges[1]} x1 has no wire",
         f"wire {nets[1]} x1 has no graph edge",
@@ -398,7 +397,7 @@ def test_string_nets_take_the_exact_fallback(chunk):
         )
         return g
 
-    want = validate_table(table, nodes, model, graph=graph())
+    want = validate_table_chunked([table], nodes, model, graph=graph())
     legacy = validate_layout_legacy(
         Layout(model, nodes=nodes, table=table), graph()
     )

@@ -460,7 +460,8 @@ class TestServiceRoundTrip:
 
 class TestSim:
     def test_single_run(self, capsys):
-        assert main(["sim", "-n", "3", "--rate", "0.6", "--cycles", "200"]) == 0
+        assert main(["sim", "-n", "3", "--rate", "0.6", "--cycles", "200",
+                     "--warmup", "50"]) == 0
         out = capsys.readouterr().out
         assert "throughput/input" in out
         assert "max queue" in out
@@ -468,7 +469,7 @@ class TestSim:
     def test_sweep(self, capsys):
         assert main(
             ["sim", "-n", "3", "--rates", "0.3,0.8", "--cycles", "200",
-             "--seeds", "0,1"]
+             "--warmup", "50", "--seeds", "0,1"]
         ) == 0
         out = capsys.readouterr().out
         assert out.count("0.3") >= 2  # one row per (rate, seed)
@@ -491,11 +492,32 @@ class TestSim:
         json_path = tmp_path / "t.json"
         assert main(
             ["sim", "-n", "3", "--rate", "0.7", "--cycles", "150",
+             "--warmup", "50",
              "--trace-csv", str(csv_path), "--trace-json", str(json_path)]
         ) == 0
         assert csv_path.exists() and json_path.exists()
         header = csv_path.read_text().splitlines()[0]
         assert header == "cycle,injected,delivered,in_flight,max_depth"
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "-n", "3", "--cycles", "100", "--warmup", "100"],
+        ["sim", "-n", "3", "--rates", "0.3,0.8", "--cycles", "100",
+         "--warmup", "150"],
+        ["sim", "-n", "3", "--rates", "0.3,0.8", "--seeds", "0,1,2",
+         "--batch", "2", "--workers", "2", "--cycles", "100",
+         "--warmup", "100"],
+    ], ids=["single", "sweep", "sweep-pool"])
+    def test_rejects_an_empty_measured_window(self, argv, capsys):
+        """Both direct modes refuse ``--warmup >= --cycles`` with one
+        ``sim:`` line, as the ``sim`` query does, instead of printing
+        offered 0 and latency ``inf``."""
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "sim: need 0 <= warmup < cycles (a measured window), "
+            f"got warmup={argv[argv.index('--warmup') + 1]}, cycles=100"
+        ]
 
     def test_sweep_rejects_trace(self, tmp_path):
         assert main(

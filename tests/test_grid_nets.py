@@ -23,7 +23,6 @@ from repro.layout import (
     build_grid_layout,
     chunked_grid_table,
     grid_graph,
-    validate_table,
     validate_table_chunked,
 )
 from repro.layout import chunked
@@ -225,10 +224,12 @@ def test_mixed_concat_falls_back_to_a_list():
     whole = build.table()
     assert isinstance(whole.nets, GridNets) and table == whole
     nodes, model = build.nodes, build.model
-    want = validate_table(whole, nodes, model, graph=grid_graph(sb))
+    want = validate_table_chunked([whole], nodes, model,
+                                  graph=grid_graph(sb))
     assert want.ok
     assert_reports_identical(
-        validate_table(table, nodes, model, graph=grid_graph(sb)), want,
+        validate_table_chunked([table], nodes, model, graph=grid_graph(sb)),
+        want,
     )
     assert_reports_identical(
         validate_table_chunked(mixed, nodes, model, graph=grid_graph(sb),

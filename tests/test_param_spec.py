@@ -227,6 +227,43 @@ def test_spec_defaults_reach_the_cli():
             assert action.default == expect, (kind, name)
 
 
+def test_every_grid_config_key_has_a_campaign_run_flag():
+    """``campaign run``'s flags are equivalent to the grid: each config
+    key has a flag, and what the flag takes lands in the spec's config
+    under that key, which the grid then accepts."""
+    from repro.cli import _campaign_spec
+
+    flags = {
+        "node_side": ("--node-side", "5", 5),
+        "track_order": ("--track-order", "reversed", "reversed"),
+        "cycles": ("--cycles", "700", 700),
+        "warmup": ("--warmup", "50", 50),
+        "benes_batch": ("--benes-batch", "3", 3),
+        "threshold": ("--threshold", "0.9", 0.9),
+        "sat_max_n": ("--sat-max-n", "4", 4),
+        "seed": ("--seed", "7", 7),
+        "layout_memory_budget": ("--memory-budget", "65536", 65536),
+    }
+    assert set(flags) == set(grid_mod.CONFIG_DEFAULTS)
+    run = ["campaign", "run", "--ks", "1,1,1"]
+    for key, (flag, text, value) in flags.items():
+        spec = _campaign_spec(PARSER.parse_args([*run, flag, text]))
+        assert spec["config"] == {key: value}, key
+    argv = [*run, *(a for flag, text, _v in flags.values()
+                    for a in (flag, text))]
+    spec = _campaign_spec(PARSER.parse_args(argv))
+    assert spec["config"] == {k: v for k, (_f, _t, v) in flags.items()}
+    cfg = normalize_grid(spec)["config"]
+    assert all(cfg[k] == v for k, (_f, _t, v) in flags.items())
+    # the threshold flag is typed by the saturation query's converter
+    with pytest.raises(SystemExit), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        PARSER.parse_args([*run, "--threshold", "inf"])
+    with pytest.raises(QueryError) as want:
+        _conv("saturation", "threshold")("inf", "threshold")
+    assert f"argument --threshold: {want.value}" in err.getvalue()
+
+
 def test_params_argv_formats_normalized_params():
     p = normalize_params("layout", {"ks": [3, 2, 1], "recirculating": True,
                                     "layers": 4})

@@ -259,7 +259,7 @@ class TestMemory:
                 3, 0.5, cycles=c, warmup=100, seed=1, trace=trace
             )
 
-        run(False, 50), run(True, 50)  # one-time allocations
+        run(False, 150), run(True, 150)  # one-time allocations
         plain, traced = (_peak_mib(lambda: run(t)) for t in (False, True))
         assert (traced - plain) * 2**20 <= 48 * cycles, (plain, traced)
 
@@ -346,7 +346,8 @@ class TestSaturation:
 
 class TestSweep:
     def test_grid_shape_and_order(self):
-        res = sweep_rates(3, [0.3, 0.7], cycles=200, seeds=(0, 1), batch=4)
+        res = sweep_rates(3, [0.3, 0.7], cycles=200, warmup=20,
+                          seeds=(0, 1), batch=4)
         assert [(r.rate_per_input, r.n) for r in res] == [
             (0.3, 3), (0.3, 3), (0.7, 3), (0.7, 3)
         ]
@@ -365,8 +366,9 @@ class TestSweep:
         assert batched == solo  # frozen dataclass equality, trace excluded
 
     def test_worker_pool_matches_serial(self):
-        serial = sweep_rates(3, [0.3, 0.6, 0.9], cycles=200, batch=1)
-        pooled = sweep_rates(3, [0.3, 0.6, 0.9], cycles=200, batch=1, workers=2)
+        kw = dict(cycles=200, warmup=20, batch=1)
+        serial = sweep_rates(3, [0.3, 0.6, 0.9], **kw)
+        pooled = sweep_rates(3, [0.3, 0.6, 0.9], workers=2, **kw)
         assert pooled == serial
 
 
@@ -388,7 +390,8 @@ class TestStatsTrace:
         assert int(tr.injected[300:].sum()) == 0  # no injections while draining
 
     def test_csv_export(self, tmp_path):
-        r = simulate_butterfly_queued(3, 0.7, cycles=150, seed=2, trace=True)
+        r = simulate_butterfly_queued(3, 0.7, cycles=150, warmup=30, seed=2,
+                                      trace=True)
         path = r.trace.to_csv(str(tmp_path / "trace.csv"))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -399,7 +402,8 @@ class TestStatsTrace:
         )
 
     def test_json_export(self, tmp_path):
-        r = simulate_butterfly_queued(3, 0.7, cycles=150, seed=2, trace=True)
+        r = simulate_butterfly_queued(3, 0.7, cycles=150, warmup=30, seed=2,
+                                      trace=True)
         path = r.trace.to_json(str(tmp_path / "trace.json"))
         with open(path) as fh:
             payload = json.load(fh)
@@ -418,7 +422,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             sweep_rates(0, [0.5])
 
+    @pytest.mark.parametrize("cycles, warmup", [(100, 100), (100, 200),
+                                                (50, -1)])
+    def test_rejects_an_empty_measured_window(self, cycles, warmup):
+        """``warmup >= cycles`` leaves no cycle to measure: offered 0,
+        throughput 0 and latency ``inf`` used to come back as a result."""
+        match = "need 0 <= warmup < cycles"
+        with pytest.raises(ValueError, match=match):
+            simulate_butterfly_queued(3, 0.8, cycles=cycles, warmup=warmup)
+        with pytest.raises(ValueError, match=match):
+            sweep_rates(3, [0.5, 0.8], cycles=cycles, warmup=warmup,
+                        workers=2)
+
     def test_numpy_types_roundtrip(self):
         # sweep_rates coerces rates/seeds so numpy scalars are fine
-        res = sweep_rates(2, np.array([0.5]), cycles=100, seeds=np.array([1]))
+        res = sweep_rates(2, np.array([0.5]), cycles=100, warmup=20,
+                          seeds=np.array([1]))
         assert res[0].rate_per_input == 0.5

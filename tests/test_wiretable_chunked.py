@@ -1,12 +1,15 @@
 """Chunked out-of-core WireTable pinning.
 
-Property tests (hypothesis) that the chunk sources and the chunked
+Property tests (hypothesis) that the grid chunk source and the chunked
 validator are **byte-identical** to the legacy builders in
 ``tests/oracles`` and the one-chunk validator at arbitrary
-``memory_budget_bytes`` — from no budget (one chunk, which is what the
-in-memory builders return) down to budgets forcing 1-wire chunks — for
-tables, validation reports (verdict, error count, kept messages, check
-list), and summary stats.  Mutated tables (collinear K_6 x 2 and the
+``memory_budget_bytes`` — from no budget (one chunk, which is what
+``build_grid_layout`` returns) down to budgets forcing one-group
+chunks — for tables, validation reports (verdict, error count, kept
+messages, check list), and summary stats.  The collinear and 2-D grid
+builders build in memory: their tables must equal the legacy ones, and
+random ``slice_wires`` chunkings of them must validate and summarize
+exactly as one chunk does.  Mutated tables (collinear K_6 x 2 and the
 B_6 grid) must report the same at every chunk and bucket split, and
 the mutations that reach the realizes-graph check and node placement
 are also held to the legacy oracle in ``tests/oracles``.  Two B_6
@@ -30,8 +33,6 @@ from repro.layout import (
     ChunkedValidator,
     Layout,
     Rect,
-    chunked_collinear_table,
-    chunked_grid2d_table,
     chunked_grid_table,
     collinear_layout,
     build_grid2d_layout,
@@ -39,7 +40,6 @@ from repro.layout import (
     grid_graph,
     summarize_chunks,
     thompson_model,
-    validate_table,
     validate_table_chunked,
     wires_per_chunk,
 )
@@ -90,7 +90,8 @@ def assert_reports_identical(got, want) -> None:
 def assert_chunked_matches(build, layout, graph, num_buckets=4) -> None:
     mono = layout.wire_table()
     assert_tables_identical(build.table(), mono)
-    want = validate_table(mono, build.nodes, build.model, graph=graph)
+    want = validate_table_chunked([mono], build.nodes, build.model,
+                                  graph=graph)
     got = validate_table_chunked(
         build.chunks(), build.nodes, build.model, graph=graph,
         num_buckets=num_buckets,
@@ -100,8 +101,38 @@ def assert_chunked_matches(build, layout, graph, num_buckets=4) -> None:
         layout.summary()
 
 
+# a chunking of a table: ``None`` puts every wire in its own chunk,
+# a list gives the cut points (reduced into the table's wire range)
+cuts = st.one_of(
+    st.none(),
+    st.lists(st.integers(min_value=0, max_value=1 << 16), max_size=8),
+)
+
+
+def assert_slicings_match(layout, want, graph, cuts, num_buckets=4) -> None:
+    """``layout``'s table equals the legacy ``want`` table, and its
+    ``slice_wires`` chunks cut at ``cuts`` validate and summarize
+    exactly as the one chunk does (``graph()`` gives the graph each
+    validator checks)."""
+    t = layout.wire_table()
+    assert_tables_identical(t, want.wire_table())
+    nw = t.num_wires
+    bounds = (range(nw + 1) if cuts is None
+              else sorted({0, nw, *(c % (nw + 1) for c in cuts)}))
+    chunks = [t.slice_wires(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    nodes, model = layout.nodes, layout.model
+    one = validate_table_chunked([t], nodes, model, graph=graph())
+    assert_reports_identical(
+        validate_table_chunked(chunks, nodes, model, graph=graph(),
+                               num_buckets=num_buckets),
+        one,
+    )
+    assert summarize_chunks(chunks, nodes, model) == \
+        summarize_chunks([t], nodes, model) == layout.summary()
+
+
 # ---------------------------------------------------------------------------
-# build + validate + stats identity per chunk source
+# build + validate + stats identity per builder
 # ---------------------------------------------------------------------------
 
 
@@ -110,17 +141,14 @@ def assert_chunked_matches(build, layout, graph, num_buckets=4) -> None:
     n=st.integers(min_value=2, max_value=7),
     m=st.integers(min_value=1, max_value=3),
     order=st.sampled_from(["forward", "reversed"]),
-    budget=budgets,
+    cuts=cuts,
 )
-def test_collinear_chunked_identity(n, m, order, budget):
-    c = chunked_collinear_table(n, m, order=order, memory_budget_bytes=budget)
-    lay = collinear_layout_legacy(n, m, order=order).layout
-    assert_chunked_matches(c, lay, complete_multigraph(n, m))
-    if budget == 1:
-        # budget below one wire's working set degrades to 1-wire chunks
-        assert c.chunk_wires == 1
-        nw = (n * (n - 1) // 2) * m
-        assert sum(1 for _ in c.chunks()) == nw
+def test_collinear_chunked_identity(n, m, order, cuts):
+    assert_slicings_match(
+        collinear_layout(n, m, order=order).layout,
+        collinear_layout_legacy(n, m, order=order).layout,
+        lambda: complete_multigraph(n, m), cuts,
+    )
 
 
 @SLOW
@@ -143,9 +171,9 @@ def test_grid_chunked_identity(ks, recirculating, budget):
     cols=st.integers(min_value=2, max_value=4),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     split=st.booleans(),
-    budget=budgets,
+    cuts=cuts,
 )
-def test_grid2d_chunked_identity(rows, cols, seed, split, budget):
+def test_grid2d_chunked_identity(rows, cols, seed, split, cuts):
     def mkgraph(n, salt):
         g = Graph()
         g.add_nodes(range(n))
@@ -159,10 +187,11 @@ def test_grid2d_chunked_identity(rows, cols, seed, split, budget):
     row_graphs = {r: mkgraph(cols, 2 * r) for r in range(rows)}
     col_graphs = {c: mkgraph(rows, 2 * c + 1) for c in range(cols)}
     rg, cg = row_graphs.__getitem__, col_graphs.__getitem__
-    c = chunked_grid2d_table(rows, cols, rg, cg, split_channels=split,
-                             memory_budget_bytes=budget)
-    res = build_grid2d_layout_legacy(rows, cols, rg, cg, split_channels=split)
-    assert_chunked_matches(c, res.layout, res.graph)
+    res = build_grid2d_layout(rows, cols, rg, cg, split_channels=split)
+    want = build_grid2d_layout_legacy(rows, cols, rg, cg,
+                                      split_channels=split)
+    assert list(res.graph.edges()) == list(want.graph.edges())
+    assert_slicings_match(res.layout, want.layout, lambda: want.graph, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +288,7 @@ def test_mutated_validation_identity(case, which, chunk_wires, num_buckets,
     lay, graph = _mutation_case(case)
     t, nodes = _mutate(lay.wire_table(), lay.nodes, which,
                        np.random.default_rng(seed))
-    want = validate_table(t, nodes, lay.model, graph=graph())
+    want = validate_table_chunked([t], nodes, lay.model, graph=graph())
     chunks = (t.slice_wires(lo, lo + chunk_wires)
               for lo in range(0, t.num_wires, chunk_wires))
     got = validate_table_chunked(chunks, nodes, lay.model, graph=graph(),
@@ -333,7 +362,8 @@ def test_error_cap_across_buckets(chunk_wires, num_buckets):
     for fixture, before, hits in ((_through_via_rows_table, 2, 96),
                                   (_through_via_cols_table, 5, 71)):
         t, lay = fixture()
-        want = validate_table(t, lay.nodes, lay.model, graph=grid_graph(sb))
+        want = validate_table_chunked([t], lay.nodes, lay.model,
+                                      graph=grid_graph(sb))
         through = [e for e in want.errors
                    if " passes through via of wire " in e]
         # the fixture reaches the cap inside the via-vs-segment check
@@ -373,7 +403,7 @@ def test_overlapping_node_bands():
         g.add_edges_from(np.array([[0, 1], [0, 2]], dtype=np.int64))
         return g
 
-    want = validate_table(t, nodes, model, graph=graph())
+    want = validate_table_chunked([t], nodes, model, graph=graph())
     got = validate_table_chunked(
         [t.slice_wires(i, i + 1) for i in range(t.num_wires)],
         nodes, model, graph=graph(),
@@ -391,26 +421,11 @@ def test_overlapping_node_bands():
     ]
 
 
-def test_check_toggles_match():
-    lay = collinear_layout(5, 1).layout
-    t = lay.wire_table()
-    for check_nodes in (True, False):
-        for check_vias in (True, False):
-            want = validate_table(t, lay.nodes, lay.model,
-                                  check_nodes=check_nodes,
-                                  check_vias=check_vias)
-            got = validate_table_chunked(
-                [t.slice_wires(i, i + 3) for i in range(0, t.num_wires, 3)],
-                lay.nodes, lay.model,
-                check_nodes=check_nodes, check_vias=check_vias)
-            assert_reports_identical(got, want)
-
-
 def test_empty_stream_matches_empty_table():
     lay = collinear_layout(4, 1).layout
     empty = lay.wire_table().slice_wires(0, 0)
-    want = validate_table(empty, lay.nodes, lay.model,
-                          graph=complete_multigraph(4, 1))
+    want = validate_table_chunked([empty], lay.nodes, lay.model,
+                                  graph=complete_multigraph(4, 1))
     got = validate_table_chunked([], lay.nodes, lay.model,
                                  graph=complete_multigraph(4, 1))
     assert_reports_identical(got, want)
@@ -433,21 +448,18 @@ def test_wires_per_chunk_knob():
 
 
 def test_collinear_needs_two_nodes():
-    # one contract for K_1: the chunk source refuses it like the builder
-    for build in (chunked_collinear_table, collinear_layout):
-        with pytest.raises(ValueError, match="need n >= 2 nodes, got 1"):
-            build(1)
+    with pytest.raises(ValueError, match="need n >= 2 nodes, got 1"):
+        collinear_layout(1)
 
 
 @pytest.mark.parametrize("build", [
-    lambda order: chunked_collinear_table(5, order=order),
     lambda order: collinear_layout(5, order=order),
     lambda order: chunked_grid_table((2, 2, 2), track_order=order),
     lambda order: build_grid_layout((2, 2, 2), track_order=order),
     lambda order: track_assignment(5, order),
     lambda order: track_assignment_arrays(5, order),
 ], ids=[
-    "chunked_collinear_table", "collinear_layout", "chunked_grid_table",
+    "collinear_layout", "chunked_grid_table",
     "build_grid_layout", "track_assignment", "track_assignment_arrays",
 ])
 def test_track_order_is_forward_or_reversed(build):
@@ -463,13 +475,14 @@ def test_unbudgeted_build_enumerates_once(monkeypatch):
     splits each channel graph once (``rows + cols`` ``_side_subgraphs``
     calls, not a second round for the emission pass)."""
     import repro.layout.chunked as chunked
+    import repro.layout.grid2d as grid2d
 
     assert sum(1 for _ in chunked_grid_table((2, 2, 2)).chunks()) == 1
     calls = []
-    for name in ("_grid_cats", "_side_subgraphs"):
-        real = getattr(chunked, name)
+    for mod, name in ((chunked, "_grid_cats"), (grid2d, "_side_subgraphs")):
+        real = getattr(mod, name)
         monkeypatch.setattr(
-            chunked, name,
+            mod, name,
             lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a),
         )
     build_grid_layout((2, 2, 2))
@@ -481,12 +494,15 @@ def test_unbudgeted_build_enumerates_once(monkeypatch):
 
 
 def test_chunked_build_surface():
-    c = chunked_collinear_table(6, 1, memory_budget_bytes=4096)
-    assert c.num_wires == 15
-    assert c.name.startswith("collinear-K6")
-    rep, summary = c.validate_and_summarize(graph=complete_multigraph(6, 1))
+    ks, budget = (2, 2, 2), 8192
+    c = chunked_grid_table(ks, memory_budget_bytes=budget)
+    assert c.chunk_wires == wires_per_chunk(budget)
+    assert sum(1 for _ in c.chunks()) > 1
+    assert c.name.startswith("grid-B6")
+    graph = grid_graph(SwapButterfly.from_ks(ks))
+    rep, summary = c.validate_and_summarize(graph=graph)
     assert rep.ok
-    lay = collinear_layout(6, 1).layout
+    lay = build_grid_layout(ks).layout
     assert summary == lay.summary()
     assert c.summary() == lay.summary()
     assert c.validate_and_summarize()[0].ok
@@ -495,9 +511,12 @@ def test_chunked_build_surface():
 def test_summary_reuses_consumed_stats_pass():
     # validate_and_summarize already streamed every chunk once; a later
     # summary() must serve the cached stats, not restream the chunks
-    c = chunked_collinear_table(6, 2, memory_budget_bytes=4096)
-    want = collinear_layout(6, 2).layout.summary()
-    _rep, summ = c.validate_and_summarize(graph=complete_multigraph(6, 2))
+    ks = (2, 2, 1)
+    c = chunked_grid_table(ks, memory_budget_bytes=8192)
+    want = build_grid_layout(ks).layout.summary()
+    _rep, summ = c.validate_and_summarize(
+        graph=grid_graph(SwapButterfly.from_ks(ks))
+    )
     assert summ == want
     calls = []
     real = c._chunks
